@@ -24,6 +24,7 @@ from .basis import Rho1Table, rho1_table
 from .perms import (
     Coset,
     FixingSubgroup,
+    broadcast_voter,
     build_fixing_subgroup,
     compose,
     enumerate_group,
@@ -31,7 +32,7 @@ from .perms import (
     j_profile_counts,
     parse_perm,
     perm_index,
-    rank_of,
+    rank_table,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -104,12 +105,7 @@ class ProfileTables:
             norms = np.diag(dots)
             self.dist2.append(norms[:, None] + norms[None, :] - 2 * dots)
             self.dot.append(dots)
-        # rank of alternative j under each permutation, lex order
-        perms = enumerate_group(m)
-        self.rank = np.zeros((m, len(perms)), dtype=np.int64)
-        for i, x in enumerate(perms):
-            for j in range(1, m + 1):
-                self.rank[j - 1, i] = rank_of(x, j)
+        self.rank = rank_table(m)  # rank of alternative j under each permutation
 
     @property
     def max_pair_dist2(self) -> Fraction:
@@ -120,22 +116,17 @@ class ProfileTables:
         return Fraction(worst, h * h)
 
 
-_PROFILE_TABLES: dict[int, ProfileTables] = {}
+_PROFILE_TABLES: dict[tuple, ProfileTables] = {}
 
 
 def profile_tables(H: FixingSubgroup) -> ProfileTables:
-    key = id(H)
+    """Tables shared by every subgroup with the same members: the
+    members fix the cosets and their order, so equal subgroups built
+    separately (e.g. by repeated JSON loads) reuse one entry."""
+    key = (H.m, H.members)
     if key not in _PROFILE_TABLES:
         _PROFILE_TABLES[key] = ProfileTables(H)
     return _PROFILE_TABLES[key]
-
-
-def _broadcast_vote_map(per_vote: np.ndarray, i: int, n: int, fact: int) -> np.ndarray:
-    """Expand a per-vote array to a per-profile table where the value
-    depends only on voter i (1-based)."""
-    inner = fact ** (n - i)
-    outer = fact ** (i - 1)
-    return np.tile(np.repeat(per_vote, inner), outer)
 
 
 def make_dictator(i: int, sigma, H: FixingSubgroup, n: int) -> Aggregator:
@@ -149,7 +140,7 @@ def make_dictator(i: int, sigma, H: FixingSubgroup, n: int) -> Aggregator:
     per_vote = np.array(
         [H.coset_index[compose(v, sigma)] for v in enumerate_group(m)], dtype=np.int64
     )
-    table = _broadcast_vote_map(per_vote, i, n, factorial(m))
+    table = broadcast_voter(per_vote, i, n)
     return Aggregator(m, n, H, table, "dictator", {"i": i, "sigma": format_perm(sigma)})
 
 
@@ -194,6 +185,23 @@ def make_borda(m: int, n: int) -> Aggregator:
         ranking = tuple(sorted(range(1, m + 1), key=lambda v: (-score[v], v)))
         table[idx] = H.coset_index[ranking]
     return Aggregator(m, n, H, table, "borda", {})
+
+
+def make_named_rule(kind: str, params: dict, H: FixingSubgroup, n: int) -> Aggregator:
+    """Build a parameterized rule from its JSON type and params:
+    "dictator" (i, sigma), "constant" (output), "plurality" or "borda".
+    Plurality and Borda fix their own output subgroup and ignore H."""
+    m = H.m
+    if kind == "dictator":
+        return make_dictator(int(params["i"]), parse_perm(params["sigma"], m), H, n)
+    if kind == "constant":
+        rep = parse_perm(params["output"], m)
+        return make_constant(H.coset_index[rep], H, n)
+    if kind == "plurality":
+        return make_plurality(m, n)
+    if kind == "borda":
+        return make_borda(m, n)
+    raise ValueError(f"unknown aggregator type {kind!r}")
 
 
 def random_aggregator(m: int, n: int, H: FixingSubgroup, rng) -> Aggregator:
@@ -268,15 +276,6 @@ def consistency_check(agg: Aggregator, table: Rho1Table | None = None) -> Consis
 # JSON round trip
 
 
-def partition_to_text(partition) -> str:
-    return "|".join(",".join(str(v) for v in block) for block in partition)
-
-
-def partition_from_text(text: str, m: int):
-    blocks = [[int(v) for v in part.split(",")] for part in text.split("|")]
-    return blocks
-
-
 def to_json(agg: Aggregator) -> dict:
     doc = {
         "m": agg.m,
@@ -304,18 +303,8 @@ def from_json(doc: dict) -> Aggregator:
     m, n = int(doc["m"]), int(doc["n"])
     H = build_fixing_subgroup(m, doc["partition"])
     kind = doc.get("type", "table")
-    params = doc.get("params", {})
-    if kind == "dictator":
-        return make_dictator(int(params["i"]), parse_perm(params["sigma"], m), H, n)
-    if kind == "constant":
-        rep = parse_perm(params["output"], m)
-        return make_constant(H.coset_index[rep], H, n)
-    if kind == "plurality":
-        return make_plurality(m, n)
-    if kind == "borda":
-        return make_borda(m, n)
     if kind != "table":
-        raise ValueError(f"unknown aggregator type {kind!r}")
+        return make_named_rule(kind, doc.get("params", {}), H, n)
     fact = factorial(m)
     table = np.full(fact**n, -1, dtype=np.int64)
     for entry in doc["entries"]:
@@ -325,6 +314,8 @@ def from_json(doc: dict) -> Aggregator:
         idx = 0
         for x in profile:
             idx = idx * fact + perm_index(x)
+        if table[idx] >= 0:
+            raise ValueError(f"duplicate entry for profile {entry['profile']}")
         table[idx] = H.coset_index[parse_perm(entry["output"], m)]
     if (table < 0).any():
         missing = int((table < 0).sum())

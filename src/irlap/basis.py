@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import enumerate_group, fixed_points
+from .perms import broadcast_voter, enumerate_group, fixed_points
 
 BASIS_TOL = 1e-12
 
@@ -166,11 +166,7 @@ class LinFunction:
         out = np.broadcast_to(self.B, (fact**n, d, d)).copy()
         for i in range(n):
             contrib = np.einsum("kt,xtl->xkl", self.A[i], table.R)
-            reps_outer = fact**i
-            reps_inner = fact ** (n - 1 - i)
-            expanded = np.repeat(contrib, reps_inner, axis=0)
-            expanded = np.tile(expanded, (reps_outer, 1, 1))
-            out += expanded
+            out += broadcast_voter(contrib, i + 1, n)
         return out
 
 

@@ -13,14 +13,7 @@ import sys
 import numpy as np
 
 from ._util import FeasibilityError, jsonable
-from .aggregators import (
-    load_json,
-    make_borda,
-    make_constant,
-    make_dictator,
-    make_plurality,
-    random_aggregator,
-)
+from .aggregators import load_json, make_named_rule, random_aggregator
 from .laplacian import gap_bracket, hat_l1, spectral_gap
 from .metrics import (
     census_ir_functions,
@@ -39,7 +32,7 @@ from .moments import (
     apply_Tt,
     random_equal_margin,
 )
-from .perms import build_fixing_subgroup, parse_perm, trivial_subgroup
+from .perms import build_fixing_subgroup, trivial_subgroup
 from .rounding import matrix_cs_check, robustness_report
 
 
@@ -68,20 +61,12 @@ def _build_rule(spec: str, m: int, n: int, H, seed: int):
         for item in rest.split(","):
             key, _, value = item.partition("=")
             params[key] = value
-    if kind == "dictator":
-        return make_dictator(int(params.get("i", 1)),
-                             parse_perm(params["sigma"], m), H, n)
-    if kind == "constant":
-        rep = parse_perm(params["output"], m)
-        return make_constant(H.coset_index[rep], H, n)
-    if kind == "plurality":
-        return make_plurality(m, n)
-    if kind == "borda":
-        return make_borda(m, n)
     if kind == "random":
         rng = np.random.default_rng(int(params.get("seed", seed)))
         return random_aggregator(m, n, H, rng)
-    raise ValueError(f"unknown rule {spec!r}")
+    if kind == "dictator":
+        params.setdefault("i", 1)
+    return make_named_rule(kind, params, H, n)
 
 
 def cmd_spectra(args) -> None:

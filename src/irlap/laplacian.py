@@ -30,6 +30,15 @@ between members of one coset; it vanishes only when cosets are
 singletons.  These constants are asserted against the exhaustive
 rational oracle on random aggregators (calibrate_kappa), never
 assumed.
+
+Switch classes.  Every form is a sum over single-voter switches: hold
+all voters but i fixed and group voter i's rankings by the rank r they
+give alternative j.  Each such (i, j, r, others) group of (m-1)!
+profiles is a switch class, and ``perms.switch_classes(m, n)`` lists
+them all in one cached read-only index.  L' and L'' are coset
+histograms per class, L is the per-class identity in _class_sum_form,
+and the rational metrics (pair counts, IR detectors, census) gather
+through the same index.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import numpy as np
 from ._util import FeasibilityError
 from .aggregators import Aggregator, GEncoding, encode_g
 from .basis import Basis, Rho1Table, build_basis, rho1_table
-from .perms import enumerate_group, perm_index, rank_of
+from .perms import broadcast_voter, class_histograms, perm_index, rank_table, switch_classes
 
 DENSE_LIMIT = 5000
 LN_BUDGET = 2 * 10**8  # bound on n * m * (m!)^(n+1)
@@ -54,15 +63,16 @@ CLUSTER_TOL = 1e-7
 
 @dataclass
 class LaplacianBundle:
-    """Dense one-voter operators; memory is about m * (m!)^2 bytes, so
-    construction refuses m > 7."""
+    """Dense one-voter operators X^j, Y^j, D^j over ``basis``; memory is
+    about m * (m!)^2 bytes, so construction refuses m > 7.  The forms
+    take the rank classes of X^j, per voter and slab, from the cached
+    ``perms.switch_classes`` index."""
 
     m: int
     basis: Basis
     X: np.ndarray  # (m, m!, m!) uint8
     Y: np.ndarray  # (m, m!, m!) int64
     D: np.ndarray  # (m, m-1, m-1)
-    rank_classes: list  # rank_classes[j-1][r-1] = perm indices with x^-1(j) = r
 
     def check(self) -> None:
         m = self.m
@@ -84,17 +94,12 @@ def build_one_voter(m: int, basis: Basis | None = None) -> LaplacianBundle:
             estimate=f"{m}*({m}!)^2 bytes",
         )
     basis = basis if basis is not None else build_basis(m)
-    perms = enumerate_group(m)
-    fact = len(perms)
-    X = np.empty((m, fact, fact), dtype=np.uint8)
-    rank_classes = []
-    for j in range(1, m + 1):
-        ranks = np.array([rank_of(x, j) for x in perms])
-        X[j - 1] = (ranks[:, None] == ranks[None, :]).astype(np.uint8)
-        rank_classes.append([np.nonzero(ranks == r)[0] for r in range(1, m + 1)])
+    fact = factorial(m)
+    ranks = rank_table(m)
+    X = (ranks[:, :, None] == ranks[:, None, :]).astype(np.uint8)
     Y = factorial(m - 1) * np.eye(fact, dtype=np.int64)[None, :, :] - X.astype(np.int64)
     D = np.einsum("jk,jl->jkl", basis.C, basis.C)
-    return LaplacianBundle(m, basis, X, Y, D, rank_classes)
+    return LaplacianBundle(m, basis, X, Y, D)
 
 
 @dataclass
@@ -151,13 +156,6 @@ def hat_l1(m: int, basis: Basis | None = None) -> HatL1System:
 # Quadratic forms
 
 
-def _voter_slabs(table: np.ndarray, i: int, n: int, fact: int) -> np.ndarray:
-    """View a per-profile array as (m!^(n-1), m!) with voter i
-    (1-based) as the fast axis."""
-    shaped = table.reshape((fact,) * n)
-    return np.moveaxis(shaped, i - 1, -1).reshape(-1, fact)
-
-
 def kappa(variant: str, m: int, n: int) -> Fraction:
     if variant not in ("L", "L1", "L2"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -190,7 +188,8 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle, variant: str,
     """Evaluate one of the three forms on an aggregator, summed over
     single-voter switches.  "L1" (X (x) complement X) and "L2"
     (Y (x) X) run on the coset-indicator encoding in exact integer
-    arithmetic; "L" (Y (x) D) runs on the matrix encoding in floats.
+    arithmetic, from per-class coset histograms; "L" (Y (x) D) runs on
+    the matrix encoding in floats through the per-class identity.
     """
     m, n, H = agg.m, agg.n, agg.H
     fact = factorial(m)
@@ -202,40 +201,20 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle, variant: str,
 
     if variant == "L":
         enc = encode_g(agg, table if table is not None else rho1_table(m))
-        raw = 0.0
-        for i in range(1, n + 1):
-            slabs = _voter_slabs(np.arange(fact**n), i, n, fact)
-            for j in range(m):
-                Yj = bundle.Y[j].astype(float)
-                Dj = bundle.D[j]
-                for row in slabs:
-                    G = enc.g[row]  # (m!, d, d)
-                    W = np.einsum("xkl,lt->xkt", G, Dj)
-                    raw += float(np.einsum("xkt,xy,ykt->", W, Yj, G))
+        raw = _class_sum_form(enc.g, m, n, bundle.basis.C)
         return QuadraticFormValue("L", raw, float(kappa("L", m, n)) * raw)
 
     h = H.order
-    ncos = len(H.cosets)
     Mem = _membership_matrix(H)
-    total = 0
-    for j in range(m):
-        Xj = bundle.X[j].astype(np.int64)
-        agree = Mem @ Xj @ Mem.T  # same-rank member pairs between cosets
-        pair = h * h - agree if variant == "L1" else agree
-        pair_diag = np.diag(pair).copy()
-        for i in range(1, n + 1):
-            slabs = _voter_slabs(agg.table, i, n, fact)
-            for row in slabs:
-                if variant == "L1":
-                    for cls in bundle.rank_classes[j]:
-                        cc = np.bincount(row[cls], minlength=ncos)
-                        total += int(cc @ pair @ cc)
-                else:
-                    counts = np.bincount(row, minlength=ncos)
-                    total += factorial(m - 1) * int(counts @ pair_diag)
-                    for cls in bundle.rank_classes[j]:
-                        cc = np.bincount(row[cls], minlength=ncos)
-                        total -= int(cc @ pair @ cc)
+    agree = Mem @ bundle.X.astype(np.int64) @ Mem.T  # same-rank member pairs between cosets
+    pair = h * h - agree if variant == "L1" else agree
+    # cc[i, j, r, s, c] = members of switch class (i, j, r, s) mapped to coset c
+    cc = class_histograms(agg.table, switch_classes(m, n), len(H.cosets))
+    total = int(np.einsum("ijrsp,jpq,ijrsq->", cc, pair, cc, optimize=True))
+    if variant == "L2":
+        # the Y diagonal: every profile sits in (m-1)! switch pairs per (i, j)
+        diag = np.einsum("jpp->jp", pair)[:, agg.table]
+        total = n * factorial(m - 1) * int(diag.sum()) - total
     raw = Fraction(total, h * h)
     if variant == "L1":
         canonical = kappa("L1", m, n) * (raw - lprime_offset(m, n, H))
@@ -247,23 +226,18 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle, variant: str,
 def _class_sum_form(values: np.ndarray, m: int, n: int, C: np.ndarray) -> float:
     """tr(G L^n G^T) for a matrix- or row-valued encoding, via the
     per-class identity: the Y (x) D form on one rank class equals
-    (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with v_a = C_j g(a)^T."""
-    fact = factorial(m)
-    perms = enumerate_group(m)
-    ranks = np.array([[rank_of(x, j) for x in perms] for j in range(1, m + 1)])
+    (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with v_a = C_j g(a)^T.
+    The (i, j, r) accumulation order is fixed: reports pin its float
+    rounding."""
+    idx = switch_classes(m, n)
+    k = factorial(m - 1)
     v = np.einsum("jl,xkl->jxk", C, values)
     norms = np.einsum("jxk,jxk->jx", v, v)
     raw = 0.0
-    for i in range(1, n + 1):
-        slab_index = _voter_slabs(np.arange(fact**n, dtype=np.int64), i, n, fact)
-        for j in range(m):
-            for r in range(1, m + 1):
-                cls = np.nonzero(ranks[j] == r)[0]
-                rows = slab_index[:, cls]  # (slabs, (m-1)!)
-                vals = v[j][rows]
-                k = rows.shape[1]
-                sums = vals.sum(axis=1)
-                raw += float(k * norms[j][rows].sum() - np.einsum("sk,sk->", sums, sums))
+    for i, j, r in np.ndindex(idx.shape[:3]):
+        rows = idx[i, j, r]  # (slabs, (m-1)!)
+        sums = v[j][rows].sum(axis=1)
+        raw += float(k * norms[j][rows].sum() - np.einsum("sk,sk->", sums, sums))
     return raw
 
 
@@ -364,11 +338,7 @@ def lin_space_basis(m: int, n: int, table: Rho1Table) -> np.ndarray:
         cols.append(vec.reshape(-1))
     for i in range(1, n + 1):
         for t in range(d):
-            per_vote = table.R[:, t, :]  # (m!, d)
-            inner = fact ** (n - i)
-            outer = fact ** (i - 1)
-            vec = np.tile(np.repeat(per_vote, inner, axis=0), (outer, 1))
-            cols.append(vec.reshape(-1))
+            cols.append(broadcast_voter(table.R[:, t, :], i, n).reshape(-1))
     Q, _ = np.linalg.qr(np.column_stack(cols))
     return Q
 

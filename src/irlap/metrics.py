@@ -20,8 +20,8 @@ import numpy as np
 from ._util import FeasibilityError
 from .aggregators import Aggregator, encode_g, make_dictator, profile_tables
 from .basis import rho1_table
-from .laplacian import LN_BUDGET, _voter_slabs, apply_Ln
-from .perms import FixingSubgroup, enumerate_group
+from .laplacian import LN_BUDGET, apply_Ln
+from .perms import FixingSubgroup, class_histograms, enumerate_group, switch_classes
 
 CENSUS_LIMIT = 2 * 10**6
 
@@ -44,27 +44,16 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     whose reported vote keeps the rank of the alternative.
     """
     m, n = agg.m, agg.n
-    fact = factorial(m)
     tables = profile_tables(agg.H)
     nprof = max(len(cat) for cat in tables.catalogs)
+    idx = switch_classes(m, n)
     cnt_all = np.zeros((n, m, m, nprof, nprof), dtype=np.int64)
     cnt_same = np.zeros_like(cnt_all)
-    for i in range(1, n + 1):
-        slabs = _voter_slabs(agg.table, i, n, fact)
-        for j in range(m):
-            pids = tables.pid[slabs, j]  # (S, m!)
-            ranks = tables.rank[j]  # (m!,)
-            size = m * nprof * nprof
-            base = (ranks - 1) * nprof * nprof
-            # idx[s, a, b] encodes (rank of truth a, pid of a, pid of b)
-            idx = base[None, :, None] + pids[:, :, None] * nprof + pids[:, None, :]
-            cnt_all[i - 1, j] += np.bincount(
-                idx.reshape(-1), minlength=size
-            ).reshape(m, nprof, nprof)
-            same = ranks[:, None] == ranks[None, :]
-            cnt_same[i - 1, j] += np.bincount(
-                idx[:, same].reshape(-1), minlength=size
-            ).reshape(m, nprof, nprof)
+    for j in range(m):
+        # h[i, r, s, p] = profiles of switch class (i, j, r, s) with output pid p
+        h = class_histograms(tables.pid[agg.table, j], idx[:, j], nprof)
+        cnt_same[:, j] = np.einsum("irsp,irsq->irpq", h, h)
+        cnt_all[:, j] = np.einsum("irsp,isq->irpq", h, h.sum(axis=1))
     return cnt_all, cnt_same
 
 
@@ -112,22 +101,21 @@ def per_entry_ir_bound(m: int, n: int, H: FixingSubgroup) -> Fraction:
 # IR detectors (many-voter vs single-switch definitions)
 
 
+def _switch_invariant(funcs: np.ndarray, pid: np.ndarray, m: int, n: int) -> np.ndarray:
+    """For each coset table in funcs (..., m!^n): whether every output
+    j-profile id is constant on every switch class."""
+    idx = switch_classes(m, n)
+    keep = np.ones(funcs.shape[:-1], dtype=bool)
+    for j in range(m):
+        sub = pid[funcs[..., idx[:, j]], j]  # (..., n, m, S, (m-1)!)
+        keep &= (sub == sub[..., :1]).all(axis=(-4, -3, -2, -1))
+    return keep
+
+
 def is_ir_single(agg: Aggregator) -> bool:
     """Single-switch detector: within every (voter, others, alternative,
     rank) class the output j-profile is constant."""
-    m, n = agg.m, agg.n
-    fact = factorial(m)
-    tables = profile_tables(agg.H)
-    for i in range(1, n + 1):
-        slabs = _voter_slabs(agg.table, i, n, fact)
-        for j in range(m):
-            pids = tables.pid[slabs, j]
-            for r in range(1, m + 1):
-                cls = np.nonzero(tables.rank[j] == r)[0]
-                sub = pids[:, cls]
-                if (sub != sub[:, :1]).any():
-                    return False
-    return True
+    return bool(_switch_invariant(agg.table, profile_tables(agg.H).pid, agg.m, agg.n))
 
 
 def is_ir_multi(agg: Aggregator) -> bool:
@@ -196,16 +184,7 @@ def census_ir_functions(m: int, n: int, H: FixingSubgroup,
     funcs = np.empty((total, npos), dtype=np.int64)
     for pos in range(npos):
         funcs[:, npos - 1 - pos] = (codes // ncos**pos) % ncos
-    keep = np.ones(total, dtype=bool)
-    for i in range(1, n + 1):
-        slab_index = _voter_slabs(np.arange(npos, dtype=np.int64), i, n, fact)
-        for j in range(m):
-            pid_j = tables.pid[:, j]
-            for r in range(1, m + 1):
-                cls = np.nonzero(tables.rank[j] == r)[0]
-                cols = slab_index[:, cls]  # (S, class)
-                sub = pid_j[funcs[:, cols]]  # (total, S, class)
-                keep &= (sub == sub[:, :, :1]).all(axis=(1, 2))
+    keep = _switch_invariant(funcs, tables.pid, m, n)
     ir_tables = funcs[keep]
     dictator_set = set()
     for i in range(1, n + 1):

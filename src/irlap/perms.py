@@ -21,10 +21,13 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+
+import numpy as np
 
 MAX_M = 9  # enumerate_group materializes all m! tuples; 9! = 362880
 
@@ -246,3 +249,60 @@ def j_profile_counts(coset: Coset, j: int, m: int) -> tuple[int, ...]:
     for y in coset.members:
         counts[rank_of(y, j) - 1] += 1
     return tuple(counts)
+
+
+# ---------------------------------------------------------------------------
+# Profile-space index arrays
+
+
+def rank_table(m: int) -> np.ndarray:
+    """ranks[j-1, x] = the rank that the x-th permutation (lex order)
+    assigns to alternative j; shape (m, m!)."""
+    return np.argsort(np.array(enumerate_group(m)), axis=1).T + 1
+
+
+def _voter_slabs(table: np.ndarray, i: int, n: int, fact: int) -> np.ndarray:
+    """View a per-profile array as (m!^(n-1), m!) with voter i
+    (1-based) as the fast axis."""
+    shaped = table.reshape((fact,) * n)
+    return np.moveaxis(shaped, i - 1, -1).reshape(-1, fact)
+
+
+@functools.lru_cache(maxsize=8)
+def switch_classes(m: int, n: int) -> np.ndarray:
+    """Profile indices grouped into single-voter switch classes.
+
+    Entry [i, j, r, s] lists, ascending, the (m-1)! profiles of slab s
+    (every voter but i+1 held fixed) in which voter i+1 ranks
+    alternative j+1 at r+1.  Shape (n, m, m, m!^(n-1), (m-1)!);
+    cached per (m, n) and read-only.
+    """
+    fact = factorial(m)
+    # members[j, r] = permutations ranking alternative j+1 at r+1
+    members = np.argsort(rank_table(m), axis=1, kind="stable").reshape(m, m, -1)
+    profiles = np.arange(fact**n, dtype=np.int64)
+    slabs = np.stack([_voter_slabs(profiles, i, n, fact).T for i in range(1, n + 1)])
+    # Stored class-major, so each [i, j, r] block is column-major.  The
+    # float sums of _class_sum_form run in this memory order, and the
+    # golden CLI reports pin their rounding.
+    idx = np.ascontiguousarray(slabs[:, members]).swapaxes(-1, -2)
+    idx.setflags(write=False)
+    return idx
+
+
+def class_histograms(labels: np.ndarray, classes: np.ndarray, size: int) -> np.ndarray:
+    """counts[..., v] = how often label v (0 <= v < size) occurs in each
+    class: labels[classes] counted along the last axis."""
+    gathered = labels[classes]
+    rows = gathered.shape[:-1]
+    keys = gathered + size * np.arange(prod(rows)).reshape(rows + (1,))
+    counts = np.bincount(keys.reshape(-1), minlength=prod(rows) * size)
+    return counts.reshape(rows + (size,))
+
+
+def broadcast_voter(per_vote: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Expand a per-vote array (m!, ...) to the per-profile array
+    (m!^n, ...) whose value depends only on voter i (1-based)."""
+    fact = per_vote.shape[0]
+    reps = (fact ** (i - 1),) + (1,) * (per_vote.ndim - 1)
+    return np.tile(np.repeat(per_vote, fact ** (n - i), axis=0), reps)

@@ -223,11 +223,11 @@ class RobustnessReport:
         }
 
 
-_GAP_CACHE: dict[tuple[int, int], tuple[float, bool]] = {}
+_GAP_CACHE: dict[tuple[int, int, int], tuple[float, bool]] = {}
 
 
 def measured_gap(m: int, n: int, dense_limit: int = 5000) -> tuple[float, bool]:
-    key = (m, n)
+    key = (m, n, dense_limit)  # dense_limit picks the solver path
     if key not in _GAP_CACHE:
         rep = spectral_gap(m, n, dense_limit=dense_limit)
         _GAP_CACHE[key] = (rep.gap, rep.exhaustive)

@@ -1,0 +1,59 @@
+"""Write the golden CLI reports that tests/test_golden.py compares
+against, one file per case under tests/golden/.
+
+The reports pin the exact bytes `irlap` prints, so a refactor that
+changes any reported value, float rounding included, shows up as a
+diff.  Regenerate only when a change deliberately fixes a reported
+value, and say so in the change description.
+
+Usage, from the repository root:
+    PYTHONPATH=src python3 tests/make_golden.py
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+M3N2 = ["analyze", "--m", "3", "--n", "2"]
+RULES = ["random:seed=5", "plurality", "borda", "dictator:sigma=231"]
+
+# (file stem, irlap arguments)
+CASES = (
+    [(f"analyze_m3n2_{rule.split(':')[0]}", M3N2 + ["--rule", rule]) for rule in RULES]
+    + [(f"analyze_m3n2_{rule.split(':')[0]}_winner",
+        M3N2 + ["--rule", rule, "--partition", "1|2,3"]) for rule in RULES]
+    + [
+        ("analyze_m3n2_random_center", M3N2 + ["--rule", "random:seed=5", "--center"]),
+        ("analyze_m4n2_plurality", ["analyze", "--m", "4", "--n", "2", "--rule", "plurality"]),
+        ("analyze_m4n2_borda_sampled",
+         ["analyze", "--m", "4", "--n", "2", "--rule", "borda", "--dense-limit", "0"]),
+        ("spectra_m4n2", ["spectra", "--m", "4", "--n", "2"]),
+        ("census_m3n1", ["census", "--m", "3", "--n", "1"]),
+        ("census_m3n1_winner", ["census", "--m", "3", "--n", "1", "--partition", "1|2,3"]),
+    ]
+)
+
+
+def run_irlap(args: list) -> str:
+    """stdout of one fresh `python -m irlap.cli` process; fails on a
+    nonzero exit."""
+    proc = subprocess.run([sys.executable, "-m", "irlap.cli", *args],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"irlap {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
+    return proc.stdout
+
+
+def main() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for stem, args in CASES:
+        (GOLDEN_DIR / f"{stem}.json").write_text(run_irlap(args))
+        print(f"wrote {stem}.json")
+
+
+if __name__ == "__main__":
+    main()

@@ -148,6 +148,27 @@ def test_json_rejects_partial_table():
         from_json(doc)
 
 
+def test_json_rejects_duplicate_profile():
+    H = trivial_subgroup(3)
+    doc = to_json(random_aggregator(3, 1, H, np.random.default_rng(0)))
+    first = doc["entries"][0]
+    other = "132" if first["output"] == "123" else "123"
+    doc["entries"].append({"profile": first["profile"], "output": other})
+    with pytest.raises(ValueError, match="duplicate"):
+        from_json(doc)
+
+
+def test_profile_tables_cache_shared_across_json_round_trips():
+    from irlap import aggregators
+
+    agg = random_aggregator(3, 1, trivial_subgroup(3), np.random.default_rng(1))
+    first = profile_tables(from_json(to_json(agg)).H)
+    size = len(aggregators._PROFILE_TABLES)
+    for _ in range(50):
+        assert profile_tables(from_json(to_json(agg)).H) is first
+    assert len(aggregators._PROFILE_TABLES) == size
+
+
 def test_profile_tables_constants():
     swf = profile_tables(trivial_subgroup(3))
     assert swf.max_pair_dist2 == 2

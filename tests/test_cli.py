@@ -61,6 +61,21 @@ def test_analyze_rule_and_file_input(tmp_path):
     assert out2["ir"]["profile_distance"] == out["ir"]["profile_distance"]
 
 
+def test_analyze_rejects_duplicate_profile(tmp_path):
+    import numpy as np
+
+    from irlap.aggregators import random_aggregator, to_json
+    from irlap.perms import trivial_subgroup
+
+    doc = to_json(random_aggregator(3, 1, trivial_subgroup(3), np.random.default_rng(0)))
+    doc["entries"].append(doc["entries"][0])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    proc = run("analyze", "--m", "3", "--n", "1", "--input", str(path), check=False)
+    assert proc.returncode == 2
+    assert "duplicate" in proc.stderr
+
+
 def test_analyze_orders_override(tmp_path):
     orders = [{"j": 1, "r": 1, "ranking": [["0", "1/2", "1/2"], ["1", "0", "0"]]}]
     path = tmp_path / "orders.json"

@@ -1,11 +1,14 @@
 """Permutation substrate: parsing, composition, subgroups, profiles."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from irlap.perms import (
+    broadcast_voter,
     build_fixing_subgroup,
     compose,
     enumerate_group,
@@ -17,6 +20,7 @@ from irlap.perms import (
     perm_index,
     rank_of,
     subgroup_from_members,
+    switch_classes,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -183,3 +187,28 @@ def test_j_profiles_sum_to_one():
 def test_subgroup_from_members_rejects_nongroup():
     with pytest.raises(ValueError):
         subgroup_from_members(3, [(1, 2, 3), (2, 3, 1)])
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (2, 3)])
+def test_switch_classes_match_definition(m, n):
+    perms = enumerate_group(m)
+    profiles = list(itertools.product(range(len(perms)), repeat=n))
+    idx = switch_classes(m, n)
+    assert idx.shape == (n, m, m, len(perms) ** (n - 1), factorial(m - 1))
+    assert not idx.flags.writeable
+    for i in range(n):
+        for j in range(m):
+            for r in range(m):
+                expected = {}
+                for p, prof in enumerate(profiles):
+                    if rank_of(perms[prof[i]], j + 1) == r + 1:
+                        others = prof[:i] + prof[i + 1:]
+                        expected.setdefault(others, []).append(p)
+                assert sorted(map(list, idx[i, j, r])) == sorted(expected.values())
+
+
+def test_broadcast_voter_depends_only_on_that_voter():
+    per_vote = np.arange(6) * 10
+    table = broadcast_voter(per_vote, 2, 3)
+    for p, prof in enumerate(itertools.product(range(6), repeat=3)):
+        assert table[p] == per_vote[prof[1]]

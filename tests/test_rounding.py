@@ -12,11 +12,13 @@ from irlap.aggregators import (
 )
 from irlap.basis import LinFunction, rho1_table
 from irlap.perms import enumerate_group, parse_perm, trivial_subgroup, winner_subgroup
+from irlap import rounding
 from irlap.rounding import (
     center_aggregator,
     fkn_diagnostics,
     kernel_distance,
     matrix_cs_check,
+    measured_gap,
     nearest_dictator,
     robustness_report,
     round_to_consistent,
@@ -180,3 +182,12 @@ def test_report_serializes():
     doc = rep.to_dict()
     assert doc["kernel_bound_ok"] is True
     assert set(doc["diagnostics"]) >= {"epsilon", "r_norm2_mean", "tail_prob"}
+
+
+def test_measured_gap_cache_respects_dense_limit(monkeypatch):
+    monkeypatch.setattr(rounding, "_GAP_CACHE", {})
+    sampled, sampled_exact = measured_gap(4, 2, dense_limit=0)
+    assert not sampled_exact
+    gap, exact = measured_gap(4, 2, dense_limit=5000)
+    assert exact
+    assert abs(gap - 1 / 12) <= 1e-9
