@@ -86,7 +86,7 @@ def cmd_spectra(args) -> None:
         },
     }
     if args.n:
-        gap_rep = spectral_gap(args.m, args.n, dense_limit=args.dense_limit)
+        gap_rep = spectral_gap(args.m, args.n)
         lo, hi = gap_bracket(args.m, args.n)
         report["gap"] = gap_rep.to_dict()
         report["gap_bracket"] = [lo, hi]
@@ -121,7 +121,7 @@ def cmd_analyze(args) -> None:
     else:
         orders = default_orders(agg.H, agg.m)
     manip = manipulation_power(agg, orders, ir=ir.profile_distance)
-    robust = robustness_report(agg, center=args.center, dense_limit=args.dense_limit)
+    robust = robustness_report(agg, center=args.center)
     report = {
         "aggregator": {"m": agg.m, "n": agg.n, "type": agg.kind, "params": agg.params},
         "ir": {
@@ -187,7 +187,6 @@ def _add_common(sub):
     sub.add_argument("--partition", type=str, default="",
                      help='blocks like "1|2,3"; default all singletons')
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--dense-limit", type=int, default=5000)
     sub.add_argument("--samples", type=int, default=1000)
     sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out", type=str, default="")

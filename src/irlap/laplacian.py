@@ -39,13 +39,27 @@ them all in one cached read-only index.  L' and L'' are coset
 histograms per class, L is the per-class identity in _class_sum_form,
 and the rational metrics (pair counts, IR detectors, census) gather
 through the same index.
+
+Spectrum.  Y^j = (m-1)! (I - P^j) with P^j the average over the rank
+class of j, so L^n / m! = (1/m) sum_{i,j} (I - P^j)_i (x) D^j.  The
+range of P^j lies in the trivial (+) rho1 components of the regular
+representation, so on each voter's coordinate the term is 0 on the
+trivial component (dim 1), exactly 1/m on the other non-rho1 ones
+(P^j = 0; dim K = m! - 1 - (m-1)^2), and on rho1 ((m-1) copies of an
+(m-1)-dim multiplicity space) P^j acts as Q^j = m/(m-1) D^j.  A sector
+with t voters in rho1 and o in the others is o/m + sector_block(m, t),
+sector_block = (1/m) sum_{i<=t, j} (I - Q^j)_i (x) D^j on
+(R^(m-1))^(t+1): zero for t = 0, hat-L(1) for t = 1.  Each of its
+eigenvalues lambda gives o/m + lambda with multiplicity
+C(n,t) C(n-t,o) (m-1)^t K^o; these sum to m!^n (m-1), so spectral_gap
+is exhaustive from blocks of size at most (m-1)^(n+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -54,7 +68,7 @@ from .aggregators import Aggregator, GEncoding, encode_g
 from .basis import Basis, Rho1Table, build_basis, rho1_table
 from .perms import broadcast_voter, class_histograms, perm_index, rank_table, switch_classes
 
-DENSE_LIMIT = 5000
+DENSE_LIMIT = 5000  # largest sector block spectral_gap diagonalizes
 LN_BUDGET = 2 * 10**8  # bound on n * m * (m!)^(n+1)
 QF_BUDGET = 5 * 10**9  # bound on n * m * (m!)^(n+2)
 PSD_TOL = 1e-9
@@ -119,14 +133,18 @@ class HatL1System:
     EEt_residual: float
 
 
-def cluster_eigenvalues(eigvals: np.ndarray, tol: float = CLUSTER_TOL) -> list:
-    clusters: list[list[float]] = []
-    for v in np.sort(eigvals):
-        if clusters and abs(v - clusters[-1][-1]) <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [(float(np.mean(c)), len(c)) for c in clusters]
+def cluster_eigenvalues(eigvals: np.ndarray, tol: float = CLUSTER_TOL,
+                        multiplicity=None) -> list:
+    """[(value, multiplicity)]: sorted eigenvalues chained within tol;
+    eigvals[k] counts multiplicity[k] times (default once)."""
+    mult = [1] * len(eigvals) if multiplicity is None else multiplicity
+    groups: list[list[int]] = []
+    for k in np.argsort(eigvals, kind="stable"):
+        if not groups or eigvals[k] - eigvals[groups[-1][-1]] > tol:
+            groups.append([])
+        groups[-1].append(k)
+    return [(float(np.average(eigvals[g], weights=[float(mult[k]) for k in g])),
+             sum(mult[k] for k in g)) for g in groups]
 
 
 def hat_l1(m: int, basis: Basis | None = None) -> HatL1System:
@@ -292,8 +310,7 @@ class SpectralReport:
     exhaustive: bool
     gap: float
     min_eigenvalue: float
-    clusters: list | None  # [(value, multiplicity)] on the dense path
-    note: str = ""
+    clusters: list  # [(value, multiplicity)]
 
     def to_dict(self) -> dict:
         return {
@@ -304,14 +321,15 @@ class SpectralReport:
             "exhaustive": self.exhaustive,
             "gap": self.gap,
             "min_eigenvalue": self.min_eigenvalue,
-            "eigenvalues": [[v, k] for v, k in self.clusters] if self.clusters else None,
-            "note": self.note,
+            "eigenvalues": [[v, k] for v, k in self.clusters],
+            "note": "",
         }
 
 
 def build_Ln_dense(m: int, n: int, basis: Basis | None = None) -> np.ndarray:
     """The n-voter operator divided by m!, on profile (x) value space
-    with voter 1 most significant and the value index fastest."""
+    with voter 1 most significant and the value index fastest: the
+    dense oracle that tests hold spectral_gap to."""
     bundle = build_one_voter(m, basis)
     fact = factorial(m)
     dim = fact**n * (m - 1)
@@ -343,35 +361,37 @@ def lin_space_basis(m: int, n: int, table: Rho1Table) -> np.ndarray:
     return Q
 
 
-def spectral_gap(m: int, n: int, dense_limit: int = DENSE_LIMIT,
-                 basis: Basis | None = None, samples: int = 64,
-                 seed: int = 0) -> SpectralReport:
-    """Spectral gap of L^n / m!.  Dense symmetric eigensolve when the
-    dimension fits under dense_limit; otherwise seeded Rayleigh
-    sampling orthogonal to the known kernel, flagged non-exhaustive
-    (an upper bound on the gap, not a certificate)."""
-    fact = factorial(m)
-    dim = fact**n * (m - 1)
-    if dim <= dense_limit:
-        Ln = build_Ln_dense(m, n, basis)
-        eigvals = np.linalg.eigvalsh(Ln)
-        clusters = cluster_eigenvalues(eigvals)
-        gap = float(eigvals[eigvals > PSD_TOL].min())
-        return SpectralReport(m, n, "L^n / m!", dim, True, gap,
-                              float(eigvals.min()), clusters)
-    table = Rho1Table(m, basis) if basis is not None else rho1_table(m)
-    kernel = lin_space_basis(m, n, table)
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(samples):
-        vec = rng.standard_normal(dim)
-        vec -= kernel @ (kernel.T @ vec)
-        vec /= np.linalg.norm(vec)
-        rows = vec.reshape(fact**n, 1, m - 1)
-        quad = _class_sum_form(rows, m, n, table.basis.C) / fact
-        best = min(best, quad)
-    return SpectralReport(m, n, "L^n / m!", dim, False, float(best), 0.0, None,
-                          "Rayleigh sampling only: reported gap is an upper bound")
+def sector_block(m: int, t: int, C: np.ndarray) -> np.ndarray:
+    """(1/m) sum_{i<=t, j} (I - Q^j)_i (x) D^j on (R^(m-1))^(t+1), written
+    as (t/m) I - 1/(m-1) sum_{i, j} (D^j)_i (x) D^j since sum_j D^j = I."""
+    d = m - 1
+    block = (t / m) * np.eye(d ** (t + 1))
+    for i in range(t):
+        for c in C:
+            D = np.outer(c, c)
+            block -= np.kron(np.kron(np.eye(d**i), D), np.kron(np.eye(d ** (t - 1 - i)), D)) / d
+    return block
+
+
+def spectral_gap(m: int, n: int, basis: Basis | None = None) -> SpectralReport:
+    """Exact spectrum and gap of L^n / m! from the voter sectors (module
+    docstring, "Spectrum"); refuses blocks larger than DENSE_LIMIT."""
+    d = m - 1
+    if d ** (n + 1) > DENSE_LIMIT:
+        raise FeasibilityError(f"sector block for m={m}, n={n} exceeds dimension {DENSE_LIMIT}",
+                               estimate=f"({d})^{n + 1} = {d ** (n + 1)}")
+    C = (basis if basis is not None else build_basis(m)).C
+    other = factorial(m) - 1 - d * d  # K, the non-trivial non-rho1 dimension
+    values, mults = [], []
+    for t in range(n + 1):
+        lam = np.linalg.eigvalsh(sector_block(m, t, C))
+        for o in range(n - t + 1):
+            values.append(o / m + lam)
+            mults += [comb(n, t) * comb(n - t, o) * d**t * other**o] * lam.size
+    eigvals = np.concatenate(values)
+    gap = float(eigvals[eigvals > PSD_TOL].min())
+    return SpectralReport(m, n, "L^n / m!", factorial(m) ** n * d, True, gap,
+                          float(eigvals.min()), cluster_eigenvalues(eigvals, multiplicity=mults))
 
 
 def gap_bracket(m: int, n: int) -> tuple[Fraction, Fraction]:

@@ -223,20 +223,18 @@ class RobustnessReport:
         }
 
 
-_GAP_CACHE: dict[tuple[int, int, int], tuple[float, bool]] = {}
+_GAP_CACHE: dict[tuple[int, int], tuple[float, bool]] = {}
 
 
-def measured_gap(m: int, n: int, dense_limit: int = 5000) -> tuple[float, bool]:
-    key = (m, n, dense_limit)  # dense_limit picks the solver path
-    if key not in _GAP_CACHE:
-        rep = spectral_gap(m, n, dense_limit=dense_limit)
-        _GAP_CACHE[key] = (rep.gap, rep.exhaustive)
-    return _GAP_CACHE[key]
+def measured_gap(m: int, n: int) -> tuple[float, bool]:
+    if (m, n) not in _GAP_CACHE:
+        rep = spectral_gap(m, n)
+        _GAP_CACHE[m, n] = (rep.gap, rep.exhaustive)
+    return _GAP_CACHE[m, n]
 
 
 def robustness_report(agg: Aggregator, center: bool = False,
-                      table: Rho1Table | None = None,
-                      dense_limit: int = 5000) -> RobustnessReport:
+                      table: Rho1Table | None = None) -> RobustnessReport:
     """Full pipeline: IR, kernel distance (checked against IR/gap),
     nearest dictator, rounding, and moment diagnostics."""
     work = center_aggregator(agg) if center else agg
@@ -244,7 +242,7 @@ def robustness_report(agg: Aggregator, center: bool = False,
     ir = float(ir_combinatorial(work, with_quadratic=False).profile_distance)
     enc = encode_g(work, table)
     lin, dist_sq = kernel_distance(enc, table)
-    gap, exhaustive = measured_gap(work.m, work.n, dense_limit)
+    gap, exhaustive = measured_gap(work.m, work.n)
     voter, A_star = nearest_dictator(lin)
     rounded = round_to_consistent(A_star, voter, work.H, work.n, table)
     renc = encode_g(rounded.aggregator, table)

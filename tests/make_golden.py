@@ -29,9 +29,10 @@ CASES = (
     + [
         ("analyze_m3n2_random_center", M3N2 + ["--rule", "random:seed=5", "--center"]),
         ("analyze_m4n2_plurality", ["analyze", "--m", "4", "--n", "2", "--rule", "plurality"]),
-        ("analyze_m4n2_borda_sampled",
-         ["analyze", "--m", "4", "--n", "2", "--rule", "borda", "--dense-limit", "0"]),
+        ("analyze_m4n2_borda", ["analyze", "--m", "4", "--n", "2", "--rule", "borda"]),
+        ("analyze_m4n3_plurality", ["analyze", "--m", "4", "--n", "3", "--rule", "plurality"]),
         ("spectra_m4n2", ["spectra", "--m", "4", "--n", "2"]),
+        ("spectra_m5n2", ["spectra", "--m", "5", "--n", "2"]),
         ("census_m3n1", ["census", "--m", "3", "--n", "1"]),
         ("census_m3n1_winner", ["census", "--m", "3", "--n", "1", "--partition", "1|2,3"]),
     ]

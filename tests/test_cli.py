@@ -92,6 +92,14 @@ def test_analyze_missing_rule_is_input_error():
     assert proc.returncode == 2
 
 
+def test_dense_limit_flag_is_gone():
+    for sub in (["spectra", "--m", "4", "--n", "2"],
+                ["analyze", "--m", "3", "--n", "1", "--rule", "plurality"]):
+        proc = run(*sub, "--dense-limit", "0", check=False)
+        assert proc.returncode == 2
+        assert "--dense-limit" in proc.stderr
+
+
 def test_analyze_centered_pipeline():
     out = json.loads(run(
         "analyze", "--m", "3", "--n", "1",

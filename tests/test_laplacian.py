@@ -1,5 +1,6 @@
 """Constraint operators, quadratic-form equivalences, and spectra."""
 
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from irlap._util import FeasibilityError
 from irlap.aggregators import encode_g, make_constant, make_dictator, random_aggregator
-from irlap.basis import project_to_lin, rho1_table
+from irlap.basis import build_basis, project_to_lin, rho1_table
 from irlap.laplacian import (
     apply_Ln,
     apply_quadratic_form,
@@ -20,6 +21,7 @@ from irlap.laplacian import (
     kappa,
     lin_space_basis,
     lprime_offset,
+    sector_block,
     spectral_gap,
 )
 from irlap.metrics import ir_combinatorial
@@ -194,12 +196,44 @@ def test_gap_m3_n1_exact():
     assert abs(spectral_gap(3, 1).gap - 1 / 6) <= 1e-9
 
 
-def test_rayleigh_fallback_is_upper_bound():
-    dense = spectral_gap(3, 2)
-    sampled = spectral_gap(3, 2, dense_limit=10, samples=32, seed=3)
-    assert not sampled.exhaustive
-    assert sampled.note
-    assert sampled.gap >= dense.gap - 1e-9
+def test_sector_spectrum_matches_dense_oracle():
+    for m, n in [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]:
+        rep = spectral_gap(m, n)
+        dense = cluster_eigenvalues(np.linalg.eigvalsh(build_Ln_dense(m, n)))
+        assert [k for _, k in rep.clusters] == [k for _, k in dense]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(rep.clusters, dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(5, 2), (4, 3), (5, 3), (6, 2)])
+def test_sector_spectrum_beyond_dense_oracle(m, n):
+    rep = spectral_gap(m, n)
+    assert rep.exhaustive
+    assert sum(k for _, k in rep.clusters) == factorial(m) ** n * (m - 1) == rep.dim
+    zero, zero_mult = rep.clusters[0]
+    assert abs(zero) <= 1e-12
+    assert zero_mult == (n + 1) * (m - 1)  # the lin space (test_kernel_is_lin_space)
+    lo, hi = gap_bracket(m, n)
+    assert float(lo) - 1e-12 <= rep.gap <= float(hi) + 1e-12
+    alt = spectral_gap(m, n, basis=build_basis(m, kind="random", seed=m * n))
+    assert [k for _, k in alt.clusters] == [k for _, k in rep.clusters]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(alt.clusters, rep.clusters)) <= 1e-12
+
+
+def test_sector_block_one_voter_is_hat_l1():
+    for m in range(3, 8):
+        block = sector_block(m, 1, build_basis(m).C)
+        assert np.abs(block - hat_l1(m).matrix).max() <= 1e-12
+
+
+def test_spectral_gap_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(FeasibilityError):
+            spectral_gap(9, 4)  # largest sector block 8^5 = 32768 > DENSE_LIMIT
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_bundle_memory_refusal():

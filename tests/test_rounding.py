@@ -11,6 +11,7 @@ from irlap.aggregators import (
     random_aggregator,
 )
 from irlap.basis import LinFunction, rho1_table
+from irlap.laplacian import spectral_gap
 from irlap.perms import enumerate_group, parse_perm, trivial_subgroup, winner_subgroup
 from irlap import rounding
 from irlap.rounding import (
@@ -184,10 +185,18 @@ def test_report_serializes():
     assert set(doc["diagnostics"]) >= {"epsilon", "r_norm2_mean", "tail_prob"}
 
 
-def test_measured_gap_cache_respects_dense_limit(monkeypatch):
+def test_measured_gap_solves_once_per_size(monkeypatch):
     monkeypatch.setattr(rounding, "_GAP_CACHE", {})
-    sampled, sampled_exact = measured_gap(4, 2, dense_limit=0)
-    assert not sampled_exact
-    gap, exact = measured_gap(4, 2, dense_limit=5000)
-    assert exact
-    assert abs(gap - 1 / 12) <= 1e-9
+    calls = []
+
+    def counting_gap(m, n):
+        calls.append((m, n))
+        return spectral_gap(m, n)
+
+    monkeypatch.setattr(rounding, "spectral_gap", counting_gap)
+    for _ in range(3):
+        gap, exact = measured_gap(4, 2)
+        assert exact
+        assert abs(gap - 1 / 12) <= 1e-9
+    measured_gap(3, 2)
+    assert calls == [(4, 2), (3, 2)]
