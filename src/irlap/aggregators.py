@@ -187,10 +187,29 @@ def make_borda(m: int, n: int) -> Aggregator:
     return Aggregator(m, n, H, table, "borda", {})
 
 
+# The rules `make_named_rule` rebuilds from params alone, with the
+# params each one takes; every other kind is stored by its entries.
+NAMED_RULE_PARAMS = {
+    "dictator": {"i", "sigma"},
+    "constant": {"output"},
+    "plurality": set(),
+    "borda": set(),
+}
+
+
+def check_params(kind: str, params: dict, allowed) -> None:
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown params {unknown} for rule {kind!r}")
+
+
 def make_named_rule(kind: str, params: dict, H: FixingSubgroup, n: int) -> Aggregator:
     """Build a parameterized rule from its JSON type and params:
     "dictator" (i, sigma), "constant" (output), "plurality" or "borda".
     Plurality and Borda fix their own output subgroup and ignore H."""
+    if kind not in NAMED_RULE_PARAMS:
+        raise ValueError(f"unknown aggregator type {kind!r}")
+    check_params(kind, params, NAMED_RULE_PARAMS[kind])
     m = H.m
     if kind == "dictator":
         return make_dictator(int(params["i"]), parse_perm(params["sigma"], m), H, n)
@@ -199,9 +218,7 @@ def make_named_rule(kind: str, params: dict, H: FixingSubgroup, n: int) -> Aggre
         return make_constant(H.coset_index[rep], H, n)
     if kind == "plurality":
         return make_plurality(m, n)
-    if kind == "borda":
-        return make_borda(m, n)
-    raise ValueError(f"unknown aggregator type {kind!r}")
+    return make_borda(m, n)
 
 
 def random_aggregator(m: int, n: int, H: FixingSubgroup, rng) -> Aggregator:
@@ -277,6 +294,8 @@ def consistency_check(agg: Aggregator, table: Rho1Table | None = None) -> Consis
 
 
 def to_json(agg: Aggregator) -> dict:
+    """Named rules are written as type and params; every other kind
+    (table, centered, ...) also carries its full list of entries."""
     doc = {
         "m": agg.m,
         "n": agg.n,
@@ -284,7 +303,7 @@ def to_json(agg: Aggregator) -> dict:
         "type": agg.kind,
         "params": dict(agg.params),
     }
-    if agg.kind == "table":
+    if agg.kind not in NAMED_RULE_PARAMS:
         perms = enumerate_group(agg.m)
         entries = []
         for idx, profile in enumerate(itertools.product(perms, repeat=agg.n)):
@@ -303,8 +322,13 @@ def from_json(doc: dict) -> Aggregator:
     m, n = int(doc["m"]), int(doc["n"])
     H = build_fixing_subgroup(m, doc["partition"])
     kind = doc.get("type", "table")
-    if kind != "table":
-        return make_named_rule(kind, doc.get("params", {}), H, n)
+    params = doc.get("params", {})
+    if kind in NAMED_RULE_PARAMS:
+        if "entries" in doc:
+            raise ValueError(f"named rule {kind!r} is built from params; it takes no entries")
+        return make_named_rule(kind, params, H, n)
+    if "entries" not in doc:
+        raise ValueError(f"aggregator type {kind!r} needs entries")
     fact = factorial(m)
     table = np.full(fact**n, -1, dtype=np.int64)
     for entry in doc["entries"]:
@@ -320,7 +344,7 @@ def from_json(doc: dict) -> Aggregator:
     if (table < 0).any():
         missing = int((table < 0).sum())
         raise ValueError(f"table not total: {missing} profiles missing")
-    return Aggregator(m, n, H, table, "table", {})
+    return Aggregator(m, n, H, table, kind, dict(params))
 
 
 def save_json(agg: Aggregator, path: str) -> None:

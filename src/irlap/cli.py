@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from ._util import FeasibilityError, jsonable
-from .aggregators import load_json, make_named_rule, random_aggregator
+from .aggregators import check_params, load_json, make_named_rule, random_aggregator
 from .laplacian import gap_bracket, hat_l1, spectral_gap
 from .metrics import (
     census_ir_functions,
@@ -27,6 +27,7 @@ from .moments import (
     build_appendix,
     det_formula,
     empirical_m0,
+    hypercontractivity_check,
     moments,
     moments_after_Tt,
     apply_Tt,
@@ -62,6 +63,7 @@ def _build_rule(spec: str, m: int, n: int, H, seed: int):
             key, _, value = item.partition("=")
             params[key] = value
     if kind == "random":
+        check_params(kind, params, {"seed"})
         rng = np.random.default_rng(int(params.get("seed", seed)))
         return random_aggregator(m, n, H, rng)
     if kind == "dictator":
@@ -145,9 +147,8 @@ def cmd_moments(args) -> None:
     rng = np.random.default_rng(args.seed)
     det_rows = []
     for m in range(4, 13):
-        tables = build_appendix(m)
-        det_rows.append({"m": m, "det": tables.det, "matches_formula":
-                         tables.det == det_formula(m)})
+        det = build_appendix(m).det
+        det_rows.append({"m": m, "det": det, "matches_formula": det == det_formula(m)})
     audit = audit_blocks(args.m, trials=3, seed=args.seed)
     transfer_ok = 0
     trials = 25
@@ -161,8 +162,6 @@ def cmd_moments(args) -> None:
         hyper = empirical_m0(samples=args.samples, seed=args.seed,
                              threads=args.threads)
     else:
-        from .moments import hypercontractivity_check
-
         hyper = {"rows": [hypercontractivity_check(args.m, float(args.sigma_hyper),
                                                    args.samples, args.seed)],
                  "empirical_m0": None}
@@ -181,15 +180,28 @@ def cmd_moments(args) -> None:
     _emit(report, args)
 
 
-def _add_common(sub):
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, default=0)
-    sub.add_argument("--partition", type=str, default="",
-                     help='blocks like "1|2,3"; default all singletons')
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--samples", type=int, default=1000)
-    sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--out", type=str, default="")
+def _at_least(lo: int):
+    """argparse type: an integer >= lo; anything else exits 2."""
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+    return integer
+
+
+def _add_flags(sub, *names, n_min: int = 0):
+    """--m, the named flags (the ones the subcommand reads), and --out."""
+    specs = {
+        "m": dict(type=int, required=True),
+        "n": dict(type=_at_least(n_min), default=n_min),
+        "partition": dict(default="", help='blocks like "1|2,3"; default all singletons'),
+        "seed": dict(type=int, default=0),
+        "samples": dict(type=_at_least(1), default=1000),
+        "threads": dict(type=_at_least(1), default=1),
+        "out": dict(default=""),
+    }
+    for name in ("m", *names, "out"):
+        sub.add_argument(f"--{name}", **specs[name])
 
 
 def main(argv=None) -> int:
@@ -200,15 +212,15 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("spectra", help="hat-L(1) eigensystem and n-voter gap")
-    _add_common(sp)
+    _add_flags(sp, "n")
     sp.set_defaults(func=cmd_spectra)
 
     sc = subs.add_parser("census", help="exhaustive IR zero-locus census")
-    _add_common(sc)
+    _add_flags(sc, "n", "partition", n_min=1)
     sc.set_defaults(func=cmd_census)
 
     sa = subs.add_parser("analyze", help="IR, manipulation power, robustness")
-    _add_common(sa)
+    _add_flags(sa, "n", "partition", "seed", n_min=1)
     sa.add_argument("--input", type=str, default="", help="aggregator JSON file")
     sa.add_argument("--rule", type=str, default="",
                     help="dictator:i=1,sigma=213 | constant:output=123 | "
@@ -221,14 +233,12 @@ def main(argv=None) -> int:
 
     sm = subs.add_parser("moments", help="determinant/block audit and "
                                          "hypercontractivity sweep")
-    _add_common(sm)
+    _add_flags(sm, "seed", "samples", "threads")
     sm.add_argument("--sigma-hyper", type=str, default="auto",
                     help='noise level, or "auto" for sigma = m^-1/2 sweep')
     sm.set_defaults(func=cmd_moments)
 
     args = parser.parse_args(argv)
-    if args.command in ("census", "analyze") and args.n <= 0:
-        args.n = 1
     try:
         args.func(args)
     except FeasibilityError as exc:

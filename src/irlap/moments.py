@@ -10,7 +10,10 @@ moment transfer.  The fourth moment is
 
 where the rows of E are the 15 invariant delta/ones patterns indexed
 by partitions of the four tensor positions, and C15 = E E^T with
-C15[p, q] = m^(blocks of join(p, q)).
+C15[p, q] = m^(blocks of join(p, q)).  `build_appendix(m)` is the one
+place that inverts C15: a single Gauss-Jordan pass gives the exact
+inverse and the determinant, cached once per m together with a
+read-only float copy of the inverse for the sampled checks.
 
 Moment operators on A:
     M1 = sum A_ij        M2 = sum A_ij^2     M3, M4 likewise
@@ -25,7 +28,9 @@ operations below enforce it.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,66 +84,55 @@ def gram_c15(m: int) -> list[list[Fraction]]:
     ]
 
 
-def frac_det(M) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    M = [row[:] for row in M]
-    n = len(M)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = Fraction(1) / M[col][col]
-        for r in range(col + 1, n):
-            factor = M[r][col] * inv
-            if factor:
-                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
-    return det
-
-
-def frac_inv(M) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
+    """Exact inverse and determinant from one Gauss-Jordan pass; the
+    inverse is None when M is singular (determinant 0)."""
     n = len(M)
     aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(M)]
+    det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
+            return None, Fraction(0)
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
         scale = Fraction(1) / aug[col][col]
         aug[col] = [v * scale for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [row[n:] for row in aug], det
 
 
 def det_formula(m: int) -> int:
     return m**15 * (m - 1) ** 14 * (m - 2) ** 7 * (m - 3)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AppendixTables:
     m: int
-    C15: list
-    C15_inv: list
+    C15_inv: tuple[tuple[Fraction, ...], ...]
+    C15_inv_float: np.ndarray
     det: Fraction
 
 
+@functools.lru_cache(maxsize=None)
 def build_appendix(m: int) -> AppendixTables:
+    """The exact inverse and determinant of C15, plus a read-only float
+    copy of the inverse; built once per m and shared by every caller."""
     if m <= 3:
         raise ValueError(
             f"the 15x15 Gram matrix is singular for m={m}: its determinant "
             f"carries a factor (m-3)"
         )
-    C = gram_c15(m)
-    return AppendixTables(m, C, frac_inv(C), frac_det(C))
+    inv, det = frac_inv_det(gram_c15(m))
+    inv_float = np.array([[float(v) for v in row] for row in inv])
+    inv_float.flags.writeable = False
+    return AppendixTables(m, tuple(map(tuple, inv)), inv_float, det)
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +154,19 @@ class MomentVector:
 
 
 def moments(A) -> MomentVector:
-    if isinstance(A, np.ndarray) and A.dtype != object:
-        AA = A @ A.T
-        return MomentVector(
-            float(A.sum()), float((A**2).sum()), float((A**3).sum()),
-            float((A**4).sum()),
-            float(((A**2).sum(axis=1) ** 2).sum()),
-            float(((A**2).sum(axis=0) ** 2).sum()),
-            float((AA * AA).sum()),
-        )
-    rows = [list(r) for r in A]
-    n = len(rows)
-    m1 = sum(v for r in rows for v in r)
-    m2 = sum(v**2 for r in rows for v in r)
-    m3 = sum(v**3 for r in rows for v in r)
-    m4 = sum(v**4 for r in rows for v in r)
-    mr = sum(sum(v**2 for v in r) ** 2 for r in rows)
-    mc = sum(sum(rows[i][j] ** 2 for i in range(n)) ** 2 for j in range(n))
-    mq = 0
-    for i in range(n):
-        for j in range(n):
-            s = sum(rows[i][k] * rows[j][k] for k in range(n))
-            mq += s * s
-    return MomentVector(m1, m2, m3, m4, mr, mc, mq)
+    """The seven moment operators.  A float ndarray gives floats; any
+    other input is evaluated exactly over Python ints and Fractions."""
+    exact = not (isinstance(A, np.ndarray) and A.dtype.kind == "f")
+    if exact:
+        A = np.array(A, dtype=object)
+    AA = A @ A.T
+    values = (
+        A.sum(), (A**2).sum(), (A**3).sum(), (A**4).sum(),
+        ((A**2).sum(axis=1) ** 2).sum(),
+        ((A**2).sum(axis=0) ** 2).sum(),
+        (AA * AA).sum(),
+    )
+    return MomentVector(*(values if exact else map(float, values)))
 
 
 def margin_value(A):
@@ -318,16 +302,9 @@ def _contract(pi: int, pj: int, A, m: int) -> int:
 
 def _to_int_matrix(A) -> tuple[list[list[int]], int]:
     """Clear denominators: returns (integer matrix, common denominator)."""
-    from math import gcd
-
-    rows = [list(r) for r in A]
-    fracs = [[Fraction(v) for v in row] for row in rows]
-    den = 1
-    for row in fracs:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    ints = [[int(v * den) for v in row] for row in fracs]
-    return ints, den
+    fracs = [[Fraction(v) for v in row] for row in A]
+    den = math.lcm(*(v.denominator for row in fracs for v in row))
+    return [[int(v * den) for v in row] for row in fracs], den
 
 
 def blocks_direct(A) -> list[list[Fraction]]:
@@ -413,13 +390,12 @@ def audit_blocks(m: int, trials: int = 3, seed: int = 0) -> dict:
     }
 
 
-def norm4_exact(A, m: int, tables: AppendixTables | None = None) -> Fraction:
+def norm4_exact(A, m: int) -> Fraction:
     """E_x f^4 = tr(E (A tensor^4) E^T * C15^-1), exact.  Requires the
     equal-margin invariant and m >= 4."""
     margin_value(A)
-    tables = tables if tables is not None else build_appendix(m)
     B = blocks_direct(A)
-    Cinv = tables.C15_inv
+    Cinv = build_appendix(m).C15_inv
     return sum(B[p][q] * Cinv[q][p] for p in range(15) for q in range(15))
 
 
@@ -459,16 +435,18 @@ def moments_after_Tt(mv: MomentVector, sigma, m: int) -> MomentVector:
     s = Fraction(sigma)
     t = (1 - s) / m**2
     M1, M2, M3, M4, Mr, Mc, Mq = (Fraction(v) for v in mv.as_tuple())
+    # Mr and Mc share every term but the leading one
+    margin_terms = (4 * s**3 * t * M1**2 * M2 / m + 2 * s**2 * t**2 * M1**2 * M2 * m
+                    + 4 * s**2 * t**2 * M1**4 / m + 4 * s * t**3 * M1**4 * m
+                    + t**4 * M1**4 * m**3)
     return MomentVector(
         M1,
         s**2 * M2 + 2 * s * t * M1**2 + t**2 * M1**2 * m**2,
         s**3 * M3 + 3 * s**2 * t * M1 * M2 + 3 * s * t**2 * M1**3 + t**3 * M1**3 * m**2,
         s**4 * M4 + 4 * s**3 * t * M1 * M3 + 6 * s**2 * t**2 * M1**2 * M2
         + 4 * s * t**3 * M1**4 + t**4 * M1**4 * m**2,
-        s**4 * Mr + 4 * s**3 * t * M1**2 * M2 / m + 2 * s**2 * t**2 * M1**2 * M2 * m
-        + 4 * s**2 * t**2 * M1**4 / m + 4 * s * t**3 * M1**4 * m + t**4 * M1**4 * m**3,
-        s**4 * Mc + 4 * s**3 * t * M1**2 * M2 / m + 2 * s**2 * t**2 * M1**2 * M2 * m
-        + 4 * s**2 * t**2 * M1**4 / m + 4 * s * t**3 * M1**4 * m + t**4 * M1**4 * m**3,
+        s**4 * Mr + margin_terms,
+        s**4 * Mc + margin_terms,
         s**4 * Mq + 4 * s**3 * t * M1**4 / m**2 + 6 * s**2 * t**2 * M1**4
         + 4 * s * t**3 * M1**4 * m**2 + t**4 * M1**4 * m**4,
     )
@@ -506,24 +484,14 @@ def zero_margin_sample(m: int, rng, spread: int = 9) -> np.ndarray:
             return A0 * np.sqrt((m - 1) / m2)
 
 
-def _c15_inv_float(m: int) -> np.ndarray:
-    tables = build_appendix(m)
-    return np.array([[float(v) for v in row] for row in tables.C15_inv])
-
-
 def norm4_zero_margin(mv: MomentVector, c15_inv: np.ndarray) -> float:
     """E f^4 for zero-margin A: only the pair-pair and all-equal
     patterns survive (every other pattern has a singleton position
     whose free sum is a margin)."""
     idx = list(IDX_E3) + [IDX_E5]
-    B = np.empty((4, 4))
-    for a in range(3):
-        for b in range(3):
-            B[a, b] = mv.M2**2 if a == b else mv.Mq
-    for a in range(3):
-        B[a, 3] = mv.Mc
-        B[3, a] = mv.Mr
-    B[3, 3] = mv.M4
+    B = np.full((4, 4), mv.Mq)
+    np.fill_diagonal(B, mv.M2**2)
+    B[:3, 3], B[3, :3], B[3, 3] = mv.Mc, mv.Mr, mv.M4
     sub = c15_inv[np.ix_(idx, idx)]
     return float((B * sub.T).sum())
 
@@ -550,7 +518,7 @@ def hypercontractivity_check(m: int, sigma: float | None = None,
         raise ValueError("hypercontractivity check needs m >= 4")
     sigma = float(sigma) if sigma is not None else m**-0.5
     rng = np.random.default_rng(seed)
-    c15_inv = _c15_inv_float(m)
+    c15_inv = build_appendix(m).C15_inv_float
     violations = 0
     max_t4 = 0.0
     bounds_failures = 0
@@ -600,7 +568,7 @@ def degree2_product_check(m: int, samples: int = 50, seed: int = 0) -> dict:
     band functions h(x1, x2) = f1(x1) f2(x2) must satisfy
     ||h||_4^4 <= sigma^-8 at a certified (m, sigma = m^-1/2)."""
     rng = np.random.default_rng(seed)
-    c15_inv = _c15_inv_float(m)
+    c15_inv = build_appendix(m).C15_inv_float
     sigma = m**-0.5
     bound = sigma**-8.0
     worst = 0.0

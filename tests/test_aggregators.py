@@ -5,14 +5,18 @@ import pytest
 
 from irlap.aggregators import (
     consistency_check,
+    corrupt_aggregator,
     encode_g,
     from_json,
+    load_json,
     make_borda,
     make_constant,
     make_dictator,
+    make_named_rule,
     make_plurality,
     profile_tables,
     random_aggregator,
+    save_json,
     to_json,
 )
 from irlap.basis import rho1_table
@@ -137,6 +141,44 @@ def test_json_named_rules():
     assert np.array_equal(
         back.table, make_dictator(2, parse_perm("213", 3), trivial_subgroup(3), 2).table
     )
+
+
+def test_json_round_trip_keeps_stored_kinds(tmp_path):
+    # kinds that make_named_rule cannot rebuild travel with their entries
+    # and keep their type and params
+    from irlap.rounding import center_aggregator
+
+    H = trivial_subgroup(3)
+    dictator = make_dictator(1, parse_perm("213", 3), H, 1)
+    corrupted = corrupt_aggregator(dictator, 2, np.random.default_rng(0))
+    for agg in (center_aggregator(dictator), corrupted):
+        path = tmp_path / f"{agg.kind}.json"
+        save_json(agg, str(path))
+        back = load_json(str(path))
+        assert (back.kind, back.params, back.n) == (agg.kind, agg.params, agg.n)
+        assert np.array_equal(back.table, agg.table)
+    assert corrupted.params == {"corrupted_from": "dictator"}
+
+
+def test_json_named_rule_with_entries_is_input_error():
+    doc = to_json(random_aggregator(3, 1, trivial_subgroup(3), np.random.default_rng(0)))
+    doc["type"] = "plurality"
+    with pytest.raises(ValueError, match="entries"):
+        from_json(doc)
+    del doc["entries"]
+    doc["type"] = "centered"
+    with pytest.raises(ValueError, match="entries"):
+        from_json(doc)
+
+
+def test_named_rule_rejects_unknown_params():
+    H = trivial_subgroup(3)
+    with pytest.raises(ValueError, match="bogus"):
+        make_named_rule("plurality", {"bogus": "1"}, H, 1)
+    with pytest.raises(ValueError, match="extra"):
+        make_named_rule("dictator", {"i": 1, "sigma": "123", "extra": 0}, H, 1)
+    with pytest.raises(ValueError, match="unknown aggregator type"):
+        make_named_rule("centered", {}, H, 1)
 
 
 def test_json_rejects_partial_table():

@@ -100,6 +100,39 @@ def test_dense_limit_flag_is_gone():
         assert "--dense-limit" in proc.stderr
 
 
+def test_subcommands_reject_flags_they_ignore():
+    for sub in (["spectra", "--m", "3", "--samples", "5"],
+                ["spectra", "--m", "3", "--threads", "7"],
+                ["spectra", "--m", "3", "--partition", "9,9"],
+                ["spectra", "--m", "3", "--seed", "1"],
+                ["census", "--m", "3", "--seed", "1"],
+                ["census", "--m", "3", "--samples", "5"],
+                ["analyze", "--m", "3", "--rule", "plurality", "--threads", "2"],
+                ["moments", "--m", "4", "--n", "2"],
+                ["moments", "--m", "4", "--partition", "1|2,3,4"]):
+        proc = run(*sub, check=False)
+        assert proc.returncode == 2, sub
+        assert "unrecognized arguments" in proc.stderr
+
+
+def test_out_of_range_counts_are_input_errors():
+    for sub in (["spectra", "--m", "3", "--n", "-1"],
+                ["census", "--m", "3", "--n", "0"],
+                ["analyze", "--m", "3", "--n", "-2", "--rule", "plurality"],
+                ["moments", "--m", "4", "--samples", "0"],
+                ["moments", "--m", "4", "--threads", "0"]):
+        proc = run(*sub, check=False)
+        assert proc.returncode == 2, sub
+        assert "must be >=" in proc.stderr
+
+
+def test_unknown_rule_params_are_input_errors():
+    for rule in ("plurality:bogus=1", "random:seed=1,foo=2", "dictator:j=2"):
+        proc = run("analyze", "--m", "3", "--n", "1", "--rule", rule, check=False)
+        assert proc.returncode == 2, rule
+        assert "unknown params" in proc.stderr
+
+
 def test_analyze_centered_pipeline():
     out = json.loads(run(
         "analyze", "--m", "3", "--n", "1",

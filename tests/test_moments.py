@@ -1,5 +1,6 @@
 """Exact moment calculus: Gram determinant, fourth moments, transfer."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,9 @@ from irlap.moments import (
     build_appendix,
     degree2_product_check,
     det_formula,
+    empirical_m0,
     exhaustive_moment,
-    frac_det,
-    frac_inv,
+    frac_inv_det,
     gram_c15,
     hypercontractivity_check,
     margin_value,
@@ -29,7 +30,6 @@ from irlap.moments import (
     norm4_zero_margin,
     random_equal_margin,
     zero_margin_sample,
-    _c15_inv_float,
 )
 
 
@@ -57,17 +57,35 @@ def test_gram_is_symmetric():
 def test_appendix_rejects_small_m():
     with pytest.raises(ValueError):
         build_appendix(3)
-    assert frac_det(gram_c15(3)) == 0
+    assert frac_inv_det(gram_c15(3)) == (None, 0)
 
 
-def test_frac_inv_round_trip():
-    C = gram_c15(4)
-    Cinv = frac_inv(C)
+@pytest.mark.parametrize("m", range(4, 13))
+def test_frac_inv_round_trip(m):
+    C = gram_c15(m)
+    Cinv, det = frac_inv_det(C)
+    assert det == det_formula(m)
     n = len(C)
     for i in range(n):
         for j in range(n):
             acc = sum(C[i][k] * Cinv[k][j] for k in range(n))
             assert acc == (1 if i == j else 0)
+
+
+def test_appendix_is_cached_and_frozen():
+    tables = build_appendix(5)
+    assert build_appendix(5) is tables
+    with pytest.raises(FrozenInstanceError):
+        tables.det = Fraction(0)
+    assert not tables.C15_inv_float.flags.writeable
+    assert tables.C15_inv_float.tolist() == [[float(v) for v in row]
+                                             for row in tables.C15_inv]
+
+
+def test_cold_appendix_cache_from_worker_threads():
+    build_appendix.cache_clear()
+    threaded = empirical_m0(range(4, 8), samples=20, seed=1, threads=2)
+    assert threaded == empirical_m0(range(4, 8), samples=20, seed=1, threads=1)
 
 
 def test_moment_examples():
@@ -127,10 +145,9 @@ def test_norm4_identity_m4():
 @pytest.mark.parametrize("m", [4, 5])
 def test_norm4_random(m):
     rng = np.random.default_rng(m)
-    tables = build_appendix(m)
     for _ in range(5):
         A = random_equal_margin(m, rng)
-        assert norm4_exact(A, m, tables) == exhaustive_moment(A, m, 4)
+        assert norm4_exact(A, m) == exhaustive_moment(A, m, 4)
 
 
 def test_transcribed_e5e3_disagrees_with_direct():
@@ -189,7 +206,7 @@ def test_zero_margin_reduced_fourth_moment():
     # With zero margins only the pair-pair and all-equal patterns
     # survive; the reduced float path must match the exact one.
     rng = np.random.default_rng(9)
-    c15 = _c15_inv_float(5)
+    c15 = build_appendix(5).C15_inv_float
     for _ in range(5):
         A = random_equal_margin(5, rng)
         mv = moments(A)
