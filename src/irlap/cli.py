@@ -17,6 +17,7 @@ from .aggregators import check_params, load_json, make_named_rule, random_aggreg
 from .laplacian import gap_bracket, hat_l1, spectral_gap
 from .metrics import (
     census_ir_functions,
+    check_ir_budget,
     default_orders,
     ir_combinatorial,
     manipulation_power,
@@ -109,6 +110,7 @@ def cmd_census(args) -> None:
 
 
 def cmd_analyze(args) -> None:
+    check_ir_budget(args.m, args.n)  # refuse before building the rule
     H = _subgroup(args)
     if args.input:
         agg = load_json(args.input)
@@ -144,6 +146,10 @@ def cmd_analyze(args) -> None:
 def cmd_moments(args) -> None:
     from fractions import Fraction
 
+    if args.sigma_hyper != "auto":
+        sigma = float(args.sigma_hyper)
+        if not 0 <= sigma <= 1:  # also rejects nan
+            raise ValueError(f"--sigma-hyper must lie in [0, 1], got {args.sigma_hyper}")
     rng = np.random.default_rng(args.seed)
     det_rows = []
     for m in range(4, 13):
@@ -162,8 +168,8 @@ def cmd_moments(args) -> None:
         hyper = empirical_m0(samples=args.samples, seed=args.seed,
                              threads=args.threads)
     else:
-        hyper = {"rows": [hypercontractivity_check(args.m, float(args.sigma_hyper),
-                                                   args.samples, args.seed)],
+        hyper = {"rows": [hypercontractivity_check(args.m, sigma, args.samples,
+                                                   args.seed)],
                  "empirical_m0": None}
     report = {
         "determinant": det_rows,
@@ -235,7 +241,7 @@ def main(argv=None) -> int:
                                          "hypercontractivity sweep")
     _add_flags(sm, "seed", "samples", "threads")
     sm.add_argument("--sigma-hyper", type=str, default="auto",
-                    help='noise level, or "auto" for sigma = m^-1/2 sweep')
+                    help='noise level in [0, 1], or "auto" for the sigma = m^-1/2 sweep')
     sm.set_defaults(func=cmd_moments)
 
     args = parser.parse_args(argv)

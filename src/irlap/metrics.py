@@ -57,18 +57,24 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     return cnt_all, cnt_same
 
 
+def check_ir_budget(m: int, n: int, budget: int = LN_BUDGET) -> None:
+    """Refuse an (m, n) whose IR evaluation costs n m (m!)^(n+1) over
+    the budget; callers can run it before building anything."""
+    cost = n * m * factorial(m) ** (n + 1)
+    if cost > budget:
+        raise FeasibilityError(
+            f"combinatorial IR budget exceeded: {cost:.2e} > {budget:.0e}",
+            estimate=f"{cost:.2e}",
+        )
+
+
 def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True,
                      budget: int = LN_BUDGET) -> IRValue:
     """Direct evaluation of the ordered-pair IR definitions.  Exact;
     the optional quadratic field cross-evaluates the spectral form."""
     m, n = agg.m, agg.n
     fact = factorial(m)
-    cost = n * m * fact ** (n + 1)
-    if cost > budget:
-        raise FeasibilityError(
-            f"combinatorial IR budget exceeded: {cost:.2e} > {budget:.0e}",
-            estimate=f"{cost:.2e}",
-        )
+    check_ir_budget(m, n, budget)
     tables = profile_tables(agg.H)
     h = agg.H.order
     _, cnt_same = pair_count_tensors(agg)

@@ -11,9 +11,12 @@ moment transfer.  The fourth moment is
 where the rows of E are the 15 invariant delta/ones patterns indexed
 by partitions of the four tensor positions, and C15 = E E^T with
 C15[p, q] = m^(blocks of join(p, q)).  `build_appendix(m)` is the one
-place that inverts C15: a single Gauss-Jordan pass gives the exact
-inverse and the determinant, cached once per m together with a
-read-only float copy of the inverse for the sampled checks.
+place that inverts C15: a single fraction-free (Bareiss) Gauss-Jordan
+pass over Python ints gives the exact inverse and the determinant,
+cached once per m together with a read-only float copy of the inverse
+for the sampled checks.  The sampled checks draw and reduce their
+matrices in stacks of CHUNK; the results do not depend on the chunk
+size or on the worker-pool size.
 
 Moment operators on A:
     M1 = sum A_ij        M2 = sum A_ij^2     M3, M4 likewise
@@ -51,6 +54,7 @@ PARTITIONS: list[tuple[tuple[int, ...], ...]] = (
 )
 IDX_E3 = (7, 8, 9)
 IDX_E5 = 14
+CHUNK = 128  # matrices per sampled stack; bounds the sweep's memory
 
 
 def _block_of(partition) -> tuple[int, int, int, int]:
@@ -85,27 +89,33 @@ def gram_c15(m: int) -> list[list[Fraction]]:
 
 
 def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
-    """Exact inverse and determinant from one Gauss-Jordan pass; the
-    inverse is None when M is singular (determinant 0)."""
-    n = len(M)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(M)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+    """Exact inverse and determinant from one fraction-free (Bareiss)
+    Gauss-Jordan pass over Python ints on [den*M | I]; the inverse is
+    None when M is singular (determinant 0).  Every entry stays an
+    integer minor, so each division is exact; at the end the left half
+    is d*I with d = +-det(den*M), and the right half is d*(den*M)^-1."""
+    fracs = [[Fraction(v) for v in row] for row in M]
+    n = len(fracs)
+    den = math.lcm(*(v.denominator for row in fracs for v in row))
+    a = [[int(v * den) for v in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(fracs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
             return None, Fraction(0)
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        scale = Fraction(1) / aug[col][col]
-        aug[col] = [v * scale for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], det
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        pk = a[k]
+        piv = pk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = piv
+    inv = [[Fraction(den * v, row[i]) for v in row[n:]] for i, row in enumerate(a)]
+    return inv, Fraction(sign * prev, den**n)
 
 
 def det_formula(m: int) -> int:
@@ -154,19 +164,27 @@ class MomentVector:
 
 
 def moments(A) -> MomentVector:
-    """The seven moment operators.  A float ndarray gives floats; any
-    other input is evaluated exactly over Python ints and Fractions."""
+    """The seven moment operators of the trailing (m, m) axes.  A float
+    (m, m) ndarray gives floats and a float (k, m, m) stack gives
+    length-k arrays, each entry bit-identical to the single-matrix
+    value; any other input is evaluated exactly over Python ints and
+    Fractions."""
     exact = not (isinstance(A, np.ndarray) and A.dtype.kind == "f")
     if exact:
         A = np.array(A, dtype=object)
-    AA = A @ A.T
+    AA = A @ np.swapaxes(A, -1, -2)
+    sq = A**2
+    both = (-2, -1)
     values = (
-        A.sum(), (A**2).sum(), (A**3).sum(), (A**4).sum(),
-        ((A**2).sum(axis=1) ** 2).sum(),
-        ((A**2).sum(axis=0) ** 2).sum(),
-        (AA * AA).sum(),
+        A.sum(axis=both), sq.sum(axis=both), (A**3).sum(axis=both),
+        (A**4).sum(axis=both),
+        (sq.sum(axis=-1) ** 2).sum(axis=-1),
+        (sq.sum(axis=-2) ** 2).sum(axis=-1),
+        (AA * AA).sum(axis=both),
     )
-    return MomentVector(*(values if exact else map(float, values)))
+    if exact or A.ndim > 2:
+        return MomentVector(*values)
+    return MomentVector(*map(float, values))
 
 
 def margin_value(A):
@@ -472,39 +490,67 @@ def random_equal_margin(m: int, rng, spread: int = 9) -> list[list[int]]:
     return out
 
 
-def zero_margin_sample(m: int, rng, spread: int = 9) -> np.ndarray:
-    """Float matrix with exactly zero margins (so E f = 0), rescaled to
-    E f^2 = 1."""
-    while True:
-        D = rng.integers(-spread, spread + 1, size=(m, m)).astype(float)
-        A0 = m * m * D - m * D.sum(axis=1, keepdims=True) \
-            - m * D.sum(axis=0, keepdims=True) + D.sum()
-        m2 = float((A0**2).sum())
-        if m2 > 0:
-            return A0 * np.sqrt((m - 1) / m2)
+def zero_margin_sample(m: int, rng, count: int, spread: int = 9) -> np.ndarray:
+    """A (count, m, m) stack of float matrices with exactly zero margins
+    (so E f = 0), each rescaled to E f^2 = 1.  A draw with M2 = 0 (a
+    pattern D[i, j] = r_i + c_j) is skipped and the next draw takes its
+    place, so the stack is the one count single draws would give."""
+    stacks = []
+    while count:
+        D = rng.integers(-spread, spread + 1, size=(count, m, m)).astype(float)
+        A0 = m * m * D - m * D.sum(axis=-1, keepdims=True) \
+            - m * D.sum(axis=-2, keepdims=True) + D.sum(axis=(-2, -1), keepdims=True)
+        m2 = (A0**2).sum(axis=(-2, -1))
+        keep = m2 > 0
+        stacks.append(A0[keep] * np.sqrt((m - 1) / m2[keep])[:, None, None])
+        count -= int(keep.sum())
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
 
 
-def norm4_zero_margin(mv: MomentVector, c15_inv: np.ndarray) -> float:
+def _square(x):
+    """x**2 computed as Python floats compute it (libm pow), also
+    elementwise over an ndarray: numpy's own square rounds differently
+    in about one case in a thousand, and reports must not move."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**2 for v in x.tolist()])
+    return x**2
+
+
+def norm4_zero_margin(mv: MomentVector, c15_inv: np.ndarray):
     """E f^4 for zero-margin A: only the pair-pair and all-equal
     patterns survive (every other pattern has a singleton position
-    whose free sum is a margin)."""
+    whose free sum is a margin).  Broadcasts over the moment arrays of
+    a stack; scalar moments give a float."""
     idx = list(IDX_E3) + [IDX_E5]
-    B = np.full((4, 4), mv.Mq)
-    np.fill_diagonal(B, mv.M2**2)
-    B[:3, 3], B[3, :3], B[3, 3] = mv.Mc, mv.Mr, mv.M4
+    Mq = np.asarray(mv.Mq)
+    B = np.empty(Mq.shape + (4, 4), dtype=Mq.dtype)
+    B[...] = Mq[..., None, None]
+    B[..., range(3), range(3)] = np.asarray(_square(mv.M2))[..., None]
+    B[..., :3, 3] = np.asarray(mv.Mc)[..., None]
+    B[..., 3, :3] = np.asarray(mv.Mr)[..., None]
+    B[..., 3, 3] = mv.M4
     sub = c15_inv[np.ix_(idx, idx)]
-    return float((B * sub.T).sum())
+    out = (B * sub.T).sum(axis=(-2, -1))
+    return float(out) if Mq.ndim == 0 else out
 
 
 def moment_bounds_ok(mv: MomentVector, m: int, tol: float = 1e-9) -> dict:
     """Normalized-function moment bounds: |M1| <= m sqrt((m-1)/(m-2)),
-    M2 <= m-1, Mq <= M2^2 (for E f^2 = 1)."""
+    M2 <= m-1, Mq <= M2^2 (for E f^2 = 1); elementwise over a stack."""
     m1_bound = m * np.sqrt((m - 1) / (m - 2))
     return {
         "M1": abs(mv.M1) <= m1_bound * (1 + tol),
         "M2": mv.M2 <= (m - 1) * (1 + tol),
-        "Mq": mv.Mq <= mv.M2**2 * (1 + tol),
+        "Mq": mv.Mq <= _square(mv.M2) * (1 + tol),
     }
+
+
+def _sample_norm4(m: int, rng, samples: int, c15_inv: np.ndarray):
+    """Yield (moments, E f^4) for the sampler's matrices, CHUNK at a
+    time."""
+    for start in range(0, samples, CHUNK):
+        mv = moments(zero_margin_sample(m, rng, min(CHUNK, samples - start)))
+        yield mv, norm4_zero_margin(mv, c15_inv)
 
 
 def hypercontractivity_check(m: int, sigma: float | None = None,
@@ -522,17 +568,12 @@ def hypercontractivity_check(m: int, sigma: float | None = None,
     violations = 0
     max_t4 = 0.0
     bounds_failures = 0
-    for _ in range(samples):
-        A = zero_margin_sample(m, rng)
-        mv = moments(A)
-        f4 = norm4_zero_margin(mv, c15_inv)
+    for mv, f4 in _sample_norm4(m, rng, samples, c15_inv):
         t4 = sigma**4 * f4  # T_t f has coefficient sigma*A when M1 = 0
-        max_t4 = max(max_t4, t4)
-        if t4 > 1 + 1e-9:
-            violations += 1
+        max_t4 = max(max_t4, float(t4.max()))
+        violations += int((t4 > 1 + 1e-9).sum())
         ok = moment_bounds_ok(mv, m)
-        if not all(ok.values()):
-            bounds_failures += 1
+        bounds_failures += int((~(ok["M1"] & ok["M2"] & ok["Mq"])).sum())
     return {
         "m": m,
         "sigma": sigma,
@@ -572,9 +613,8 @@ def degree2_product_check(m: int, samples: int = 50, seed: int = 0) -> dict:
     sigma = m**-0.5
     bound = sigma**-8.0
     worst = 0.0
-    for _ in range(samples):
-        f1 = norm4_zero_margin(moments(zero_margin_sample(m, rng)), c15_inv)
-        f2 = norm4_zero_margin(moments(zero_margin_sample(m, rng)), c15_inv)
-        worst = max(worst, f1 * f2)
+    # CHUNK is even, so every stack holds whole (f1, f2) pairs
+    for _, f4 in _sample_norm4(m, rng, 2 * samples, c15_inv):
+        worst = max(worst, float((f4[0::2] * f4[1::2]).max()))
     return {"m": m, "sigma": sigma, "bound": bound, "max_h4": worst,
             "holds": worst <= bound * (1 + 1e-9)}

@@ -124,6 +124,27 @@ def test_out_of_range_counts_are_input_errors():
         proc = run(*sub, check=False)
         assert proc.returncode == 2, sub
         assert "must be >=" in proc.stderr
+    for sigma in ("-3", "1.5", "nan", "inf"):
+        proc = run("moments", "--m", "4", "--samples", "5",
+                   "--sigma-hyper", sigma, check=False)
+        assert proc.returncode == 2, sigma
+        assert "must lie in [0, 1]" in proc.stderr
+
+
+def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
+    import irlap.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the rule was built before the budget check")
+
+    monkeypatch.setattr(cli, "make_named_rule", unreachable)
+    monkeypatch.setattr(cli, "random_aggregator", unreachable)
+    monkeypatch.setattr(cli, "load_json", unreachable)
+    for m, n in ((5, 3), (6, 2)):
+        for source in (["--rule", "plurality"], ["--rule", "random"],
+                       ["--input", str(tmp_path / "agg.json")]):
+            argv = ["analyze", "--m", str(m), "--n", str(n), *source]
+            assert cli.main(argv) == 3, argv
 
 
 def test_unknown_rule_params_are_input_errors():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irlap.moments import (
+    CHUNK,
     IDX_E3,
     IDX_E5,
     apply_Tt,
@@ -23,6 +24,7 @@ from irlap.moments import (
     hypercontractivity_check,
     margin_value,
     mean_value,
+    moment_bounds_ok,
     moments,
     moments_after_Tt,
     norm2_value,
@@ -58,6 +60,23 @@ def test_appendix_rejects_small_m():
     with pytest.raises(ValueError):
         build_appendix(3)
     assert frac_inv_det(gram_c15(3)) == (None, 0)
+
+
+def test_frac_inv_det_with_row_swap():
+    inv, det = frac_inv_det([[0, 2], [3, 1]])
+    assert det == -6
+    assert inv == [[Fraction(-1, 6), Fraction(1, 3)], [Fraction(1, 2), 0]]
+    inv, det = frac_inv_det([[Fraction(1, 2), 1, 0], [0, 0, 3], [1, 0, 1]])
+    assert det == 3
+    M = [[Fraction(1, 2), 1, 0], [0, 0, 3], [1, 0, 1]]
+    for i in range(3):
+        for j in range(3):
+            assert sum(M[i][k] * inv[k][j] for k in range(3)) == (i == j)
+
+
+def test_frac_inv_det_singular():
+    assert frac_inv_det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == (None, 0)
+    assert frac_inv_det([[0, 0], [0, 7]]) == (None, 0)
 
 
 @pytest.mark.parametrize("m", range(4, 13))
@@ -221,9 +240,88 @@ def test_zero_margin_reduced_fourth_moment():
 def test_zero_margin_sampler_is_normalized():
     rng = np.random.default_rng(3)
     for m in (4, 6):
-        A = zero_margin_sample(m, rng)
-        assert abs(margin_value(A)) <= 1e-9
+        stack = zero_margin_sample(m, rng, 3)
+        assert stack.shape == (3, m, m)
+        for A in stack:
+            assert abs(margin_value(A)) <= 1e-9
+            assert abs(norm2_value(A, m) - 1.0) <= 1e-9
+
+
+class QueuedDraws:
+    """A stand-in generator whose integers() hands out queued (m, m)
+    draws, as many as the requested stack holds."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.sizes = []
+
+    def integers(self, low, high, size):
+        self.sizes.append(size)
+        taken, self.draws = self.draws[:size[0]], self.draws[size[0]:]
+        return np.array(taken)
+
+
+def test_zero_margin_sampler_skips_rank_pattern():
+    m = 4
+    r, c = np.arange(m), np.array([3, -1, 0, 2])
+    rank_pattern = r[:, None] + c[None, :]  # zero margins after centering
+    rng = np.random.default_rng(11)
+    draws = [rng.integers(-9, 10, size=(m, m)) for _ in range(3)]
+    stub = QueuedDraws([rank_pattern] + draws)
+    stack = zero_margin_sample(m, stub, 3)
+    assert stub.sizes == [(3, m, m), (1, m, m)] and not stub.draws
+    assert np.array_equal(stack, zero_margin_sample(m, QueuedDraws(draws), 3))
+    for A in stack:
         assert abs(norm2_value(A, m) - 1.0) <= 1e-9
+
+
+def reference_hypercontractivity(m, sigma, samples, seed):
+    """The sweep one sample at a time, as it ran before the sampler
+    drew stacks: the oracle for the chunked path."""
+    sigma = float(sigma) if sigma is not None else m**-0.5
+    rng = np.random.default_rng(seed)
+    c15_inv = build_appendix(m).C15_inv_float
+    violations = failures = 0
+    max_t4 = 0.0
+    for _ in range(samples):
+        while True:
+            D = rng.integers(-9, 10, size=(m, m)).astype(float)
+            A0 = m * m * D - m * D.sum(axis=1, keepdims=True) \
+                - m * D.sum(axis=0, keepdims=True) + D.sum()
+            m2 = float((A0**2).sum())
+            if m2 > 0:
+                break
+        mv = moments(A0 * np.sqrt((m - 1) / m2))
+        t4 = sigma**4 * norm4_zero_margin(mv, c15_inv)
+        max_t4 = max(max_t4, t4)
+        violations += t4 > 1 + 1e-9
+        failures += not all(moment_bounds_ok(mv, m).values())
+    return {"m": m, "sigma": sigma, "samples": samples, "violations": violations,
+            "max_T4_norm4": max_t4, "moment_bound_failures": failures}
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_chunked_sweep_matches_one_at_a_time(m):
+    for sigma in (None, 0.3):
+        for samples in (1, CHUNK - 1, CHUNK, CHUNK + 1, 1000):
+            seed = 100 * m + samples
+            assert hypercontractivity_check(m, sigma, samples, seed) == \
+                reference_hypercontractivity(m, sigma, samples, seed)
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_stacked_moments_match_single_matrices(m):
+    # Bit for bit, over enough samples that M2^2 rounded by numpy's
+    # square instead of libm's pow would show (about 1 in 1300 values
+    # of E f^4 moves).
+    stack = zero_margin_sample(m, np.random.default_rng(m), 1500)
+    batched = moments(stack)
+    c15 = build_appendix(m).C15_inv_float
+    f4 = norm4_zero_margin(batched, c15)
+    for k, A in enumerate(stack):
+        single = moments(A)
+        assert tuple(v[k] for v in batched.as_tuple()) == single.as_tuple()
+        assert f4[k] == norm4_zero_margin(single, c15)
 
 
 def test_hypercontractivity_sigma_zero():
