@@ -12,6 +12,7 @@ by their lexicographically least representative).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -22,16 +23,19 @@ import numpy as np
 
 from .basis import Rho1Table, rho1_table
 from .perms import (
+    MAX_M,
     Coset,
     FixingSubgroup,
     broadcast_voter,
     build_fixing_subgroup,
     compose,
+    coset_ids,
     enumerate_group,
     format_perm,
     j_profile_counts,
     parse_perm,
     perm_index,
+    perm_indices,
     rank_table,
     trivial_subgroup,
     winner_subgroup,
@@ -154,37 +158,25 @@ def make_plurality(m: int, n: int) -> Aggregator:
     """Winner = alternative with the most rank-1 votes, ties broken
     lexicographically by name.  Output space is the winner partition."""
     H = winner_subgroup(m)
-    winner_coset = {}
-    for w in range(1, m + 1):
-        rep = tuple([w] + sorted(v for v in range(1, m + 1) if v != w))
-        winner_coset[w] = H.coset_index[rep]
-    fact = factorial(m)
-    perms = enumerate_group(m)
-    table = np.empty(fact**n, dtype=np.int64)
-    for idx, profile in enumerate(itertools.product(perms, repeat=n)):
-        counts = [0] * (m + 1)
-        for x in profile:
-            counts[x[0]] += 1
-        winner = max(range(1, m + 1), key=lambda w: (counts[w], -w))
-        table[idx] = winner_coset[winner]
-    return Aggregator(m, n, H, table, "plurality", {})
+    winner_coset = np.array([
+        H.coset_index[tuple([w] + sorted(v for v in range(1, m + 1) if v != w))]
+        for w in range(1, m + 1)
+    ])
+    first = (rank_table(m) == 1).T.astype(np.int64)  # (m!, m): one vote for the top name
+    votes = sum(broadcast_voter(first, i, n) for i in range(1, n + 1))
+    # argmax takes the first maximum, so ties go to the lowest name
+    return Aggregator(m, n, H, winner_coset[votes.argmax(axis=1)], "plurality", {})
 
 
 def make_borda(m: int, n: int) -> Aggregator:
     """Full ranking by total Borda score (rank r contributes m - r),
     ties broken lexicographically by name."""
     H = trivial_subgroup(m)
-    fact = factorial(m)
-    perms = enumerate_group(m)
-    table = np.empty(fact**n, dtype=np.int64)
-    for idx, profile in enumerate(itertools.product(perms, repeat=n)):
-        score = [0] * (m + 1)
-        for x in profile:
-            for r, name in enumerate(x, start=1):
-                score[name] += m - r
-        ranking = tuple(sorted(range(1, m + 1), key=lambda v: (-score[v], v)))
-        table[idx] = H.coset_index[ranking]
-    return Aggregator(m, n, H, table, "borda", {})
+    points = (m - rank_table(m)).T  # (m!, m): points per vote for each name
+    score = sum(broadcast_voter(points, i, n) for i in range(1, n + 1))
+    # a stable sort keeps tied names in ascending order
+    ranking = np.argsort(-score, axis=1, kind="stable")
+    return Aggregator(m, n, H, coset_ids(H)[perm_indices(ranking)], "borda", {})
 
 
 # The rules `make_named_rule` rebuilds from params alone, with the
@@ -293,6 +285,21 @@ def consistency_check(agg: Aggregator, table: Rho1Table | None = None) -> Consis
 # JSON round trip
 
 
+@functools.lru_cache(maxsize=MAX_M)
+def _perm_texts(m: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """format_perm of every permutation in lex order, and the reverse
+    lookup text -> index."""
+    texts = tuple(format_perm(x) for x in enumerate_group(m))
+    return texts, {t: i for i, t in enumerate(texts)}
+
+
+def _perm_id(text, m: int, lookup: dict[str, int]) -> int:
+    """Lex index of a permutation literal; any text not in the canonical
+    form goes through parse_perm, which accepts or rejects it."""
+    idx = lookup.get(text) if isinstance(text, str) else None
+    return perm_index(parse_perm(text, m)) if idx is None else idx
+
+
 def to_json(agg: Aggregator) -> dict:
     """Named rules are written as type and params; every other kind
     (table, centered, ...) also carries its full list of entries."""
@@ -304,17 +311,12 @@ def to_json(agg: Aggregator) -> dict:
         "params": dict(agg.params),
     }
     if agg.kind not in NAMED_RULE_PARAMS:
-        perms = enumerate_group(agg.m)
-        entries = []
-        for idx, profile in enumerate(itertools.product(perms, repeat=agg.n)):
-            rep = agg.H.cosets[int(agg.table[idx])].representative
-            entries.append(
-                {
-                    "profile": [format_perm(x) for x in profile],
-                    "output": format_perm(rep),
-                }
-            )
-        doc["entries"] = entries
+        texts, _ = _perm_texts(agg.m)
+        outputs = [format_perm(c.representative) for c in agg.H.cosets]
+        doc["entries"] = [
+            {"profile": list(profile), "output": outputs[c]}
+            for profile, c in zip(itertools.product(texts, repeat=agg.n), agg.table.tolist())
+        ]
     return doc
 
 
@@ -330,21 +332,23 @@ def from_json(doc: dict) -> Aggregator:
     if "entries" not in doc:
         raise ValueError(f"aggregator type {kind!r} needs entries")
     fact = factorial(m)
-    table = np.full(fact**n, -1, dtype=np.int64)
+    _, lookup = _perm_texts(m)
+    coset_of = coset_ids(H).tolist()
+    table = [-1] * fact**n
     for entry in doc["entries"]:
-        profile = [parse_perm(t, m) for t in entry["profile"]]
-        if len(profile) != n:
+        votes = [_perm_id(t, m, lookup) for t in entry["profile"]]
+        if len(votes) != n:
             raise ValueError("entry profile has wrong voter count")
         idx = 0
-        for x in profile:
-            idx = idx * fact + perm_index(x)
+        for v in votes:
+            idx = idx * fact + v
         if table[idx] >= 0:
             raise ValueError(f"duplicate entry for profile {entry['profile']}")
-        table[idx] = H.coset_index[parse_perm(entry["output"], m)]
-    if (table < 0).any():
-        missing = int((table < 0).sum())
+        table[idx] = coset_of[_perm_id(entry["output"], m, lookup)]
+    missing = table.count(-1)
+    if missing:
         raise ValueError(f"table not total: {missing} profiles missing")
-    return Aggregator(m, n, H, table, kind, dict(params))
+    return Aggregator(m, n, H, np.array(table, dtype=np.int64), kind, dict(params))
 
 
 def save_json(agg: Aggregator, path: str) -> None:

@@ -22,6 +22,7 @@ from .metrics import (
     ir_combinatorial,
     manipulation_power,
     orders_from_json,
+    pair_count_tensors,
 )
 from .moments import (
     audit_blocks,
@@ -118,14 +119,15 @@ def cmd_analyze(args) -> None:
         agg = _build_rule(args.rule, args.m, args.n, H, args.seed)
     else:
         raise ValueError("analyze needs --input or --rule")
-    ir = ir_combinatorial(agg)
+    cnt_all, cnt_same = pair_count_tensors(agg)
+    ir = ir_combinatorial(agg, cnt_same=cnt_same)
     if args.orders:
         with open(args.orders) as fh:
             orders = orders_from_json(json.load(fh), agg.H, agg.m)
     else:
         orders = default_orders(agg.H, agg.m)
-    manip = manipulation_power(agg, orders, ir=ir.profile_distance)
-    robust = robustness_report(agg, center=args.center)
+    manip = manipulation_power(agg, orders, cnt_all=cnt_all, ir=ir.profile_distance)
+    robust = robustness_report(agg, center=args.center, ir=ir.profile_distance)
     report = {
         "aggregator": {"m": agg.m, "n": agg.n, "type": agg.kind, "params": agg.params},
         "ir": {
@@ -146,6 +148,9 @@ def cmd_analyze(args) -> None:
 def cmd_moments(args) -> None:
     from fractions import Fraction
 
+    if args.m < 4:
+        raise ValueError(f"moments requires m >= 4: the appendix algebra is "
+                         f"degenerate below, got m={args.m}")
     if args.sigma_hyper != "auto":
         sigma = float(args.sigma_hyper)
         if not 0 <= sigma <= 1:  # also rejects nan

@@ -69,15 +69,19 @@ def check_ir_budget(m: int, n: int, budget: int = LN_BUDGET) -> None:
 
 
 def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True,
-                     budget: int = LN_BUDGET) -> IRValue:
+                     budget: int = LN_BUDGET,
+                     cnt_same: np.ndarray | None = None) -> IRValue:
     """Direct evaluation of the ordered-pair IR definitions.  Exact;
-    the optional quadratic field cross-evaluates the spectral form."""
+    the optional quadratic field cross-evaluates the spectral form.
+    `cnt_same` reuses agg's `pair_count_tensors` instead of counting
+    again."""
     m, n = agg.m, agg.n
     fact = factorial(m)
     check_ir_budget(m, n, budget)
     tables = profile_tables(agg.H)
     h = agg.H.order
-    _, cnt_same = pair_count_tensors(agg)
+    if cnt_same is None:
+        _, cnt_same = pair_count_tensors(agg)
     dist_num = 0
     neq_num = 0
     for j in range(m):

@@ -99,6 +99,25 @@ def perm_index(x: tuple[int, ...]) -> int:
     return idx
 
 
+def perm_indices(words: np.ndarray) -> np.ndarray:
+    """perm_index over the last axis of an integer array of words: the
+    Lehmer digits (later names that are smaller) weighted by
+    factorials."""
+    words = np.asarray(words)
+    m = words.shape[-1]
+    later = np.triu(np.ones((m, m), dtype=bool), 1)  # [r, s]: s comes after r
+    smaller = (words[..., None, :] < words[..., :, None]) & later
+    weights = np.array([factorial(m - 1 - r) for r in range(m)], dtype=np.int64)
+    return smaller.sum(axis=-1) @ weights
+
+
+def compose_table(m: int) -> np.ndarray:
+    """comp[a, b] = perm_index(compose(x_a, x_b)) for the lex-ordered
+    permutations x_a, x_b; shape (m!, m!)."""
+    words = np.array(enumerate_group(m))
+    return perm_indices(words[:, words - 1])
+
+
 def fixed_points(x: tuple[int, ...]) -> int:
     return sum(1 for r, name in enumerate(x, start=1) if name == r)
 
@@ -165,6 +184,11 @@ class FixingSubgroup:
 
     def coset_of(self, x: tuple[int, ...]) -> Coset:
         return self.cosets[self.coset_index[x]]
+
+
+def coset_ids(H: FixingSubgroup) -> np.ndarray:
+    """The coset index of every permutation, in lex order; shape (m!,)."""
+    return np.array([H.coset_index[x] for x in enumerate_group(H.m)], dtype=np.int64)
 
 
 def _cosets_from_members(m: int, members) -> tuple[tuple[Coset, ...], dict]:

@@ -13,8 +13,8 @@ constraint matrix has unit trace).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -23,7 +23,15 @@ from .aggregators import Aggregator, GEncoding, encode_g, make_dictator
 from .basis import LinFunction, Rho1Table, project_to_lin, rho1_table
 from .laplacian import spectral_gap
 from .metrics import ir_combinatorial
-from .perms import compose, enumerate_group, format_perm, inverse
+from .perms import (
+    broadcast_voter,
+    compose_table,
+    coset_ids,
+    format_perm,
+    perm_index,
+    perm_indices,
+    rank_table,
+)
 
 
 def kernel_distance(enc: GEncoding, table: Rho1Table | None = None):
@@ -76,13 +84,16 @@ def center_aggregator(agg: Aggregator) -> Aggregator:
     dictator on the dummy voter)."""
     m, n, H = agg.m, agg.n, agg.H
     fact = factorial(m)
-    perms = enumerate_group(m)
-    table = np.empty(fact ** (n + 1), dtype=np.int64)
-    for idx, profile in enumerate(itertools.product(perms, repeat=n + 1)):
-        x, y = profile[:n], profile[n]
-        w = tuple(compose(inverse(y), xi) for xi in x)
-        rep = H.cosets[int(agg.table[agg.profile_index(w)])].representative
-        table[idx] = H.coset_index[compose(y, rep)]
+    comp = compose_table(m)
+    inv = perm_indices(rank_table(m).T)  # the rank columns are the inverse words
+    reps = np.array([perm_index(c.representative) for c in H.cosets])
+    shift = comp[inv]  # shift[y, x] = perm_index(compose(inverse(y), x))
+    votes = np.arange(fact)
+    y = broadcast_voter(votes, n + 1, n + 1)
+    w = np.zeros(fact ** (n + 1), dtype=np.int64)  # profile index of (w_1, ..., w_n)
+    for i in range(1, n + 1):
+        w = w * fact + shift[y, broadcast_voter(votes, i, n + 1)]
+    table = coset_ids(H)[comp[y, reps[agg.table[w]]]]
     return Aggregator(m, n + 1, H, table, "centered", {"base": agg.kind})
 
 
@@ -114,27 +125,35 @@ class MomentDiagnostics:
         }
 
 
-def degree2_residual(values: np.ndarray, n: int, table: Rho1Table) -> float:
-    """Squared mass of a scalar function on S_m^n outside the span of
-    {1, rho1_ab(x_i), rho1_ab(x_i) rho1_cd(x_j) for i < j}.  The basis
-    functions are orthogonal with norms 1, 1/(m-1), 1/(m-1)^2."""
+def degree2_residual(values: np.ndarray, n: int, table: Rho1Table) -> np.ndarray:
+    """Squared mass of scalar functions on S_m^n outside the span of
+    {1, rho1_ab(x_i), rho1_ab(x_i) rho1_cd(x_j) for i < j}, one per
+    column of values (shape (m!^n, k)).  The basis functions are
+    orthogonal with norms 1, 1/(m-1), 1/(m-1)^2.
+
+    On the entries of r = h h^T - M that `fkn_diagnostics` passes in,
+    the residual is exactly 0 in exact arithmetic: h is a sum of
+    A^i rho1(x_i), rho1 is orthogonal, so each i = j term of h h^T is
+    the constant A^i A^i^T and every other term lies in the span.  The
+    reported value is a rounding check."""
     fact = len(table.perms)
     d = table.m - 1
-    f = values.reshape((fact,) * n)
-    total = float((f**2).mean())
-    explained = float(f.mean()) ** 2
+    f = values.reshape((fact,) * n + (-1,))
+    voters = tuple(range(n))
+    total = (f**2).mean(axis=voters)
+    explained = f.mean(axis=voters) ** 2
+    Rf = table.R.reshape(fact, d * d)
     for i in range(n):
-        axes = tuple(ax for ax in range(n) if ax != i)
-        per = f.mean(axis=axes) if axes else f
-        coef = np.einsum("v,vab->ab", per, table.R) / fact  # <f, rho_ab(x_i)>
-        explained += float((coef**2).sum()) * d
+        per = f.mean(axis=tuple(ax for ax in voters if ax != i))  # (m!, k)
+        coef = Rf.T @ per / fact  # <f, rho_ab(x_i)>
+        explained += (coef**2).sum(axis=0) * d
     for i in range(n):
         for j in range(i + 1, n):
-            axes = tuple(ax for ax in range(n) if ax not in (i, j))
-            per = f.mean(axis=axes) if axes else f  # axes keep order (x_i, x_j)
-            coef = np.einsum("vw,vab,wcd->abcd", per, table.R, table.R) / fact**2
-            explained += float((coef**2).sum()) * d * d
-    return max(total - explained, 0.0)
+            per = f.mean(axis=tuple(ax for ax in voters if ax not in (i, j)))
+            per = np.moveaxis(per, -1, 0)  # (k, m!, m!) over (x_i, x_j)
+            coef = Rf.T @ per @ Rf / fact**2  # <f, rho_ab(x_i) rho_cd(x_j)>
+            explained += (coef**2).sum(axis=(1, 2)) * d * d
+    return np.maximum(total - explained, 0.0)
 
 
 def fkn_diagnostics(enc: GEncoding, table: Rho1Table | None = None) -> MomentDiagnostics:
@@ -154,11 +173,7 @@ def fkn_diagnostics(enc: GEncoding, table: Rho1Table | None = None) -> MomentDia
     alpha = 6 * (m - 1) * C4 * np.sqrt(eps)
     tail = float((np.sqrt((r**2).sum(axis=(1, 2))) > alpha).mean())
     bound = 108 * (m - 1) ** 4 * m**4 * eps
-    deg2 = max(
-        degree2_residual(r[:, k, l], enc.n, table)
-        for k in range(m - 1)
-        for l in range(m - 1)
-    )
+    deg2 = float(degree2_residual(r.reshape(len(r), -1), enc.n, table).max())
     return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail,
                              bound, r_norm2 <= bound + 1e-9, deg2)
 
@@ -234,12 +249,17 @@ def measured_gap(m: int, n: int) -> tuple[float, bool]:
 
 
 def robustness_report(agg: Aggregator, center: bool = False,
-                      table: Rho1Table | None = None) -> RobustnessReport:
+                      table: Rho1Table | None = None,
+                      ir: Fraction | None = None) -> RobustnessReport:
     """Full pipeline: IR, kernel distance (checked against IR/gap),
-    nearest dictator, rounding, and moment diagnostics."""
+    nearest dictator, rounding, and moment diagnostics.  A given `ir`
+    is agg's exact IR and is reused; a centered rule's own IR is always
+    computed."""
     work = center_aggregator(agg) if center else agg
     table = table if table is not None else rho1_table(work.m)
-    ir = float(ir_combinatorial(work, with_quadratic=False).profile_distance)
+    if ir is None or center:
+        ir = ir_combinatorial(work, with_quadratic=False).profile_distance
+    ir = float(ir)
     enc = encode_g(work, table)
     lin, dist_sq = kernel_distance(enc, table)
     gap, exhaustive = measured_gap(work.m, work.n)
@@ -256,8 +276,6 @@ def robustness_report(agg: Aggregator, center: bool = False,
     rounded_dist = float(np.sqrt(dict_dist_sq))
     factor = rounded_dist / unconstrained if unconstrained > 1e-12 else 1.0
     diag = fkn_diagnostics(enc, table)
-    from .perms import format_perm
-
     return RobustnessReport(
         m=work.m, n=work.n, ir=ir,
         kernel_distance_sq=dist_sq, gap=gap, gap_exhaustive=exhaustive,

@@ -7,11 +7,18 @@ diff.  Regenerate only when a change deliberately fixes a reported
 value, and say so in the change description.
 
 Usage, from the repository root:
-    PYTHONPATH=src python3 tests/make_golden.py
+    PYTHONPATH=src python3 tests/make_golden.py          # rewrite every report
+    PYTHONPATH=src python3 tests/make_golden.py --diff   # show what would move
+
+`--diff` writes nothing.  It prints every JSON key whose value would
+change, with its old and new value, then the largest absolute change
+of a numeric value, so a deliberate regeneration can state its move.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +61,48 @@ def run_irlap(args: list) -> str:
     return proc.stdout
 
 
+def flatten(value, path: str = ""):
+    """(key path, leaf value) pairs of a JSON document."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from flatten(value[key], f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from flatten(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def diff() -> None:
+    largest, where = 0.0, "no numeric value changed"
+    for stem, args in CASES:
+        path = GOLDEN_DIR / f"{stem}.json"
+        new_text = run_irlap(args)
+        old_text = path.read_text() if path.exists() else "{}"
+        if new_text == old_text:
+            continue
+        old, new = dict(flatten(json.loads(old_text))), dict(flatten(json.loads(new_text)))
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key, "(absent)"), new.get(key, "(absent)")
+            if a == b and type(a) is type(b):
+                continue
+            print(f"{stem}: {key}: {a!r} -> {b!r}")
+            if _is_number(a) and _is_number(b) and abs(b - a) > largest:
+                largest, where = abs(b - a), f"{stem}: {key}"
+    print(f"largest |change|: {largest!r} ({where})")
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Write or diff the golden CLI reports.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print what would change and write nothing")
+    if parser.parse_args().diff:
+        diff()
+        return
     GOLDEN_DIR.mkdir(exist_ok=True)
     for stem, args in CASES:
         (GOLDEN_DIR / f"{stem}.json").write_text(run_irlap(args))

@@ -1,0 +1,194 @@
+"""The numpy kernels for rule tables, centering, JSON and the degree-2
+residual against the per-profile loops in reference_loops.py."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_loops as ref
+from irlap.aggregators import (
+    corrupt_aggregator,
+    encode_g,
+    from_json,
+    make_dictator,
+    make_borda,
+    make_plurality,
+    random_aggregator,
+    to_json,
+)
+from irlap.basis import project_to_lin, rho1_table
+from irlap.perms import (
+    build_fixing_subgroup,
+    enumerate_group,
+    trivial_subgroup,
+    winner_subgroup,
+)
+from irlap.rounding import center_aggregator, degree2_residual
+
+RULE_SIZES = [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+FEW = settings(max_examples=12, deadline=None)
+
+
+@pytest.mark.parametrize("m,n", RULE_SIZES)
+def test_rule_tables_match_loops(m, n):
+    plurality = make_plurality(m, n)
+    borda = make_borda(m, n)
+    assert np.array_equal(plurality.table, ref.plurality_table(m, n))
+    assert np.array_equal(borda.table, ref.borda_table(m, n))
+    assert plurality.table.dtype == borda.table.dtype == np.int64
+
+
+@functools.lru_cache(maxsize=None)
+def _rules(m, n):
+    return make_plurality(m, n), make_borda(m, n)
+
+
+@FEW
+@given(st.sampled_from([(3, 5), (4, 4)]).flatmap(
+    lambda mn: st.tuples(st.just(mn[0]),
+                         st.lists(st.sampled_from(enumerate_group(mn[0])),
+                                  min_size=mn[1], max_size=mn[1]))))
+def test_rules_beyond_the_loop_sizes(case):
+    """Single profiles, ties included, where a full loop is too slow."""
+    m, profile = case
+    plurality, borda = _rules(m, len(profile))
+    assert plurality.evaluate(profile).representative[0] == ref.plurality_winner(profile, m)
+    assert borda.evaluate(profile).representative == ref.borda_ranking(profile, m)
+
+
+def _partitions(m):
+    return [[[v] for v in range(1, m + 1)], [[1], list(range(2, m + 1))],
+            [list(range(1, m)), [m]]]
+
+
+@FEW
+@given(st.sampled_from([(3, 2), (3, 3), (4, 2)]), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_center_aggregator_matches_loop(mn, part, seed):
+    m, n = mn
+    H = build_fixing_subgroup(m, _partitions(m)[part])
+    agg = random_aggregator(m, n, H, np.random.default_rng(seed))
+    centered = center_aggregator(agg)
+    assert np.array_equal(centered.table, ref.centered_table(agg))
+    assert (centered.n, centered.kind, centered.params) == (n + 1, "centered", {"base": "table"})
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_center_aggregator_of_named_rules(m):
+    for agg in (make_plurality(m, 1), make_borda(m, 2),
+                make_dictator(1, enumerate_group(m)[-1], winner_subgroup(m), 2)):
+        assert np.array_equal(center_aggregator(agg).table, ref.centered_table(agg))
+
+
+JSON_SIZES = [(3, 1), (3, 2), (4, 1), (4, 2)]
+
+
+@st.composite
+def stored_aggregators(draw):
+    m, n = draw(st.sampled_from(JSON_SIZES))
+    H = build_fixing_subgroup(m, _partitions(m)[draw(st.integers(0, 2))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["table", "corrupted", "centered", "dictator"]))
+    if kind == "table":
+        return random_aggregator(m, n, H, rng)
+    dictator = make_dictator(draw(st.integers(1, n)),
+                             draw(st.sampled_from(enumerate_group(m))), H, n)
+    if kind == "corrupted":
+        return corrupt_aggregator(dictator, draw(st.integers(1, 3)), rng)
+    if kind == "centered":
+        return center_aggregator(random_aggregator(m, 1, H, rng))
+    return dictator
+
+
+@settings(max_examples=30, deadline=None)
+@given(stored_aggregators())
+def test_json_matches_loops(agg):
+    doc = to_json(agg)
+    assert doc == ref.json_doc(agg)
+    back = from_json(doc)
+    assert (back.kind, back.params, back.n, back.H.partition) == \
+        (agg.kind, agg.params, agg.n, agg.H.partition)
+    assert np.array_equal(back.table, agg.table)
+    if "entries" in doc:
+        assert np.array_equal(ref.json_table(doc), agg.table)
+
+
+def _comma(text):
+    return ",".join(text)
+
+
+@FEW
+@given(stored_aggregators().filter(lambda a: a.kind != "dictator"), st.data())
+def test_json_reads_comma_literals(agg, data):
+    doc = to_json(agg)
+    for entry in doc["entries"]:
+        if data.draw(st.booleans()):
+            entry["profile"] = [_comma(t) for t in entry["profile"]]
+        if data.draw(st.booleans()):
+            entry["output"] = " " + _comma(entry["output"])
+    assert np.array_equal(from_json(doc).table, agg.table)
+    assert np.array_equal(ref.json_table(doc), agg.table)
+
+
+def _break(doc, how, k):
+    """Damage entry k of a stored document in one of the ways the
+    reader must reject."""
+    entries = doc["entries"]
+    k %= len(entries)
+    entry = entries[k]
+    m = doc["m"]
+    if how == "missing":
+        del entries[k]
+    elif how == "duplicate":
+        entries.append(dict(entry))
+    elif how == "voters":
+        entry["profile"] = entry["profile"] + entry["profile"][:1]
+    elif how == "wrong m":
+        entry["profile"][0] = entry["profile"][0] + str(m + 1)
+    elif how == "not a literal":
+        entry["profile"][-1] = "x" * m
+    elif how == "repeated symbol":
+        entry["output"] = "1" * m
+    elif how == "comma wrong m":
+        entry["output"] = _comma(entry["output"]) + f",{m + 1}"
+    elif how == "empty comma field":
+        entry["output"] = entry["output"][0] + ",," + entry["output"][1:]
+    else:
+        raise AssertionError(how)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stored_aggregators().filter(lambda a: a.kind != "dictator"),
+       st.sampled_from(["missing", "duplicate", "voters", "wrong m", "not a literal",
+                        "repeated symbol", "comma wrong m", "empty comma field"]),
+       st.integers(0, 10**6))
+def test_json_errors_match_loop(agg, how, k):
+    doc = to_json(agg)
+    _break(doc, how, k)
+    with pytest.raises(ValueError) as expected:
+        ref.json_table(doc)
+    with pytest.raises(ValueError) as got:
+        from_json(doc)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("m,n", [(4, 3), (5, 2)])
+def test_degree2_residual_matches_per_entry_einsum(m, n):
+    table = rho1_table(m)
+    rng = np.random.default_rng(m * 10 + n)
+    # h h^T for the linear part h of a random rule (residual ~ 0, as in
+    # fkn_diagnostics), and noise (residual of order 1)
+    enc = encode_g(random_aggregator(m, n, trivial_subgroup(m), rng), table)
+    lin, _ = project_to_lin(enc.g, n, table)
+    h = lin.evaluate_all(table) - lin.B[None]
+    r = np.einsum("xkl,xtl->xkt", h, h).reshape(len(h), -1)
+    noise = rng.standard_normal((len(h), 3))
+    for values in (r, noise):
+        got = degree2_residual(values, n, table)
+        want = [ref.degree2_residual(values[:, k], n, table) for k in range(values.shape[1])]
+        assert got.shape == (values.shape[1],)
+        assert np.abs(got - np.array(want)).max() <= 1e-12
+    assert degree2_residual(r, n, table).max() <= 1e-12

@@ -131,6 +131,41 @@ def test_out_of_range_counts_are_input_errors():
         assert "must lie in [0, 1]" in proc.stderr
 
 
+def test_moments_rejects_small_m(capsys):
+    import irlap.cli as cli
+
+    for m in ("0", "1", "2", "3"):
+        assert cli.main(["moments", "--m", m, "--samples", "5"]) == 2, m
+        assert "moments requires m >= 4" in capsys.readouterr().err
+
+
+def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
+    import irlap.cli as cli
+    from irlap import metrics, rounding
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    pairs = counted("pairs", metrics.pair_count_tensors)
+    ir = counted("ir", metrics.ir_combinatorial)
+    for module in (cli, metrics):
+        monkeypatch.setattr(module, "pair_count_tensors", pairs)
+    for module in (cli, metrics, rounding):
+        monkeypatch.setattr(module, "ir_combinatorial", ir)
+    argv = ["analyze", "--m", "3", "--n", "2", "--rule", "random", "--out",
+            str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert sorted(calls) == ["ir", "pairs"]
+    calls.clear()
+    assert cli.main(argv + ["--center"]) == 0  # the centered rule's own IR
+    assert sorted(calls) == ["ir", "ir", "pairs", "pairs"]
+
+
 def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
     import irlap.cli as cli
 

@@ -6,11 +6,15 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irlap.perms import (
     broadcast_voter,
     build_fixing_subgroup,
     compose,
+    compose_table,
+    coset_ids,
     enumerate_group,
     format_perm,
     identity,
@@ -18,6 +22,7 @@ from irlap.perms import (
     j_profile,
     parse_perm,
     perm_index,
+    perm_indices,
     rank_of,
     subgroup_from_members,
     switch_classes,
@@ -102,6 +107,25 @@ def test_perm_index_is_lex_rank():
     for m in (3, 4, 5):
         for i, x in enumerate(enumerate_group(m)):
             assert perm_index(x) == i
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda m: st.lists(st.permutations(range(1, m + 1)),
+                                                    min_size=1, max_size=4)))
+def test_perm_indices_match_perm_index(words):
+    got = perm_indices(np.array(words))
+    assert got.tolist() == [perm_index(tuple(w)) for w in words]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_compose_table_and_coset_ids(m):
+    perms = enumerate_group(m)
+    comp = compose_table(m)
+    for a, x in enumerate(perms):
+        for b, y in enumerate(perms):
+            assert comp[a, b] == perm_index(compose(x, y))
+    for H in (trivial_subgroup(m), winner_subgroup(m)):
+        assert coset_ids(H).tolist() == [H.coset_index[x] for x in perms]
 
 
 def test_trivial_subgroup_is_swf():
