@@ -66,8 +66,8 @@ class Aggregator:
             raise ValueError(f"expected {self.n} votes, got {len(profile)}")
         idx = 0
         for x in profile:
-            if len(x) != self.m:
-                raise ValueError("vote has wrong alternative count")
+            if sorted(x) != list(range(1, self.m + 1)):
+                raise ValueError(f"vote {x!r} is not a permutation of 1..{self.m}")
             idx = idx * fact + perm_index(x)
         return idx
 

@@ -10,13 +10,24 @@ moment transfer.  The fourth moment is
 
 where the rows of E are the 15 invariant delta/ones patterns indexed
 by partitions of the four tensor positions, and C15 = E E^T with
-C15[p, q] = m^(blocks of join(p, q)).  `build_appendix(m)` is the one
-place that inverts C15: a single fraction-free (Bareiss) Gauss-Jordan
-pass over Python ints gives the exact inverse and the determinant,
-cached once per m together with a read-only float copy of the inverse
-for the sampled checks.  The sampled checks draw and reduce their
-matrices in stacks of CHUNK; the results do not depend on the chunk
-size or on the worker-pool size.
+C15[p, q] = m^(blocks of join(p, q)).
+
+`blocks_direct` evaluates E (A (x) A (x) A (x) A) E^T as the
+definition's pattern sum over the integer matrix X = den * A: entry
+[p, q] adds up, over the index tuples constant on the blocks of p,
+the product over the blocks Q of q of G_|Q|(i_Q), where G_1 = row
+sums, G_2 = X X^T, G_3 = P2 X^T and G_4 = P2 P2^T with the pair
+products P2[(a, b), c] = X[a, c] X[b, c].  The factors are gathered
+at cached index tuples and summed with one `np.add.reduceat` per q,
+all on Python-int object arrays (`np.einsum` is avoided: on object
+arrays it silently drops to int64).  `moments()` clears denominators
+the same way.  `build_appendix(m)` is the one place that inverts C15:
+a single fraction-free (Bareiss) Gauss-Jordan pass over Python ints
+gives the exact inverse and the determinant, cached once per m
+together with a read-only float copy of the inverse for the sampled
+checks.  The sampled checks draw and reduce their matrices in stacks
+of CHUNK; the results do not depend on the chunk size or on the
+worker-pool size.
 
 Moment operators on A:
     M1 = sum A_ij        M2 = sum A_ij^2     M3, M4 likewise
@@ -32,9 +43,7 @@ operations below enforce it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
@@ -81,11 +90,23 @@ def _join_block_count(p, q) -> int:
     return len({find(t) for t in range(4)})
 
 
+@functools.cache
+def _join_exponents() -> tuple[tuple[int, ...], ...]:
+    """Blocks of join(p, q) for every pair of patterns; m-independent."""
+    return tuple(tuple(_join_block_count(p, q) for q in PARTITIONS) for p in PARTITIONS)
+
+
 def gram_c15(m: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(m ** _join_block_count(p, q)) for q in PARTITIONS]
-        for p in PARTITIONS
-    ]
+    return [[Fraction(m**e) for e in row] for row in _join_exponents()]
+
+
+def _to_int_matrix(A) -> tuple[np.ndarray, int]:
+    """Clear denominators: (Python-int object array, common denominator)."""
+    A = np.array(A, dtype=object)
+    fracs = [Fraction(v) for v in A.flat]
+    den = math.lcm(*(v.denominator for v in fracs))
+    ints = np.array([v.numerator * (den // v.denominator) for v in fracs], dtype=object)
+    return ints.reshape(A.shape), den
 
 
 def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
@@ -94,11 +115,9 @@ def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
     None when M is singular (determinant 0).  Every entry stays an
     integer minor, so each division is exact; at the end the left half
     is d*I with d = +-det(den*M), and the right half is d*(den*M)^-1."""
-    fracs = [[Fraction(v) for v in row] for row in M]
-    n = len(fracs)
-    den = math.lcm(*(v.denominator for row in fracs for v in row))
-    a = [[int(v * den) for v in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(fracs)]
+    ints, den = _to_int_matrix(M)
+    n = len(ints)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
@@ -167,21 +186,28 @@ def moments(A) -> MomentVector:
     """The seven moment operators of the trailing (m, m) axes.  A float
     (m, m) ndarray gives floats and a float (k, m, m) stack gives
     length-k arrays, each entry bit-identical to the single-matrix
-    value; any other input is evaluated exactly over Python ints and
-    Fractions."""
+    value.  Any other input is evaluated exactly: Python ints give
+    ints; with any Fraction entry the denominators are cleared once,
+    the sums run over Python ints and each value is divided by den^d
+    for its degree d, giving Fractions."""
     exact = not (isinstance(A, np.ndarray) and A.dtype.kind == "f")
+    den = None
     if exact:
         A = np.array(A, dtype=object)
+        if any(isinstance(v, Fraction) for v in A.flat):
+            A, den = _to_int_matrix(A)
     AA = A @ np.swapaxes(A, -1, -2)
     sq = A**2
     both = (-2, -1)
     values = (
-        A.sum(axis=both), sq.sum(axis=both), (A**3).sum(axis=both),
+        A.sum(axis=both), sq.sum(axis=both), (sq * A).sum(axis=both),
         (A**4).sum(axis=both),
         (sq.sum(axis=-1) ** 2).sum(axis=-1),
         (sq.sum(axis=-2) ** 2).sum(axis=-1),
         (AA * AA).sum(axis=both),
     )
+    if den is not None:
+        values = [v / Fraction(den**d) for v, d in zip(values, (1, 2, 3, 4, 4, 4, 4))]
     if exact or A.ndim > 2:
         return MomentVector(*values)
     return MomentVector(*map(float, values))
@@ -231,109 +257,39 @@ def norm2_value(A, m: int):
 # Exact fourth-moment contraction
 
 
-def _powmat(A, power: int):
-    return [[v**power for v in row] for row in A]
-
-
-def _contract_component(nodes, edges, m: int, A) -> int:
-    """Sum over labelings of one connected piece of the contraction
-    graph.  edges: {(rnode, cnode): multiplicity}.  Leaf nodes are
-    absorbed into neighbor weight vectors first; whatever remains
-    (cycles) is brute-forced, at most m^4 terms."""
-    pow_cache: dict[int, list] = {}
-
-    def pmat(p):
-        if p not in pow_cache:
-            pow_cache[p] = _powmat(A, p)
-        return pow_cache[p]
-
-    edges = dict(edges)
-    vecs: dict = {}
-    active = set(nodes)
-    while True:
-        degree = defaultdict(list)
-        for key in edges:
-            degree[key[0]].append(key)
-            degree[key[1]].append(key)
-        leaf = next(
-            (nd for nd in active if len(degree[nd]) == 1 and len(active) > 1), None
-        )
-        if leaf is None:
-            break
-        key = degree[leaf][0]
-        rnode, cnode = key
-        mat = pmat(edges.pop(key))
-        other = cnode if leaf == rnode else rnode
-        lvec = vecs.pop(leaf, [1] * m)
-        if leaf == rnode:
-            w = [sum(lvec[r] * mat[r][c] for r in range(m)) for c in range(m)]
-        else:
-            w = [sum(mat[r][c] * lvec[c] for c in range(m)) for r in range(m)]
-        if other in vecs:
-            vecs[other] = [a * b for a, b in zip(vecs[other], w)]
-        else:
-            vecs[other] = w
-        active.discard(leaf)
-    order = sorted(active)
-    total = 0
-    for assignment in itertools.product(range(m), repeat=len(order)):
-        val = {nd: v for nd, v in zip(order, assignment)}
-        term = 1
-        for (rn, cn), p in edges.items():
-            term *= pmat(p)[val[rn]][val[cn]]
-        for nd, vec in vecs.items():
-            term *= vec[val[nd]]
-        total += term
-    return total
-
-
-def _contract(pi: int, pj: int, A, m: int) -> int:
-    """E-row(pi) . (A tensor^4) . E-row(pj), for integer A."""
-    bi = _block_of(PARTITIONS[pi])
-    bj = _block_of(PARTITIONS[pj])
-    edges: dict = defaultdict(int)
-    for t in range(4):
-        edges[(("r", bi[t]), ("c", bj[t]))] += 1
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for rn, cn in edges:
-        parent.setdefault(rn, rn)
-        parent.setdefault(cn, cn)
-        parent[find(rn)] = find(cn)
-    comps = defaultdict(lambda: (set(), {}))
-    for key, power in edges.items():
-        root = find(key[0])
-        comps[root][0].update(key)
-        comps[root][1][key] = power
-    total = 1
-    for nodes, comp_edges in comps.values():
-        total *= _contract_component(nodes, comp_edges, m, A)
-    return total
-
-
-def _to_int_matrix(A) -> tuple[list[list[int]], int]:
-    """Clear denominators: returns (integer matrix, common denominator)."""
-    fracs = [[Fraction(v) for v in row] for row in A]
-    den = math.lcm(*(v.denominator for row in fracs for v in row))
-    return [[int(v * den) for v in row] for row in fracs], den
+@functools.lru_cache(maxsize=16)
+def _pattern_tuples(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index tuples i in [m]^4 that are constant on the blocks of
+    each pattern, stacked in PARTITIONS order, and the row where each
+    pattern's run starts.  Read-only."""
+    runs = []
+    for p in PARTITIONS:
+        labels = np.indices((m,) * len(p)).reshape(len(p), -1)
+        runs.append(labels[list(_block_of(p))].T)
+    idx = np.concatenate(runs)
+    starts = np.cumsum([0] + [len(r) for r in runs[:-1]])
+    idx.flags.writeable = starts.flags.writeable = False
+    return idx, starts
 
 
 def blocks_direct(A) -> list[list[Fraction]]:
-    """The full 15x15 matrix E (A tensor^4) E^T by exact contraction of
-    the invariant patterns; independent of any transcribed table."""
-    ints, den = _to_int_matrix(A)
-    m = len(ints)
-    scale = Fraction(1, den**4)
-    return [
-        [scale * _contract(pi, pj, ints, m) for pj in range(15)] for pi in range(15)
-    ]
+    """The full 15x15 matrix E (A tensor^4) E^T as the pattern sum
+    described in the module docstring; independent of any transcribed
+    table."""
+    X, den = _to_int_matrix(A)
+    m = len(X)
+    idx, starts = _pattern_tuples(m)
+    P2 = (X[:, None, :] * X[None, :, :]).reshape(m * m, m)
+    G = {1: X.sum(axis=1), 2: (X @ X.T).ravel(),
+         3: (P2 @ X.T).ravel(), 4: (P2 @ P2.T).ravel()}
+    columns = []
+    for q in PARTITIONS:
+        term = 1
+        for Q in q:
+            term = term * G[len(Q)][idx[:, list(Q)] @ m ** np.arange(len(Q))[::-1]]
+        columns.append(np.add.reduceat(term, starts))
+    scale = den**4
+    return [[Fraction(col[p], scale) for col in columns] for p in range(15)]
 
 
 def blocks_transcribed(mv: MomentVector, m: int) -> list[list[Fraction]]:

@@ -39,6 +39,8 @@ def identity(m: int) -> tuple[int, ...]:
 def parse_perm(text: str, m: int) -> tuple[int, ...]:
     """Parse a permutation literal: concatenated digits for m <= 9
     (e.g. "231"), comma-separated integers otherwise."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a permutation literal: {text!r}")
     text = text.strip()
     if "," in text:
         parts = text.split(",")

@@ -1,19 +1,24 @@
-"""Per-profile Python loops kept as reference implementations.
+"""Python loops kept as reference implementations.
 
-The library builds rule tables, centered tables, JSON documents and
-the degree-2 residual with numpy array kernels; these are the loops
-they replaced, written one profile at a time from the definitions.
+The library builds rule tables, centered tables, JSON documents, the
+degree-2 residual and the exact moment kernels with numpy array
+kernels; these are the loops they replaced, written one profile (or
+one contraction) at a time from the definitions.
 tests/test_array_kernels.py checks that both give the same results.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
 
 from irlap.aggregators import NAMED_RULE_PARAMS, Aggregator
+from irlap.moments import PARTITIONS, MomentVector
 from irlap.perms import (
     build_fixing_subgroup,
     compose,
@@ -135,3 +140,127 @@ def degree2_residual(values: np.ndarray, n: int, table) -> float:
             coef = np.einsum("vw,vab,wcd->abcd", per, table.R, table.R) / fact**2
             explained += float((coef**2).sum()) * d * d
     return max(total - explained, 0.0)
+
+
+def _block_of(partition) -> tuple[int, int, int, int]:
+    out = [0] * 4
+    for b, block in enumerate(partition):
+        for t in block:
+            out[t] = b
+    return tuple(out)
+
+
+def _powmat(A, power: int):
+    return [[v**power for v in row] for row in A]
+
+
+def _contract_component(nodes, edges, m: int, A) -> int:
+    """Sum over labelings of one connected piece of the contraction
+    graph.  edges: {(rnode, cnode): multiplicity}.  Leaf nodes are
+    absorbed into neighbor weight vectors first; whatever remains
+    (cycles) is brute-forced, at most m^4 terms."""
+    pow_cache: dict[int, list] = {}
+
+    def pmat(p):
+        if p not in pow_cache:
+            pow_cache[p] = _powmat(A, p)
+        return pow_cache[p]
+
+    edges = dict(edges)
+    vecs: dict = {}
+    active = set(nodes)
+    while True:
+        degree = defaultdict(list)
+        for key in edges:
+            degree[key[0]].append(key)
+            degree[key[1]].append(key)
+        leaf = next(
+            (nd for nd in active if len(degree[nd]) == 1 and len(active) > 1), None
+        )
+        if leaf is None:
+            break
+        key = degree[leaf][0]
+        rnode, cnode = key
+        mat = pmat(edges.pop(key))
+        other = cnode if leaf == rnode else rnode
+        lvec = vecs.pop(leaf, [1] * m)
+        if leaf == rnode:
+            w = [sum(lvec[r] * mat[r][c] for r in range(m)) for c in range(m)]
+        else:
+            w = [sum(mat[r][c] * lvec[c] for c in range(m)) for r in range(m)]
+        if other in vecs:
+            vecs[other] = [a * b for a, b in zip(vecs[other], w)]
+        else:
+            vecs[other] = w
+        active.discard(leaf)
+    order = sorted(active)
+    total = 0
+    for assignment in itertools.product(range(m), repeat=len(order)):
+        val = {nd: v for nd, v in zip(order, assignment)}
+        term = 1
+        for (rn, cn), p in edges.items():
+            term *= pmat(p)[val[rn]][val[cn]]
+        for nd, vec in vecs.items():
+            term *= vec[val[nd]]
+        total += term
+    return total
+
+
+def _contract(pi: int, pj: int, A, m: int) -> int:
+    """E-row(pi) . (A tensor^4) . E-row(pj), for integer A."""
+    bi = _block_of(PARTITIONS[pi])
+    bj = _block_of(PARTITIONS[pj])
+    edges: dict = defaultdict(int)
+    for t in range(4):
+        edges[(("r", bi[t]), ("c", bj[t]))] += 1
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for rn, cn in edges:
+        parent.setdefault(rn, rn)
+        parent.setdefault(cn, cn)
+        parent[find(rn)] = find(cn)
+    comps = defaultdict(lambda: (set(), {}))
+    for key, power in edges.items():
+        root = find(key[0])
+        comps[root][0].update(key)
+        comps[root][1][key] = power
+    total = 1
+    for nodes, comp_edges in comps.values():
+        total *= _contract_component(nodes, comp_edges, m, A)
+    return total
+
+
+def blocks_by_contraction(A) -> list[list[Fraction]]:
+    """E (A tensor^4) E^T by graph contraction of each pair of
+    patterns: leaves are folded into weight vectors, cycles summed."""
+    fracs = [[Fraction(v) for v in row] for row in A]
+    den = math.lcm(*(v.denominator for row in fracs for v in row))
+    ints = [[int(v * den) for v in row] for row in fracs]
+    m = len(ints)
+    scale = Fraction(1, den**4)
+    return [[scale * _contract(pi, pj, ints, m) for pj in range(15)]
+            for pi in range(15)]
+
+
+def moments_by_loops(A) -> MomentVector:
+    """The seven moment operators, one entry at a time, in the
+    arithmetic of the entries (ints stay ints, Fractions Fractions)."""
+    rows = [list(r) for r in A]
+    m = len(rows)
+    cols = [[rows[i][j] for i in range(m)] for j in range(m)]
+    entries = [v for r in rows for v in r]
+    gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows]
+    return MomentVector(
+        sum(entries), sum(v * v for v in entries), sum(v * v * v for v in entries),
+        sum(v * v * v * v for v in entries),
+        sum(sum(v * v for v in r) ** 2 for r in rows),
+        sum(sum(v * v for v in c) ** 2 for c in cols),
+        sum(g * g for r in gram for g in r),
+    )

@@ -82,6 +82,13 @@ def test_evaluate_rejects_wrong_size():
         p.evaluate((parse_perm("123", 3),))
 
 
+def test_evaluate_rejects_non_permutation_votes():
+    b = make_borda(3, 1)
+    for vote in ((1, 1, 1), (3, 3, 3), (0, 1, 2), (1, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            b.evaluate([vote])
+
+
 def test_swf_dictator_encoding_is_orthogonal():
     H = trivial_subgroup(3)
     enc = encode_g(make_dictator(1, parse_perm("213", 3), H, 1))

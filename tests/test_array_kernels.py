@@ -1,11 +1,13 @@
-"""The numpy kernels for rule tables, centering, JSON and the degree-2
-residual against the per-profile loops in reference_loops.py."""
+"""The numpy kernels for rule tables, centering, JSON, the degree-2
+residual and the exact moment kernels against the loops in
+reference_loops.py."""
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
@@ -20,6 +22,7 @@ from irlap.aggregators import (
     to_json,
 )
 from irlap.basis import project_to_lin, rho1_table
+from irlap.moments import blocks_direct, moments
 from irlap.perms import (
     build_fixing_subgroup,
     enumerate_group,
@@ -192,3 +195,75 @@ def test_degree2_residual_matches_per_entry_einsum(m, n):
         assert got.shape == (values.shape[1],)
         assert np.abs(got - np.array(want)).max() <= 1e-12
     assert degree2_residual(r, n, table).max() <= 1e-12
+
+
+def _int_matrices(m, lo=-30, hi=30):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=m, max_size=m),
+                    min_size=m, max_size=m)
+
+
+def _equal_margin(D, shift):
+    """m^2 D - m R - m C + total + shift: all row and column sums equal."""
+    m = len(D)
+    R = [sum(r) for r in D]
+    C = [sum(D[i][j] for i in range(m)) for j in range(m)]
+    total = sum(R)
+    return [[m * m * D[i][j] - m * R[i] - m * C[j] + total + shift for j in range(m)]
+            for i in range(m)]
+
+
+def _margins(A):
+    return {sum(r) for r in A} | {sum(c) for c in zip(*A)}
+
+
+def _fractions(m):
+    return st.lists(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                             min_size=m, max_size=m), min_size=m, max_size=m)
+
+
+# No shrinking: each step reruns the reference contraction (0.1 s at
+# m = 8), so shrinking a failure takes minutes; the unshrunk matrices
+# are small enough to read.
+@pytest.mark.parametrize("m", range(4, 9))
+@settings(max_examples=3, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.data())
+def test_blocks_direct_matches_contraction(m, data):
+    """Equal-margin ints, rationals that are not equal-margin, and
+    asymmetric ints (where the E5/E3 blocks tell rows from columns)."""
+    equal = _equal_margin(data.draw(_int_matrices(m, -9, 9)), data.draw(st.integers(-9, 9)))
+    rational = data.draw(_fractions(m).filter(lambda A: len(_margins(A)) > 1))
+    asymmetric = data.draw(_int_matrices(m).filter(
+        lambda A: any(A[i][j] != A[j][i] for i in range(m) for j in range(i))))
+    for A in (equal, rational, asymmetric):
+        got = blocks_direct(A)
+        assert got == ref.blocks_by_contraction(A)
+        assert all(type(v) is Fraction for row in got for v in row)
+
+
+def _mixed(m):
+    return st.lists(st.lists(st.one_of(st.integers(-50, 50),
+                                       st.fractions(-50, 50, max_denominator=30)),
+                             min_size=m, max_size=m), min_size=m, max_size=m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 8).flatmap(
+    lambda m: st.one_of(_int_matrices(m, -10**6, 10**6), _fractions(m), _mixed(m))))
+def test_exact_moments_match_loops(A):
+    """Value and type: ints give ints, any Fraction gives Fractions."""
+    got = moments(A).as_tuple()
+    want = ref.moments_by_loops(A).as_tuple()
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@FEW
+@given(st.integers(4, 6).flatmap(lambda m: st.lists(_mixed(m), min_size=1, max_size=4)))
+def test_exact_moments_of_a_stack(stack):
+    """A Fraction anywhere in the stack makes every value a Fraction."""
+    got = moments(stack).as_tuple()
+    rational = any(isinstance(v, Fraction) for A in stack for row in A for v in row)
+    for k, A in enumerate(stack):
+        assert tuple(v[k] for v in got) == ref.moments_by_loops(A).as_tuple()
+        assert {type(v[k]) for v in got} == {Fraction if rational else int}

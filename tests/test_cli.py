@@ -76,6 +76,22 @@ def test_analyze_rejects_duplicate_profile(tmp_path):
     assert "duplicate" in proc.stderr
 
 
+def test_analyze_rejects_non_string_literals(tmp_path, capsys):
+    import numpy as np
+
+    import irlap.cli as cli
+    from irlap.aggregators import random_aggregator, to_json
+    from irlap.perms import trivial_subgroup
+
+    for key, value in (("profile", [123]), ("output", None)):
+        doc = to_json(random_aggregator(3, 1, trivial_subgroup(3), np.random.default_rng(0)))
+        doc["entries"][0][key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["analyze", "--m", "3", "--n", "1", "--input", str(path)]) == 2, key
+        assert "not a permutation literal" in capsys.readouterr().err
+
+
 def test_analyze_orders_override(tmp_path):
     orders = [{"j": 1, "r": 1, "ranking": [["0", "1/2", "1/2"], ["1", "0", "0"]]}]
     path = tmp_path / "orders.json"
