@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .basis import Rho1Table, rho1_table
+from .basis import Basis, Rho1Table, rho1_table
 from .perms import (
     MAX_M,
     Coset,
@@ -233,7 +233,8 @@ def corrupt_aggregator(agg: Aggregator, entries: int, rng) -> Aggregator:
 @dataclass
 class GEncoding:
     """g(x) = mean of rho1(y) over y in f(x); the matrix payload of all
-    spectral computations.  g_coset[c] = M_H @ rho1(representative)."""
+    spectral computations.  g_coset[c] = M_H @ rho1(representative),
+    with rho1 written in ``basis``."""
 
     m: int
     n: int
@@ -241,6 +242,7 @@ class GEncoding:
     g: np.ndarray  # (m!^n, m-1, m-1)
     g_coset: np.ndarray  # (#cosets, m-1, m-1)
     table: np.ndarray  # coset ids, shared with the aggregator
+    basis: Basis
 
 
 def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
@@ -256,7 +258,7 @@ def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
 def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
     table = table if table is not None else rho1_table(agg.m)
     gc = coset_means(agg.H, table)
-    return GEncoding(agg.m, agg.n, agg.H, gc[agg.table], gc, agg.table)
+    return GEncoding(agg.m, agg.n, agg.H, gc[agg.table], gc, agg.table, table.basis)
 
 
 @dataclass

@@ -105,13 +105,11 @@ class Rho1Table:
         self.basis = basis if basis is not None else build_basis(m)
         self.perms = enumerate_group(m)
         self.index = {x: i for i, x in enumerate(self.perms)}
-        R = np.empty((len(self.perms), m - 1, m - 1))
         P = np.zeros((len(self.perms), m, m))
         for i, x in enumerate(self.perms):
             for r, name in enumerate(x):
                 P[i, r, name - 1] = 1.0
-        R = np.einsum("ki,xkl,lj->xij", self.basis.C, P, self.basis.C, optimize=True)
-        self.R = R
+        self.R = np.einsum("ki,xkl,lj->xij", self.basis.C, P, self.basis.C, optimize=True)
 
     def of(self, x: tuple[int, ...]) -> np.ndarray:
         return self.R[self.index[x]]

@@ -14,10 +14,9 @@ import numpy as np
 
 from ._util import FeasibilityError, jsonable
 from .aggregators import check_params, load_json, make_named_rule, random_aggregator
-from .laplacian import gap_bracket, hat_l1, spectral_gap
+from .laplacian import check_ir_budget, gap_bracket, hat_l1, spectral_gap
 from .metrics import (
     census_ir_functions,
-    check_ir_budget,
     default_orders,
     ir_combinatorial,
     manipulation_power,

@@ -35,10 +35,10 @@ Switch classes.  Every form is a sum over single-voter switches: hold
 all voters but i fixed and group voter i's rankings by the rank r they
 give alternative j.  Each such (i, j, r, others) group of (m-1)!
 profiles is a switch class, and ``perms.switch_classes(m, n)`` lists
-them all in one cached read-only index.  L' and L'' are coset
-histograms per class, L is the per-class identity in _class_sum_form,
-and the rational metrics (pair counts, IR detectors, census) gather
-through the same index.
+them all in one cached read-only index.  L' and L'' reduce the
+per-class j-profile histograms (jprofile_histograms) that the pair
+counts also use, L is the per-class identity in _class_sum_form, and
+the IR detectors and census gather through the same index.
 
 Spectrum.  Y^j = (m-1)! (I - P^j) with P^j the average over the rank
 class of j, so L^n / m! = (1/m) sum_{i,j} (I - P^j)_i (x) D^j.  The
@@ -64,23 +64,34 @@ from math import comb, factorial
 import numpy as np
 
 from ._util import FeasibilityError
-from .aggregators import Aggregator, GEncoding, encode_g
-from .basis import Basis, Rho1Table, build_basis, rho1_table
-from .perms import broadcast_voter, class_histograms, perm_index, rank_table, switch_classes
+from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
+from .basis import Basis, Rho1Table, build_basis
+from .perms import broadcast_voter, class_histograms, rank_table, switch_classes
 
 DENSE_LIMIT = 5000  # largest sector block spectral_gap diagonalizes
 LN_BUDGET = 2 * 10**8  # bound on n * m * (m!)^(n+1)
-QF_BUDGET = 5 * 10**9  # bound on n * m * (m!)^(n+2)
 PSD_TOL = 1e-9
 CLUSTER_TOL = 1e-7
+
+
+def check_ir_budget(m: int, n: int, budget: int = LN_BUDGET) -> None:
+    """Refuse an (m, n) whose IR evaluation costs n m (m!)^(n+1) over
+    the budget; callers can run it before building anything.  IR, its
+    quadratic cross-check and the three forms all refuse here."""
+    cost = n * m * factorial(m) ** (n + 1)
+    if cost > budget:
+        raise FeasibilityError(
+            f"combinatorial IR budget exceeded: {cost:.2e} > {budget:.0e}",
+            estimate=f"{cost:.2e}",
+        )
 
 
 @dataclass
 class LaplacianBundle:
     """Dense one-voter operators X^j, Y^j, D^j over ``basis``; memory is
-    about m * (m!)^2 bytes, so construction refuses m > 7.  The forms
-    take the rank classes of X^j, per voter and slab, from the cached
-    ``perms.switch_classes`` index."""
+    about m * (m!)^2 bytes, so construction refuses m > 7.  The dense
+    oracle behind build_Ln_dense and the operator tests; the quadratic
+    forms do not read it."""
 
     m: int
     basis: Basis
@@ -193,63 +204,58 @@ class QuadraticFormValue:
     canonical: Fraction | float
 
 
-def _membership_matrix(H) -> np.ndarray:
-    Mem = np.zeros((len(H.cosets), factorial(H.m)), dtype=np.int64)
-    for c, coset in enumerate(H.cosets):
-        for y in coset.members:
-            Mem[c, perm_index(y)] = 1
-    return Mem
+def jprofile_histograms(agg: Aggregator, j: int) -> np.ndarray:
+    """h[i, r, s, p] = profiles of switch class (i, j, r, s) whose output
+    has j-profile id p (0-based j; ids index profile_tables' catalog)."""
+    tables = profile_tables(agg.H)
+    return class_histograms(tables.pid[agg.table, j], switch_classes(agg.m, agg.n)[:, j],
+                            len(tables.catalogs[j]))
 
 
-def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle, variant: str,
-                         table: Rho1Table | None = None) -> QuadraticFormValue:
+def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
+                         variant: str) -> QuadraticFormValue:
     """Evaluate one of the three forms on an aggregator, summed over
     single-voter switches.  "L1" (X (x) complement X) and "L2"
-    (Y (x) X) run on the coset-indicator encoding in exact integer
-    arithmetic, from per-class coset histograms; "L" (Y (x) D) runs on
-    the matrix encoding in floats through the per-class identity.
+    (Y (x) X) are exact: members of cosets c and c' agree on j's rank
+    prof_j(c) . prof_j(c') times, so with h_j = jprofile_histograms and
+    S = sum_j h_j dot_j h_j,
+
+        raw(L'') = (n (m-1)! sum_x sum_j dot_j[p, p] - S) / |H|^2
+        raw(L')  = (|H|^2 n m m!^n (m-1)! - S) / |H|^2
+
+    "L" (Y (x) D) is apply_Ln on the matrix encoding, in floats.
+    ``bundle`` is not read; it stays positional for existing callers.
     """
     m, n, H = agg.m, agg.n, agg.H
-    fact = factorial(m)
-    if n * m * fact ** (n + 2) > QF_BUDGET:
-        raise FeasibilityError(
-            f"dense quadratic form infeasible for m={m}, n={n}",
-            estimate=f"{n}*{m}*({fact})^{n + 2} operations",
-        )
-
+    scale = kappa(variant, m, n)
+    check_ir_budget(m, n)
     if variant == "L":
-        enc = encode_g(agg, table if table is not None else rho1_table(m))
-        raw = _class_sum_form(enc.g, m, n, bundle.basis.C)
-        return QuadraticFormValue("L", raw, float(kappa("L", m, n)) * raw)
-
-    h = H.order
-    Mem = _membership_matrix(H)
-    agree = Mem @ bundle.X.astype(np.int64) @ Mem.T  # same-rank member pairs between cosets
-    pair = h * h - agree if variant == "L1" else agree
-    # cc[i, j, r, s, c] = members of switch class (i, j, r, s) mapped to coset c
-    cc = class_histograms(agg.table, switch_classes(m, n), len(H.cosets))
-    total = int(np.einsum("ijrsp,jpq,ijrsq->", cc, pair, cc, optimize=True))
-    if variant == "L2":
-        # the Y diagonal: every profile sits in (m-1)! switch pairs per (i, j)
-        diag = np.einsum("jpp->jp", pair)[:, agg.table]
-        total = n * factorial(m - 1) * int(diag.sum()) - total
-    raw = Fraction(total, h * h)
+        canonical = apply_Ln(encode_g(agg))
+        return QuadraticFormValue("L", canonical / float(scale), canonical)
+    tables = profile_tables(H)
+    S = 0
+    for j in range(m):
+        h = jprofile_histograms(agg, j)
+        S += int(((h @ tables.dot[j]) * h).sum())
+    hh, k = H.order ** 2, factorial(m - 1)
     if variant == "L1":
-        canonical = kappa("L1", m, n) * (raw - lprime_offset(m, n, H))
-    else:
-        canonical = kappa("L2", m, n) * raw
-    return QuadraticFormValue(variant, raw, canonical)
+        raw = Fraction(hh * n * m * factorial(m) ** n * k - S, hh)
+        return QuadraticFormValue("L1", raw, scale * (raw - lprime_offset(m, n, H)))
+    # sum_j dot_j[p, p] at f(x) is the squared norm of f(x)'s profiles
+    diag = int((tables.prof ** 2).sum(axis=(1, 2))[agg.table].sum())
+    raw = Fraction(n * k * diag - S, hh)
+    return QuadraticFormValue("L2", raw, scale * raw)
 
 
-def _class_sum_form(values: np.ndarray, m: int, n: int, C: np.ndarray) -> float:
-    """tr(G L^n G^T) for a matrix- or row-valued encoding, via the
-    per-class identity: the Y (x) D form on one rank class equals
-    (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with v_a = C_j g(a)^T.
-    The (i, j, r) accumulation order is fixed: reports pin its float
-    rounding."""
-    idx = switch_classes(m, n)
-    k = factorial(m - 1)
-    v = np.einsum("jl,xkl->jxk", C, values)
+def _class_sum_form(enc: GEncoding) -> float:
+    """tr(G L^n G^T) for the matrix encoding, in the basis it was
+    encoded with, via the per-class identity: the Y (x) D form on one
+    rank class equals (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with
+    v_a = C_j g(a)^T.  The (i, j, r) accumulation order is fixed:
+    reports pin its float rounding."""
+    idx = switch_classes(enc.m, enc.n)
+    k = factorial(enc.m - 1)
+    v = np.einsum("jl,xkl->jxk", enc.basis.C, enc.g)
     norms = np.einsum("jxk,jxk->jx", v, v)
     raw = 0.0
     for i, j, r in np.ndindex(idx.shape[:3]):
@@ -259,24 +265,14 @@ def _class_sum_form(values: np.ndarray, m: int, n: int, C: np.ndarray) -> float:
     return raw
 
 
-def apply_Ln(enc: GEncoding, basis: Basis | None = None,
-             budget: int = LN_BUDGET) -> float:
+def apply_Ln(enc: GEncoding, budget: int = LN_BUDGET) -> float:
     """Canonical IR value from the matrix encoding, matrix-free: the
     n-voter operator is never materialized."""
-    m, n = enc.m, enc.n
-    fact = factorial(m)
-    cost = n * m * fact ** (n + 1)
-    if cost > budget:
-        raise FeasibilityError(
-            f"apply_Ln budget exceeded: n*m*(m!)^(n+1) = {cost:.2e} > {budget:.0e}",
-            estimate=f"{cost:.2e}",
-        )
-    basis = basis if basis is not None else build_basis(m)
-    raw = _class_sum_form(enc.g, m, n, basis.C)
-    return float(2 * raw / fact ** (n + 1))
+    check_ir_budget(enc.m, enc.n, budget)
+    return float(2 * _class_sum_form(enc) / factorial(enc.m) ** (enc.n + 1))
 
 
-def calibrate_kappa(variant: str, m: int, n: int, H, bundle: LaplacianBundle,
+def calibrate_kappa(variant: str, m: int, n: int, H,
                     trials: int = 5, seed: int = 0) -> list:
     """Measure canonical-IR / raw-form ratios on random aggregators.
     All ratios must equal kappa(variant) (after the L' offset); tests
@@ -289,7 +285,7 @@ def calibrate_kappa(variant: str, m: int, n: int, H, bundle: LaplacianBundle,
     for _ in range(trials):
         agg = random_aggregator(m, n, H, rng)
         oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
-        qf = apply_quadratic_form(agg, bundle, variant)
+        qf = apply_quadratic_form(agg, None, variant)
         raw = qf.raw - lprime_offset(m, n, H) if variant == "L1" else qf.raw
         if raw == 0:
             continue

@@ -19,9 +19,8 @@ import numpy as np
 
 from ._util import FeasibilityError
 from .aggregators import Aggregator, encode_g, make_dictator, profile_tables
-from .basis import rho1_table
-from .laplacian import LN_BUDGET, apply_Ln
-from .perms import FixingSubgroup, class_histograms, enumerate_group, switch_classes
+from .laplacian import LN_BUDGET, apply_Ln, check_ir_budget, jprofile_histograms
+from .perms import FixingSubgroup, enumerate_group, switch_classes
 
 CENSUS_LIMIT = 2 * 10**6
 
@@ -44,28 +43,15 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     whose reported vote keeps the rank of the alternative.
     """
     m, n = agg.m, agg.n
-    tables = profile_tables(agg.H)
-    nprof = max(len(cat) for cat in tables.catalogs)
-    idx = switch_classes(m, n)
+    nprof = max(len(cat) for cat in profile_tables(agg.H).catalogs)
     cnt_all = np.zeros((n, m, m, nprof, nprof), dtype=np.int64)
     cnt_same = np.zeros_like(cnt_all)
     for j in range(m):
-        # h[i, r, s, p] = profiles of switch class (i, j, r, s) with output pid p
-        h = class_histograms(tables.pid[agg.table, j], idx[:, j], nprof)
-        cnt_same[:, j] = np.einsum("irsp,irsq->irpq", h, h)
-        cnt_all[:, j] = np.einsum("irsp,isq->irpq", h, h.sum(axis=1))
+        h = jprofile_histograms(agg, j)
+        P = h.shape[-1]
+        cnt_same[:, j, :, :P, :P] = np.einsum("irsp,irsq->irpq", h, h)
+        cnt_all[:, j, :, :P, :P] = np.einsum("irsp,isq->irpq", h, h.sum(axis=1))
     return cnt_all, cnt_same
-
-
-def check_ir_budget(m: int, n: int, budget: int = LN_BUDGET) -> None:
-    """Refuse an (m, n) whose IR evaluation costs n m (m!)^(n+1) over
-    the budget; callers can run it before building anything."""
-    cost = n * m * factorial(m) ** (n + 1)
-    if cost > budget:
-        raise FeasibilityError(
-            f"combinatorial IR budget exceeded: {cost:.2e} > {budget:.0e}",
-            estimate=f"{cost:.2e}",
-        )
 
 
 def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True,
@@ -95,7 +81,7 @@ def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True,
         indicator=Fraction(neq_num, denom),
     )
     if with_quadratic:
-        value.quadratic = apply_Ln(encode_g(agg, rho1_table(m)), budget=budget)
+        value.quadratic = apply_Ln(encode_g(agg), budget=budget)
     return value
 
 
@@ -133,7 +119,6 @@ def is_ir_multi(agg: Aggregator) -> bool:
     agrees must share the output j-profile."""
     m, n = agg.m, agg.n
     fact = factorial(m)
-    perms = enumerate_group(m)
     tables = profile_tables(agg.H)
     for j in range(m):
         keys: dict[tuple, int] = {}
@@ -275,25 +260,31 @@ def random_orders(H: FixingSubgroup, m: int, rng) -> OrderFamily:
 def orders_from_json(doc, H: FixingSubgroup, m: int) -> OrderFamily:
     """Override format: a list of {"j": int, "r": int, "ranking":
     [profile vectors in descending preference]}; unspecified (j, r)
-    pairs keep the default order."""
+    pairs keep the default order.  j and r run over 1..m, entries are
+    multiples of 1/|H|, and a ranking lists every profile once."""
     from ._util import parse_fraction
 
     tables = profile_tables(H)
     family = default_orders(H, m)
     h = H.order
     for entry in doc:
-        j, r = int(entry["j"]), int(entry["r"])
+        j, r = entry["j"], entry["r"]
+        if not all(type(v) is int and 1 <= v <= m for v in (j, r)):
+            raise ValueError(f"orders entry needs integer j and r in 1..{m}, got j={j!r}, r={r!r}")
         cat = tables.catalogs[j - 1]
         lookup = {p: i for i, p in enumerate(cat)}
-        pos = family.position[j - 1]
         ranking = entry["ranking"]
         if len(ranking) != len(cat):
             raise ValueError(f"ranking for j={j}, r={r} must list all {len(cat)} profiles")
-        for rank_pos, vec in enumerate(ranking):
-            counts = tuple(int(parse_fraction(v) * h) for v in vec)
+        order = []
+        for vec in ranking:
+            counts = tuple(parse_fraction(v) * h for v in vec)  # exact: no truncation
             if counts not in lookup:
                 raise ValueError(f"unknown j-profile {vec} for j={j}")
-            pos[r - 1, lookup[counts]] = rank_pos
+            order.append(lookup[counts])
+        if len(set(order)) != len(cat):
+            raise ValueError(f"ranking for j={j}, r={r} lists a profile twice")
+        family.position[j - 1][r - 1, order] = np.arange(len(cat))
     family.label = "override"
     return family
 

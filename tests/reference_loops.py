@@ -5,6 +5,9 @@ degree-2 residual and the exact moment kernels with numpy array
 kernels; these are the loops they replaced, written one profile (or
 one contraction) at a time from the definitions.
 tests/test_array_kernels.py checks that both give the same results.
+The coset-histogram L' and L'' forms, over the dense X^j of
+build_one_voter, are the oracle tests/test_laplacian.py holds the
+j-profile reduction to.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from irlap.aggregators import NAMED_RULE_PARAMS, Aggregator
 from irlap.moments import PARTITIONS, MomentVector
 from irlap.perms import (
     build_fixing_subgroup,
+    class_histograms,
     compose,
     enumerate_group,
     format_perm,
     inverse,
     parse_perm,
     perm_index,
+    switch_classes,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -264,3 +269,36 @@ def moments_by_loops(A) -> MomentVector:
         sum(sum(v * v for v in c) ** 2 for c in cols),
         sum(g * g for r in gram for g in r),
     )
+
+
+def membership_matrix(H) -> np.ndarray:
+    """Mem[c, x] = 1 iff the x-th permutation (lex order) lies in coset c."""
+    Mem = np.zeros((len(H.cosets), factorial(H.m)), dtype=np.int64)
+    for c, coset in enumerate(H.cosets):
+        for y in coset.members:
+            Mem[c, perm_index(y)] = 1
+    return Mem
+
+
+def coset_agreement(H, X: np.ndarray) -> np.ndarray:
+    """agree[j] = Mem X^j Mem^T: member pairs of two cosets that give
+    alternative j the same rank."""
+    Mem = membership_matrix(H)
+    return Mem @ X.astype(np.int64) @ Mem.T
+
+
+def coset_form_raw(agg: Aggregator, X: np.ndarray, variant: str) -> Fraction:
+    """Raw L' ("L1", X (x) complement X) or L'' ("L2", Y (x) X) from the
+    coset histogram of every switch class and the dense X^j."""
+    m, n, H = agg.m, agg.n, agg.H
+    h = H.order
+    agree = coset_agreement(H, X)
+    pair = h * h - agree if variant == "L1" else agree
+    # cc[i, j, r, s, c] = members of switch class (i, j, r, s) mapped to coset c
+    cc = class_histograms(agg.table, switch_classes(m, n), len(H.cosets))
+    total = int(np.einsum("ijrsp,jpq,ijrsq->", cc, pair, cc, optimize=True))
+    if variant == "L2":
+        # the Y diagonal: every profile sits in (m-1)! switch pairs per (i, j)
+        diag = np.einsum("jpp->jp", pair)[:, agg.table]
+        total = n * factorial(m - 1) * int(diag.sum()) - total
+    return Fraction(total, h * h)

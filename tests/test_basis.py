@@ -159,7 +159,7 @@ def test_basis_independence():
     assert abs(res - res_alt) <= 1e-9
     from irlap.laplacian import apply_Ln
 
-    assert abs(apply_Ln(enc, basis=helmert) - apply_Ln(enc_alt, basis=alt)) <= 1e-9
+    assert abs(apply_Ln(enc) - apply_Ln(enc_alt)) <= 1e-9
     assert abs(spectral_gap(3, 1, basis=helmert).gap
                - spectral_gap(3, 1, basis=alt).gap) <= 1e-9
     e1 = hat_l1(3, helmert).eigenvalues

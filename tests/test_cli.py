@@ -103,6 +103,27 @@ def test_analyze_orders_override(tmp_path):
     assert out["manipulation"]["total"] != "0"
 
 
+def test_analyze_rejects_malformed_orders(tmp_path, capsys):
+    import irlap.cli as cli
+
+    ranking = [["0", "1/2", "1/2"], ["1", "0", "0"]]
+    bad = {
+        "j is 0": ([{"j": 0, "r": 1, "ranking": ranking}], "1|2,3"),
+        "r is 0": ([{"j": 1, "r": 0, "ranking": ranking}], "1|2,3"),
+        "repeated profile": ([{"j": 1, "r": 1, "ranking": [["1", "0", "0"]] * 3}], "1|2|3"),
+        # 3/4 of |H| = 2 members is not a count; int() would read it as 1/2
+        "fractional count": ([{"j": 1, "r": 1,
+                               "ranking": [["0", "3/4", "1/2"], ["1", "0", "0"]]}], "1|2,3"),
+    }
+    for label, (doc, partition) in bad.items():
+        path = tmp_path / "orders.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["analyze", "--m", "3", "--n", "1", "--partition", partition,
+                         "--rule", "dictator:i=1,sigma=123", "--orders", str(path)])
+        assert code == 2, label
+        assert "error" in capsys.readouterr().err, label
+
+
 def test_analyze_missing_rule_is_input_error():
     proc = run("analyze", "--m", "3", "--n", "1", check=False)
     assert proc.returncode == 2

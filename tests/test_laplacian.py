@@ -6,9 +6,18 @@ from math import factorial
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from irlap._util import FeasibilityError
-from irlap.aggregators import encode_g, make_constant, make_dictator, random_aggregator
-from irlap.basis import build_basis, project_to_lin, rho1_table
+from irlap.aggregators import (
+    encode_g,
+    make_borda,
+    make_constant,
+    make_dictator,
+    make_plurality,
+    profile_tables,
+    random_aggregator,
+)
+from irlap.basis import Rho1Table, build_basis, project_to_lin, rho1_table
 from irlap.laplacian import (
     apply_Ln,
     apply_quadratic_form,
@@ -25,7 +34,7 @@ from irlap.laplacian import (
     spectral_gap,
 )
 from irlap.metrics import ir_combinatorial
-from irlap.perms import parse_perm, trivial_subgroup, winner_subgroup
+from irlap.perms import build_fixing_subgroup, parse_perm, trivial_subgroup, winner_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +172,13 @@ def test_equivalence_chain(m, n, scf, bundle3, bundle4):
         assert abs(apply_Ln(encode_g(agg)) - float(oracle)) <= 1e-9
 
 
-def test_kappa_calibration(bundle3):
+def test_kappa_calibration():
     for H in (trivial_subgroup(3), winner_subgroup(3)):
         for variant in ("L1", "L2"):
-            ratios = calibrate_kappa(variant, 3, 1, H, bundle3, trials=5)
+            ratios = calibrate_kappa(variant, 3, 1, H, trials=5)
             assert ratios, "degenerate calibration sample"
             assert all(r == kappa(variant, 3, 1) for r in ratios)
-        ratios = calibrate_kappa("L", 3, 1, H, bundle3, trials=5)
+        ratios = calibrate_kappa("L", 3, 1, H, trials=5)
         assert all(abs(r - float(kappa("L", 3, 1))) <= 1e-9 for r in ratios)
 
 
@@ -181,6 +190,78 @@ def test_lprime_offset_matches_constant_aggregator(bundle3):
     qf = apply_quadratic_form(c, bundle3, "L1")
     assert qf.raw == lprime_offset(3, 1, H)
     assert qf.canonical == 0
+
+
+# Output partitions: full rankings, a single winner, and a winner
+# plus an unordered pair (at m = 3 the winner partition is 1|2,3).
+PARTITIONS = {3: ([[1], [2], [3]], [[1], [2, 3]]),
+              4: ([[1], [2], [3], [4]], [[1], [2, 3, 4]], [[1], [2, 3], [4]])}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_coset_agreement_is_profile_product(m):
+    # Mem X^j Mem^T = K_j K_j^T, K_j[c] = coset c's j-profile counts.
+    X = build_one_voter(m).X
+    for partition in PARTITIONS[m]:
+        H = build_fixing_subgroup(m, partition)
+        prof = profile_tables(H).prof
+        agree = ref.coset_agreement(H, X)
+        for j in range(m):
+            assert (agree[j] == prof[:, j] @ prof[:, j].T).all()
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_forms_match_coset_histogram_oracle(m, n):
+    X = build_one_voter(m).X
+    rng = np.random.default_rng(31 * m + n)
+    aggs = [make_plurality(m, n), make_borda(m, n)]
+    for partition in PARTITIONS[m]:
+        H = build_fixing_subgroup(m, partition)
+        aggs += [random_aggregator(m, n, H, rng) for _ in range(3)]
+    for agg in aggs:
+        for variant in ("L1", "L2"):
+            assert apply_quadratic_form(agg, None, variant).raw == \
+                ref.coset_form_raw(agg, X, variant), (agg.kind, agg.H.partition, variant)
+
+
+@pytest.mark.parametrize("m,n", [(5, 2), (4, 3)])
+def test_forms_exact_beyond_dense_oracle(m, n):
+    rng = np.random.default_rng(m + n)
+    for H in (trivial_subgroup(m), winner_subgroup(m)):
+        agg = random_aggregator(m, n, H, rng)
+        oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+        assert apply_quadratic_form(agg, None, "L1").canonical == oracle
+        assert apply_quadratic_form(agg, None, "L2").canonical == oracle
+
+
+def test_forms_do_not_read_the_bundle():
+    agg = random_aggregator(3, 2, winner_subgroup(3), np.random.default_rng(2))
+    oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+    assert apply_quadratic_form(agg, None, "L1").canonical == oracle
+    assert apply_quadratic_form(agg, None, "L2").canonical == oracle
+    assert abs(apply_quadratic_form(agg, None, "L").canonical - float(oracle)) <= 1e-9
+    with pytest.raises(ValueError):
+        apply_quadratic_form(agg, None, "L3")
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2)])
+def test_l_form_reads_the_encoding_basis(m, n):
+    # g and C come from one basis: a random completion gives the same IR.
+    alt = build_basis(m, kind="random", seed=1)
+    agg = random_aggregator(m, n, trivial_subgroup(m), np.random.default_rng(3))
+    oracle = float(ir_combinatorial(agg, with_quadratic=False).profile_distance)
+    assert abs(apply_Ln(encode_g(agg, Rho1Table(m, alt))) - oracle) <= 1e-9
+    assert abs(apply_quadratic_form(agg, build_one_voter(m, alt), "L").canonical
+               - oracle) <= 1e-9
+
+
+def test_forms_refuse_where_ir_refuses():
+    agg = random_aggregator(3, 8, trivial_subgroup(3), np.random.default_rng(0))
+    for variant in ("L1", "L2", "L"):
+        with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
+            apply_quadratic_form(agg, None, variant)
+    with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
+        ir_combinatorial(agg)
 
 
 @pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (4, 1), (4, 2)])
