@@ -48,7 +48,22 @@ def jsonable(value):
 
 
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, str) and "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    """Exact value of a "p/q" string, an integer or a decimal; anything
+    else (null, a list, 1/0, inf) is a ValueError."""
+    try:
+        if isinstance(text, str) and "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not a number: {text!r:.60}") from exc
+
+
+def expect_json(value, kind: type, what: str):
+    """value, if it is a JSON list or object as `kind` says; otherwise a
+    ValueError, so a document of the wrong shape is an input error
+    rather than a TypeError further in."""
+    if not isinstance(value, kind):
+        name = "list" if kind is list else "object"
+        raise ValueError(f"{what} must be a JSON {name}, got {value!r:.60}")
+    return value

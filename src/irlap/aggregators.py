@@ -21,7 +21,8 @@ from math import factorial
 
 import numpy as np
 
-from .basis import Basis, Rho1Table, rho1_table
+from ._util import expect_json
+from .basis import Rho1Table, rho1_table
 from .perms import (
     MAX_M,
     Coset,
@@ -234,7 +235,9 @@ def corrupt_aggregator(agg: Aggregator, entries: int, rng) -> Aggregator:
 class GEncoding:
     """g(x) = mean of rho1(y) over y in f(x); the matrix payload of all
     spectral computations.  g_coset[c] = M_H @ rho1(representative),
-    with rho1 written in ``basis``."""
+    with rho1 the table ``rho1`` the encoding was built with; every
+    consumer reads that table, so no second basis can enter.  The
+    identity's coset, H itself, comes first, so g_coset[0] = M_H."""
 
     m: int
     n: int
@@ -242,7 +245,7 @@ class GEncoding:
     g: np.ndarray  # (m!^n, m-1, m-1)
     g_coset: np.ndarray  # (#cosets, m-1, m-1)
     table: np.ndarray  # coset ids, shared with the aggregator
-    basis: Basis
+    rho1: Rho1Table
 
 
 def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
@@ -258,7 +261,7 @@ def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
 def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
     table = table if table is not None else rho1_table(agg.m)
     gc = coset_means(agg.H, table)
-    return GEncoding(agg.m, agg.n, agg.H, gc[agg.table], gc, agg.table, table.basis)
+    return GEncoding(agg.m, agg.n, agg.H, gc[agg.table], gc, agg.table, table)
 
 
 @dataclass
@@ -269,13 +272,12 @@ class ConsistencyReport:
     fixing: bool
 
 
-def consistency_check(agg: Aggregator, table: Rho1Table | None = None) -> ConsistencyReport:
+def consistency_check(agg: Aggregator) -> ConsistencyReport:
     """Verify g(x) g(x)^T = M_H for all x, where M_H is the mean of
-    rho1 over H.  M_H = 0 flags a non-fixing subgroup (then g == 0 and
-    the whole spectral pipeline is vacuous)."""
-    table = table if table is not None else rho1_table(agg.m)
-    MH = np.mean([table.of(h) for h in agg.H.members], axis=0)
-    enc = encode_g(agg, table)
+    rho1 over H's members.  M_H = 0 flags a non-fixing subgroup (then
+    g == 0 and the whole spectral pipeline is vacuous)."""
+    enc = encode_g(agg)
+    MH = np.mean([enc.rho1.of(h) for h in agg.H.members], axis=0)
     prods = np.einsum("xkl,xtl->xkt", enc.g, enc.g)
     max_dev = float(np.abs(prods - MH).max())
     idem = float(np.abs(MH @ MH - MH).max())
@@ -323,10 +325,13 @@ def to_json(agg: Aggregator) -> dict:
 
 
 def from_json(doc: dict) -> Aggregator:
-    m, n = int(doc["m"]), int(doc["n"])
+    expect_json(doc, dict, "aggregator document")
+    m, n = doc["m"], doc["n"]
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"m and n must be integers, got m={m!r:.20}, n={n!r:.20}")
     H = build_fixing_subgroup(m, doc["partition"])
     kind = doc.get("type", "table")
-    params = doc.get("params", {})
+    params = expect_json(doc.get("params", {}), dict, "params")
     if kind in NAMED_RULE_PARAMS:
         if "entries" in doc:
             raise ValueError(f"named rule {kind!r} is built from params; it takes no entries")
@@ -337,15 +342,16 @@ def from_json(doc: dict) -> Aggregator:
     _, lookup = _perm_texts(m)
     coset_of = coset_ids(H).tolist()
     table = [-1] * fact**n
-    for entry in doc["entries"]:
-        votes = [_perm_id(t, m, lookup) for t in entry["profile"]]
+    for entry in expect_json(doc["entries"], list, "entries"):
+        profile = expect_json(expect_json(entry, dict, "entry")["profile"], list, "entry profile")
+        votes = [_perm_id(t, m, lookup) for t in profile]
         if len(votes) != n:
             raise ValueError("entry profile has wrong voter count")
         idx = 0
         for v in votes:
             idx = idx * fact + v
         if table[idx] >= 0:
-            raise ValueError(f"duplicate entry for profile {entry['profile']}")
+            raise ValueError(f"duplicate entry for profile {profile}")
         table[idx] = coset_of[_perm_id(entry["output"], m, lookup)]
     missing = table.count(-1)
     if missing:

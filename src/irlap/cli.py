@@ -109,6 +109,20 @@ def cmd_census(args) -> None:
     _emit(report, args)
 
 
+def _check_flags_match(agg, args, H) -> None:
+    """The flags describe the rule that is analysed: --m and --n are an
+    input file's m and n, and an explicit --partition is the output
+    partition of the file, or of plurality or Borda, which fix their
+    own."""
+    if (agg.m, agg.n) != (args.m, args.n):
+        raise ValueError(f"--m {args.m} --n {args.n} disagree with the rule's "
+                         f"m={agg.m}, n={agg.n}")
+    if args.partition and agg.H.members != H.members:
+        own = "|".join(",".join(map(str, block)) for block in agg.H.partition)
+        raise ValueError(f'--partition "{args.partition}" disagrees with the '
+                         f'{agg.kind} rule\'s output partition "{own}"')
+
+
 def cmd_analyze(args) -> None:
     check_ir_budget(args.m, args.n)  # refuse before building the rule
     H = _subgroup(args)
@@ -118,6 +132,7 @@ def cmd_analyze(args) -> None:
         agg = _build_rule(args.rule, args.m, args.n, H, args.seed)
     else:
         raise ValueError("analyze needs --input or --rule")
+    _check_flags_match(agg, args, H)
     cnt_all, cnt_same = pair_count_tensors(agg)
     ir = ir_combinatorial(agg, cnt_same=cnt_same)
     if args.orders:

@@ -77,7 +77,8 @@ CLUSTER_TOL = 1e-7
 def check_ir_budget(m: int, n: int, budget: int = LN_BUDGET) -> None:
     """Refuse an (m, n) whose IR evaluation costs n m (m!)^(n+1) over
     the budget; callers can run it before building anything.  IR, its
-    quadratic cross-check and the three forms all refuse here."""
+    quadratic cross-check, the pair counts and the three forms all
+    refuse here."""
     cost = n * m * factorial(m) ** (n + 1)
     if cost > budget:
         raise FeasibilityError(
@@ -255,7 +256,7 @@ def _class_sum_form(enc: GEncoding) -> float:
     reports pin its float rounding."""
     idx = switch_classes(enc.m, enc.n)
     k = factorial(enc.m - 1)
-    v = np.einsum("jl,xkl->jxk", enc.basis.C, enc.g)
+    v = np.einsum("jl,xkl->jxk", enc.rho1.basis.C, enc.g)
     norms = np.einsum("jxk,jxk->jx", v, v)
     raw = 0.0
     for i, j, r in np.ndindex(idx.shape[:3]):

@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import FeasibilityError
+from ._util import FeasibilityError, expect_json, parse_fraction
 from .aggregators import Aggregator, encode_g, make_dictator, profile_tables
 from .laplacian import LN_BUDGET, apply_Ln, check_ir_budget, jprofile_histograms
 from .perms import FixingSubgroup, enumerate_group, switch_classes
@@ -40,9 +40,11 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     """Count ordered single-switch pairs, bucketed per voter by
     (alternative, truthful rank, truthful profile id, reported profile
     id).  cnt_all counts every (x_i, y_i) pair; cnt_same only pairs
-    whose reported vote keeps the rank of the alternative.
+    whose reported vote keeps the rank of the alternative.  Refuses
+    where IR refuses.
     """
     m, n = agg.m, agg.n
+    check_ir_budget(m, n)
     nprof = max(len(cat) for cat in profile_tables(agg.H).catalogs)
     cnt_all = np.zeros((n, m, m, nprof, nprof), dtype=np.int64)
     cnt_same = np.zeros_like(cnt_all)
@@ -262,23 +264,22 @@ def orders_from_json(doc, H: FixingSubgroup, m: int) -> OrderFamily:
     [profile vectors in descending preference]}; unspecified (j, r)
     pairs keep the default order.  j and r run over 1..m, entries are
     multiples of 1/|H|, and a ranking lists every profile once."""
-    from ._util import parse_fraction
-
     tables = profile_tables(H)
     family = default_orders(H, m)
     h = H.order
-    for entry in doc:
-        j, r = entry["j"], entry["r"]
+    for entry in expect_json(doc, list, "orders document"):
+        j, r = expect_json(entry, dict, "orders entry")["j"], entry["r"]
         if not all(type(v) is int and 1 <= v <= m for v in (j, r)):
             raise ValueError(f"orders entry needs integer j and r in 1..{m}, got j={j!r}, r={r!r}")
         cat = tables.catalogs[j - 1]
         lookup = {p: i for i, p in enumerate(cat)}
-        ranking = entry["ranking"]
+        ranking = expect_json(entry["ranking"], list, "ranking")
         if len(ranking) != len(cat):
             raise ValueError(f"ranking for j={j}, r={r} must list all {len(cat)} profiles")
         order = []
         for vec in ranking:
-            counts = tuple(parse_fraction(v) * h for v in vec)  # exact: no truncation
+            # exact: no truncation
+            counts = tuple(parse_fraction(v) * h for v in expect_json(vec, list, "j-profile"))
             if counts not in lookup:
                 raise ValueError(f"unknown j-profile {vec} for j={j}")
             order.append(lookup[counts])

@@ -145,6 +145,9 @@ class Coset:
 
 
 def _validate_partition(m: int, partition) -> tuple[tuple[int, ...], ...]:
+    if not (isinstance(partition, (list, tuple)) and all(
+            isinstance(b, (list, tuple)) and all(type(v) is int for v in b) for b in partition)):
+        raise ValueError(f"partition must be a list of integer blocks: {partition!r:.60}")
     blocks = tuple(tuple(sorted(b)) for b in partition)
     flat = sorted(v for b in blocks for v in b)
     if not blocks or any(len(b) == 0 for b in blocks):

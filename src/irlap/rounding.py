@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 
 from .aggregators import Aggregator, GEncoding, encode_g, make_dictator
-from .basis import LinFunction, Rho1Table, project_to_lin, rho1_table
+from .basis import LinFunction, Rho1Table, project_to_lin
 from .laplacian import spectral_gap
 from .metrics import ir_combinatorial
 from .perms import (
@@ -34,11 +34,10 @@ from .perms import (
 )
 
 
-def kernel_distance(enc: GEncoding, table: Rho1Table | None = None):
+def kernel_distance(enc: GEncoding):
     """Projection of g onto the kernel span and the squared L2 distance
-    E_x ||g - lin||_F^2."""
-    table = table if table is not None else rho1_table(enc.m)
-    return project_to_lin(enc.g, enc.n, table)
+    E_x ||g - lin||_F^2, in the encoding's own rho1."""
+    return project_to_lin(enc.g, enc.n, enc.rho1)
 
 
 def nearest_dictator(lin: LinFunction) -> tuple[int, np.ndarray]:
@@ -57,18 +56,14 @@ class RoundResult:
     candidate_distance: float  # ||A* - M_H rho1(sigma)||_F
 
 
-def round_to_consistent(A_star: np.ndarray, i_star: int, H, n: int,
-                        table: Rho1Table | None = None) -> RoundResult:
+def round_to_consistent(enc: GEncoding, A_star: np.ndarray, voter: int) -> RoundResult:
     """Exhaustive nearest-point search over the realizable dictator
-    coefficients {M_H rho1(y)}, one candidate per coset of H."""
-    from .aggregators import coset_means
-
-    table = table if table is not None else rho1_table(H.m)
-    candidates = coset_means(H, table)
-    dists = np.sqrt(((candidates - A_star[None]) ** 2).sum(axis=(1, 2)))
+    coefficients {M_H rho1(y)}: the encoding's coset means, one
+    candidate per coset of H."""
+    dists = np.sqrt(((enc.g_coset - A_star[None]) ** 2).sum(axis=(1, 2)))
     c_star = int(np.argmin(dists))
-    sigma = H.cosets[c_star].representative
-    agg = make_dictator(i_star, sigma, H, n)
+    sigma = enc.H.cosets[c_star].representative
+    agg = make_dictator(voter, sigma, enc.H, enc.n)
     return RoundResult(c_star, sigma, agg, float(dists[c_star]))
 
 
@@ -156,10 +151,9 @@ def degree2_residual(values: np.ndarray, n: int, table: Rho1Table) -> np.ndarray
     return np.maximum(total - explained, 0.0)
 
 
-def fkn_diagnostics(enc: GEncoding, table: Rho1Table | None = None) -> MomentDiagnostics:
-    table = table if table is not None else rho1_table(enc.m)
-    m = enc.m
-    MH = np.mean([table.of(h) for h in enc.H.members], axis=0)
+def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
+    m, table = enc.m, enc.rho1
+    MH = enc.g_coset[0]  # the identity's coset is H itself
     K = float(np.trace(MH))
     ghat = enc.g / np.sqrt(K)
     lin, _ = project_to_lin(ghat, enc.n, table)
@@ -249,33 +243,28 @@ def measured_gap(m: int, n: int) -> tuple[float, bool]:
 
 
 def robustness_report(agg: Aggregator, center: bool = False,
-                      table: Rho1Table | None = None,
                       ir: Fraction | None = None) -> RobustnessReport:
     """Full pipeline: IR, kernel distance (checked against IR/gap),
-    nearest dictator, rounding, and moment diagnostics.  A given `ir`
-    is agg's exact IR and is reused; a centered rule's own IR is always
-    computed."""
+    nearest dictator, rounding, and moment diagnostics, all on one
+    encoding.  A given `ir` is agg's exact IR and is reused; a centered
+    rule's own IR is always computed."""
     work = center_aggregator(agg) if center else agg
-    table = table if table is not None else rho1_table(work.m)
     if ir is None or center:
         ir = ir_combinatorial(work, with_quadratic=False).profile_distance
     ir = float(ir)
-    enc = encode_g(work, table)
-    lin, dist_sq = kernel_distance(enc, table)
+    enc = encode_g(work)
+    lin, dist_sq = kernel_distance(enc)
     gap, exhaustive = measured_gap(work.m, work.n)
     voter, A_star = nearest_dictator(lin)
-    rounded = round_to_consistent(A_star, voter, work.H, work.n, table)
-    renc = encode_g(rounded.aggregator, table)
-    dict_dist_sq = float(((enc.g - renc.g) ** 2).sum(axis=(1, 2)).mean())
+    rounded = round_to_consistent(enc, A_star, voter)
+    rounded_g = enc.g_coset[rounded.aggregator.table]
+    dict_dist_sq = float(((enc.g - rounded_g) ** 2).sum(axis=(1, 2)).mean())
     # unconstrained best on the chosen voter: h = A* rho1(x_voter)
-    h_only = LinFunction(work.n, np.zeros_like(lin.B),
-                         np.array([A_star if i == voter - 1 else np.zeros_like(A_star)
-                                   for i in range(work.n)]))
-    h_vals = h_only.evaluate_all(table)
+    h_vals = broadcast_voter(np.einsum("kt,xtl->xkl", A_star, enc.rho1.R), voter, work.n)
     unconstrained = float(np.sqrt(((enc.g - h_vals) ** 2).sum(axis=(1, 2)).mean()))
     rounded_dist = float(np.sqrt(dict_dist_sq))
     factor = rounded_dist / unconstrained if unconstrained > 1e-12 else 1.0
-    diag = fkn_diagnostics(enc, table)
+    diag = fkn_diagnostics(enc)
     return RobustnessReport(
         m=work.m, n=work.n, ir=ir,
         kernel_distance_sq=dist_sq, gap=gap, gap_exhaustive=exhaustive,

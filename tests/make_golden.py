@@ -8,11 +8,14 @@ value, and say so in the change description.
 
 Usage, from the repository root:
     PYTHONPATH=src python3 tests/make_golden.py          # rewrite every report
-    PYTHONPATH=src python3 tests/make_golden.py --diff   # show what would move
+    PYTHONPATH=src python3 tests/make_golden.py --diff   # show what would move; exit 1 if any
 
-`--diff` writes nothing.  It prints every JSON key whose value would
-change, with its old and new value, then the largest absolute change
-of a numeric value, so a deliberate regeneration can state its move.
+`--diff` writes nothing.  It names every report that would differ,
+prints every JSON key whose value would change, with its old and new
+value, then the largest absolute change of a numeric value, so a
+deliberate regeneration can state its move.  It exits 1 when any
+report would change by even a byte, and 0 when every report is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ RULES = ["random:seed=5", "plurality", "borda", "dictator:sigma=231"]
 # (file stem, irlap arguments)
 CASES = (
     [(f"analyze_m3n2_{rule.split(':')[0]}", M3N2 + ["--rule", rule]) for rule in RULES]
+    # Borda's own output partition is 1|2|3, so it takes no --partition 1|2,3
     + [(f"analyze_m3n2_{rule.split(':')[0]}_winner",
-        M3N2 + ["--rule", rule, "--partition", "1|2,3"]) for rule in RULES]
+        M3N2 + ["--rule", rule, "--partition", "1|2,3"]) for rule in RULES if rule != "borda"]
     + [
         ("analyze_m3n2_random_center", M3N2 + ["--rule", "random:seed=5", "--center"]),
         ("analyze_m4n2_plurality", ["analyze", "--m", "4", "--n", "2", "--rule", "plurality"]),
@@ -77,14 +81,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def diff() -> None:
+def diff() -> bool:
+    """Print what would change; True when any report would."""
     largest, where = 0.0, "no numeric value changed"
+    changed = False
     for stem, args in CASES:
         path = GOLDEN_DIR / f"{stem}.json"
         new_text = run_irlap(args)
         old_text = path.read_text() if path.exists() else "{}"
         if new_text == old_text:
             continue
+        changed = True
+        print(f"{stem}: report differs")
         old, new = dict(flatten(json.loads(old_text))), dict(flatten(json.loads(new_text)))
         for key in sorted(old.keys() | new.keys()):
             a, b = old.get(key, "(absent)"), new.get(key, "(absent)")
@@ -94,20 +102,21 @@ def diff() -> None:
             if _is_number(a) and _is_number(b) and abs(b - a) > largest:
                 largest, where = abs(b - a), f"{stem}: {key}"
     print(f"largest |change|: {largest!r} ({where})")
+    return changed
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description="Write or diff the golden CLI reports.")
     parser.add_argument("--diff", action="store_true",
-                        help="print what would change and write nothing")
+                        help="print what would change, write nothing, exit 1 on a change")
     if parser.parse_args().diff:
-        diff()
-        return
+        return int(diff())
     GOLDEN_DIR.mkdir(exist_ok=True)
     for stem, args in CASES:
         (GOLDEN_DIR / f"{stem}.json").write_text(run_irlap(args))
         print(f"wrote {stem}.json")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

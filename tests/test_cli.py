@@ -92,6 +92,58 @@ def test_analyze_rejects_non_string_literals(tmp_path, capsys):
         assert "not a permutation literal" in capsys.readouterr().err
 
 
+def test_analyze_rejects_aggregator_files_of_the_wrong_shape(tmp_path, capsys):
+    import numpy as np
+
+    import irlap.cli as cli
+    from irlap.aggregators import random_aggregator, to_json
+    from irlap.perms import trivial_subgroup
+
+    good = to_json(random_aggregator(3, 1, trivial_subgroup(3), np.random.default_rng(0)))
+    bad = {
+        "a list": [good],
+        "entries is a number": {**good, "entries": 5},
+        "null entry": {**good, "entries": [None] + good["entries"][1:]},
+        "profile not a list": {**good, "entries": [{"profile": 5, "output": "123"}]},
+        "params not an object": {**good, "params": ["seed"]},
+        "m not an integer": {**good, "m": None},
+        "partition not a list": {**good, "partition": 5},
+    }
+    for label, doc in bad.items():
+        path = tmp_path / "agg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["analyze", "--m", "3", "--n", "1", "--input", str(path)]) == 2, label
+        assert "error:" in capsys.readouterr().err, label
+
+
+def test_analyze_rejects_flags_that_disagree_with_the_rule(monkeypatch, tmp_path, capsys):
+    import irlap.cli as cli
+    from irlap.aggregators import make_dictator, make_plurality, save_json
+    from irlap.perms import winner_subgroup
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("pairs were counted before the flags were checked")
+
+    monkeypatch.setattr(cli, "pair_count_tensors", unreachable)
+    plurality = tmp_path / "plurality.json"
+    save_json(make_plurality(4, 2), str(plurality))
+    dictator = tmp_path / "dictator.json"
+    save_json(make_dictator(1, (1, 2, 3), winner_subgroup(3), 2), str(dictator))
+    cases = [
+        (["--m", "3", "--n", "2", "--input", str(plurality)], "disagree with the rule's m=4"),
+        (["--m", "4", "--n", "1", "--input", str(plurality)], "n=2"),
+        (["--m", "3", "--n", "2", "--partition", "1,2|3", "--input", str(dictator)],
+         'output partition "1|2,3"'),
+        (["--m", "3", "--n", "2", "--partition", "1|2,3", "--rule", "borda"],
+         'borda rule\'s output partition "1|2|3"'),
+        (["--m", "3", "--n", "2", "--partition", "1|2|3", "--rule", "plurality"],
+         'plurality rule\'s output partition "1|2,3"'),
+    ]
+    for flags, message in cases:
+        assert cli.main(["analyze", *flags]) == 2, flags
+        assert message in capsys.readouterr().err, flags
+
+
 def test_analyze_orders_override(tmp_path):
     orders = [{"j": 1, "r": 1, "ranking": [["0", "1/2", "1/2"], ["1", "0", "0"]]}]
     path = tmp_path / "orders.json"
@@ -114,6 +166,12 @@ def test_analyze_rejects_malformed_orders(tmp_path, capsys):
         # 3/4 of |H| = 2 members is not a count; int() would read it as 1/2
         "fractional count": ([{"j": 1, "r": 1,
                                "ranking": [["0", "3/4", "1/2"], ["1", "0", "0"]]}], "1|2,3"),
+        "top-level object": ({"j": 1, "r": 1, "ranking": ranking}, "1|2,3"),
+        "null entry": ([None], "1|2,3"),
+        "ranking not a list": ([{"j": 1, "r": 1, "ranking": 5}], "1|2,3"),
+        "profile not a list": ([{"j": 1, "r": 1, "ranking": [5, ["1", "0", "0"]]}], "1|2,3"),
+        "null count": ([{"j": 1, "r": 1, "ranking": [["0", None, "1/2"],
+                                                      ["1", "0", "0"]]}], "1|2,3"),
     }
     for label, (doc, partition) in bad.items():
         path = tmp_path / "orders.json"

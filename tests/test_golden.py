@@ -15,3 +15,20 @@ def test_cli_report_matches_golden(stem, args):
 def test_golden_files_are_exactly_the_cases():
     """A renamed or dropped case must not leave a stale report behind."""
     assert {p.stem for p in GOLDEN_DIR.glob("*.json")} == {stem for stem, _ in CASES}
+
+
+def test_diff_fails_on_any_byte_change(monkeypatch, tmp_path, capsys):
+    import sys
+
+    import make_golden
+
+    (tmp_path / "case.json").write_text('{"a": 1}\n')
+    monkeypatch.setattr(make_golden, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(make_golden, "CASES", [("case", [])])
+    monkeypatch.setattr(sys, "argv", ["make_golden.py", "--diff"])
+    monkeypatch.setattr(make_golden, "run_irlap", lambda args: '{"a": 1}\n')
+    assert make_golden.main() == 0
+    monkeypatch.setattr(make_golden, "run_irlap", lambda args: '{"a":  1}\n')
+    assert make_golden.main() == 1  # no key moved, but the bytes did
+    assert "case: report differs" in capsys.readouterr().out
+    assert (tmp_path / "case.json").read_text() == '{"a": 1}\n'

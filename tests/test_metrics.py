@@ -21,6 +21,7 @@ from irlap.metrics import (
     is_ir_multi,
     is_ir_single,
     manipulation_power,
+    pair_count_tensors,
     per_entry_ir_bound,
     random_orders,
 )
@@ -275,6 +276,12 @@ def test_ir_budget_refusal():
     agg = random_aggregator(3, 2, H, np.random.default_rng(0))
     with pytest.raises(FeasibilityError):
         ir_combinatorial(agg, budget=10)
+
+
+def test_pair_counts_refuse_where_ir_refuses():
+    agg = random_aggregator(3, 8, trivial_subgroup(3), np.random.default_rng(0))
+    with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
+        pair_count_tensors(agg)
 
 
 def _brute_ir_and_M(agg, orders):

@@ -1,18 +1,29 @@
 """Robustness pipeline: kernel distance, recovery, rounding, moments."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irlap.aggregators import (
     Aggregator,
     corrupt_aggregator,
     encode_g,
+    make_constant,
     make_dictator,
     make_plurality,
     random_aggregator,
 )
-from irlap.basis import LinFunction, rho1_table
+from irlap.basis import LinFunction, Rho1Table, build_basis
 from irlap.laplacian import spectral_gap
-from irlap.perms import enumerate_group, parse_perm, trivial_subgroup, winner_subgroup
+from irlap.perms import (
+    build_fixing_subgroup,
+    enumerate_group,
+    is_even,
+    parse_perm,
+    subgroup_from_members,
+    trivial_subgroup,
+    winner_subgroup,
+)
 from irlap import rounding
 from irlap.rounding import (
     center_aggregator,
@@ -45,8 +56,56 @@ def test_kernel_distance_bound_one_corruption():
     assert 0 < dist <= ir / (1 / 6) + 1e-9  # one-voter gap is exactly 1/6
 
 
+def test_random_basis_encoding_gives_the_helmert_values():
+    enc = encode_g(make_plurality(3, 2), Rho1Table(3, build_basis(3, "random", seed=1)))
+    _, dist = kernel_distance(enc)
+    assert abs(dist - 19 / 54) <= 1e-12  # 0.35185..., the Helmert encoding's value
+    assert abs(fkn_diagnostics(enc).epsilon - 0.5) <= 1e-12
+
+
+def _subgroups(m):
+    """Trivial, winner, {1..m-1}|{m}, and the alternating group (not
+    fixing: M_H = 0, so every rounding candidate ties)."""
+    return [trivial_subgroup(m), winner_subgroup(m),
+            build_fixing_subgroup(m, [list(range(1, m)), [m]]),
+            subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4]), st.sampled_from([1, 2]), st.integers(0, 3),
+       st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed, basis_seed):
+    H = _subgroups(m)[part]
+    rng = np.random.default_rng(rule_seed)
+    if corrupted:
+        sigma = enumerate_group(m)[rng.integers(0, len(enumerate_group(m)))]
+        agg = corrupt_aggregator(make_dictator(n, sigma, H, n), 2, rng)
+    else:
+        agg = random_aggregator(m, n, H, rng)
+    helmert = encode_g(agg)
+    other = encode_g(agg, Rho1Table(m, build_basis(m, "random", basis_seed)))
+    (lin_h, dist_h), (lin_o, dist_o) = kernel_distance(helmert), kernel_distance(other)
+    assert abs(dist_h - dist_o) <= 1e-9
+    norms_h = (lin_h.A ** 2).sum(axis=(1, 2))
+    assert np.abs(norms_h - (lin_o.A ** 2).sum(axis=(1, 2))).max() <= 1e-9
+    # the same voter and coset, up to exact ties that floats may break either way
+    voter_h, A_h = nearest_dictator(lin_h)
+    voter_o, _ = nearest_dictator(lin_o)
+    assert voter_o == voter_h or norms_h[voter_o - 1] >= norms_h.max() - 1e-9
+    round_h = round_to_consistent(helmert, A_h, voter_h)
+    round_o = round_to_consistent(other, lin_o.A[voter_h - 1], voter_h)
+    assert abs(round_h.candidate_distance - round_o.candidate_distance) <= 1e-9
+    dists_h = np.sqrt(((helmert.g_coset - A_h) ** 2).sum(axis=(1, 2)))
+    assert (round_o.coset_id == round_h.coset_id
+            or dists_h[round_o.coset_id] <= dists_h.min() + 1e-9)
+    if H.partition is None:
+        return  # M_H = 0: the diagnostics divide by tr M_H and are undefined
+    diag_h, diag_o = fkn_diagnostics(helmert), fkn_diagnostics(other)
+    assert abs(diag_h.epsilon - diag_o.epsilon) <= 1e-9
+    assert abs(diag_h.r_norm2_mean - diag_o.r_norm2_mean) <= 1e-9
+
+
 def test_nearest_dictator_selection():
-    table = rho1_table(3)
     d = 2
     lin = LinFunction(2, np.zeros((d, d)), np.stack([np.zeros((d, d)), np.eye(d)]))
     voter, A = nearest_dictator(lin)
@@ -59,21 +118,19 @@ def test_nearest_dictator_selection():
 
 
 def test_rounding_exact_recovery():
-    table = rho1_table(3)
-    H = trivial_subgroup(3)
+    enc = encode_g(make_constant(0, trivial_subgroup(3), 1))
     sigma = parse_perm("231", 3)
-    result = round_to_consistent(table.of(sigma), 1, H, 1, table)
+    result = round_to_consistent(enc, enc.rho1.of(sigma), 1)
     assert result.sigma == sigma
     assert result.candidate_distance <= 1e-12
 
 
 def test_rounding_with_noise():
-    table = rho1_table(3)
-    H = trivial_subgroup(3)
+    enc = encode_g(make_constant(0, trivial_subgroup(3), 1))
     sigma = parse_perm("231", 3)
     rng = np.random.default_rng(3)
-    A = 0.95 * table.of(sigma) + 0.05 * rng.standard_normal((2, 2))
-    result = round_to_consistent(A, 1, H, 1, table)
+    A = 0.95 * enc.rho1.of(sigma) + 0.05 * rng.standard_normal((2, 2))
+    result = round_to_consistent(enc, A, 1)
     assert result.sigma == sigma
 
 
