@@ -1,5 +1,5 @@
 """Shared plumbing: feasibility refusals, deterministic parallel map,
-JSON encoding of exact values."""
+per-instance memos, JSON encoding of exact values."""
 
 from __future__ import annotations
 
@@ -23,6 +23,17 @@ def blocked_pmap(fn, items, threads: int = 1) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def memoized(obj, key: str, build):
+    """build(obj), computed on obj's first request for `key` and kept in
+    obj's own `_derived` dict, so it lives and dies with obj.  Only for
+    objects whose inputs are read-only: no kept value can go stale.
+    Two threads asking first may both build; they build equal values."""
+    derived = obj._derived
+    if key not in derived:
+        derived[key] = build(obj)
+    return derived[key]
 
 
 def jsonable(value):

@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import expect_json
+from ._util import expect_json, memoized
 from .basis import Rho1Table, rho1_table
 from .perms import (
     MAX_M,
@@ -45,14 +45,19 @@ from .perms import (
 
 @dataclass(frozen=True, eq=False)
 class Aggregator:
-    """Total function S_m^n -> S_m/H stored as a coset-index table."""
+    """Total function S_m^n -> S_m/H stored as a coset-index table.
+
+    The table is made read-only, so the values derived from it (pair
+    counts, default encoding) are computed on first use and kept in
+    `_derived` for the aggregator's lifetime."""
 
     m: int
     n: int
     H: FixingSubgroup
-    table: np.ndarray  # shape (m!^n,), values in [0, #cosets)
+    table: np.ndarray  # shape (m!^n,), values in [0, #cosets); read-only
     kind: str = "table"
     params: dict = field(default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         fact = factorial(self.m)
@@ -60,6 +65,7 @@ class Aggregator:
             raise ValueError(
                 f"table must cover all {fact**self.n} profiles, got {self.table.shape}"
             )
+        self.table.setflags(write=False)
 
     def profile_index(self, profile) -> int:
         fact = factorial(self.m)
@@ -231,13 +237,14 @@ def corrupt_aggregator(agg: Aggregator, entries: int, rng) -> Aggregator:
     return Aggregator(agg.m, agg.n, agg.H, table, "table", {"corrupted_from": agg.kind})
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GEncoding:
     """g(x) = mean of rho1(y) over y in f(x); the matrix payload of all
     spectral computations.  g_coset[c] = M_H @ rho1(representative),
     with rho1 the table ``rho1`` the encoding was built with; every
     consumer reads that table, so no second basis can enter.  The
-    identity's coset, H itself, comes first, so g_coset[0] = M_H."""
+    identity's coset, H itself, comes first, so g_coset[0] = M_H.
+    The arrays are read-only; `_derived` keeps the L form's value."""
 
     m: int
     n: int
@@ -246,6 +253,11 @@ class GEncoding:
     g_coset: np.ndarray  # (#cosets, m-1, m-1)
     table: np.ndarray  # coset ids, shared with the aggregator
     rho1: Rho1Table
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.g.setflags(write=False)
+        self.g_coset.setflags(write=False)
 
 
 def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
@@ -258,10 +270,17 @@ def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
     return out
 
 
-def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
-    table = table if table is not None else rho1_table(agg.m)
+def _encode(agg: Aggregator, table: Rho1Table) -> GEncoding:
     gc = coset_means(agg.H, table)
     return GEncoding(agg.m, agg.n, agg.H, gc[agg.table], gc, agg.table, table)
+
+
+def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
+    """agg's encoding in `table`'s basis, built fresh; without a table,
+    the default-basis encoding, built once per aggregator and shared."""
+    if table is not None:
+        return _encode(agg, table)
+    return memoized(agg, "encoding", lambda a: _encode(a, rho1_table(a.m)))
 
 
 @dataclass
@@ -274,14 +293,15 @@ class ConsistencyReport:
 
 def consistency_check(agg: Aggregator) -> ConsistencyReport:
     """Verify g(x) g(x)^T = M_H for all x, where M_H is the mean of
-    rho1 over H's members.  M_H = 0 flags a non-fixing subgroup (then
-    g == 0 and the whole spectral pipeline is vacuous)."""
+    rho1 over H's members.  M_H = 0 exactly when H is transitive on the
+    rank positions (tr M_H = #orbits - 1); then g == 0 and the whole
+    spectral pipeline is vacuous."""
     enc = encode_g(agg)
     MH = np.mean([enc.rho1.of(h) for h in agg.H.members], axis=0)
     prods = np.einsum("xkl,xtl->xkt", enc.g, enc.g)
     max_dev = float(np.abs(prods - MH).max())
     idem = float(np.abs(MH @ MH - MH).max())
-    fixing = bool(np.abs(MH).max() > 1e-9)
+    fixing = agg.H.orbit_count > 1
     return ConsistencyReport(MH, max_dev, idem, fixing)
 
 

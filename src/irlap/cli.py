@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from ._util import FeasibilityError, jsonable
-from .aggregators import check_params, load_json, make_named_rule, random_aggregator
+from ._util import FeasibilityError, expect_json, jsonable
+from .aggregators import check_params, from_json, make_named_rule, random_aggregator
 from .laplacian import check_ir_budget, gap_bracket, hat_l1, spectral_gap
 from .metrics import (
     census_ir_functions,
@@ -21,7 +21,6 @@ from .metrics import (
     ir_combinatorial,
     manipulation_power,
     orders_from_json,
-    pair_count_tensors,
 )
 from .moments import (
     audit_blocks,
@@ -109,14 +108,21 @@ def cmd_census(args) -> None:
     _emit(report, args)
 
 
-def _check_flags_match(agg, args, H) -> None:
-    """The flags describe the rule that is analysed: --m and --n are an
-    input file's m and n, and an explicit --partition is the output
-    partition of the file, or of plurality or Borda, which fix their
-    own."""
-    if (agg.m, agg.n) != (args.m, args.n):
+def _load_input(args):
+    """The --input rule; its m and n are checked against --m and --n
+    before from_json builds anything."""
+    with open(args.input) as fh:
+        doc = expect_json(json.load(fh), dict, "aggregator document")
+    if (doc["m"], doc["n"]) != (args.m, args.n):
         raise ValueError(f"--m {args.m} --n {args.n} disagree with the rule's "
-                         f"m={agg.m}, n={agg.n}")
+                         f"m={doc['m']!r:.20}, n={doc['n']!r:.20}")
+    return from_json(doc)
+
+
+def _check_partition_matches(agg, args, H) -> None:
+    """An explicit --partition is the output partition of the rule that
+    is analysed: of the input file, or of plurality or Borda, which fix
+    their own."""
     if args.partition and agg.H.members != H.members:
         own = "|".join(",".join(map(str, block)) for block in agg.H.partition)
         raise ValueError(f'--partition "{args.partition}" disagrees with the '
@@ -127,21 +133,22 @@ def cmd_analyze(args) -> None:
     check_ir_budget(args.m, args.n)  # refuse before building the rule
     H = _subgroup(args)
     if args.input:
-        agg = load_json(args.input)
+        agg = _load_input(args)
     elif args.rule:
         agg = _build_rule(args.rule, args.m, args.n, H, args.seed)
     else:
         raise ValueError("analyze needs --input or --rule")
-    _check_flags_match(agg, args, H)
-    cnt_all, cnt_same = pair_count_tensors(agg)
-    ir = ir_combinatorial(agg, cnt_same=cnt_same)
+    _check_partition_matches(agg, args, H)
     if args.orders:
         with open(args.orders) as fh:
             orders = orders_from_json(json.load(fh), agg.H, agg.m)
     else:
         orders = default_orders(agg.H, agg.m)
-    manip = manipulation_power(agg, orders, cnt_all=cnt_all, ir=ir.profile_distance)
-    robust = robustness_report(agg, center=args.center, ir=ir.profile_distance)
+    # robustness first: it refuses a transitive H before any counting.
+    # The three stages share agg's pair counts and encoding.
+    robust = robustness_report(agg, center=args.center)
+    ir = ir_combinatorial(agg)
+    manip = manipulation_power(agg, orders)
     report = {
         "aggregator": {"m": agg.m, "n": agg.n, "type": agg.kind, "params": agg.params},
         "ir": {

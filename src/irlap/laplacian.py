@@ -35,10 +35,12 @@ Switch classes.  Every form is a sum over single-voter switches: hold
 all voters but i fixed and group voter i's rankings by the rank r they
 give alternative j.  Each such (i, j, r, others) group of (m-1)!
 profiles is a switch class, and ``perms.switch_classes(m, n)`` lists
-them all in one cached read-only index.  L' and L'' reduce the
-per-class j-profile histograms (jprofile_histograms) that the pair
-counts also use, L is the per-class identity in _class_sum_form, and
-the IR detectors and census gather through the same index.
+them all in one cached read-only index.  The per-class j-profile
+histograms (jprofile_histograms) give the pair counts
+(metrics.pair_count_tensors), and L' and L'' are read off their
+same-rank part cnt_same, which IR also reads; L is the per-class
+identity in _class_sum_form, and the IR detectors and census gather
+through the same index.
 
 Spectrum.  Y^j = (m-1)! (I - P^j) with P^j the average over the rank
 class of j, so L^n / m! = (1/m) sum_{i,j} (I - P^j)_i (x) D^j.  The
@@ -63,7 +65,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from ._util import FeasibilityError
+from ._util import FeasibilityError, memoized
 from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
 from .basis import Basis, Rho1Table, build_basis
 from .perms import broadcast_voter, class_histograms, rank_table, switch_classes
@@ -218,15 +220,19 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
     """Evaluate one of the three forms on an aggregator, summed over
     single-voter switches.  "L1" (X (x) complement X) and "L2"
     (Y (x) X) are exact: members of cosets c and c' agree on j's rank
-    prof_j(c) . prof_j(c') times, so with h_j = jprofile_histograms and
-    S = sum_j h_j dot_j h_j,
+    prof_j(c) . prof_j(c') times, so with agg's shared same-rank pair
+    counts cnt_same (metrics.pair_count_tensors) and
+    S = sum_j sum cnt_same[:, j, :, p, q] dot_j[p, q],
 
         raw(L'') = (n (m-1)! sum_x sum_j dot_j[p, p] - S) / |H|^2
         raw(L')  = (|H|^2 n m m!^n (m-1)! - S) / |H|^2
 
-    "L" (Y (x) D) is apply_Ln on the matrix encoding, in floats.
-    ``bundle`` is not read; it stays positional for existing callers.
+    "L" (Y (x) D) is apply_Ln on agg's shared matrix encoding, in
+    floats.  ``bundle`` is not read; it stays positional for existing
+    callers.
     """
+    from .metrics import pair_count_tensors
+
     m, n, H = agg.m, agg.n, agg.H
     scale = kappa(variant, m, n)
     check_ir_budget(m, n)
@@ -234,10 +240,11 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
         canonical = apply_Ln(encode_g(agg))
         return QuadraticFormValue("L", canonical / float(scale), canonical)
     tables = profile_tables(H)
+    _, cnt_same = pair_count_tensors(agg)
     S = 0
     for j in range(m):
-        h = jprofile_histograms(agg, j)
-        S += int(((h @ tables.dot[j]) * h).sum())
+        P = len(tables.catalogs[j])
+        S += int((cnt_same[:, j, :, :P, :P] * tables.dot[j]).sum())
     hh, k = H.order ** 2, factorial(m - 1)
     if variant == "L1":
         raw = Fraction(hh * n * m * factorial(m) ** n * k - S, hh)
@@ -268,9 +275,11 @@ def _class_sum_form(enc: GEncoding) -> float:
 
 def apply_Ln(enc: GEncoding, budget: int = LN_BUDGET) -> float:
     """Canonical IR value from the matrix encoding, matrix-free: the
-    n-voter operator is never materialized."""
+    n-voter operator is never materialized.  The budget is checked
+    first; the value is then computed once per encoding and kept."""
     check_ir_budget(enc.m, enc.n, budget)
-    return float(2 * _class_sum_form(enc) / factorial(enc.m) ** (enc.n + 1))
+    return memoized(enc, "L", lambda e: float(2 * _class_sum_form(e)
+                                              / factorial(e.m) ** (e.n + 1)))
 
 
 def calibrate_kappa(variant: str, m: int, n: int, H,

@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import FeasibilityError, expect_json, parse_fraction
+from ._util import FeasibilityError, expect_json, memoized, parse_fraction
 from .aggregators import Aggregator, encode_g, make_dictator, profile_tables
 from .laplacian import LN_BUDGET, apply_Ln, check_ir_budget, jprofile_histograms
 from .perms import FixingSubgroup, enumerate_group, switch_classes
@@ -41,10 +41,15 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     (alternative, truthful rank, truthful profile id, reported profile
     id).  cnt_all counts every (x_i, y_i) pair; cnt_same only pairs
     whose reported vote keeps the rank of the alternative.  Refuses
-    where IR refuses.
+    where IR refuses; otherwise the read-only arrays are counted once
+    per aggregator and shared.
     """
+    check_ir_budget(agg.m, agg.n)
+    return memoized(agg, "pair_counts", _count_pairs)
+
+
+def _count_pairs(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     m, n = agg.m, agg.n
-    check_ir_budget(m, n)
     nprof = max(len(cat) for cat in profile_tables(agg.H).catalogs)
     cnt_all = np.zeros((n, m, m, nprof, nprof), dtype=np.int64)
     cnt_same = np.zeros_like(cnt_all)
@@ -53,23 +58,23 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
         P = h.shape[-1]
         cnt_same[:, j, :, :P, :P] = np.einsum("irsp,irsq->irpq", h, h)
         cnt_all[:, j, :, :P, :P] = np.einsum("irsp,isq->irpq", h, h.sum(axis=1))
+    cnt_all.setflags(write=False)
+    cnt_same.setflags(write=False)
     return cnt_all, cnt_same
 
 
 def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True,
-                     budget: int = LN_BUDGET,
-                     cnt_same: np.ndarray | None = None) -> IRValue:
-    """Direct evaluation of the ordered-pair IR definitions.  Exact;
-    the optional quadratic field cross-evaluates the spectral form.
-    `cnt_same` reuses agg's `pair_count_tensors` instead of counting
-    again."""
+                     budget: int = LN_BUDGET) -> IRValue:
+    """Direct evaluation of the ordered-pair IR definitions from agg's
+    shared pair counts.  Exact; the optional quadratic field
+    cross-evaluates the spectral form on agg's shared encoding.  The
+    budget is checked before either is read."""
     m, n = agg.m, agg.n
     fact = factorial(m)
     check_ir_budget(m, n, budget)
     tables = profile_tables(agg.H)
     h = agg.H.order
-    if cnt_same is None:
-        _, cnt_same = pair_count_tensors(agg)
+    _, cnt_same = pair_count_tensors(agg)
     dist_num = 0
     neq_num = 0
     for j in range(m):
@@ -330,7 +335,8 @@ def manipulation_power(agg: Aggregator, orders: OrderFamily | None = None,
                        ir: Fraction | None = None) -> ManipulationReport:
     """Rate of (voter, others, truth, report) tuples where the reported
     outcome's j-profile strictly beats the truthful one under the
-    voter's rank-indexed order.  Exact rational."""
+    voter's rank-indexed order.  Exact rational.  `cnt_all` and `ir`
+    default to agg's shared pair counts and its exact IR."""
     m, n = agg.m, agg.n
     fact = factorial(m)
     tables = profile_tables(agg.H)

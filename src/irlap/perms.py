@@ -184,6 +184,13 @@ class FixingSubgroup:
         return len(self.partition)
 
     @property
+    def orbit_count(self) -> int:
+        """Orbits of H on the rank positions 1..m, by Burnside the mean
+        fixed-point count (an exact integer division).  tr M_H =
+        orbit_count - 1, so M_H = 0 exactly when H is transitive."""
+        return sum(fixed_points(h) for h in self.members) // self.order
+
+    @property
     def is_trivial(self) -> bool:
         return self.order == 1
 

@@ -8,13 +8,14 @@ voter with the largest coefficient mass, rounds that coefficient to
 the nearest realizable dictator matrix M_H rho1(y), and reports the
 resulting distances.  Moment diagnostics run on the trace-normalized
 encoding (divided by sqrt(tr M_H), the measured trace, so the
-constraint matrix has unit trace).
+constraint matrix has unit trace).  tr M_H = #orbits - 1 is 0 when H
+is transitive on the rank positions; the diagnostics, and so the
+report, refuse that H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -151,7 +152,16 @@ def degree2_residual(values: np.ndarray, n: int, table: Rho1Table) -> np.ndarray
     return np.maximum(total - explained, 0.0)
 
 
+def _require_fixing(H) -> None:
+    """Refuse an H transitive on the rank positions: there M_H = 0, and
+    the diagnostics would divide by tr M_H = #orbits - 1 = 0."""
+    if H.orbit_count == 1:
+        raise ValueError("the output subgroup is transitive on the rank positions "
+                         "(M_H = 0): the rounding diagnostics are undefined")
+
+
 def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
+    _require_fixing(enc.H)
     m, table = enc.m, enc.rho1
     MH = enc.g_coset[0]  # the identity's coset is H itself
     K = float(np.trace(MH))
@@ -242,16 +252,15 @@ def measured_gap(m: int, n: int) -> tuple[float, bool]:
     return _GAP_CACHE[m, n]
 
 
-def robustness_report(agg: Aggregator, center: bool = False,
-                      ir: Fraction | None = None) -> RobustnessReport:
+def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport:
     """Full pipeline: IR, kernel distance (checked against IR/gap),
-    nearest dictator, rounding, and moment diagnostics, all on one
-    encoding.  A given `ir` is agg's exact IR and is reused; a centered
-    rule's own IR is always computed."""
+    nearest dictator, rounding, and moment diagnostics, all on the
+    shared pair counts and encoding of agg, or of its centered rule.
+    Refuses (ValueError) an output subgroup transitive on the rank
+    positions."""
+    _require_fixing(agg.H)
     work = center_aggregator(agg) if center else agg
-    if ir is None or center:
-        ir = ir_combinatorial(work, with_quadratic=False).profile_distance
-    ir = float(ir)
+    ir = float(ir_combinatorial(work, with_quadratic=False).profile_distance)
     enc = encode_g(work)
     lin, dist_sq = kernel_distance(enc)
     gap, exhaustive = measured_gap(work.m, work.n)

@@ -118,13 +118,14 @@ def test_analyze_rejects_aggregator_files_of_the_wrong_shape(tmp_path, capsys):
 
 def test_analyze_rejects_flags_that_disagree_with_the_rule(monkeypatch, tmp_path, capsys):
     import irlap.cli as cli
+    from irlap import metrics
     from irlap.aggregators import make_dictator, make_plurality, save_json
     from irlap.perms import winner_subgroup
 
     def unreachable(*args, **kwargs):
         raise AssertionError("pairs were counted before the flags were checked")
 
-    monkeypatch.setattr(cli, "pair_count_tensors", unreachable)
+    monkeypatch.setattr(metrics, "pair_count_tensors", unreachable)
     plurality = tmp_path / "plurality.json"
     save_json(make_plurality(4, 2), str(plurality))
     dictator = tmp_path / "dictator.json"
@@ -235,8 +236,10 @@ def test_moments_rejects_small_m(capsys):
 
 
 def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
+    """IR, manipulation and robustness share one pair count and one
+    encoding of the rule."""
     import irlap.cli as cli
-    from irlap import metrics, rounding
+    from irlap import aggregators, metrics
 
     calls = []
 
@@ -246,19 +249,15 @@ def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
             return fn(*args, **kwargs)
         return wrapper
 
-    pairs = counted("pairs", metrics.pair_count_tensors)
-    ir = counted("ir", metrics.ir_combinatorial)
-    for module in (cli, metrics):
-        monkeypatch.setattr(module, "pair_count_tensors", pairs)
-    for module in (cli, metrics, rounding):
-        monkeypatch.setattr(module, "ir_combinatorial", ir)
+    monkeypatch.setattr(metrics, "_count_pairs", counted("pairs", metrics._count_pairs))
+    monkeypatch.setattr(aggregators, "_encode", counted("encoding", aggregators._encode))
     argv = ["analyze", "--m", "3", "--n", "2", "--rule", "random", "--out",
             str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    assert sorted(calls) == ["ir", "pairs"]
+    assert sorted(calls) == ["encoding", "pairs"]
     calls.clear()
-    assert cli.main(argv + ["--center"]) == 0  # the centered rule's own IR
-    assert sorted(calls) == ["ir", "ir", "pairs", "pairs"]
+    assert cli.main(argv + ["--center"]) == 0  # the centered rule's own counts
+    assert sorted(calls) == ["encoding", "encoding", "pairs", "pairs"]
 
 
 def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
@@ -269,12 +268,44 @@ def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "make_named_rule", unreachable)
     monkeypatch.setattr(cli, "random_aggregator", unreachable)
-    monkeypatch.setattr(cli, "load_json", unreachable)
+    monkeypatch.setattr(cli, "from_json", unreachable)
     for m, n in ((5, 3), (6, 2)):
         for source in (["--rule", "plurality"], ["--rule", "random"],
                        ["--input", str(tmp_path / "agg.json")]):
             argv = ["analyze", "--m", str(m), "--n", str(n), *source]
             assert cli.main(argv) == 3, argv
+
+
+def test_analyze_checks_input_size_before_building_the_rule(monkeypatch, tmp_path, capsys):
+    import irlap.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the rule was built before its m and n were checked")
+
+    monkeypatch.setattr(cli, "from_json", unreachable)
+    doc = {"m": 5, "n": 3, "partition": [[1], [2, 3, 4, 5]], "type": "plurality",
+           "params": {}}
+    path = tmp_path / "agg.json"
+    bad = {
+        "other size": (doc, "disagree with the rule's m=5, n=3"),
+        "m missing": ({k: v for k, v in doc.items() if k != "m"}, "'m'"),
+        "n a string": ({**doc, "m": 3, "n": "1"}, "n='1'"),
+    }
+    for label, (text, message) in bad.items():
+        path.write_text(json.dumps(text))
+        assert cli.main(["analyze", "--m", "3", "--n", "1", "--input", str(path)]) == 2, label
+        assert message in capsys.readouterr().err, label
+
+
+def test_analyze_refuses_a_transitive_partition(capsys):
+    """One block: H is all of S_m, M_H = 0, and the diagnostics would
+    divide by tr M_H = 0."""
+    import irlap.cli as cli
+
+    argv = ["analyze", "--m", "3", "--n", "2", "--partition", "1,2,3",
+            "--rule", "random:seed=1"]
+    assert cli.main(argv) == 2
+    assert "transitive on the rank positions" in capsys.readouterr().err
 
 
 def test_unknown_rule_params_are_input_errors():

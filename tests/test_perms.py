@@ -19,6 +19,7 @@ from irlap.perms import (
     format_perm,
     identity,
     inverse,
+    is_even,
     j_profile,
     parse_perm,
     perm_index,
@@ -206,6 +207,20 @@ def test_j_profiles_sum_to_one():
     for coset in H.cosets:
         for j in range(1, 5):
             assert sum(j_profile(coset, j, 4)) == 1
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_orbit_count_is_the_trace_of_M_H_plus_one(m):
+    from irlap.basis import rho1_table
+
+    table = rho1_table(m)
+    alternating = subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])
+    cases = [(m, trivial_subgroup(m)), (2, winner_subgroup(m)),
+             (1, build_fixing_subgroup(m, [list(range(1, m + 1))])), (1, alternating)]
+    for orbits, H in cases:
+        assert H.orbit_count == orbits
+        trace = np.trace(np.mean([table.of(h) for h in H.members], axis=0))
+        assert abs(trace - (H.orbit_count - 1)) < 1e-12
 
 
 def test_subgroup_from_members_rejects_nongroup():

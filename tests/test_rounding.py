@@ -1,6 +1,7 @@
 """Robustness pipeline: kernel distance, recovery, rounding, moments."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,8 +99,12 @@ def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed,
     dists_h = np.sqrt(((helmert.g_coset - A_h) ** 2).sum(axis=(1, 2)))
     assert (round_o.coset_id == round_h.coset_id
             or dists_h[round_o.coset_id] <= dists_h.min() + 1e-9)
-    if H.partition is None:
-        return  # M_H = 0: the diagnostics divide by tr M_H and are undefined
+    if H.partition is None:  # the alternating group is transitive: M_H = 0
+        with pytest.raises(ValueError, match="transitive on the rank positions"):
+            fkn_diagnostics(helmert)
+        with pytest.raises(ValueError, match="transitive on the rank positions"):
+            robustness_report(agg)
+        return
     diag_h, diag_o = fkn_diagnostics(helmert), fkn_diagnostics(other)
     assert abs(diag_h.epsilon - diag_o.epsilon) <= 1e-9
     assert abs(diag_h.r_norm2_mean - diag_o.r_norm2_mean) <= 1e-9
