@@ -7,7 +7,7 @@ Library layout:
 - aggregators: coset-valued rules, encodings, consistency
 - laplacian: constraint operators, quadratic forms, spectra
 - metrics: exact IR values, zero-locus census, manipulation power
-- rounding: kernel distance, nearest-dictator recovery, diagnostics
+- rounding: exact kernel projection, nearest-dictator recovery, diagnostics
 - moments: exact moment calculus and hypercontractivity sweeps
 - cli: JSON report front-end (`irlap spectra|census|analyze|moments`)
 """

@@ -94,7 +94,8 @@ def rho1(x: tuple[int, ...], basis: Basis) -> np.ndarray:
 
 
 class Rho1Table:
-    """rho1 over all of S_m, indexed by lexicographic permutation rank.
+    """rho1, and the 0/1 matrices P, over all of S_m, indexed by
+    lexicographic permutation rank.
 
     Immutable shared read-only table; building it is the only
     non-concurrent step.
@@ -105,11 +106,9 @@ class Rho1Table:
         self.basis = basis if basis is not None else build_basis(m)
         self.perms = enumerate_group(m)
         self.index = {x: i for i, x in enumerate(self.perms)}
-        P = np.zeros((len(self.perms), m, m))
-        for i, x in enumerate(self.perms):
-            for r, name in enumerate(x):
-                P[i, r, name - 1] = 1.0
-        self.R = np.einsum("ki,xkl,lj->xij", self.basis.C, P, self.basis.C, optimize=True)
+        # P[x] = perm_matrix of the x-th permutation
+        self.P = (np.array(self.perms)[:, :, None] == np.arange(1, m + 1)).astype(np.int64)
+        self.R = np.einsum("ki,xkl,lj->xij", self.basis.C, self.P, self.basis.C, optimize=True)
 
     def of(self, x: tuple[int, ...]) -> np.ndarray:
         return self.R[self.index[x]]
@@ -192,9 +191,3 @@ def project_to_lin(g: np.ndarray, n: int, table: Rho1Table) -> tuple[LinFunction
     residual_sq = float(np.einsum("xkl,xkl->", diff, diff) / g.shape[0])
     return lin, residual_sq
 
-
-def lin_norm_sq(lin: LinFunction) -> float:
-    """E_x ||lin(x)||_F^2 via Parseval.  E[rho1_tl^2] = 1/(m-1) and the
-    sum over the free column index l contributes the compensating
-    factor m-1, so the norm is ||B||_F^2 + sum_i ||A^i||_F^2."""
-    return float((lin.B**2).sum() + (lin.A**2).sum())

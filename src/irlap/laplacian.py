@@ -76,15 +76,15 @@ PSD_TOL = 1e-9
 CLUSTER_TOL = 1e-7
 
 
-def check_ir_budget(m: int, n: int, budget: int = LN_BUDGET) -> None:
+def check_ir_budget(m: int, n: int) -> None:
     """Refuse an (m, n) whose IR evaluation costs n m (m!)^(n+1) over
-    the budget; callers can run it before building anything.  IR, its
-    quadratic cross-check, the pair counts and the three forms all
-    refuse here."""
+    LN_BUDGET (read at call time); callers can run it before building
+    anything.  IR, its quadratic cross-check, the pair counts and the
+    three forms all refuse here."""
     cost = n * m * factorial(m) ** (n + 1)
-    if cost > budget:
+    if cost > LN_BUDGET:
         raise FeasibilityError(
-            f"combinatorial IR budget exceeded: {cost:.2e} > {budget:.0e}",
+            f"combinatorial IR budget exceeded: {cost:.2e} > {LN_BUDGET:.0e}",
             estimate=f"{cost:.2e}",
         )
 
@@ -235,8 +235,8 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
 
     m, n, H = agg.m, agg.n, agg.H
     scale = kappa(variant, m, n)
-    check_ir_budget(m, n)
     if variant == "L":
+        check_ir_budget(m, n)  # before the encoding is built
         canonical = apply_Ln(encode_g(agg))
         return QuadraticFormValue("L", canonical / float(scale), canonical)
     tables = profile_tables(H)
@@ -273,11 +273,11 @@ def _class_sum_form(enc: GEncoding) -> float:
     return raw
 
 
-def apply_Ln(enc: GEncoding, budget: int = LN_BUDGET) -> float:
+def apply_Ln(enc: GEncoding) -> float:
     """Canonical IR value from the matrix encoding, matrix-free: the
     n-voter operator is never materialized.  The budget is checked
     first; the value is then computed once per encoding and kept."""
-    check_ir_budget(enc.m, enc.n, budget)
+    check_ir_budget(enc.m, enc.n)
     return memoized(enc, "L", lambda e: float(2 * _class_sum_form(e)
                                               / factorial(e.m) ** (e.n + 1)))
 

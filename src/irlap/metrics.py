@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import FeasibilityError, expect_json, memoized, parse_fraction
 from .aggregators import Aggregator, encode_g, make_dictator, profile_tables
-from .laplacian import LN_BUDGET, apply_Ln, check_ir_budget, jprofile_histograms
+from .laplacian import apply_Ln, check_ir_budget, jprofile_histograms
 from .perms import FixingSubgroup, enumerate_group, switch_classes
 
 CENSUS_LIMIT = 2 * 10**6
@@ -63,18 +63,16 @@ def _count_pairs(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     return cnt_all, cnt_same
 
 
-def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True,
-                     budget: int = LN_BUDGET) -> IRValue:
+def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True) -> IRValue:
     """Direct evaluation of the ordered-pair IR definitions from agg's
     shared pair counts.  Exact; the optional quadratic field
     cross-evaluates the spectral form on agg's shared encoding.  The
-    budget is checked before either is read."""
+    pair counts check the budget before either is read."""
+    _, cnt_same = pair_count_tensors(agg)
     m, n = agg.m, agg.n
     fact = factorial(m)
-    check_ir_budget(m, n, budget)
     tables = profile_tables(agg.H)
     h = agg.H.order
-    _, cnt_same = pair_count_tensors(agg)
     dist_num = 0
     neq_num = 0
     for j in range(m):
@@ -88,7 +86,7 @@ def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True,
         indicator=Fraction(neq_num, denom),
     )
     if with_quadratic:
-        value.quadratic = apply_Ln(encode_g(agg), budget=budget)
+        value.quadratic = apply_Ln(encode_g(agg))
     return value
 
 

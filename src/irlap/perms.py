@@ -297,11 +297,16 @@ def rank_table(m: int) -> np.ndarray:
     return np.argsort(np.array(enumerate_group(m)), axis=1).T + 1
 
 
-def _voter_slabs(table: np.ndarray, i: int, n: int, fact: int) -> np.ndarray:
-    """View a per-profile array as (m!^(n-1), m!) with voter i
-    (1-based) as the fast axis."""
-    shaped = table.reshape((fact,) * n)
-    return np.moveaxis(shaped, i - 1, -1).reshape(-1, fact)
+@functools.lru_cache(maxsize=8)
+def voter_slabs(m: int, n: int) -> np.ndarray:
+    """Entry [i, v, s]: the profile where voter i+1 casts the v-th
+    permutation and the other voters, in order, have mixed-radix index
+    s.  Shape (n, m!, m!^(n-1)); cached per (m, n) and read-only."""
+    fact = factorial(m)
+    shaped = np.arange(fact**n, dtype=np.int64).reshape((fact,) * n)
+    slabs = np.stack([np.moveaxis(shaped, i, 0).reshape(fact, -1) for i in range(n)])
+    slabs.setflags(write=False)
+    return slabs
 
 
 @functools.lru_cache(maxsize=8)
@@ -313,15 +318,12 @@ def switch_classes(m: int, n: int) -> np.ndarray:
     alternative j+1 at r+1.  Shape (n, m, m, m!^(n-1), (m-1)!);
     cached per (m, n) and read-only.
     """
-    fact = factorial(m)
     # members[j, r] = permutations ranking alternative j+1 at r+1
     members = np.argsort(rank_table(m), axis=1, kind="stable").reshape(m, m, -1)
-    profiles = np.arange(fact**n, dtype=np.int64)
-    slabs = np.stack([_voter_slabs(profiles, i, n, fact).T for i in range(1, n + 1)])
     # Stored class-major, so each [i, j, r] block is column-major.  The
     # float sums of _class_sum_form run in this memory order, and the
     # golden CLI reports pin their rounding.
-    idx = np.ascontiguousarray(slabs[:, members]).swapaxes(-1, -2)
+    idx = np.ascontiguousarray(voter_slabs(m, n)[:, members]).swapaxes(-1, -2)
     idx.setflags(write=False)
     return idx
 

@@ -2,70 +2,107 @@
 extraction, rounding back to coset-valued form, and the moment
 diagnostics behind the dictatorship theorem.
 
-The pipeline takes an aggregator with small IR, projects its matrix
-encoding onto the kernel span {B + sum_i A^i rho1(x_i)}, picks the
-voter with the largest coefficient mass, rounds that coefficient to
-the nearest realizable dictator matrix M_H rho1(y), and reports the
-resulting distances.  Moment diagnostics run on the trace-normalized
-encoding (divided by sqrt(tr M_H), the measured trace, so the
-constraint matrix has unit trace).  tr M_H = #orbits - 1 is 0 when H
-is transitive on the rank positions; the diagnostics, and so the
-report, refuse that H.
+The projection of g onto the kernel span {B + sum_i A^i rho1(x_i)} and
+its rounding to the nearest dictator M_H rho1(y) are exact, read off
+counts[i, v, c]: the number of profiles where voter i casts v and the
+output is coset c.  With N = m!^n, h = |H|, Pc[c] = |H| times coset
+c's mean of P (an integer matrix), mPi = m I - J and the sum-zero
+basis C, g_c = C^T Pc[c] C / h and
+
+    Q^i = sum_{v,c} counts[i, v, c] Pc[c] mPi P(v)^T,
+    A^i = C^T Q^i C / (N h m),   B = C^T (sum_c #c Pc[c]) C / (N h)
+
+(`basis.project_to_lin`'s formulas).  C drops out of every inner
+product, <C^T X C, C^T Y C> = tr(X^T Pi Y Pi), so with tr M_H =
+#orbits - 1 = ||g_c||^2 for every c, `kernel_projection` gives exactly:
+kernel_distance_sq = tr M_H - ||B||^2 - sum_i ||A^i||^2; the voter, the
+first maximum of ||A^i||^2; the coset c, the first maximum of <g_c, A*>;
+dictator_distance_sq = 2 tr M_H - 2 <g_c, A*>, as the dictator's value
+g_c rho1(x_voter) has E <g, g_c rho1(x_voter)> = <g_c, A*>; and the
+unconstrained distance^2 to A* rho1(x_voter), tr M_H - ||A*||^2.
+Moment diagnostics run on g / sqrt(tr M_H), with epsilon =
+(kernel_distance_sq + ||B||^2) / tr M_H; only r = h h^T - M is
+evaluated on every profile.  A transitive H (tr M_H = 0) is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import factorial
+from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
+from math import factorial, sqrt
 
 import numpy as np
 
-from .aggregators import Aggregator, GEncoding, encode_g, make_dictator
-from .basis import LinFunction, Rho1Table, project_to_lin
+from ._util import memoized
+from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
+from .basis import LinFunction, Rho1Table
 from .laplacian import spectral_gap
 from .metrics import ir_combinatorial
 from .perms import (
     broadcast_voter,
+    class_histograms,
     compose_table,
     coset_ids,
     format_perm,
     perm_index,
     perm_indices,
     rank_table,
+    voter_slabs,
 )
 
 
-def kernel_distance(enc: GEncoding):
-    """Projection of g onto the kernel span and the squared L2 distance
-    E_x ||g - lin||_F^2, in the encoding's own rho1."""
-    return project_to_lin(enc.g, enc.n, enc.rho1)
+@dataclass(frozen=True, eq=False)
+class KernelProjection:
+    """Exact projection onto the kernel span and rounding (module
+    docstring)."""
+
+    trace: int  # tr M_H
+    Q: np.ndarray  # (n, m, m) integers: A^i = C^T Q[i] C / (m!^n |H| m)
+    B_norm_sq: Fraction
+    coefficient_norms: tuple  # ||A^i||^2, per voter
+    kernel_distance_sq: Fraction
+    voter: int  # 1-based
+    coset: int
+    dictator_distance_sq: Fraction
 
 
-def nearest_dictator(lin: LinFunction) -> tuple[int, np.ndarray]:
-    """Voter with the largest squared coefficient mass ||A^i||_F^2;
-    ties go to the lowest index."""
-    norms = [float((lin.A[i] ** 2).sum()) for i in range(lin.n)]
-    i_star = int(np.argmax(norms))  # argmax returns the first maximum
-    return i_star + 1, lin.A[i_star]
+def _centered(X: np.ndarray) -> np.ndarray:
+    """mPi X mPi over Python ints: <C^T X C, C^T Y C> = <_centered(X), Y> / m^2."""
+    m = X.shape[-1]
+    mPi = (m * np.eye(m, dtype=np.int64) - 1).astype(object)
+    return mPi @ X.astype(object) @ mPi
 
 
-@dataclass
-class RoundResult:
-    coset_id: int
-    sigma: tuple[int, ...]  # canonical representative of the rounded relabeling
-    aggregator: Aggregator
-    candidate_distance: float  # ||A* - M_H rho1(sigma)||_F
+def kernel_projection(enc: GEncoding) -> KernelProjection:
+    """The exact projection and rounding of enc's rule, kept on enc.
+    Only its table and H enter, so every basis gives the same values."""
+    _require_fixing(enc.H)
+    return memoized(enc, "projection", _project)
 
 
-def round_to_consistent(enc: GEncoding, A_star: np.ndarray, voter: int) -> RoundResult:
-    """Exhaustive nearest-point search over the realizable dictator
-    coefficients {M_H rho1(y)}: the encoding's coset means, one
-    candidate per coset of H."""
-    dists = np.sqrt(((enc.g_coset - A_star[None]) ** 2).sum(axis=(1, 2)))
-    c_star = int(np.argmin(dists))
-    sigma = enc.H.cosets[c_star].representative
-    agg = make_dictator(voter, sigma, enc.H, enc.n)
-    return RoundResult(c_star, sigma, agg, float(dists[c_star]))
+def _project(enc: GEncoding) -> KernelProjection:
+    m, n, H = enc.m, enc.n, enc.H
+    N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
+    Pc = profile_tables(H).prof.swapaxes(1, 2)
+    ncos = len(Pc)
+    mPi = m * np.eye(m, dtype=np.int64) - 1
+    counts = class_histograms(enc.table, voter_slabs(m, n), ncos)  # (n, m!, #cosets)
+    per_vote = (counts @ (Pc @ mPi).reshape(ncos, -1)).reshape(n, -1, m, m)
+    Q = np.einsum("ivab,vcb->iac", per_vote, enc.rho1.P)
+    Q.setflags(write=False)
+    Xb = np.einsum("c,cab->ab", counts[0].sum(axis=0), Pc)
+    cQ = _centered(Q)
+    norms = [Fraction(int((cQ[i] * Q[i]).sum()), (N * h * m * m) ** 2) for i in range(n)]
+    best = max(range(n), key=norms.__getitem__)  # max takes the first maximum
+    # N h^2 m^3 <g_c, A*> per coset c; argmax takes the first maximum
+    scores = Pc.reshape(ncos, -1).astype(object) @ cQ[best].reshape(-1)
+    coset = int(np.argmax(scores))
+    B_sq = Fraction(int((_centered(Xb) * Xb).sum()), (N * h * m) ** 2)
+    return KernelProjection(
+        trace=K, Q=Q, B_norm_sq=B_sq, coefficient_norms=tuple(norms),
+        kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
+        dictator_distance_sq=2 * K - Fraction(2 * scores[coset], N * h * h * m**3),
+    )
 
 
 def center_aggregator(agg: Aggregator) -> Aggregator:
@@ -99,26 +136,19 @@ class MomentDiagnostics:
     encoding, the Markov tail at the optimizing threshold, and the
     explicit 108 (m-1)^4 C^8 upper bound with C = sqrt(m)."""
 
-    epsilon: float  # E ||ghat - h||^2 with h the linear (non-constant) part
+    epsilon: Fraction  # E ||ghat - h||^2 with h the linear (non-constant) part
     r_norm2_mean: float  # E ||r||_F^2
     r_entry4_max: float  # max_ij E r_ij^4
     alpha: float
     tail_prob: float
-    bound: float  # 108 (m-1)^4 m^4 epsilon
+    bound: Fraction  # 108 (m-1)^4 m^4 epsilon
     bound_ok: bool
     degree2_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "r_norm2_mean": self.r_norm2_mean,
-            "r_entry4_max": self.r_entry4_max,
-            "alpha": self.alpha,
-            "tail_prob": self.tail_prob,
-            "bound_108m4C8": self.bound,
-            "bound_ok": self.bound_ok,
-            "degree2_residual": self.degree2_residual,
-        }
+        doc = asdict(self)
+        doc["bound_108m4C8"] = doc.pop("bound")
+        return doc
 
 
 def degree2_residual(values: np.ndarray, n: int, table: Rho1Table) -> np.ndarray:
@@ -161,23 +191,25 @@ def _require_fixing(H) -> None:
 
 
 def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
-    _require_fixing(enc.H)
-    m, table = enc.m, enc.rho1
-    MH = enc.g_coset[0]  # the identity's coset is H itself
-    K = float(np.trace(MH))
-    ghat = enc.g / np.sqrt(K)
-    lin, _ = project_to_lin(ghat, enc.n, table)
-    h_vals = lin.evaluate_all(table) - lin.B[None]  # linear part only
-    eps = float(((ghat - h_vals) ** 2).sum(axis=(1, 2)).mean())
-    Mhat = MH / K
-    r = np.einsum("xkl,xtl->xkt", h_vals, h_vals) - Mhat[None]
+    """The moment diagnostics of enc's rule: epsilon and the bound
+    exactly from the kernel projection, the moments of r over every
+    profile with h = sum_i A^i rho1(x_i) / sqrt(tr M_H) built from the
+    exact A in enc's own basis."""
+    proj = kernel_projection(enc)
+    m, n, table, K = enc.m, enc.n, enc.rho1, proj.trace
+    eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
+    C = table.basis.C
+    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (
+        factorial(m) ** n * enc.H.order * m * sqrt(K))
+    h = LinFunction(n, np.zeros((m - 1, m - 1)), A).evaluate_all(table)
+    r = np.einsum("xkl,xtl->xkt", h, h) - enc.g_coset[0] / K  # g_coset[0] = M_H
     r_norm2 = float((r**2).sum(axis=(1, 2)).mean())
     r_entry4 = float((r**4).mean(axis=0).max())
-    C4 = m**2  # C = sqrt(m)
-    alpha = 6 * (m - 1) * C4 * np.sqrt(eps)
-    tail = float((np.sqrt((r**2).sum(axis=(1, 2))) > alpha).mean())
+    alpha = 6 * (m - 1) * m**2 * sqrt(eps)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
+    # epsilon = 0 makes g = h sqrt(tr M_H), so r = 0 exactly: no tail
+    tail = 0.0 if eps == 0 else float((np.sqrt((r**2).sum(axis=(1, 2))) > alpha).mean())
     bound = 108 * (m - 1) ** 4 * m**4 * eps
-    deg2 = float(degree2_residual(r.reshape(len(r), -1), enc.n, table).max())
+    deg2 = float(degree2_residual(r.reshape(len(r), -1), n, table).max())
     return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail,
                              bound, r_norm2 <= bound + 1e-9, deg2)
 
@@ -203,15 +235,15 @@ def matrix_cs_check(d: int, trials: int = 100, seed: int = 0) -> dict:
 class RobustnessReport:
     m: int
     n: int
-    ir: float
-    kernel_distance_sq: float
+    ir: Fraction
+    kernel_distance_sq: Fraction
     gap: float
     gap_exhaustive: bool
     voter: int
     coefficient_norms: list
     rounded_sigma: str
     rounded_coset: int
-    dictator_distance_sq: float
+    dictator_distance_sq: Fraction
     rounding_factor: float
     centered: bool
     diagnostics: MomentDiagnostics
@@ -221,25 +253,13 @@ class RobustnessReport:
         self.kernel_bound_ok = self.kernel_distance_sq <= self.ir / self.gap + 1e-9
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "ir": self.ir,
-            "ir_normalization": "ordered-pair expectation; quadratic forms "
-                                "scaled by 2/m!^(n+1)",
-            "kernel_distance_sq": self.kernel_distance_sq,
-            "gap": self.gap,
-            "gap_exhaustive": self.gap_exhaustive,
-            "kernel_bound_ok": self.kernel_bound_ok,
-            "voter": self.voter,
-            "coefficient_norms": self.coefficient_norms,
-            "rounded_sigma": self.rounded_sigma,
-            "rounded_coset": self.rounded_coset,
-            "dictator_distance_sq": self.dictator_distance_sq,
-            "rounding_factor": self.rounding_factor,
-            "centered": self.centered,
-            "diagnostics": self.diagnostics.to_dict(),
-        }
+        """The fields, the diagnostics' own dict and the IR scale (the
+        CLI sorts the keys)."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["diagnostics"] = self.diagnostics.to_dict()
+        doc["ir_normalization"] = ("ordered-pair expectation; quadratic forms "
+                                   "scaled by 2/m!^(n+1)")
+        return doc
 
 
 _GAP_CACHE: dict[tuple[int, int], tuple[float, bool]] = {}
@@ -254,32 +274,23 @@ def measured_gap(m: int, n: int) -> tuple[float, bool]:
 
 def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport:
     """Full pipeline: IR, kernel distance (checked against IR/gap),
-    nearest dictator, rounding, and moment diagnostics, all on the
-    shared pair counts and encoding of agg, or of its centered rule.
-    Refuses (ValueError) an output subgroup transitive on the rank
-    positions."""
+    nearest dictator, rounding, and moment diagnostics, on the shared
+    pair counts and encoding of agg or of its centered rule.  Refuses
+    (ValueError) an H transitive on the rank positions."""
     _require_fixing(agg.H)
     work = center_aggregator(agg) if center else agg
-    ir = float(ir_combinatorial(work, with_quadratic=False).profile_distance)
+    ir = ir_combinatorial(work, with_quadratic=False).profile_distance
     enc = encode_g(work)
-    lin, dist_sq = kernel_distance(enc)
+    proj = kernel_projection(enc)
     gap, exhaustive = measured_gap(work.m, work.n)
-    voter, A_star = nearest_dictator(lin)
-    rounded = round_to_consistent(enc, A_star, voter)
-    rounded_g = enc.g_coset[rounded.aggregator.table]
-    dict_dist_sq = float(((enc.g - rounded_g) ** 2).sum(axis=(1, 2)).mean())
-    # unconstrained best on the chosen voter: h = A* rho1(x_voter)
-    h_vals = broadcast_voter(np.einsum("kt,xtl->xkl", A_star, enc.rho1.R), voter, work.n)
-    unconstrained = float(np.sqrt(((enc.g - h_vals) ** 2).sum(axis=(1, 2)).mean()))
-    rounded_dist = float(np.sqrt(dict_dist_sq))
-    factor = rounded_dist / unconstrained if unconstrained > 1e-12 else 1.0
-    diag = fkn_diagnostics(enc)
+    # E ||g - A* rho1(x_voter)||^2, the best without rounding
+    unconstrained = proj.trace - proj.coefficient_norms[proj.voter - 1]
+    factor = 1.0 if unconstrained == 0 else sqrt(proj.dictator_distance_sq / unconstrained)
     return RobustnessReport(
         m=work.m, n=work.n, ir=ir,
-        kernel_distance_sq=dist_sq, gap=gap, gap_exhaustive=exhaustive,
-        voter=voter,
-        coefficient_norms=[float((lin.A[i] ** 2).sum()) for i in range(lin.n)],
-        rounded_sigma=format_perm(rounded.sigma), rounded_coset=rounded.coset_id,
-        dictator_distance_sq=dict_dist_sq, rounding_factor=factor,
-        centered=center, diagnostics=diag,
+        kernel_distance_sq=proj.kernel_distance_sq, gap=gap, gap_exhaustive=exhaustive,
+        voter=proj.voter, coefficient_norms=list(proj.coefficient_norms),
+        rounded_sigma=format_perm(work.H.cosets[proj.coset].representative),
+        rounded_coset=proj.coset, dictator_distance_sq=proj.dictator_distance_sq,
+        rounding_factor=factor, centered=center, diagnostics=fkn_diagnostics(enc),
     )

@@ -48,7 +48,7 @@ from irlap.moments import (
     random_equal_margin,
 )
 from irlap.perms import enumerate_group, trivial_subgroup, winner_subgroup
-from irlap.rounding import measured_gap, robustness_report
+from irlap.rounding import kernel_projection, measured_gap, robustness_report
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -145,10 +145,8 @@ def test_criterion_4_gap_bracket_and_kernel_bound():
             agg = corrupt_aggregator(
                 make_dictator(1 + seed % n, sigma, H, n),
                 1 + seed % 3, rng)
-            ir = float(ir_combinatorial(agg, with_quadratic=False).profile_distance)
-            from irlap.rounding import kernel_distance
-
-            _, dist = kernel_distance(encode_g(agg))
+            ir = ir_combinatorial(agg, with_quadratic=False).profile_distance
+            dist = kernel_projection(encode_g(agg)).kernel_distance_sq  # exact
             ok &= dist <= ir / gap + 1e-9
             count += 1
     report(4, "gap bracket and robustness bound", ok,

@@ -7,7 +7,6 @@ from irlap.aggregators import encode_g, make_plurality
 from irlap.basis import (
     Rho1Table,
     build_basis,
-    lin_norm_sq,
     perm_matrix,
     project_to_lin,
     rho1,
@@ -142,7 +141,8 @@ def test_projection_idempotent_and_pythagoras():
     assert np.abs(again.A - lin.A).max() <= 1e-10
     assert residual2 <= 1e-12
     total = float((g**2).sum(axis=(1, 2)).mean())
-    assert abs(total - (lin_norm_sq(lin) + residual)) <= 1e-9
+    # Parseval: E ||lin||^2 = ||B||^2 + sum_i ||A^i||^2
+    assert abs(total - ((lin.B**2).sum() + (lin.A**2).sum() + residual)) <= 1e-9
 
 
 def test_basis_independence():

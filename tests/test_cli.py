@@ -320,7 +320,7 @@ def test_analyze_centered_pipeline():
         "analyze", "--m", "3", "--n", "1",
         "--rule", "dictator:i=1,sigma=213", "--center").stdout)
     assert out["robustness"]["centered"] is True
-    assert out["robustness"]["dictator_distance_sq"] <= 1e-12
+    assert out["robustness"]["dictator_distance_sq"] == "0/1"
 
 
 def test_determinism_byte_identical():

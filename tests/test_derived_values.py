@@ -83,15 +83,16 @@ def test_an_explicit_table_builds_a_fresh_encoding():
     assert np.array_equal(fresh.g, encode_g(agg).g)
 
 
-def test_budgets_refuse_after_a_warm_call():
+def test_budgets_refuse_after_a_warm_call(monkeypatch):
     agg = random_aggregator(3, 2, trivial_subgroup(3), np.random.default_rng(2))
     ir_combinatorial(agg)
     enc = encode_g(agg)
     apply_Ln(enc)
+    monkeypatch.setattr(laplacian, "LN_BUDGET", 10)
     with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
-        ir_combinatorial(agg, budget=10)
+        ir_combinatorial(agg)
     with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
-        apply_Ln(enc, budget=10)
+        apply_Ln(enc)
 
 
 def test_a_fresh_aggregator_gives_the_memoized_values():

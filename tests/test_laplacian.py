@@ -322,12 +322,13 @@ def test_bundle_memory_refusal():
         build_one_voter(8)
 
 
-def test_apply_ln_budget_refusal():
+def test_apply_ln_budget_refusal(monkeypatch):
     H = trivial_subgroup(3)
     rng = np.random.default_rng(0)
     agg = random_aggregator(3, 2, H, rng)
+    monkeypatch.setattr("irlap.laplacian.LN_BUDGET", 10)
     with pytest.raises(FeasibilityError):
-        apply_Ln(encode_g(agg), budget=10)
+        apply_Ln(encode_g(agg))
 
 
 def test_ln_matches_dense_operator():

@@ -271,11 +271,12 @@ def test_per_entry_bound():
         assert value <= k * bound
 
 
-def test_ir_budget_refusal():
+def test_ir_budget_refusal(monkeypatch):
     H = trivial_subgroup(3)
     agg = random_aggregator(3, 2, H, np.random.default_rng(0))
+    monkeypatch.setattr("irlap.laplacian.LN_BUDGET", 10)
     with pytest.raises(FeasibilityError):
-        ir_combinatorial(agg, budget=10)
+        ir_combinatorial(agg)
 
 
 def test_pair_counts_refuse_where_ir_refuses():

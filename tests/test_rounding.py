@@ -1,22 +1,28 @@
 """Robustness pipeline: kernel distance, recovery, rounding, moments."""
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irlap._util import jsonable
 from irlap.aggregators import (
     Aggregator,
     corrupt_aggregator,
     encode_g,
-    make_constant,
+    make_borda,
     make_dictator,
     make_plurality,
     random_aggregator,
 )
-from irlap.basis import LinFunction, Rho1Table, build_basis
+from irlap.basis import Rho1Table, build_basis, project_to_lin
+from irlap.cli import _build_rule, _subgroup
 from irlap.laplacian import spectral_gap
 from irlap.perms import (
+    broadcast_voter,
     build_fixing_subgroup,
     enumerate_group,
     is_even,
@@ -29,19 +35,17 @@ from irlap import rounding
 from irlap.rounding import (
     center_aggregator,
     fkn_diagnostics,
-    kernel_distance,
+    kernel_projection,
     matrix_cs_check,
     measured_gap,
-    nearest_dictator,
     robustness_report,
-    round_to_consistent,
 )
+from make_golden import CASES
 
 
 def test_kernel_distance_zero_for_dictator():
     enc = encode_g(make_dictator(1, parse_perm("312", 3), trivial_subgroup(3), 2))
-    _, dist = kernel_distance(enc)
-    assert dist <= 1e-12
+    assert kernel_projection(enc).kernel_distance_sq == 0
 
 
 def test_kernel_distance_bound_one_corruption():
@@ -52,16 +56,16 @@ def test_kernel_distance_bound_one_corruption():
     corr = Aggregator(3, 1, H, table)
     from irlap.metrics import ir_combinatorial
 
-    ir = float(ir_combinatorial(corr, with_quadratic=False).profile_distance)
-    _, dist = kernel_distance(encode_g(corr))
-    assert 0 < dist <= ir / (1 / 6) + 1e-9  # one-voter gap is exactly 1/6
+    ir = ir_combinatorial(corr, with_quadratic=False).profile_distance
+    dist = kernel_projection(encode_g(corr)).kernel_distance_sq
+    assert 0 < dist <= ir / Fraction(1, 6)  # one-voter gap is exactly 1/6
 
 
 def test_random_basis_encoding_gives_the_helmert_values():
     enc = encode_g(make_plurality(3, 2), Rho1Table(3, build_basis(3, "random", seed=1)))
-    _, dist = kernel_distance(enc)
-    assert abs(dist - 19 / 54) <= 1e-12  # 0.35185..., the Helmert encoding's value
-    assert abs(fkn_diagnostics(enc).epsilon - 0.5) <= 1e-12
+    assert kernel_projection(enc).kernel_distance_sq == Fraction(19, 54)
+    assert abs(project_to_lin(enc.g, 2, enc.rho1)[1] - 19 / 54) <= 1e-12
+    assert fkn_diagnostics(enc).epsilon == Fraction(1, 2)
 
 
 def _subgroups(m):
@@ -72,71 +76,138 @@ def _subgroups(m):
             subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])]
 
 
+def _drawn_rule(m, n, H, corrupted, seed):
+    rng = np.random.default_rng(seed)
+    if corrupted:
+        sigma = enumerate_group(m)[rng.integers(0, len(enumerate_group(m)))]
+        return corrupt_aggregator(make_dictator(n, sigma, H, n), 2, rng)
+    return random_aggregator(m, n, H, rng)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([3, 4]), st.sampled_from([1, 2]), st.integers(0, 3),
        st.booleans(), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
 def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed, basis_seed):
     H = _subgroups(m)[part]
-    rng = np.random.default_rng(rule_seed)
-    if corrupted:
-        sigma = enumerate_group(m)[rng.integers(0, len(enumerate_group(m)))]
-        agg = corrupt_aggregator(make_dictator(n, sigma, H, n), 2, rng)
-    else:
-        agg = random_aggregator(m, n, H, rng)
+    agg = _drawn_rule(m, n, H, corrupted, rule_seed)
     helmert = encode_g(agg)
     other = encode_g(agg, Rho1Table(m, build_basis(m, "random", basis_seed)))
-    (lin_h, dist_h), (lin_o, dist_o) = kernel_distance(helmert), kernel_distance(other)
+    (lin_h, dist_h), (lin_o, dist_o) = (project_to_lin(e.g, n, e.rho1) for e in (helmert, other))
     assert abs(dist_h - dist_o) <= 1e-9
-    norms_h = (lin_h.A ** 2).sum(axis=(1, 2))
-    assert np.abs(norms_h - (lin_o.A ** 2).sum(axis=(1, 2))).max() <= 1e-9
-    # the same voter and coset, up to exact ties that floats may break either way
-    voter_h, A_h = nearest_dictator(lin_h)
-    voter_o, _ = nearest_dictator(lin_o)
-    assert voter_o == voter_h or norms_h[voter_o - 1] >= norms_h.max() - 1e-9
-    round_h = round_to_consistent(helmert, A_h, voter_h)
-    round_o = round_to_consistent(other, lin_o.A[voter_h - 1], voter_h)
-    assert abs(round_h.candidate_distance - round_o.candidate_distance) <= 1e-9
-    dists_h = np.sqrt(((helmert.g_coset - A_h) ** 2).sum(axis=(1, 2)))
-    assert (round_o.coset_id == round_h.coset_id
-            or dists_h[round_o.coset_id] <= dists_h.min() + 1e-9)
+    assert np.abs((lin_h.A ** 2).sum(axis=(1, 2)) - (lin_o.A ** 2).sum(axis=(1, 2))).max() <= 1e-9
     if H.partition is None:  # the alternating group is transitive: M_H = 0
-        with pytest.raises(ValueError, match="transitive on the rank positions"):
-            fkn_diagnostics(helmert)
+        for call in (kernel_projection, fkn_diagnostics):
+            with pytest.raises(ValueError, match="transitive on the rank positions"):
+                call(helmert)
         with pytest.raises(ValueError, match="transitive on the rank positions"):
             robustness_report(agg)
         return
+    proj_h, proj_o = kernel_projection(helmert), kernel_projection(other)
+    assert (proj_o.voter, proj_o.coset) == (proj_h.voter, proj_h.coset)
+    assert proj_o.dictator_distance_sq == proj_h.dictator_distance_sq
     diag_h, diag_o = fkn_diagnostics(helmert), fkn_diagnostics(other)
-    assert abs(diag_h.epsilon - diag_o.epsilon) <= 1e-9
+    assert diag_h.epsilon == diag_o.epsilon
     assert abs(diag_h.r_norm2_mean - diag_o.r_norm2_mean) <= 1e-9
 
 
+def _top_two_apart(values, pick) -> bool:
+    """Whether the float `pick` (max or min) of values is clear of the
+    runner-up by more than 1e-9."""
+    ordered = np.sort(values)
+    if len(ordered) == 1:
+        return True
+    return (ordered[-1] - ordered[-2] if pick == "max" else ordered[1] - ordered[0]) > 1e-9
+
+
+def _assert_matches_float_oracle(enc):
+    """The exact block against project_to_lin and the profile-array
+    distances that the float pipeline computed."""
+    m, n, H = enc.m, enc.n, enc.H
+    proj = kernel_projection(enc)
+    lin, residual = project_to_lin(enc.g, n, enc.rho1)
+    assert abs(float(proj.kernel_distance_sq) - residual) <= 1e-12
+    assert abs(float(proj.B_norm_sq) - float((lin.B ** 2).sum())) <= 1e-12
+    norms = (lin.A ** 2).sum(axis=(1, 2))
+    assert np.abs(np.array(proj.coefficient_norms, dtype=float) - norms).max() <= 1e-12
+    C = enc.rho1.basis.C
+    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (factorial(m) ** n * H.order * m)
+    assert np.abs(A - lin.A).max() <= 1e-12
+    assert proj.trace == pytest.approx(float(np.trace(enc.g_coset[0])), abs=1e-12)
+    if _top_two_apart(norms, "max"):
+        assert proj.voter == int(np.argmax(norms)) + 1
+    A_star = lin.A[proj.voter - 1]
+    dists = ((enc.g_coset - A_star[None]) ** 2).sum(axis=(1, 2))
+    if _top_two_apart(dists, "min"):
+        assert proj.coset == int(np.argmin(dists))
+    sigma = H.cosets[proj.coset].representative
+    rounded = enc.g_coset[make_dictator(proj.voter, sigma, H, n).table]
+    dict_sq = ((enc.g - rounded) ** 2).sum(axis=(1, 2)).mean()
+    assert abs(float(proj.dictator_distance_sq) - dict_sq) <= 1e-12
+    h = broadcast_voter(np.einsum("kt,xtl->xkl", A_star, enc.rho1.R), proj.voter, n)
+    unconstrained = proj.trace - proj.coefficient_norms[proj.voter - 1]
+    assert abs(float(unconstrained) - ((enc.g - h) ** 2).sum(axis=(1, 2)).mean()) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]), st.sampled_from([1, 2]), st.integers(0, 2), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1), st.none() | st.integers(0, 2**32 - 1))
+def test_exact_block_matches_the_float_oracle(m, n, part, corrupted, center, rule_seed,
+                                              basis_seed):
+    agg = _drawn_rule(m, n, _subgroups(m)[part], corrupted, rule_seed)
+    work = center_aggregator(agg) if center else agg
+    basis = build_basis(m) if basis_seed is None else build_basis(m, "random", basis_seed)
+    _assert_matches_float_oracle(encode_g(work, Rho1Table(m, basis)))
+
+
+GOLDEN_ANALYZE = [(stem, args) for stem, args in CASES if args[0] == "analyze"]
+
+
+@pytest.mark.parametrize("stem,args", GOLDEN_ANALYZE, ids=[s for s, _ in GOLDEN_ANALYZE])
+def test_exact_block_matches_the_float_oracle_on_the_golden_rules(stem, args):
+    import argparse
+
+    flags = [a for a in args[1:] if a != "--center"]
+    opts = dict(zip(flags[::2], flags[1::2]))
+    m, n = int(opts["--m"]), int(opts["--n"])
+    H = _subgroup(argparse.Namespace(m=m, partition=opts.get("--partition", "")))
+    agg = _build_rule(opts["--rule"], m, n, H, 0)
+    work = center_aggregator(agg) if "--center" in args else agg
+    _assert_matches_float_oracle(encode_g(work))
+
+
 def test_nearest_dictator_selection():
-    d = 2
-    lin = LinFunction(2, np.zeros((d, d)), np.stack([np.zeros((d, d)), np.eye(d)]))
-    voter, A = nearest_dictator(lin)
-    assert voter == 2
-    assert np.array_equal(A, np.eye(d))
-    lin2 = LinFunction(2, np.zeros((d, d)),
-                       np.stack([0.9 * np.eye(d), 0.1 * np.eye(d)]))
-    voter2, _ = nearest_dictator(lin2)
-    assert voter2 == 1
+    """The voter with the largest exact coefficient mass; exact ties go
+    to the lowest index."""
+    doc = jsonable(robustness_report(make_plurality(4, 2)).to_dict())
+    assert doc["coefficient_norms"] == ["1/4", "1/4"]
+    assert doc["voter"] == 1
+    borda = kernel_projection(encode_g(make_borda(4, 3)))
+    assert len(set(borda.coefficient_norms)) == 1 and borda.voter == 1
+    lone = kernel_projection(encode_g(make_dictator(2, parse_perm("231", 3),
+                                                    trivial_subgroup(3), 2)))
+    assert lone.coefficient_norms == (0, 2) and lone.voter == 2
 
 
 def test_rounding_exact_recovery():
-    enc = encode_g(make_constant(0, trivial_subgroup(3), 1))
-    sigma = parse_perm("231", 3)
-    result = round_to_consistent(enc, enc.rho1.of(sigma), 1)
-    assert result.sigma == sigma
-    assert result.candidate_distance <= 1e-12
+    for H in (trivial_subgroup(3), winner_subgroup(3)):
+        for sigma in enumerate_group(3):
+            proj = kernel_projection(encode_g(make_dictator(2, sigma, H, 2)))
+            assert (proj.voter, proj.coset) == (2, H.coset_index[sigma])
+            assert proj.kernel_distance_sq == proj.dictator_distance_sq == 0
+            assert proj.coefficient_norms[1] == proj.trace  # ||A*||^2 = tr M_H
 
 
 def test_rounding_with_noise():
-    enc = encode_g(make_constant(0, trivial_subgroup(3), 1))
-    sigma = parse_perm("231", 3)
-    rng = np.random.default_rng(3)
-    A = 0.95 * enc.rho1.of(sigma) + 0.05 * rng.standard_normal((2, 2))
-    result = round_to_consistent(enc, A, 1)
-    assert result.sigma == sigma
+    """One corrupted entry of a one-voter dictator still rounds to its
+    relabeling."""
+    H = trivial_subgroup(3)
+    for sigma in enumerate_group(3):
+        for seed in range(3):
+            corr = corrupt_aggregator(make_dictator(1, sigma, H, 1), 1,
+                                      np.random.default_rng(seed))
+            proj = kernel_projection(encode_g(corr))
+            assert H.cosets[proj.coset].representative == sigma
+            assert 0 < proj.dictator_distance_sq
 
 
 def test_rounding_search_space_scf():
@@ -161,10 +232,9 @@ def test_corrupted_dictator_recovery_seeded():
 def test_pipeline_exact_at_zero():
     for H in (trivial_subgroup(3), winner_subgroup(3)):
         rep = robustness_report(make_dictator(1, parse_perm("321", 3), H, 2))
-        assert rep.ir == 0
-        assert rep.dictator_distance_sq <= 1e-12
-        assert rep.kernel_distance_sq <= 1e-12
-        assert rep.dictator_distance_sq >= rep.kernel_distance_sq - 1e-9
+        assert rep.ir == rep.dictator_distance_sq == rep.kernel_distance_sq == 0
+        assert rep.rounding_factor == 1.0
+        assert rep.diagnostics.tail_prob == 0
 
 
 def test_dictator_distance_dominates_kernel_distance():
@@ -173,7 +243,7 @@ def test_dictator_distance_dominates_kernel_distance():
         for _ in range(10):
             agg = random_aggregator(3, 2, H, rng)
             rep = robustness_report(agg)
-            assert rep.dictator_distance_sq >= rep.kernel_distance_sq - 1e-9
+            assert rep.dictator_distance_sq >= rep.kernel_distance_sq
 
 
 def test_monotone_under_corruption():
@@ -237,7 +307,7 @@ def test_centering_preserves_dictator_recovery():
     d = make_dictator(1, parse_perm("132", 3), trivial_subgroup(3), 1)
     rep = robustness_report(d, center=True)
     assert rep.centered
-    assert rep.dictator_distance_sq <= 1e-12
+    assert rep.dictator_distance_sq == 0
 
 
 def test_report_serializes():
