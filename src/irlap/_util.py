@@ -3,7 +3,6 @@ per-instance memos, JSON encoding of exact values."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 
@@ -21,6 +20,10 @@ def blocked_pmap(fn, items, threads: int = 1) -> list:
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: concurrent.futures pulls in logging, a cost every
+    # CLI start-up would pay for the one threaded path
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

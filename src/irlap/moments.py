@@ -201,7 +201,7 @@ def moments(A) -> MomentVector:
     both = (-2, -1)
     values = (
         A.sum(axis=both), sq.sum(axis=both), (sq * A).sum(axis=both),
-        (A**4).sum(axis=both),
+        (sq * sq).sum(axis=both),  # not A**4, which floats evaluate through pow
         (sq.sum(axis=-1) ** 2).sum(axis=-1),
         (sq.sum(axis=-2) ** 2).sum(axis=-1),
         (AA * AA).sum(axis=both),

@@ -22,7 +22,11 @@ g_c rho1(x_voter) has E <g, g_c rho1(x_voter)> = <g_c, A*>; and the
 unconstrained distance^2 to A* rho1(x_voter), tr M_H - ||A*||^2.
 Moment diagnostics run on g / sqrt(tr M_H), with epsilon =
 (kernel_distance_sq + ||B||^2) / tr M_H; only r = h h^T - M is
-evaluated on every profile.  A transitive H (tr M_H = 0) is refused.
+evaluated on every profile, in blocks of BLOCK profiles (at least one
+slab of m!^(n-1)), from the n per-voter tables A^i rho1(v): the pass
+adds up the moments of r and the sufficient statistics of its
+degree-2 residual, so its memory is a few block-sized arrays, not
+m!^n (m-1)^2 floats.  A transitive H (tr M_H = 0) is refused.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from ._util import memoized
 from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
-from .basis import LinFunction, Rho1Table
+from .basis import Rho1Table
 from .laplacian import spectral_gap
 from .metrics import ir_combinatorial
 from .perms import (
@@ -49,6 +53,8 @@ from .perms import (
     rank_table,
     voter_slabs,
 )
+
+BLOCK = 4096  # profiles per block of fkn_diagnostics (at least one slab); bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,35 +157,76 @@ class MomentDiagnostics:
         return doc
 
 
+class Degree2Sums:
+    """The sufficient statistics of `degree2_residual` for k scalar
+    functions on S_m^n, added up over blocks of profiles in mixed-radix
+    order: sum f^2, sum f, the per-voter marginal sums and the per-pair
+    ones.  A block covers consecutive leading votes x_1, so it holds
+    every row (x_1, x_j) of the pairs with voter 1; those are contracted
+    with rho1 on both sides block by block, and the other pairs' (m!,
+    m!) sums once, in `residual`.  With sums over all profiles,
+    <f, rho1_ab(x_i)> = Rf^T per_i / m!^n, and likewise for pairs."""
+
+    def __init__(self, n: int, table: Rho1Table, k: int):
+        fact, d = len(table.perms), table.m - 1
+        self.n, self.fact, self.d = n, fact, d
+        self.Rf = table.R.reshape(fact, d * d)
+        self.rows = 0  # leading votes added so far
+        self.sq = np.zeros(k)  # sum f^2
+        self.voter = np.zeros((n, k, fact))  # voters 0-based from here on
+        self.coef = {j: np.zeros((k, d * d, d * d)) for j in range(1, n)}  # pairs (0, j)
+        self.pair = {(i, j): np.zeros((k, fact, fact))
+                     for i in range(1, n) for j in range(i + 1, n)}
+
+    def add(self, f: np.ndarray, sq: np.ndarray) -> None:
+        """Add the block f (k, #profiles) that follows the blocks added so
+        far; sq is f * f."""
+        n, fact, Rf = self.n, self.fact, self.Rf
+        lead = f.shape[1] // fact ** (n - 1)
+        rows = slice(self.rows, self.rows + lead)
+        self.rows += lead
+        f = f.reshape((len(f), lead) + (fact,) * (n - 1))
+
+        def marginal(*voters):  # sum over the other voters' axes
+            axes = tuple(ax for ax in range(1, n + 1) if ax - 1 not in voters)
+            return f.sum(axis=axes) if axes else f
+
+        self.sq += sq.sum(axis=1)
+        self.voter[0][:, rows] += marginal(0)
+        for i in range(1, n):
+            self.voter[i] += marginal(i)
+        for j in self.coef:
+            self.coef[j] += Rf[rows].T @ marginal(0, j) @ Rf
+        for i, j in self.pair:
+            self.pair[i, j] += marginal(i, j)
+
+    def residual(self) -> np.ndarray:
+        N, d, Rf = self.fact**self.n, self.d, self.Rf
+        explained = (self.voter[0].sum(axis=1) / N) ** 2  # (E f)^2
+        explained += ((self.voter @ Rf / N) ** 2).sum(axis=(0, 2)) * d
+        coefs = [*self.coef.values(), *(Rf.T @ p @ Rf for p in self.pair.values())]
+        for coef in coefs:
+            explained += ((coef / N) ** 2).sum(axis=(1, 2)) * d * d
+        return np.maximum(self.sq / N - explained, 0.0)
+
+
 def degree2_residual(values: np.ndarray, n: int, table: Rho1Table) -> np.ndarray:
     """Squared mass of scalar functions on S_m^n outside the span of
     {1, rho1_ab(x_i), rho1_ab(x_i) rho1_cd(x_j) for i < j}, one per
     column of values (shape (m!^n, k)).  The basis functions are
-    orthogonal with norms 1, 1/(m-1), 1/(m-1)^2.
+    orthogonal with norms 1, 1/(m-1), 1/(m-1)^2, so the residual is
+    E f^2 minus the squared coefficients: the one-block case of
+    `Degree2Sums`, which `fkn_diagnostics` feeds block by block.
 
     On the entries of r = h h^T - M that `fkn_diagnostics` passes in,
     the residual is exactly 0 in exact arithmetic: h is a sum of
     A^i rho1(x_i), rho1 is orthogonal, so each i = j term of h h^T is
     the constant A^i A^i^T and every other term lies in the span.  The
     reported value is a rounding check."""
-    fact = len(table.perms)
-    d = table.m - 1
-    f = values.reshape((fact,) * n + (-1,))
-    voters = tuple(range(n))
-    total = (f**2).mean(axis=voters)
-    explained = f.mean(axis=voters) ** 2
-    Rf = table.R.reshape(fact, d * d)
-    for i in range(n):
-        per = f.mean(axis=tuple(ax for ax in voters if ax != i))  # (m!, k)
-        coef = Rf.T @ per / fact  # <f, rho_ab(x_i)>
-        explained += (coef**2).sum(axis=0) * d
-    for i in range(n):
-        for j in range(i + 1, n):
-            per = f.mean(axis=tuple(ax for ax in voters if ax not in (i, j)))
-            per = np.moveaxis(per, -1, 0)  # (k, m!, m!) over (x_i, x_j)
-            coef = Rf.T @ per @ Rf / fact**2  # <f, rho_ab(x_i) rho_cd(x_j)>
-            explained += (coef**2).sum(axis=(1, 2)) * d * d
-    return np.maximum(total - explained, 0.0)
+    f = values.T
+    sums = Degree2Sums(n, table, len(f))
+    sums.add(f, f * f)
+    return sums.residual()
 
 
 def _require_fixing(H) -> None:
@@ -194,24 +241,46 @@ def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
     """The moment diagnostics of enc's rule: epsilon and the bound
     exactly from the kernel projection, the moments of r over every
     profile with h = sum_i A^i rho1(x_i) / sqrt(tr M_H) built from the
-    exact A in enc's own basis."""
+    exact A in enc's own basis.  One pass over blocks of BLOCK profiles
+    (at least one slab of m!^(n-1)) adds up sum ||r||^2, sum r_ij^4, the
+    tail count and the `Degree2Sums` of the entries of r, so no array
+    of all m!^n profiles is built."""
     proj = kernel_projection(enc)
     m, n, table, K = enc.m, enc.n, enc.rho1, proj.trace
+    fact, d = len(table.perms), m - 1
     eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
     C = table.basis.C
     A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (
-        factorial(m) ** n * enc.H.order * m * sqrt(K))
-    h = LinFunction(n, np.zeros((m - 1, m - 1)), A).evaluate_all(table)
-    r = np.einsum("xkl,xtl->xkt", h, h) - enc.g_coset[0] / K  # g_coset[0] = M_H
-    r_norm2 = float((r**2).sum(axis=(1, 2)).mean())
-    r_entry4 = float((r**4).mean(axis=0).max())
+        fact**n * enc.H.order * m * sqrt(K))
+    # T[i, :, :, v] = A^i rho1(v); profiles run along the last axis
+    T = np.einsum("ikt,vtl->iklv", A, table.R)
+    rest = np.zeros((d, d, 1))  # sum over voters 2..n of A^i rho1(x_i)
+    for i in range(1, n):
+        rest = (rest[..., None] + T[i][:, :, None]).reshape(d, d, -1)
+    M = enc.g_coset[0][..., None] / K  # g_coset[0] = M_H
     alpha = 6 * (m - 1) * m**2 * sqrt(eps)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
+    sums, fourth, tail = Degree2Sums(n, table, d * d), np.zeros(d * d), 0
+    step = max(1, BLOCK // fact ** (n - 1))  # leading votes per block
+    for lead in range(0, fact, step):
+        h = (T[0][:, :, lead:lead + step, None] + rest[:, :, None]).reshape(d, d, -1)
+        r = np.einsum("klx,tlx->ktx", h, h)  # h h^T, profile by profile
+        del h  # at most two block-sized arrays are alive at a time
+        r -= M
+        f = r.reshape(d * d, -1)
+        sq = f * f
+        tail += int(np.count_nonzero(np.sqrt(sq.sum(axis=0)) > alpha))
+        sums.add(f, sq)
+        sq *= sq  # r^4 without pow
+        fourth += sq.sum(axis=1)
+        del r, f, sq
+    N = fact**n
+    r_norm2 = float(sums.sq.sum() / N)
     # epsilon = 0 makes g = h sqrt(tr M_H), so r = 0 exactly: no tail
-    tail = 0.0 if eps == 0 else float((np.sqrt((r**2).sum(axis=(1, 2))) > alpha).mean())
+    tail_prob = 0.0 if eps == 0 else tail / N
     bound = 108 * (m - 1) ** 4 * m**4 * eps
-    deg2 = float(degree2_residual(r.reshape(len(r), -1), n, table).max())
-    return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail,
-                             bound, r_norm2 <= bound + 1e-9, deg2)
+    return MomentDiagnostics(eps, r_norm2, float(fourth.max() / N), alpha, tail_prob,
+                             bound, r_norm2 <= bound + 1e-9,
+                             float(sums.residual().max()))
 
 
 def matrix_cs_check(d: int, trials: int = 100, seed: int = 0) -> dict:

@@ -3,7 +3,9 @@
 The library builds rule tables, centered tables, JSON documents, the
 degree-2 residual and the exact moment kernels with numpy array
 kernels; these are the loops they replaced, written one profile (or
-one contraction) at a time from the definitions.
+one contraction) at a time from the definitions.  The FKN moment
+diagnostics, streamed over profile blocks in the library, are here
+as the whole-array computation over all m!^n profiles at once.
 tests/test_array_kernels.py checks that both give the same results.
 The coset-histogram L' and L'' forms, over the dense X^j of
 build_one_voter, are the oracle tests/test_laplacian.py holds the
@@ -21,6 +23,7 @@ from math import factorial
 import numpy as np
 
 from irlap.aggregators import NAMED_RULE_PARAMS, Aggregator
+from irlap.basis import LinFunction
 from irlap.moments import PARTITIONS, MomentVector
 from irlap.perms import (
     build_fixing_subgroup,
@@ -35,6 +38,7 @@ from irlap.perms import (
     trivial_subgroup,
     winner_subgroup,
 )
+from irlap.rounding import MomentDiagnostics, kernel_projection
 
 
 def plurality_winner(profile, m: int) -> int:
@@ -145,6 +149,29 @@ def degree2_residual(values: np.ndarray, n: int, table) -> float:
             coef = np.einsum("vw,vab,wcd->abcd", per, table.R, table.R) / fact**2
             explained += float((coef**2).sum()) * d * d
     return max(total - explained, 0.0)
+
+
+def fkn_diagnostics(enc) -> MomentDiagnostics:
+    """h and r = h h^T - M as arrays over every profile, the moments of
+    r as whole-array reductions and the degree-2 residual one entry of
+    r at a time."""
+    proj = kernel_projection(enc)
+    m, n, table, K = enc.m, enc.n, enc.rho1, proj.trace
+    eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
+    C = table.basis.C
+    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (
+        factorial(m) ** n * enc.H.order * m * math.sqrt(K))
+    h = LinFunction(n, np.zeros((m - 1, m - 1)), A).evaluate_all(table)
+    r = np.einsum("xkl,xtl->xkt", h, h) - enc.g_coset[0] / K
+    r_norm2 = float((r**2).sum(axis=(1, 2)).mean())
+    r_entry4 = float((r**4).mean(axis=0).max())
+    alpha = 6 * (m - 1) * m**2 * math.sqrt(eps)
+    tail = 0.0 if eps == 0 else float((np.sqrt((r**2).sum(axis=(1, 2))) > alpha).mean())
+    bound = 108 * (m - 1) ** 4 * m**4 * eps
+    flat = r.reshape(len(r), -1)
+    deg2 = max(degree2_residual(flat[:, k], n, table) for k in range(flat.shape[1]))
+    return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail,
+                             bound, r_norm2 <= bound + 1e-9, deg2)
 
 
 def _block_of(partition) -> tuple[int, int, int, int]:

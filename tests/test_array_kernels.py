@@ -1,6 +1,6 @@
 """The numpy kernels for rule tables, centering, JSON, the degree-2
-residual and the exact moment kernels against the loops in
-reference_loops.py."""
+residual, the streamed FKN diagnostics and the exact moment kernels
+against the loops in reference_loops.py."""
 
 import functools
 from fractions import Fraction
@@ -21,7 +21,7 @@ from irlap.aggregators import (
     random_aggregator,
     to_json,
 )
-from irlap.basis import project_to_lin, rho1_table
+from irlap.basis import Rho1Table, build_basis, project_to_lin, rho1_table
 from irlap.moments import blocks_direct, moments
 from irlap.perms import (
     build_fixing_subgroup,
@@ -29,7 +29,8 @@ from irlap.perms import (
     trivial_subgroup,
     winner_subgroup,
 )
-from irlap.rounding import center_aggregator, degree2_residual
+from irlap import rounding
+from irlap.rounding import Degree2Sums, center_aggregator, degree2_residual, fkn_diagnostics
 
 RULE_SIZES = [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
 FEW = settings(max_examples=12, deadline=None)
@@ -190,11 +191,56 @@ def test_degree2_residual_matches_per_entry_einsum(m, n):
     r = np.einsum("xkl,xtl->xkt", h, h).reshape(len(h), -1)
     noise = rng.standard_normal((len(h), 3))
     for values in (r, noise):
-        got = degree2_residual(values, n, table)
         want = [ref.degree2_residual(values[:, k], n, table) for k in range(values.shape[1])]
-        assert got.shape == (values.shape[1],)
-        assert np.abs(got - np.array(want)).max() <= 1e-12
+        for residual in (degree2_residual, _slab_by_slab):
+            got = residual(values, n, table)
+            assert got.shape == (values.shape[1],)
+            assert np.abs(got - np.array(want)).max() <= 1e-12
     assert degree2_residual(r, n, table).max() <= 1e-12
+
+
+def _slab_by_slab(values, n, table):
+    """The multi-block case: the statistics added one leading vote x_1
+    (one slab of m!^(n-1) profiles) at a time."""
+    sums = Degree2Sums(n, table, values.shape[1])
+    for f in np.split(values.T, len(table.perms), axis=1):
+        sums.add(f, f * f)
+    return sums.residual()
+
+
+FKN_CASES = {  # the four ensemble-lib shapes first
+    "3,2": lambda rng: encode_g(random_aggregator(3, 2, trivial_subgroup(3), rng)),
+    "3,2 winner": lambda rng: encode_g(random_aggregator(3, 2, winner_subgroup(3), rng)),
+    "4,1": lambda rng: encode_g(random_aggregator(4, 1, trivial_subgroup(4), rng)),
+    "4,2 winner": lambda rng: encode_g(random_aggregator(4, 2, winner_subgroup(4), rng)),
+    "4,3": lambda rng: encode_g(random_aggregator(4, 3, trivial_subgroup(4), rng)),
+    "5,2": lambda rng: encode_g(random_aggregator(5, 2, trivial_subgroup(5), rng)),
+    "3,2 centered": lambda rng: encode_g(center_aggregator(
+        random_aggregator(3, 2, winner_subgroup(3), rng))),
+    "4,2 random basis": lambda rng: encode_g(
+        random_aggregator(4, 2, trivial_subgroup(4), rng),
+        Rho1Table(4, build_basis(4, "random", seed=3))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _fkn_oracle(case):
+    enc = FKN_CASES[case](np.random.default_rng(13))
+    return enc, ref.fkn_diagnostics(enc)
+
+
+@pytest.mark.parametrize("one_slab", [False, True], ids=["block", "slab"])
+@pytest.mark.parametrize("case", FKN_CASES)
+def test_streamed_fkn_matches_whole_array_oracle(case, one_slab, monkeypatch):
+    enc, want = _fkn_oracle(case)
+    if one_slab:  # every block one slab: many blocks even at these sizes
+        monkeypatch.setattr(rounding, "BLOCK", 1)
+    got = fkn_diagnostics(enc)
+    for name in ("r_norm2_mean", "r_entry4_max"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9 * getattr(want, name)
+    assert abs(got.degree2_residual - want.degree2_residual) <= 1e-12
+    assert (got.tail_prob, got.bound_ok) == (want.tail_prob, want.bound_ok)
+    assert (got.epsilon, got.alpha, got.bound) == (want.epsilon, want.alpha, want.bound)
 
 
 def _int_matrices(m, lo=-30, hi=30):

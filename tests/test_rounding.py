@@ -1,5 +1,6 @@
 """Robustness pipeline: kernel distance, recovery, rounding, moments."""
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -279,6 +280,18 @@ def test_fkn_diagnostics_bound_and_degree():
     assert diag.bound_ok
     assert diag.r_norm2_mean <= 0.01 * diag.bound  # the 108(m-1)^4 m^4 bound is loose
     assert diag.degree2_residual <= 1e-9
+
+
+def test_fkn_diagnostics_holds_no_profile_sized_array():
+    m, n = 5, 2
+    enc = encode_g(random_aggregator(m, n, trivial_subgroup(m), np.random.default_rng(3)))
+    tracemalloc.start()
+    try:
+        fkn_diagnostics(enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < factorial(m) ** n * (m - 1) ** 2 * 8  # one float r: 1.84 MB
 
 
 def test_matrix_cauchy_schwarz():
