@@ -42,6 +42,9 @@ CASES = (
         ("analyze_m4n2_plurality", ["analyze", "--m", "4", "--n", "2", "--rule", "plurality"]),
         ("analyze_m4n2_borda", ["analyze", "--m", "4", "--n", "2", "--rule", "borda"]),
         ("analyze_m4n3_plurality", ["analyze", "--m", "4", "--n", "3", "--rule", "plurality"]),
+        # (4, 4) pins the L form's float order at the largest size inside the budget
+        ("analyze_m4n4_random_winner", ["analyze", "--m", "4", "--n", "4", "--rule",
+                                        "random:seed=2", "--partition", "1|2,3,4"]),
         ("spectra_m4n2", ["spectra", "--m", "4", "--n", "2"]),
         ("spectra_m5n2", ["spectra", "--m", "5", "--n", "2"]),
         ("census_m3n1", ["census", "--m", "3", "--n", "1"]),
