@@ -34,13 +34,15 @@ assumed.
 Switch classes.  Every form is a sum over single-voter switches: hold
 all voters but i fixed and group voter i's rankings by the rank r they
 give alternative j.  Each such (i, j, r, others) group of (m-1)!
-profiles is a switch class, and ``perms.switch_classes(m, n)`` lists
-them all in one cached read-only index.  The per-class j-profile
-histograms (jprofile_histograms) give the pair counts
-(metrics.pair_count_tensors), and L' and L'' are read off their
-same-rank part cnt_same, which IR also reads; L is the per-class
-identity in _class_sum_form, and the IR detectors and census gather
-through the same index.
+profiles is a switch class.  No index of them is stored: a per-profile
+array seen through ``perms.voter_view(values, i, n)`` has voter i's
+vote first and the other voters second, and ``perms.rank_classes(m)``
+lists the votes of each (j, r), so a class is one row selection of
+that view.  The per-class j-profile histograms (jprofile_histograms)
+give the pair counts (metrics.pair_count_tensors), and L' and L'' are
+read off their same-rank part cnt_same, which IR also reads; L is the
+per-class identity in _class_sum_form, and the IR detectors, the
+census and the kernel projection read the same view.
 
 Spectrum.  Y^j = (m-1)! (I - P^j) with P^j the average over the rank
 class of j, so L^n / m! = (1/m) sum_{i,j} (I - P^j)_i (x) D^j.  The
@@ -68,7 +70,7 @@ import numpy as np
 from ._util import FeasibilityError, memoized
 from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
 from .basis import Basis, Rho1Table, build_basis
-from .perms import broadcast_voter, class_histograms, rank_table, switch_classes
+from .perms import broadcast_voter, class_histograms, rank_classes, rank_table, voter_view
 
 DENSE_LIMIT = 5000  # largest sector block spectral_gap diagonalizes
 LN_BUDGET = 2 * 10**8  # bound on n * m * (m!)^(n+1)
@@ -207,12 +209,18 @@ class QuadraticFormValue:
     canonical: Fraction | float
 
 
-def jprofile_histograms(agg: Aggregator, j: int) -> np.ndarray:
-    """h[i, r, s, p] = profiles of switch class (i, j, r, s) whose output
-    has j-profile id p (0-based j; ids index profile_tables' catalog)."""
-    tables = profile_tables(agg.H)
-    return class_histograms(tables.pid[agg.table, j], switch_classes(agg.m, agg.n)[:, j],
-                            len(tables.catalogs[j]))
+def jprofile_histograms(agg: Aggregator) -> np.ndarray:
+    """h[i, s, j, r, p] = profiles of switch class (i, j, r, s) whose
+    output has j-profile id p: per voter, the label (j, rank of j under
+    the vote, output j-profile id) counted along the vote axis."""
+    m, n, tables = agg.m, agg.n, profile_tables(agg.H)
+    P = int(tables.pid.max()) + 1
+    label = (np.arange(m) * m + tables.rank.T - 1)[:, None] * P + tables.pid  # [vote, coset, j]
+    votes, h = np.arange(len(label)), []
+    for i in range(n):
+        labels = label[votes, voter_view(agg.table, i, n).T]  # [slab, vote, j]
+        h.append(class_histograms(labels.reshape(len(labels), -1), m * m * P))
+    return np.stack(h).reshape(n, -1, m, m, P)
 
 
 def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
@@ -259,18 +267,21 @@ def _class_sum_form(enc: GEncoding) -> float:
     """tr(G L^n G^T) for the matrix encoding, in the basis it was
     encoded with, via the per-class identity: the Y (x) D form on one
     rank class equals (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with
-    v_a = C_j g(a)^T.  The (i, j, r) accumulation order is fixed:
-    reports pin its float rounding."""
-    idx = switch_classes(enc.m, enc.n)
-    k = factorial(enc.m - 1)
-    v = np.einsum("jl,xkl->jxk", enc.rho1.basis.C, enc.g)
-    norms = np.einsum("jxk,jxk->jx", v, v)
-    raw = 0.0
-    for i, j, r in np.ndindex(idx.shape[:3]):
-        rows = idx[i, j, r]  # (slabs, (m-1)!)
-        sums = v[j][rows].sum(axis=1)
-        raw += float(k * norms[j][rows].sum() - np.einsum("sk,sk->", sums, sums))
-    return raw
+    v_a = C_j g(a)^T, built one alternative at a time.  The class sums
+    over the (members, slabs) gather and their addition in (i, j, r)
+    order are fixed: reports pin their float rounding."""
+    m, n = enc.m, enc.n
+    k, classes = factorial(m - 1), rank_classes(m)
+    terms = np.empty((n, m, m))
+    for j, c in enumerate(enc.rho1.basis.C):
+        v = np.einsum("l,xkl->xk", c, enc.g)
+        norms = np.einsum("xk,xk->x", v, v)
+        for i in range(n):
+            sums = voter_view(v, i, n)[classes[j]].sum(axis=1)  # (m, slabs, m-1)
+            norm_sums = voter_view(norms, i, n)[classes[j]]  # (m, (m-1)!, slabs)
+            for r in range(m):
+                terms[i, j, r] = k * norm_sums[r].sum() - np.einsum("sk,sk->", sums[r], sums[r])
+    return float(np.cumsum(terms)[-1])  # cumsum adds one term at a time
 
 
 def apply_Ln(enc: GEncoding) -> float:

@@ -18,9 +18,9 @@ from math import factorial
 import numpy as np
 
 from ._util import FeasibilityError, expect_json, memoized, parse_fraction
-from .aggregators import Aggregator, encode_g, make_dictator, profile_tables
+from .aggregators import Aggregator, ProfileTables, encode_g, make_dictator, profile_tables
 from .laplacian import apply_Ln, check_ir_budget, jprofile_histograms
-from .perms import FixingSubgroup, enumerate_group, switch_classes
+from .perms import FixingSubgroup, enumerate_group, rank_classes, voter_view
 
 CENSUS_LIMIT = 2 * 10**6
 
@@ -49,15 +49,9 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _count_pairs(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
-    m, n = agg.m, agg.n
-    nprof = max(len(cat) for cat in profile_tables(agg.H).catalogs)
-    cnt_all = np.zeros((n, m, m, nprof, nprof), dtype=np.int64)
-    cnt_same = np.zeros_like(cnt_all)
-    for j in range(m):
-        h = jprofile_histograms(agg, j)
-        P = h.shape[-1]
-        cnt_same[:, j, :, :P, :P] = np.einsum("irsp,irsq->irpq", h, h)
-        cnt_all[:, j, :, :P, :P] = np.einsum("irsp,isq->irpq", h, h.sum(axis=1))
+    h = jprofile_histograms(agg)  # (n, slabs, m, m, P)
+    cnt_same = np.einsum("isjrp,isjrq->ijrpq", h, h)
+    cnt_all = np.einsum("isjrp,isjq->ijrpq", h, h.sum(axis=3))
     cnt_all.setflags(write=False)
     cnt_same.setflags(write=False)
     return cnt_all, cnt_same
@@ -102,21 +96,22 @@ def per_entry_ir_bound(m: int, n: int, H: FixingSubgroup) -> Fraction:
 # IR detectors (many-voter vs single-switch definitions)
 
 
-def _switch_invariant(funcs: np.ndarray, pid: np.ndarray, m: int, n: int) -> np.ndarray:
-    """For each coset table in funcs (..., m!^n): whether every output
-    j-profile id is constant on every switch class."""
-    idx = switch_classes(m, n)
+def _switch_invariant(funcs: np.ndarray, tables: ProfileTables, n: int) -> np.ndarray:
+    """For each coset table in funcs (m!^n,) or (#tables, m!^n): whether
+    every output j-profile id is constant on every switch class."""
     keep = np.ones(funcs.shape[:-1], dtype=bool)
-    for j in range(m):
-        sub = pid[funcs[..., idx[:, j]], j]  # (..., n, m, S, (m-1)!)
-        keep &= (sub == sub[..., :1]).all(axis=(-4, -3, -2, -1))
+    for i in range(n):
+        view = voter_view(funcs.T, i, n)  # (m!, slabs, ...)
+        for j, members in enumerate(rank_classes(len(tables.rank))):
+            sub = tables.pid[view[members], j]  # (m, (m-1)!, slabs, ...): the classes of j
+            keep &= (sub == sub[:, :1]).all(axis=(0, 1, 2))
     return keep
 
 
 def is_ir_single(agg: Aggregator) -> bool:
     """Single-switch detector: within every (voter, others, alternative,
     rank) class the output j-profile is constant."""
-    return bool(_switch_invariant(agg.table, profile_tables(agg.H).pid, agg.m, agg.n))
+    return bool(_switch_invariant(agg.table, profile_tables(agg.H), agg.n))
 
 
 def is_ir_multi(agg: Aggregator) -> bool:
@@ -164,16 +159,16 @@ class CensusResult:
         }
 
 
-def census_ir_functions(m: int, n: int, H: FixingSubgroup,
-                        limit: int = CENSUS_LIMIT) -> CensusResult:
+def census_ir_functions(m: int, n: int, H: FixingSubgroup) -> CensusResult:
     """Enumerate every aggregator S_m^n -> S_m/H, keep the IR ones, and
-    classify them as constants, rank-relabeled dictators, or other.
-    The theorem under test is that "other" is empty for m >= 3."""
+    classify them as constants, rank-relabeled dictators, or other;
+    refuses over CENSUS_LIMIT (read at call time) tables.  The theorem
+    under test is that "other" is empty for m >= 3."""
     fact = factorial(m)
     ncos = len(H.cosets)
     npos = fact**n
     total = ncos**npos
-    if total > limit:
+    if total > CENSUS_LIMIT:
         raise FeasibilityError(
             f"census infeasible: {ncos}^{npos} = {total:.3e} functions",
             estimate=f"{ncos}^{npos} ~ {total:.3e}",
@@ -184,7 +179,7 @@ def census_ir_functions(m: int, n: int, H: FixingSubgroup,
     funcs = np.empty((total, npos), dtype=np.int64)
     for pos in range(npos):
         funcs[:, npos - 1 - pos] = (codes // ncos**pos) % ncos
-    keep = _switch_invariant(funcs, tables.pid, m, n)
+    keep = _switch_invariant(funcs, tables, n)
     ir_tables = funcs[keep]
     dictator_set = set()
     for i in range(1, n + 1):

@@ -297,43 +297,32 @@ def rank_table(m: int) -> np.ndarray:
     return np.argsort(np.array(enumerate_group(m)), axis=1).T + 1
 
 
-@functools.lru_cache(maxsize=8)
-def voter_slabs(m: int, n: int) -> np.ndarray:
-    """Entry [i, v, s]: the profile where voter i+1 casts the v-th
-    permutation and the other voters, in order, have mixed-radix index
-    s.  Shape (n, m!, m!^(n-1)); cached per (m, n) and read-only."""
-    fact = factorial(m)
-    shaped = np.arange(fact**n, dtype=np.int64).reshape((fact,) * n)
-    slabs = np.stack([np.moveaxis(shaped, i, 0).reshape(fact, -1) for i in range(n)])
-    slabs.setflags(write=False)
-    return slabs
+def voter_view(values: np.ndarray, i: int, n: int) -> np.ndarray:
+    """A per-profile array (m!^n, ...) as (m!, m!^(n-1), ...): entry
+    [v, s] is the profile where voter i+1 casts the v-th permutation
+    and the other voters, in order, have mixed-radix index s.  A view
+    for i = 0, one copy otherwise."""
+    fact, rest = round(len(values) ** (1 / n)), values.shape[1:]
+    split = values.reshape((fact**i, fact, -1) + rest)  # (earlier voters, voter i+1, later)
+    return split.swapaxes(0, 1).reshape((fact, -1) + rest)
 
 
 @functools.lru_cache(maxsize=8)
-def switch_classes(m: int, n: int) -> np.ndarray:
-    """Profile indices grouped into single-voter switch classes.
-
-    Entry [i, j, r, s] lists, ascending, the (m-1)! profiles of slab s
-    (every voter but i+1 held fixed) in which voter i+1 ranks
-    alternative j+1 at r+1.  Shape (n, m, m, m!^(n-1), (m-1)!);
-    cached per (m, n) and read-only.
-    """
-    # members[j, r] = permutations ranking alternative j+1 at r+1
-    members = np.argsort(rank_table(m), axis=1, kind="stable").reshape(m, m, -1)
-    # Stored class-major, so each [i, j, r] block is column-major.  The
-    # float sums of _class_sum_form run in this memory order, and the
-    # golden CLI reports pin their rounding.
-    idx = np.ascontiguousarray(voter_slabs(m, n)[:, members]).swapaxes(-1, -2)
-    idx.setflags(write=False)
-    return idx
+def rank_classes(m: int) -> np.ndarray:
+    """Entry [j, r] lists, ascending, the (m-1)! permutations that rank
+    alternative j+1 at r+1; shape (m, m, (m-1)!), read-only.  The
+    switch class of voter i+1, alternative j+1, rank r+1 and other
+    voters s is voter_view(values, i, n)[rank_classes(m)[j, r], s]."""
+    classes = np.argsort(rank_table(m), axis=1, kind="stable").reshape(m, m, -1)
+    classes.setflags(write=False)
+    return classes
 
 
-def class_histograms(labels: np.ndarray, classes: np.ndarray, size: int) -> np.ndarray:
-    """counts[..., v] = how often label v (0 <= v < size) occurs in each
-    class: labels[classes] counted along the last axis."""
-    gathered = labels[classes]
-    rows = gathered.shape[:-1]
-    keys = gathered + size * np.arange(prod(rows)).reshape(rows + (1,))
+def class_histograms(labels: np.ndarray, size: int) -> np.ndarray:
+    """counts[..., v] = how often label v (0 <= v < size) occurs along
+    the last axis of labels."""
+    rows = labels.shape[:-1]
+    keys = labels + size * np.arange(prod(rows)).reshape(rows + (1,))
     counts = np.bincount(keys.reshape(-1), minlength=prod(rows) * size)
     return counts.reshape(rows + (size,))
 

@@ -51,7 +51,7 @@ from .perms import (
     perm_index,
     perm_indices,
     rank_table,
-    voter_slabs,
+    voter_view,
 )
 
 BLOCK = 4096  # profiles per block of fkn_diagnostics (at least one slab); bounds its memory
@@ -92,7 +92,8 @@ def _project(enc: GEncoding) -> KernelProjection:
     Pc = profile_tables(H).prof.swapaxes(1, 2)
     ncos = len(Pc)
     mPi = m * np.eye(m, dtype=np.int64) - 1
-    counts = class_histograms(enc.table, voter_slabs(m, n), ncos)  # (n, m!, #cosets)
+    # counts[i, v, c]: profiles where voter i+1 casts v and the output is coset c
+    counts = np.stack([class_histograms(voter_view(enc.table, i, n), ncos) for i in range(n)])
     per_vote = (counts @ (Pc @ mPi).reshape(ncos, -1)).reshape(n, -1, m, m)
     Q = np.einsum("ivab,vcb->iac", per_vote, enc.rho1.P)
     Q.setflags(write=False)

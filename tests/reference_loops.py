@@ -8,8 +8,9 @@ diagnostics, streamed over profile blocks in the library, are here
 as the whole-array computation over all m!^n profiles at once.
 tests/test_array_kernels.py checks that both give the same results.
 The coset-histogram L' and L'' forms, over the dense X^j of
-build_one_voter, are the oracle tests/test_laplacian.py holds the
-j-profile reduction to.
+build_one_voter and switch-class coset counts gathered one profile at
+a time, are the oracle tests/test_laplacian.py holds the j-profile
+reduction to.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from irlap.basis import LinFunction
 from irlap.moments import PARTITIONS, MomentVector
 from irlap.perms import (
     build_fixing_subgroup,
-    class_histograms,
     compose,
     enumerate_group,
     format_perm,
     inverse,
     parse_perm,
     perm_index,
-    switch_classes,
+    rank_of,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -314,6 +314,24 @@ def coset_agreement(H, X: np.ndarray) -> np.ndarray:
     return Mem @ X.astype(np.int64) @ Mem.T
 
 
+def switch_class_cosets(agg: Aggregator) -> np.ndarray:
+    """cc[i, j, r, s, c] = profiles of switch class (i, j, r, s) mapped
+    to coset c: voter i+1 ranks alternative j+1 at r+1 and the other
+    voters, in order, have mixed-radix index s.  One profile at a time."""
+    m, n = agg.m, agg.n
+    perms = enumerate_group(m)
+    fact = len(perms)
+    cc = np.zeros((n, m, m, fact ** (n - 1), len(agg.H.cosets)), dtype=np.int64)
+    for p, profile in enumerate(itertools.product(range(fact), repeat=n)):
+        for i in range(n):
+            s = 0
+            for v in profile[:i] + profile[i + 1:]:
+                s = s * fact + v
+            for j in range(m):
+                cc[i, j, rank_of(perms[profile[i]], j + 1) - 1, s, agg.table[p]] += 1
+    return cc
+
+
 def coset_form_raw(agg: Aggregator, X: np.ndarray, variant: str) -> Fraction:
     """Raw L' ("L1", X (x) complement X) or L'' ("L2", Y (x) X) from the
     coset histogram of every switch class and the dense X^j."""
@@ -321,8 +339,7 @@ def coset_form_raw(agg: Aggregator, X: np.ndarray, variant: str) -> Fraction:
     h = H.order
     agree = coset_agreement(H, X)
     pair = h * h - agree if variant == "L1" else agree
-    # cc[i, j, r, s, c] = members of switch class (i, j, r, s) mapped to coset c
-    cc = class_histograms(agg.table, switch_classes(m, n), len(H.cosets))
+    cc = switch_class_cosets(agg)
     total = int(np.einsum("ijrsp,jpq,ijrsq->", cc, pair, cc, optimize=True))
     if variant == "L2":
         # the Y diagonal: every profile sits in (m-1)! switch pairs per (i, j)

@@ -3,10 +3,14 @@ encoding and its L form are built once per aggregator, shared by every
 consumer, read-only, and equal to a fresh build."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import irlap
 from irlap import aggregators, laplacian, metrics
 from irlap._util import FeasibilityError
 from irlap.aggregators import (
@@ -104,3 +108,37 @@ def test_a_fresh_aggregator_gives_the_memoized_values():
     for a, b in zip(pair_count_tensors(twin), pair_count_tensors(agg)):
         assert np.array_equal(a, b)
     assert np.array_equal(encode_g(twin).g, encode_g(agg).g)
+
+
+RETAINED_SCRIPT = """
+import tracemalloc
+import numpy as np
+from irlap.aggregators import encode_g, profile_tables, random_aggregator
+from irlap.basis import rho1_table
+from irlap.laplacian import apply_Ln
+from irlap.metrics import pair_count_tensors
+from irlap.perms import trivial_subgroup
+from irlap.rounding import kernel_projection
+
+H = trivial_subgroup(5)
+agg = random_aggregator(5, 2, H, np.random.default_rng(0))
+enc = encode_g(agg)
+profile_tables(H), rho1_table(5)
+tracemalloc.start()
+counts = pair_count_tensors(agg)
+apply_Ln(enc)
+Q = kernel_projection(enc).Q
+print(tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in counts) - Q.nbytes)
+"""
+
+
+def test_ir_stages_retain_only_their_kept_values():
+    """The pair counts, the L form and the kernel projection keep their
+    results on the rule and nothing of profile size besides: no index
+    table outlives the call.  A fresh process, so that no earlier test
+    has filled a cache."""
+    src = os.path.dirname(os.path.dirname(irlap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", RETAINED_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) <= 64 * 1024

@@ -1,19 +1,26 @@
 """IR metrics, the census, preference orders, and manipulation power."""
 
+import math
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irlap import metrics
 from irlap._util import FeasibilityError
 from irlap.aggregators import (
     Aggregator,
     corrupt_aggregator,
     make_dictator,
     make_plurality,
+    encode_g,
     profile_tables,
     random_aggregator,
 )
+from irlap.laplacian import apply_Ln, apply_quadratic_form
 from irlap.metrics import (
     census_ir_functions,
     default_orders,
@@ -26,12 +33,14 @@ from irlap.metrics import (
     random_orders,
 )
 from irlap.perms import (
+    build_fixing_subgroup,
     compose,
     enumerate_group,
     parse_perm,
     trivial_subgroup,
     winner_subgroup,
 )
+from irlap.rounding import kernel_projection
 
 
 def test_dictator_ir_is_zero_everywhere():
@@ -174,6 +183,50 @@ def test_census_refusal():
     with pytest.raises(FeasibilityError) as err:
         census_ir_functions(4, 1, trivial_subgroup(4))
     assert "24^24" in str(err.value)
+
+
+def test_census_limit_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(metrics, "CENSUS_LIMIT", 10)
+    with pytest.raises(FeasibilityError):
+        census_ir_functions(3, 1, trivial_subgroup(3))
+
+
+# (m, n, partition) shapes of the voter-permutation property
+VOTER_SHAPES = [(3, 2, [[1], [2], [3]]), (3, 2, [[1], [2, 3]]),
+                (3, 3, [[1], [2], [3]]), (4, 2, [[1], [2, 3, 4]])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from(VOTER_SHAPES), seed=st.integers(0, 2**32 - 1),
+       dictator=st.booleans(), data=st.data())
+def test_statistics_follow_a_voter_permutation(shape, seed, dictator, data):
+    """Relabeling the voters keeps IR, the forms and the kernel distance,
+    and permutes the per-voter values the same way.  The rule is random,
+    or a dictator with up to two corrupted entries."""
+    m, n, partition = shape
+    perm = data.draw(st.permutations(range(n)))
+    H, rng = build_fixing_subgroup(m, partition), np.random.default_rng(seed)
+    if dictator:
+        sigma = data.draw(st.sampled_from(enumerate_group(m)))
+        base = make_dictator(data.draw(st.integers(1, n)), sigma, H, n)
+        agg = corrupt_aggregator(base, data.draw(st.integers(0, 2)), rng)
+    else:
+        agg = random_aggregator(m, n, H, rng)
+    cube = agg.table.reshape((factorial(m),) * n)
+    moved = Aggregator(m, n, agg.H, cube.transpose(perm).reshape(-1))
+    ir, ir_moved = (ir_combinatorial(a, with_quadratic=False) for a in (agg, moved))
+    assert (ir_moved.profile_distance, ir_moved.indicator) == (ir.profile_distance, ir.indicator)
+    for variant in ("L1", "L2"):
+        assert (apply_quadratic_form(moved, None, variant).canonical
+                == apply_quadratic_form(agg, None, variant).canonical)
+    form, form_moved = (apply_Ln(encode_g(a)) for a in (agg, moved))
+    assert math.isclose(form_moved, form, rel_tol=1e-12, abs_tol=1e-12)  # a dictator's is noise
+    proj, proj_moved = (kernel_projection(encode_g(a)) for a in (agg, moved))
+    assert proj_moved.kernel_distance_sq == proj.kernel_distance_sq
+    assert list(proj_moved.coefficient_norms) == [proj.coefficient_norms[i] for i in perm]
+    per_voter = manipulation_power(agg).per_voter
+    assert manipulation_power(moved).per_voter == [per_voter[i] for i in perm]
+    assert is_ir_single(moved) == is_ir_single(agg)
 
 
 def test_default_orders_scf():

@@ -24,10 +24,11 @@ from irlap.perms import (
     parse_perm,
     perm_index,
     perm_indices,
+    rank_classes,
     rank_of,
     subgroup_from_members,
-    switch_classes,
     trivial_subgroup,
+    voter_view,
     winner_subgroup,
 )
 
@@ -229,21 +230,27 @@ def test_subgroup_from_members_rejects_nongroup():
 
 
 @pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (2, 3)])
-def test_switch_classes_match_definition(m, n):
+def test_voter_view_and_rank_classes_match_definition(m, n):
     perms = enumerate_group(m)
-    profiles = list(itertools.product(range(len(perms)), repeat=n))
-    idx = switch_classes(m, n)
-    assert idx.shape == (n, m, m, len(perms) ** (n - 1), factorial(m - 1))
-    assert not idx.flags.writeable
+    fact = len(perms)
+    classes = rank_classes(m)
+    assert classes.shape == (m, m, factorial(m - 1))
+    assert not classes.flags.writeable
+    for j in range(m):
+        for r in range(m):
+            assert list(classes[j, r]) == [
+                v for v, x in enumerate(perms) if rank_of(x, j + 1) == r + 1]
+    profiles = list(itertools.product(range(fact), repeat=n))
+    others = list(itertools.product(range(fact), repeat=n - 1))
+    values = np.arange(2 * len(profiles)).reshape(-1, 2)  # a trailing axis rides along
     for i in range(n):
-        for j in range(m):
-            for r in range(m):
-                expected = {}
-                for p, prof in enumerate(profiles):
-                    if rank_of(perms[prof[i]], j + 1) == r + 1:
-                        others = prof[:i] + prof[i + 1:]
-                        expected.setdefault(others, []).append(p)
-                assert sorted(map(list, idx[i, j, r])) == sorted(expected.values())
+        view = voter_view(values, i, n)
+        assert view.shape == (fact, fact ** (n - 1), 2)
+        for v in range(fact):
+            for s, rest in enumerate(others):
+                p = profiles.index(rest[:i] + (v,) + rest[i:])
+                assert (view[v, s] == values[p]).all()
+    assert np.shares_memory(voter_view(values, 0, n), values)
 
 
 def test_broadcast_voter_depends_only_on_that_voter():
