@@ -35,7 +35,7 @@ Switch classes.  Every form is a sum over single-voter switches: hold
 all voters but i fixed and group voter i's rankings by the rank r they
 give alternative j.  Each such (i, j, r, others) group of (m-1)!
 profiles is a switch class.  No index of them is stored: a per-profile
-array seen through ``perms.voter_view(values, i, n)`` has voter i's
+array seen through ``perms.voter_view(values, i, n)`` has voter i+1's
 vote first and the other voters second, and ``perms.rank_classes(m)``
 lists the votes of each (j, r), so a class is one row selection of
 that view.  The per-class j-profile histograms (jprofile_histograms)
