@@ -1,5 +1,5 @@
 """Social aggregators over S_m^n with coset-valued outputs, their
-matrix encodings, and the consistency invariant g(x) g(x)^T = M_H.
+per-coset matrix encodings, and the invariant g(x) g(x)^T = M_H.
 
 A profile (x_1, ..., x_n) is addressed by its mixed-radix rank with
 voter 1 most significant:
@@ -187,7 +187,7 @@ def make_borda(m: int, n: int) -> Aggregator:
 
 
 # The rules `make_named_rule` rebuilds from params alone, with the
-# params each one takes; every other kind is stored by its entries.
+# params each one requires; every other kind is stored by its entries.
 NAMED_RULE_PARAMS = {
     "dictator": {"i", "sigma"},
     "constant": {"output"},
@@ -209,6 +209,9 @@ def make_named_rule(kind: str, params: dict, H: FixingSubgroup, n: int) -> Aggre
     if kind not in NAMED_RULE_PARAMS:
         raise ValueError(f"unknown aggregator type {kind!r}")
     check_params(kind, params, NAMED_RULE_PARAMS[kind])
+    missing = sorted(NAMED_RULE_PARAMS[kind] - set(params))
+    if missing:
+        raise ValueError(f"rule {kind!r} is missing params {missing}")
     m = H.m
     if kind == "dictator":
         return make_dictator(int(params["i"]), parse_perm(params["sigma"], m), H, n)
@@ -239,24 +242,22 @@ def corrupt_aggregator(agg: Aggregator, entries: int, rng) -> Aggregator:
 
 @dataclass(frozen=True, eq=False)
 class GEncoding:
-    """g(x) = mean of rho1(y) over y in f(x); the matrix payload of all
-    spectral computations.  g_coset[c] = M_H @ rho1(representative),
-    with rho1 the table ``rho1`` the encoding was built with; every
-    consumer reads that table, so no second basis can enter.  The
-    identity's coset, H itself, comes first, so g_coset[0] = M_H.
-    The arrays are read-only; `_derived` keeps the L form's value."""
+    """g(x) = mean of rho1(y) over y in f(x), the matrix payload of all
+    spectral computations, kept per coset: g(x) = g_coset[table[x]] is
+    never built.  g_coset[c] = M_H @ rho1(representative) in the table
+    ``rho1`` the encoding was built with, which every consumer reads,
+    so no second basis can enter.  g_coset[0] = M_H (H's own coset
+    comes first).  The arrays are read-only; `_derived` keeps the L form."""
 
     m: int
     n: int
     H: FixingSubgroup
-    g: np.ndarray  # (m!^n, m-1, m-1)
     g_coset: np.ndarray  # (#cosets, m-1, m-1)
     table: np.ndarray  # coset ids, shared with the aggregator
     rho1: Rho1Table
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.g.setflags(write=False)
         self.g_coset.setflags(write=False)
 
 
@@ -271,8 +272,7 @@ def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
 
 
 def _encode(agg: Aggregator, table: Rho1Table) -> GEncoding:
-    gc = coset_means(agg.H, table)
-    return GEncoding(agg.m, agg.n, agg.H, gc[agg.table], gc, agg.table, table)
+    return GEncoding(agg.m, agg.n, agg.H, coset_means(agg.H, table), agg.table, table)
 
 
 def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
@@ -292,13 +292,13 @@ class ConsistencyReport:
 
 
 def consistency_check(agg: Aggregator) -> ConsistencyReport:
-    """Verify g(x) g(x)^T = M_H for all x, where M_H is the mean of
-    rho1 over H's members.  M_H = 0 exactly when H is transitive on the
-    rank positions (tr M_H = #orbits - 1); then g == 0 and the whole
-    spectral pipeline is vacuous."""
+    """Verify g g^T = M_H on every coset mean, hence at every profile,
+    where M_H is the mean of rho1 over H's members.  M_H = 0 exactly
+    when H is transitive on the rank positions (tr M_H = #orbits - 1);
+    then g == 0 and the whole spectral pipeline is vacuous."""
     enc = encode_g(agg)
     MH = np.mean([enc.rho1.of(h) for h in agg.H.members], axis=0)
-    prods = np.einsum("xkl,xtl->xkt", enc.g, enc.g)
+    prods = np.einsum("ckl,ctl->ckt", enc.g_coset, enc.g_coset)
     max_dev = float(np.abs(prods - MH).max())
     idem = float(np.abs(MH @ MH - MH).max())
     fixing = agg.H.orbit_count > 1

@@ -61,6 +61,8 @@ def _build_rule(spec: str, m: int, n: int, H, seed: int):
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
+            if key in params:
+                raise ValueError(f"repeated key {key!r} in --rule {spec!r}")
             params[key] = value
     if kind == "random":
         check_params(kind, params, {"seed"})

@@ -166,6 +166,9 @@ def cluster_eigenvalues(eigvals: np.ndarray, tol: float = CLUSTER_TOL,
 def hat_l1(m: int, basis: Basis | None = None) -> HatL1System:
     if m < 3:
         raise ValueError("hat_l1 requires m >= 3 (the m=2 block is degenerate)")
+    if (m - 1) ** 2 > DENSE_LIMIT:  # hat-L(1) is the t = 1 sector block
+        raise FeasibilityError(f"hat-L(1) for m={m} has dimension ({m - 1})^2 = "
+                               f"{(m - 1) ** 2} > {DENSE_LIMIT}", estimate=f"{(m - 1) ** 2}")
     basis = basis if basis is not None else build_basis(m)
     d = m - 1
     E = np.array([np.kron(basis.C[j], basis.C[j]) for j in range(m)])  # m x d^2
@@ -267,18 +270,20 @@ def _class_sum_form(enc: GEncoding) -> float:
     """tr(G L^n G^T) for the matrix encoding, in the basis it was
     encoded with, via the per-class identity: the Y (x) D form on one
     rank class equals (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with
-    v_a = C_j g(a)^T, built one alternative at a time.  The class sums
+    v_a = C_j g(a)^T = W_j[f(a)], W_j = g_coset C_j a per-coset table
+    gathered through the classes of the coset table.  The class sums
     over the (members, slabs) gather and their addition in (i, j, r)
     order are fixed: reports pin their float rounding."""
     m, n = enc.m, enc.n
     k, classes = factorial(m - 1), rank_classes(m)
     terms = np.empty((n, m, m))
     for j, c in enumerate(enc.rho1.basis.C):
-        v = np.einsum("l,xkl->xk", c, enc.g)
-        norms = np.einsum("xk,xk->x", v, v)
+        W = np.einsum("l,xkl->xk", c, enc.g_coset)  # (#cosets, m-1)
+        norms = np.einsum("xk,xk->x", W, W)
         for i in range(n):
-            sums = voter_view(v, i, n)[classes[j]].sum(axis=1)  # (m, slabs, m-1)
-            norm_sums = voter_view(norms, i, n)[classes[j]]  # (m, (m-1)!, slabs)
+            cls = voter_view(enc.table, i, n)[classes[j]]  # (m, (m-1)!, slabs) coset ids
+            sums = W[cls].sum(axis=1)  # (m, slabs, m-1)
+            norm_sums = norms[cls]
             for r in range(m):
                 terms[i, j, r] = k * norm_sums[r].sum() - np.einsum("sk,sk->", sums[r], sums[r])
     return float(np.cumsum(terms)[-1])  # cumsum adds one term at a time

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irlap.aggregators import (
     consistency_check,
@@ -19,8 +21,9 @@ from irlap.aggregators import (
     save_json,
     to_json,
 )
-from irlap.basis import rho1_table
+from irlap.basis import Rho1Table, build_basis, rho1_table
 from irlap.perms import (
+    build_fixing_subgroup,
     enumerate_group,
     is_even,
     parse_perm,
@@ -92,7 +95,7 @@ def test_evaluate_rejects_non_permutation_votes():
 def test_swf_dictator_encoding_is_orthogonal():
     H = trivial_subgroup(3)
     enc = encode_g(make_dictator(1, parse_perm("213", 3), H, 1))
-    for g in enc.g:
+    for g in enc.g_coset[enc.table]:
         assert np.abs(g @ g.T - np.eye(2)).max() <= 1e-10
 
 
@@ -114,6 +117,29 @@ def test_consistency_invariant_random():
             assert rep.fixing
 
 
+@st.composite
+def _partitions(draw):
+    """m in 3..5 and a set partition of 1..m, as blocks of a drawn label."""
+    m = draw(st.integers(3, 5))
+    labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    return m, [[a for a in range(1, m + 1) if labels[a - 1] == b] for b in sorted(set(labels))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_partitions(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+def test_coset_means_satisfy_the_consistency_identity(drawn, basis_seed):
+    """g_c g_c^T = M_H on every coset mean, in the Helmert basis or a
+    random one; g(x) = g_coset[f(x)], so this holds at every profile."""
+    m, partition = drawn
+    H = build_fixing_subgroup(m, partition)
+    basis = build_basis(m) if basis_seed is None else build_basis(m, "random", basis_seed)
+    table = Rho1Table(m, basis)
+    gc = encode_g(make_constant(0, H, 1), table).g_coset
+    MH = np.mean([table.of(h) for h in H.members], axis=0)
+    assert len(gc) == len(H.cosets)
+    assert np.abs(np.einsum("ckl,ctl->ckt", gc, gc) - MH).max() <= 1e-10
+
+
 def test_alternating_subgroup_flagged_nonfixing():
     alt = subgroup_from_members(3, [x for x in enumerate_group(3) if is_even(x)])
     rep = consistency_check(make_constant(0, alt, 1))
@@ -126,7 +152,7 @@ def test_m_h_two_ways_agree():
     H = winner_subgroup(3)
     enc = encode_g(make_constant(1, H, 1), table)
     MH_from_members = np.mean([table.of(h) for h in H.members], axis=0)
-    MH_from_g = enc.g[0] @ enc.g[0].T
+    MH_from_g = enc.g_coset[enc.table][0] @ enc.g_coset[enc.table][0].T
     assert np.abs(MH_from_members - MH_from_g).max() <= 1e-10
 
 
@@ -186,6 +212,17 @@ def test_named_rule_rejects_unknown_params():
         make_named_rule("dictator", {"i": 1, "sigma": "123", "extra": 0}, H, 1)
     with pytest.raises(ValueError, match="unknown aggregator type"):
         make_named_rule("centered", {}, H, 1)
+
+
+def test_named_rule_names_missing_params():
+    H = trivial_subgroup(3)
+    with pytest.raises(ValueError, match=r"'dictator' is missing params \['sigma'\]"):
+        make_named_rule("dictator", {"i": 1}, H, 2)
+    with pytest.raises(ValueError, match=r"'constant' is missing params \['output'\]"):
+        from_json({"m": 3, "n": 1, "partition": [[1], [2], [3]], "type": "constant"})
+    doc = {"m": 3, "n": 2, "partition": [[1], [2], [3]], "type": "dictator", "params": {"i": 1}}
+    with pytest.raises(ValueError, match=r"missing params \['sigma'\]"):
+        from_json(doc)
 
 
 def test_json_rejects_partial_table():

@@ -186,7 +186,7 @@ def test_degree2_residual_matches_per_entry_einsum(m, n):
     # h h^T for the linear part h of a random rule (residual ~ 0, as in
     # fkn_diagnostics), and noise (residual of order 1)
     enc = encode_g(random_aggregator(m, n, trivial_subgroup(m), rng), table)
-    lin, _ = project_to_lin(enc.g, n, table)
+    lin, _ = project_to_lin(enc.g_coset[enc.table], n, table)
     h = lin.evaluate_all(table) - lin.B[None]
     r = np.einsum("xkl,xtl->xkt", h, h).reshape(len(h), -1)
     noise = rng.standard_normal((len(h), 3))

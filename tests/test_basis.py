@@ -127,7 +127,7 @@ def test_projection_recovers_constant():
 
 def test_projection_plurality_has_residual():
     enc = encode_g(make_plurality(3, 2))
-    lin, residual = project_to_lin(enc.g, 2, rho1_table(3))
+    lin, residual = project_to_lin(enc.g_coset[enc.table], 2, rho1_table(3))
     assert residual > 1e-3
 
 
@@ -154,8 +154,8 @@ def test_basis_independence():
     assert not np.allclose(helmert.C, alt.C)
     enc = encode_g(make_plurality(3, 2), Rho1Table(3, helmert))
     enc_alt = encode_g(make_plurality(3, 2), Rho1Table(3, alt))
-    _, res = project_to_lin(enc.g, 2, Rho1Table(3, helmert))
-    _, res_alt = project_to_lin(enc_alt.g, 2, Rho1Table(3, alt))
+    _, res = project_to_lin(enc.g_coset[enc.table], 2, Rho1Table(3, helmert))
+    _, res_alt = project_to_lin(enc_alt.g_coset[enc_alt.table], 2, Rho1Table(3, alt))
     assert abs(res - res_alt) <= 1e-9
     from irlap.laplacian import apply_Ln
 

@@ -309,10 +309,23 @@ def test_analyze_refuses_a_transitive_partition(capsys):
 
 
 def test_unknown_rule_params_are_input_errors():
-    for rule in ("plurality:bogus=1", "random:seed=1,foo=2", "dictator:j=2"):
+    """Unknown, repeated and missing params each exit 2 and are named."""
+    for rule, message in (("plurality:bogus=1", "unknown params"),
+                          ("random:seed=1,foo=2", "unknown params"),
+                          ("dictator:j=2", "unknown params"),
+                          ("random:seed=1,seed=2", "repeated key 'seed'"),
+                          ("dictator:i=1,sigma=123,i=2", "repeated key 'i'"),
+                          ("dictator:i=2", "missing params ['sigma']"),
+                          ("constant", "missing params ['output']")):
         proc = run("analyze", "--m", "3", "--n", "1", "--rule", rule, check=False)
         assert proc.returncode == 2, rule
-        assert "unknown params" in proc.stderr
+        assert message in proc.stderr, rule
+
+
+def test_spectra_refuses_a_hat_l1_past_the_dense_limit():
+    proc = run("spectra", "--m", "72", check=False)  # (72-1)^2 = 5041 > DENSE_LIMIT
+    assert proc.returncode == 3
+    assert "refused" in proc.stderr and "5041" in proc.stderr
 
 
 def test_analyze_centered_pipeline():

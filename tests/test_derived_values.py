@@ -73,7 +73,7 @@ def test_shared_values_are_read_only():
     agg = _rule()
     cnt_all, cnt_same = pair_count_tensors(agg)
     enc = encode_g(agg)
-    for array in (agg.table, cnt_all, cnt_same, enc.g, enc.g_coset):
+    for array in (agg.table, cnt_all, cnt_same, enc.g_coset):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     assert encode_g(agg) is enc
@@ -84,7 +84,7 @@ def test_an_explicit_table_builds_a_fresh_encoding():
     agg = _rule()
     fresh = encode_g(agg, rho1_table(agg.m))
     assert fresh is not encode_g(agg)
-    assert np.array_equal(fresh.g, encode_g(agg).g)
+    assert np.array_equal(fresh.g_coset[fresh.table], encode_g(agg).g_coset[agg.table])
 
 
 def test_budgets_refuse_after_a_warm_call(monkeypatch):
@@ -107,38 +107,56 @@ def test_a_fresh_aggregator_gives_the_memoized_values():
     assert _run_everything(twin) == warm
     for a, b in zip(pair_count_tensors(twin), pair_count_tensors(agg)):
         assert np.array_equal(a, b)
-    assert np.array_equal(encode_g(twin).g, encode_g(agg).g)
+    assert np.array_equal(encode_g(twin).g_coset[twin.table], encode_g(agg).g_coset[agg.table])
 
 
-RETAINED_SCRIPT = """
+PRELUDE = """
 import tracemalloc
 import numpy as np
 from irlap.aggregators import encode_g, profile_tables, random_aggregator
 from irlap.basis import rho1_table
 from irlap.laplacian import apply_Ln
 from irlap.metrics import pair_count_tensors
-from irlap.perms import trivial_subgroup
+from irlap.perms import rank_classes, trivial_subgroup
 from irlap.rounding import kernel_projection
 
 H = trivial_subgroup(5)
 agg = random_aggregator(5, 2, H, np.random.default_rng(0))
-enc = encode_g(agg)
-profile_tables(H), rho1_table(5)
+profile_tables(H), rho1_table(5), rank_classes(5)
 tracemalloc.start()
+"""
+
+
+def _traced_bytes(script: str) -> int:
+    """What PRELUDE + script prints, run in a fresh process so that no
+    earlier test has filled a cache."""
+    src = os.path.dirname(os.path.dirname(irlap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + script], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout)
+
+
+def test_ir_stages_retain_only_their_kept_values():
+    """The encoding, the pair counts, the L form and the kernel
+    projection keep their results on the rule and nothing of profile
+    size besides: no index table or per-profile encoding outlives the
+    call."""
+    retained = _traced_bytes("""
+enc = encode_g(agg)
 counts = pair_count_tensors(agg)
 apply_Ln(enc)
 Q = kernel_projection(enc).Q
 print(tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in counts) - Q.nbytes)
-"""
+""")
+    assert retained <= 64 * 1024
 
 
-def test_ir_stages_retain_only_their_kept_values():
-    """The pair counts, the L form and the kernel projection keep their
-    results on the rule and nothing of profile size besides: no index
-    table outlives the call.  A fresh process, so that no earlier test
-    has filled a cache."""
-    src = os.path.dirname(os.path.dirname(irlap.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", RETAINED_SCRIPT], env=env,
-                          capture_output=True, text=True, check=True)
-    assert int(proc.stdout) <= 64 * 1024
+def test_l_form_peak_is_below_one_profile_sized_encoding():
+    """Encoding a rule and putting it through the L form never holds
+    g over all profiles, m!^n (m-1)^2 floats (1.84 MB at (5, 2))."""
+    peak = _traced_bytes("""
+apply_Ln(encode_g(agg))
+print(tracemalloc.get_traced_memory()[1])
+""")
+    assert peak < 120 ** 2 * 4 ** 2 * 8

@@ -92,6 +92,23 @@ def test_eet_eigenvalues_m3():
     assert np.allclose(sorted(eig), [1 / 3, 1 / 3, 2 / 3], atol=1e-12)
 
 
+def test_hat_l1_refuses_past_the_dense_limit(monkeypatch):
+    """hat-L(1) is the t = 1 sector block, (m-1)^2 square: refused past
+    DENSE_LIMIT as it stands when called, before anything is built."""
+    monkeypatch.setattr("irlap.laplacian.DENSE_LIMIT", 3)
+    with pytest.raises(FeasibilityError, match="hat-L"):
+        hat_l1(3)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FeasibilityError):
+            hat_l1(10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
 def test_hat_l1_rejects_m2():
     with pytest.raises(ValueError):
         hat_l1(2)
@@ -342,7 +359,7 @@ def test_ln_matches_dense_operator():
     Ln = build_Ln_dense(m, n) * factorial(m)  # un-normalized
     dense_raw = 0.0
     for k in range(m - 1):
-        vec = enc.g[:, k, :].reshape(-1)
+        vec = enc.g_coset[enc.table][:, k, :].reshape(-1)
         dense_raw += float(vec @ Ln @ vec)
     canonical = 2 * dense_raw / factorial(m) ** (n + 1)
     assert abs(canonical - apply_Ln(enc)) <= 1e-9

@@ -65,7 +65,7 @@ def test_kernel_distance_bound_one_corruption():
 def test_random_basis_encoding_gives_the_helmert_values():
     enc = encode_g(make_plurality(3, 2), Rho1Table(3, build_basis(3, "random", seed=1)))
     assert kernel_projection(enc).kernel_distance_sq == Fraction(19, 54)
-    assert abs(project_to_lin(enc.g, 2, enc.rho1)[1] - 19 / 54) <= 1e-12
+    assert abs(project_to_lin(enc.g_coset[enc.table], 2, enc.rho1)[1] - 19 / 54) <= 1e-12
     assert fkn_diagnostics(enc).epsilon == Fraction(1, 2)
 
 
@@ -93,7 +93,8 @@ def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed,
     agg = _drawn_rule(m, n, H, corrupted, rule_seed)
     helmert = encode_g(agg)
     other = encode_g(agg, Rho1Table(m, build_basis(m, "random", basis_seed)))
-    (lin_h, dist_h), (lin_o, dist_o) = (project_to_lin(e.g, n, e.rho1) for e in (helmert, other))
+    (lin_h, dist_h), (lin_o, dist_o) = (project_to_lin(e.g_coset[e.table], n, e.rho1)
+                                        for e in (helmert, other))
     assert abs(dist_h - dist_o) <= 1e-9
     assert np.abs((lin_h.A ** 2).sum(axis=(1, 2)) - (lin_o.A ** 2).sum(axis=(1, 2))).max() <= 1e-9
     if H.partition is None:  # the alternating group is transitive: M_H = 0
@@ -125,7 +126,7 @@ def _assert_matches_float_oracle(enc):
     distances that the float pipeline computed."""
     m, n, H = enc.m, enc.n, enc.H
     proj = kernel_projection(enc)
-    lin, residual = project_to_lin(enc.g, n, enc.rho1)
+    lin, residual = project_to_lin(enc.g_coset[enc.table], n, enc.rho1)
     assert abs(float(proj.kernel_distance_sq) - residual) <= 1e-12
     assert abs(float(proj.B_norm_sq) - float((lin.B ** 2).sum())) <= 1e-12
     norms = (lin.A ** 2).sum(axis=(1, 2))
@@ -142,11 +143,12 @@ def _assert_matches_float_oracle(enc):
         assert proj.coset == int(np.argmin(dists))
     sigma = H.cosets[proj.coset].representative
     rounded = enc.g_coset[make_dictator(proj.voter, sigma, H, n).table]
-    dict_sq = ((enc.g - rounded) ** 2).sum(axis=(1, 2)).mean()
+    dict_sq = ((enc.g_coset[enc.table] - rounded) ** 2).sum(axis=(1, 2)).mean()
     assert abs(float(proj.dictator_distance_sq) - dict_sq) <= 1e-12
     h = broadcast_voter(np.einsum("kt,xtl->xkl", A_star, enc.rho1.R), proj.voter, n)
     unconstrained = proj.trace - proj.coefficient_norms[proj.voter - 1]
-    assert abs(float(unconstrained) - ((enc.g - h) ** 2).sum(axis=(1, 2)).mean()) <= 1e-12
+    g = enc.g_coset[enc.table]
+    assert abs(float(unconstrained) - ((g - h) ** 2).sum(axis=(1, 2)).mean()) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,7 +312,7 @@ def test_centering_zeroes_mean_and_keeps_consistency():
     centered = center_aggregator(agg)
     assert centered.n == 2
     enc = encode_g(centered)
-    assert np.abs(enc.g.mean(axis=0)).max() <= 1e-12
+    assert np.abs(enc.g_coset[enc.table].mean(axis=0)).max() <= 1e-12
     from irlap.aggregators import consistency_check
 
     assert consistency_check(centered).max_deviation <= 1e-9
