@@ -27,6 +27,8 @@ import sys
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# inputs the cases read; not under GOLDEN_DIR, whose files are exactly the cases
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 M3N2 = ["analyze", "--m", "3", "--n", "2"]
 RULES = ["random:seed=5", "plurality", "borda", "dictator:sigma=231"]
@@ -39,6 +41,9 @@ CASES = (
         M3N2 + ["--rule", rule, "--partition", "1|2,3"]) for rule in RULES if rule != "borda"]
     + [
         ("analyze_m3n2_random_center", M3N2 + ["--rule", "random:seed=5", "--center"]),
+        ("analyze_m3n2_random_winner_orders",
+         M3N2 + ["--rule", "random:seed=4", "--partition", "1|2,3",
+                 "--orders", str(DATA_DIR / "orders_m3_winner.json")]),
         ("analyze_m4n2_plurality", ["analyze", "--m", "4", "--n", "2", "--rule", "plurality"]),
         ("analyze_m4n2_borda", ["analyze", "--m", "4", "--n", "2", "--rule", "borda"]),
         ("analyze_m4n3_plurality", ["analyze", "--m", "4", "--n", "3", "--rule", "plurality"]),
