@@ -87,44 +87,39 @@ class ProfileTables:
 
     prof[c, j-1, r-1] is the number of members of coset c ranking
     alternative j at r (entries per (c, j) sum to |H|).  pid[c, j-1]
-    is the index of that integer profile in a per-j catalog sorted
-    lexicographically; dist2[j-1] and dot[j-1] are catalog-level
-    pairwise tables of squared distance and inner product.
+    is the index of that integer profile in ``catalog``, sorted
+    lexicographically; dist2 and dot are its (P, P) pairwise tables of
+    squared distance and inner product.
+
+    One catalog serves every alternative.  The member compose(x, h) of
+    the coset of x ranks j at h^-1(x^-1(j)), and as h runs over H that
+    rank runs uniformly over the H-orbit of x^-1(j): each point of an
+    orbit O is hit |H|/|O| times (orbit-stabilizer).  So a
+    j-profile is |H|/|O| on one orbit O of H on the rank positions and
+    0 elsewhere, every orbit occurs for every j, and the catalog has
+    P = H.orbit_count entries.
     """
 
     def __init__(self, H: FixingSubgroup):
         self.H = H
         m = H.m
-        ncos = len(H.cosets)
-        self.prof = np.zeros((ncos, m, m), dtype=np.int64)
-        for c, coset in enumerate(H.cosets):
-            for j in range(1, m + 1):
-                self.prof[c, j - 1] = j_profile_counts(coset, j, m)
-        self.catalogs = []  # per j: list of integer profile tuples
-        self.pid = np.zeros((ncos, m), dtype=np.int64)
-        for j in range(m):
-            cat = sorted({tuple(self.prof[c, j]) for c in range(ncos)})
-            lookup = {p: i for i, p in enumerate(cat)}
-            self.catalogs.append(cat)
-            for c in range(ncos):
-                self.pid[c, j] = lookup[tuple(self.prof[c, j])]
-        self.dist2 = []  # per j: (P, P) integer matrix of sum_r (n1-n2)^2
-        self.dot = []  # per j: (P, P) integer matrix of sum_r n1*n2
-        for j in range(m):
-            cat = np.array(self.catalogs[j], dtype=np.int64)
-            dots = cat @ cat.T
-            norms = np.diag(dots)
-            self.dist2.append(norms[:, None] + norms[None, :] - 2 * dots)
-            self.dot.append(dots)
+        self.prof = np.array([[j_profile_counts(coset, j, m) for j in range(1, m + 1)]
+                              for coset in H.cosets], dtype=np.int64)
+        self.catalog = sorted(set(map(tuple, self.prof.reshape(-1, m).tolist())))
+        lookup = {p: i for i, p in enumerate(self.catalog)}
+        self.pid = np.array([[lookup[tuple(p)] for p in row] for row in self.prof.tolist()],
+                            dtype=np.int64)
+        cat = np.array(self.catalog, dtype=np.int64)
+        self.dot = cat @ cat.T  # sum_r n1*n2
+        norms = np.diag(self.dot)
+        self.dist2 = norms[:, None] + norms[None, :] - 2 * self.dot  # sum_r (n1-n2)^2
         self.rank = rank_table(m)  # rank of alternative j under each permutation
 
     @property
     def max_pair_dist2(self) -> Fraction:
-        """The constant c = max over j and coset pairs of the squared
-        j-profile distance; m/(m-1) for winner-take-all H."""
-        h = self.H.order
-        worst = max(int(self.dist2[j].max()) for j in range(self.H.m))
-        return Fraction(worst, h * h)
+        """The constant c = max over coset pairs of the squared j-profile
+        distance; m/(m-1) for winner-take-all H."""
+        return Fraction(int(self.dist2.max()), self.H.order ** 2)
 
 
 _PROFILE_TABLES: dict[tuple, ProfileTables] = {}

@@ -38,9 +38,11 @@ profiles is a switch class.  No index of them is stored: a per-profile
 array seen through ``perms.voter_view(values, i, n)`` has voter i+1's
 vote first and the other voters second, and ``perms.rank_classes(m)``
 lists the votes of each (j, r), so a class is one row selection of
-that view.  The per-class j-profile histograms (jprofile_histograms)
-give the pair counts (metrics.pair_count_tensors), and L' and L'' are
-read off their same-rank part cnt_same, which IR also reads; L is the
+that view.  metrics.pair_count_tensors counts, one voter at a time,
+the output j-profiles of every class and keeps only their pair counts;
+every alternative reads one catalog of j-profiles (aggregators.
+ProfileTables), so L', L'' and IR are each one contraction of the
+same-rank part cnt_same with a (P, P) catalog table.  L is the
 per-class identity in _class_sum_form, and the IR detectors, the
 census and the kernel projection read the same view.
 
@@ -70,7 +72,7 @@ import numpy as np
 from ._util import FeasibilityError, memoized
 from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
 from .basis import Basis, Rho1Table, build_basis
-from .perms import broadcast_voter, class_histograms, rank_classes, rank_table, voter_view
+from .perms import broadcast_voter, rank_classes, rank_table, voter_view
 
 DENSE_LIMIT = 5000  # largest sector block spectral_gap diagonalizes
 LN_BUDGET = 2 * 10**8  # bound on n * m * (m!)^(n+1)
@@ -212,30 +214,16 @@ class QuadraticFormValue:
     canonical: Fraction | float
 
 
-def jprofile_histograms(agg: Aggregator) -> np.ndarray:
-    """h[i, s, j, r, p] = profiles of switch class (i, j, r, s) whose
-    output has j-profile id p: per voter, the label (j, rank of j under
-    the vote, output j-profile id) counted along the vote axis."""
-    m, n, tables = agg.m, agg.n, profile_tables(agg.H)
-    P = int(tables.pid.max()) + 1
-    label = (np.arange(m) * m + tables.rank.T - 1)[:, None] * P + tables.pid  # [vote, coset, j]
-    votes, h = np.arange(len(label)), []
-    for i in range(n):
-        labels = label[votes, voter_view(agg.table, i, n).T]  # [slab, vote, j]
-        h.append(class_histograms(labels.reshape(len(labels), -1), m * m * P))
-    return np.stack(h).reshape(n, -1, m, m, P)
-
-
 def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
                          variant: str) -> QuadraticFormValue:
     """Evaluate one of the three forms on an aggregator, summed over
     single-voter switches.  "L1" (X (x) complement X) and "L2"
     (Y (x) X) are exact: members of cosets c and c' agree on j's rank
     prof_j(c) . prof_j(c') times, so with agg's shared same-rank pair
-    counts cnt_same (metrics.pair_count_tensors) and
-    S = sum_j sum cnt_same[:, j, :, p, q] dot_j[p, q],
+    counts cnt_same (metrics.pair_count_tensors) and the one catalog's
+    inner products dot, S = sum cnt_same[i, j, r, p, q] dot[p, q],
 
-        raw(L'') = (n (m-1)! sum_x sum_j dot_j[p, p] - S) / |H|^2
+        raw(L'') = (n (m-1)! sum_x sum_j ||prof_j(f(x))||^2 - S) / |H|^2
         raw(L')  = (|H|^2 n m m!^n (m-1)! - S) / |H|^2
 
     "L" (Y (x) D) is apply_Ln on agg's shared matrix encoding, in
@@ -252,15 +240,11 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
         return QuadraticFormValue("L", canonical / float(scale), canonical)
     tables = profile_tables(H)
     _, cnt_same = pair_count_tensors(agg)
-    S = 0
-    for j in range(m):
-        P = len(tables.catalogs[j])
-        S += int((cnt_same[:, j, :, :P, :P] * tables.dot[j]).sum())
+    S = int((cnt_same.sum(axis=(0, 1, 2)) * tables.dot).sum())
     hh, k = H.order ** 2, factorial(m - 1)
     if variant == "L1":
         raw = Fraction(hh * n * m * factorial(m) ** n * k - S, hh)
         return QuadraticFormValue("L1", raw, scale * (raw - lprime_offset(m, n, H)))
-    # sum_j dot_j[p, p] at f(x) is the squared norm of f(x)'s profiles
     diag = int((tables.prof ** 2).sum(axis=(1, 2))[agg.table].sum())
     raw = Fraction(n * k * diag - S, hh)
     return QuadraticFormValue("L2", raw, scale * raw)

@@ -19,8 +19,8 @@ import numpy as np
 
 from ._util import FeasibilityError, expect_json, memoized, parse_fraction
 from .aggregators import Aggregator, ProfileTables, encode_g, make_dictator, profile_tables
-from .laplacian import apply_Ln, check_ir_budget, jprofile_histograms
-from .perms import FixingSubgroup, enumerate_group, rank_classes, voter_view
+from .laplacian import apply_Ln, check_ir_budget
+from .perms import FixingSubgroup, class_histograms, enumerate_group, rank_classes, voter_view
 
 CENSUS_LIMIT = 2 * 10**6
 
@@ -49,9 +49,23 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _count_pairs(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
-    h = jprofile_histograms(agg)  # (n, slabs, m, m, P)
-    cnt_same = np.einsum("isjrp,isjrq->ijrpq", h, h)
-    cnt_all = np.einsum("isjrp,isjq->ijrpq", h, h.sum(axis=3))
+    """One voter at a time: the voter's label (j, rank of j under the
+    vote, output j-profile id) is counted along the vote axis into the
+    histogram h[s, j, r, p] of switch class (i, j, r, s), which is
+    contracted into the voter's counts and dropped before the next."""
+    m, n, tables = agg.m, agg.n, profile_tables(agg.H)
+    P = len(tables.catalog)
+    label = (np.arange(m) * m + tables.rank.T - 1)[:, None] * P + tables.pid  # [vote, coset, j]
+    votes = np.arange(len(label))
+    cnt_all = np.empty((n, m, m, P, P), dtype=np.int64)
+    cnt_same = np.empty_like(cnt_all)
+    for i in range(n):
+        labels = label[votes, voter_view(agg.table, i, n).T]  # [slab, vote, j]
+        h = class_histograms(labels.reshape(len(labels), -1), m * m * P).reshape(-1, m, m, P)
+        del labels
+        cnt_same[i] = np.einsum("sjrp,sjrq->jrpq", h, h)
+        cnt_all[i] = np.einsum("sjrp,sjq->jrpq", h, h.sum(axis=2))
+        del h
     cnt_all.setflags(write=False)
     cnt_same.setflags(write=False)
     return cnt_all, cnt_same
@@ -63,21 +77,12 @@ def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True) -> IRValue:
     cross-evaluates the spectral form on agg's shared encoding.  The
     pair counts check the budget before either is read."""
     _, cnt_same = pair_count_tensors(agg)
-    m, n = agg.m, agg.n
-    fact = factorial(m)
-    tables = profile_tables(agg.H)
-    h = agg.H.order
-    dist_num = 0
-    neq_num = 0
-    for j in range(m):
-        P = len(tables.catalogs[j])
-        block = cnt_same[:, j, :, :P, :P].sum(axis=(0, 1))  # (P, P) over voters+ranks
-        dist_num += int((block * tables.dist2[j]).sum())
-        neq_num += int(block[tables.dist2[j] > 0].sum())
-    denom = fact ** (n + 1)
+    dist2 = profile_tables(agg.H).dist2
+    block = cnt_same.sum(axis=(0, 1, 2))  # (P, P) over voters, alternatives, ranks
+    denom = factorial(agg.m) ** (agg.n + 1)
     value = IRValue(
-        profile_distance=Fraction(dist_num, h * h * denom),
-        indicator=Fraction(neq_num, denom),
+        profile_distance=Fraction(int((block * dist2).sum()), agg.H.order ** 2 * denom),
+        indicator=Fraction(int(block[dist2 > 0].sum()), denom),
     )
     if with_quadratic:
         value.quadratic = apply_Ln(encode_g(agg))
@@ -208,52 +213,31 @@ def census_ir_functions(m: int, n: int, H: FixingSubgroup) -> CensusResult:
 @dataclass
 class OrderFamily:
     """For each alternative j and truthful rank r, a strict total order
-    on the possible j-profiles: position[j][r-1][pid] with 0 the most
-    preferred."""
+    on the catalog of j-profiles: position[j-1, r-1, pid] with 0 the
+    most preferred."""
 
     m: int
-    position: list  # per j: (m, P) int array
+    position: np.ndarray  # (m, m, P) int
     label: str
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "position": [p.tolist() for p in self.position],
-        }
 
 
 def default_orders(H: FixingSubgroup, m: int) -> OrderFamily:
     """Rank j-profiles by squared distance to the unit vector at the
     truthful rank, ties lexicographic.  Under this family the top of
-    every order is the profile of a coset ranking j there."""
+    every order is the profile of a coset ranking j there.  The order
+    depends on r only, so it is sorted once per r and shared by every j."""
     tables = profile_tables(H)
-    h = H.order
-    position = []
-    for j in range(m):
-        cat = tables.catalogs[j]
-        P = len(cat)
-        pos = np.empty((m, P), dtype=np.int64)
-        for r in range(1, m + 1):
-            target = tuple(h if rr == r else 0 for rr in range(1, m + 1))
-            keyed = sorted(
-                range(P),
-                key=lambda p: (sum((a - b) ** 2 for a, b in zip(cat[p], target)), cat[p]),
-            )
-            for rank_pos, p in enumerate(keyed):
-                pos[r - 1, p] = rank_pos
-        position.append(pos)
-    return OrderFamily(m, position, "distance-to-truthful-rank")
+    cat = np.array(tables.catalog)
+    # [r, p]: squared distance from profile p to |H| e_r, less the constant |H|^2
+    key = np.diag(tables.dot)[None, :] - 2 * H.order * cat.T
+    # a stable sort breaks ties by catalog index, which is lexicographic
+    pos = np.argsort(np.argsort(key, axis=1, kind="stable"), axis=1)
+    return OrderFamily(m, np.tile(pos, (m, 1, 1)), "distance-to-truthful-rank")
 
 
 def random_orders(H: FixingSubgroup, m: int, rng) -> OrderFamily:
-    tables = profile_tables(H)
-    position = []
-    for j in range(m):
-        P = len(tables.catalogs[j])
-        pos = np.empty((m, P), dtype=np.int64)
-        for r in range(m):
-            pos[r] = rng.permutation(P)
-        position.append(pos)
+    P = len(profile_tables(H).catalog)
+    position = np.array([[rng.permutation(P) for r in range(m)] for j in range(m)])
     return OrderFamily(m, position, "random")
 
 
@@ -262,15 +246,14 @@ def orders_from_json(doc, H: FixingSubgroup, m: int) -> OrderFamily:
     [profile vectors in descending preference]}; unspecified (j, r)
     pairs keep the default order.  j and r run over 1..m, entries are
     multiples of 1/|H|, and a ranking lists every profile once."""
-    tables = profile_tables(H)
+    cat = profile_tables(H).catalog
+    lookup = {p: i for i, p in enumerate(cat)}
     family = default_orders(H, m)
     h = H.order
     for entry in expect_json(doc, list, "orders document"):
         j, r = expect_json(entry, dict, "orders entry")["j"], entry["r"]
         if not all(type(v) is int and 1 <= v <= m for v in (j, r)):
             raise ValueError(f"orders entry needs integer j and r in 1..{m}, got j={j!r}, r={r!r}")
-        cat = tables.catalogs[j - 1]
-        lookup = {p: i for i, p in enumerate(cat)}
         ranking = expect_json(entry["ranking"], list, "ranking")
         if len(ranking) != len(cat):
             raise ValueError(f"ranking for j={j}, r={r} must list all {len(cat)} profiles")
@@ -283,7 +266,7 @@ def orders_from_json(doc, H: FixingSubgroup, m: int) -> OrderFamily:
             order.append(lookup[counts])
         if len(set(order)) != len(cat):
             raise ValueError(f"ranking for j={j}, r={r} lists a profile twice")
-        family.position[j - 1][r - 1, order] = np.arange(len(cat))
+        family.position[j - 1, r - 1, order] = np.arange(len(cat))
     family.label = "override"
     return family
 
@@ -330,25 +313,16 @@ def manipulation_power(agg: Aggregator, orders: OrderFamily | None = None,
     outcome's j-profile strictly beats the truthful one under the
     voter's rank-indexed order.  Exact rational.  `cnt_all` and `ir`
     default to agg's shared pair counts and its exact IR."""
-    m, n = agg.m, agg.n
-    fact = factorial(m)
-    tables = profile_tables(agg.H)
     if orders is None:
-        orders = default_orders(agg.H, m)
+        orders = default_orders(agg.H, agg.m)
     if cnt_all is None:
         cnt_all, _ = pair_count_tensors(agg)
-    per_voter = []
-    denom = fact ** (n + 1)
-    for i in range(n):
-        num = 0
-        for j in range(m):
-            P = len(tables.catalogs[j])
-            pos = orders.position[j]  # (m, P)
-            better = pos[:, None, :] < pos[:, :, None]  # [r, pa, pb]: pb preferred
-            num += int((cnt_all[i, j, :, :P, :P] * better).sum())
-        per_voter.append(Fraction(num, denom))
+    pos = orders.position
+    better = pos[:, :, None, :] < pos[:, :, :, None]  # [j, r, pa, pb]: pb preferred
+    denom = factorial(agg.m) ** (agg.n + 1)
+    per_voter = [Fraction(int((counts * better).sum()), denom) for counts in cnt_all]
     total = sum(per_voter, Fraction(0))
-    c = tables.max_pair_dist2
+    c = profile_tables(agg.H).max_pair_dist2
     if ir is None:
         ir = ir_combinatorial(agg, with_quadratic=False).profile_distance
     return ManipulationReport(per_voter, total, c, ir, c * total >= ir,
