@@ -81,3 +81,11 @@ def expect_json(value, kind: type, what: str):
         name = "list" if kind is list else "object"
         raise ValueError(f"{what} must be a JSON {name}, got {value!r:.60}")
     return value
+
+
+def expect_key(doc: dict, key: str, what: str):
+    """doc[key]; a missing key is a ValueError naming `what` and the key,
+    so it is an input error rather than a bare KeyError."""
+    if key not in doc:
+        raise ValueError(f"{what} has no key {key!r}")
+    return doc[key]

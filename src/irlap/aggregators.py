@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import expect_json, memoized
+from ._util import expect_json, expect_key, memoized
 from .basis import Rho1Table, rho1_table
 from .perms import (
     MAX_M,
@@ -123,15 +123,19 @@ class ProfileTables:
 
 
 _PROFILE_TABLES: dict[tuple, ProfileTables] = {}
+_PROFILE_TABLES_KEPT = 8  # the bound of perms.rank_classes
 
 
 def profile_tables(H: FixingSubgroup) -> ProfileTables:
     """Tables shared by every subgroup with the same members: the
     members fix the cosets and their order, so equal subgroups built
-    separately (e.g. by repeated JSON loads) reuse one entry."""
+    separately (e.g. by repeated JSON loads) reuse one entry.  Past
+    eight entries the oldest is evicted."""
     key = (H.m, H.members)
     if key not in _PROFILE_TABLES:
         _PROFILE_TABLES[key] = ProfileTables(H)
+        if len(_PROFILE_TABLES) > _PROFILE_TABLES_KEPT:
+            del _PROFILE_TABLES[next(iter(_PROFILE_TABLES))]
     return _PROFILE_TABLES[key]
 
 
@@ -341,10 +345,10 @@ def to_json(agg: Aggregator) -> dict:
 
 def from_json(doc: dict) -> Aggregator:
     expect_json(doc, dict, "aggregator document")
-    m, n = doc["m"], doc["n"]
+    m, n = (expect_key(doc, key, "aggregator document") for key in ("m", "n"))
     if type(m) is not int or type(n) is not int:
         raise ValueError(f"m and n must be integers, got m={m!r:.20}, n={n!r:.20}")
-    H = build_fixing_subgroup(m, doc["partition"])
+    H = build_fixing_subgroup(m, expect_key(doc, "partition", "aggregator document"))
     kind = doc.get("type", "table")
     params = expect_json(doc.get("params", {}), dict, "params")
     if kind in NAMED_RULE_PARAMS:
@@ -358,7 +362,8 @@ def from_json(doc: dict) -> Aggregator:
     coset_of = coset_ids(H).tolist()
     table = [-1] * fact**n
     for entry in expect_json(doc["entries"], list, "entries"):
-        profile = expect_json(expect_json(entry, dict, "entry")["profile"], list, "entry profile")
+        expect_json(entry, dict, "entry")
+        profile = expect_json(expect_key(entry, "profile", "entry"), list, "entry profile")
         votes = [_perm_id(t, m, lookup) for t in profile]
         if len(votes) != n:
             raise ValueError("entry profile has wrong voter count")
@@ -367,7 +372,7 @@ def from_json(doc: dict) -> Aggregator:
             idx = idx * fact + v
         if table[idx] >= 0:
             raise ValueError(f"duplicate entry for profile {profile}")
-        table[idx] = coset_of[_perm_id(entry["output"], m, lookup)]
+        table[idx] = coset_of[_perm_id(expect_key(entry, "output", "entry"), m, lookup)]
     missing = table.count(-1)
     if missing:
         raise ValueError(f"table not total: {missing} profiles missing")

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from ._util import FeasibilityError, expect_json, jsonable
+from ._util import FeasibilityError, expect_json, expect_key, jsonable
 from .aggregators import check_params, from_json, make_named_rule, random_aggregator
 from .laplacian import check_ir_budget, gap_bracket, hat_l1, spectral_gap
 from .metrics import (
@@ -115,9 +115,10 @@ def _load_input(args):
     before from_json builds anything."""
     with open(args.input) as fh:
         doc = expect_json(json.load(fh), dict, "aggregator document")
-    if (doc["m"], doc["n"]) != (args.m, args.n):
+    m, n = (expect_key(doc, key, "aggregator document") for key in ("m", "n"))
+    if (m, n) != (args.m, args.n):
         raise ValueError(f"--m {args.m} --n {args.n} disagree with the rule's "
-                         f"m={doc['m']!r:.20}, n={doc['n']!r:.20}")
+                         f"m={m!r:.20}, n={n!r:.20}")
     return from_json(doc)
 
 

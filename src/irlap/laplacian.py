@@ -22,7 +22,7 @@ Raw form values convert to it by a constant fixed per variant:
 
     IR = 2 * raw(L) / m!^(n+1) = 2 * raw(L'') / m!^(n+1)
     IR = 2 * (raw(L') - offset) / m!^(n+1),
-    offset = n * m!^n * (m-1)! * (m - #blocks(H))
+    offset = n * m!^n * (m-1)! * (m - #orbits(H))
 
 The factor 2 converts the Laplacian's unordered edge sum into the
 ordered-pair expectation.  The L' offset is the rank-disagreement mass
@@ -203,8 +203,9 @@ def kappa(variant: str, m: int, n: int) -> Fraction:
 
 def lprime_offset(m: int, n: int, H) -> Fraction:
     """Constant rank-disagreement mass inside single cosets, present in
-    the L' form even for IR functions."""
-    return Fraction(n * factorial(m) ** n * factorial(m - 1) * (m - H.block_count))
+    the L' form even for IR functions; #orbits(H) is #blocks for a
+    fixing subgroup and also serves any other H."""
+    return Fraction(n * factorial(m) ** n * factorial(m - 1) * (m - H.orbit_count))
 
 
 @dataclass

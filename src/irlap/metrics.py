@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import FeasibilityError, expect_json, memoized, parse_fraction
+from ._util import FeasibilityError, expect_json, expect_key, memoized, parse_fraction
 from .aggregators import Aggregator, ProfileTables, encode_g, make_dictator, profile_tables
 from .laplacian import apply_Ln, check_ir_budget
 from .perms import FixingSubgroup, class_histograms, enumerate_group, rank_classes, voter_view
@@ -251,11 +251,11 @@ def orders_from_json(doc, H: FixingSubgroup, m: int) -> OrderFamily:
     family = default_orders(H, m)
     h = H.order
     for entry in expect_json(doc, list, "orders document"):
-        j, r = expect_json(entry, dict, "orders entry")["j"], entry["r"]
+        expect_json(entry, dict, "orders entry")
+        j, r, ranking = (expect_key(entry, key, "orders entry") for key in ("j", "r", "ranking"))
         if not all(type(v) is int and 1 <= v <= m for v in (j, r)):
             raise ValueError(f"orders entry needs integer j and r in 1..{m}, got j={j!r}, r={r!r}")
-        ranking = expect_json(entry["ranking"], list, "ranking")
-        if len(ranking) != len(cat):
+        if len(expect_json(ranking, list, "ranking")) != len(cat):
             raise ValueError(f"ranking for j={j}, r={r} must list all {len(cat)} profiles")
         order = []
         for vec in ranking:

@@ -178,12 +178,6 @@ class FixingSubgroup:
         return len(self.members)
 
     @property
-    def block_count(self) -> int:
-        if self.partition is None:
-            raise ValueError("subgroup was not built from a partition")
-        return len(self.partition)
-
-    @property
     def orbit_count(self) -> int:
         """Orbits of H on the rank positions 1..m, by Burnside the mean
         fixed-point count (an exact integer division).  tr M_H =

@@ -1,5 +1,7 @@
 """Aggregator rules, encodings, consistency, and serialization."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from irlap.perms import (
     enumerate_group,
     is_even,
     parse_perm,
+    rank_of,
     subgroup_from_members,
     trivial_subgroup,
     winner_subgroup,
@@ -118,9 +121,9 @@ def test_consistency_invariant_random():
 
 
 @st.composite
-def _partitions(draw):
-    """m in 3..5 and a set partition of 1..m, as blocks of a drawn label."""
-    m = draw(st.integers(3, 5))
+def _partitions(draw, lo=3, hi=5):
+    """m in lo..hi and a set partition of 1..m, as blocks of a drawn label."""
+    m = draw(st.integers(lo, hi))
     labels = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
     return m, [[a for a in range(1, m + 1) if labels[a - 1] == b] for b in sorted(set(labels))]
 
@@ -138,6 +141,29 @@ def test_coset_means_satisfy_the_consistency_identity(drawn, basis_seed):
     MH = np.mean([table.of(h) for h in H.members], axis=0)
     assert len(gc) == len(H.cosets)
     assert np.abs(np.einsum("ckl,ctl->ckt", gc, gc) - MH).max() <= 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _alternating(m):
+    return subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_partitions(2, 6), st.booleans())
+def test_one_catalog_lists_the_orbits(drawn, alternating):
+    """The j-profile of coset c is |H|/|O| on the orbit O of H that holds
+    the rank c's representative gives j, for every j: one catalog of
+    H.orbit_count entries serves every alternative.  H is a fixing
+    subgroup or the alternating group."""
+    m, partition = drawn
+    H = _alternating(m) if alternating and m >= 3 else build_fixing_subgroup(m, partition)
+    tables = profile_tables(H)
+    assert len(tables.catalog) == H.orbit_count
+    for c, coset in enumerate(H.cosets):
+        for j in range(1, m + 1):
+            orbit = {h[rank_of(coset.representative, j) - 1] for h in H.members}
+            expected = tuple(H.order // len(orbit) if r in orbit else 0 for r in range(1, m + 1))
+            assert tables.catalog[tables.pid[c, j - 1]] == expected
 
 
 def test_alternating_subgroup_flagged_nonfixing():
@@ -253,6 +279,23 @@ def test_profile_tables_cache_shared_across_json_round_trips():
     for _ in range(50):
         assert profile_tables(from_json(to_json(agg)).H) is first
     assert len(aggregators._PROFILE_TABLES) == size
+
+
+def test_profile_tables_cache_is_bounded():
+    """Twenty distinct partitions leave at most eight cached tables,
+    the newest of them among those kept."""
+    import itertools
+
+    from irlap import aggregators
+
+    partitions = sorted({tuple(sorted(tuple(v + 1 for v in range(5) if labels[v] == b)
+                                      for b in set(labels)))
+                         for labels in itertools.product(range(3), repeat=5)})[:20]
+    for partition in partitions:
+        last = build_fixing_subgroup(5, partition)
+        tables = profile_tables(last)
+        assert len(aggregators._PROFILE_TABLES) <= 8
+    assert profile_tables(last) is tables
 
 
 def test_profile_tables_constants():

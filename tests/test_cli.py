@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "irlap.cli"]
 
 
@@ -181,6 +183,42 @@ def test_analyze_rejects_malformed_orders(tmp_path, capsys):
                          "--rule", "dictator:i=1,sigma=123", "--orders", str(path)])
         assert code == 2, label
         assert "error" in capsys.readouterr().err, label
+
+
+RANKING = [["0", "1/2", "1/2"], ["1", "0", "0"]]
+
+
+def _rule_doc(drop=None, drop_from_entry=None):
+    """A random (3, 1) rule's document without the key `drop`, or with
+    the key `drop_from_entry` taken from one entry."""
+    import numpy as np
+
+    from irlap.aggregators import random_aggregator, to_json
+    from irlap.perms import trivial_subgroup
+
+    doc = to_json(random_aggregator(3, 1, trivial_subgroup(3), np.random.default_rng(0)))
+    doc.pop(drop, None)
+    doc["entries"][2].pop(drop_from_entry, None)
+    return doc
+
+
+@pytest.mark.parametrize("flag,doc,message", [
+    ("--orders", [{"j": 1, "ranking": RANKING}], "orders entry has no key 'r'"),
+    ("--orders", [{"j": 1, "r": 1}], "orders entry has no key 'ranking'"),
+    ("--input", _rule_doc(drop="m"), "aggregator document has no key 'm'"),
+    ("--input", _rule_doc(drop="partition"), "aggregator document has no key 'partition'"),
+    ("--input", _rule_doc(drop_from_entry="output"), "entry has no key 'output'"),
+], ids=["orders-r", "orders-ranking", "input-m", "input-partition", "input-output"])
+def test_a_missing_key_is_named(flag, doc, message, tmp_path, capsys):
+    import irlap.cli as cli
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = ["analyze", "--m", "3", "--n", "1", flag, str(path)]
+    if flag == "--orders":
+        args += ["--partition", "1|2,3", "--rule", "dictator:i=1,sigma=123"]
+    assert cli.main(args) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_analyze_missing_rule_is_input_error():

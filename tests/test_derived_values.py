@@ -120,19 +120,19 @@ from irlap.metrics import pair_count_tensors
 from irlap.perms import rank_classes, trivial_subgroup
 from irlap.rounding import kernel_projection
 
-H = trivial_subgroup(5)
-agg = random_aggregator(5, 2, H, np.random.default_rng(0))
-profile_tables(H), rho1_table(5), rank_classes(5)
+H = trivial_subgroup({m})
+agg = random_aggregator({m}, {n}, H, np.random.default_rng(0))
+profile_tables(H), rho1_table({m}), rank_classes({m})
 tracemalloc.start()
 """
 
 
-def _traced_bytes(script: str) -> int:
-    """What PRELUDE + script prints, run in a fresh process so that no
-    earlier test has filled a cache."""
+def _traced_bytes(script: str, m: int = 5, n: int = 2) -> int:
+    """What PRELUDE + script prints for a random trivial rule at (m, n),
+    run in a fresh process so that no earlier test has filled a cache."""
     src = os.path.dirname(os.path.dirname(irlap.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", PRELUDE + script], env=env,
+    proc = subprocess.run([sys.executable, "-c", PRELUDE.format(m=m, n=n) + script], env=env,
                           capture_output=True, text=True, check=True)
     return int(proc.stdout)
 
@@ -160,3 +160,14 @@ apply_Ln(encode_g(agg))
 print(tracemalloc.get_traced_memory()[1])
 """)
     assert peak < 120 ** 2 * 4 ** 2 * 8
+
+
+def test_pair_counts_peak_is_below_one_stacked_histogram():
+    """The pair counts hold one voter's switch-class histogram at a
+    time, never the stack over all voters, n m!^(n-1) m^2 P int64
+    (1367 KB at (3, 5) with trivial H, P = 3)."""
+    peak = _traced_bytes("""
+pair_count_tensors(agg)
+print(tracemalloc.get_traced_memory()[1])
+""", m=3, n=5)
+    assert peak < 5 * 6 ** 4 * 3 ** 2 * 3 * 8

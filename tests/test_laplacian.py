@@ -34,7 +34,16 @@ from irlap.laplacian import (
     spectral_gap,
 )
 from irlap.metrics import ir_combinatorial
-from irlap.perms import build_fixing_subgroup, parse_perm, trivial_subgroup, winner_subgroup
+from irlap.perms import (
+    build_fixing_subgroup,
+    compose,
+    enumerate_group,
+    is_even,
+    parse_perm,
+    subgroup_from_members,
+    trivial_subgroup,
+    winner_subgroup,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +216,30 @@ def test_lprime_offset_matches_constant_aggregator(bundle3):
     qf = apply_quadratic_form(c, bundle3, "L1")
     assert qf.raw == lprime_offset(3, 1, H)
     assert qf.canonical == 0
+
+
+def _cyclic(generator):
+    members, x = [], generator
+    while x not in members:
+        members.append(x)
+        x = compose(x, generator)
+    return subgroup_from_members(len(generator), members)
+
+
+@pytest.mark.parametrize("H", [
+    subgroup_from_members(4, [x for x in enumerate_group(4) if is_even(x)]),
+    _cyclic((2, 3, 1, 4)),  # a 3-cycle: orbits {1, 2, 3} and {4}
+    _cyclic((2, 3, 4, 1)),  # a 4-cycle: transitive
+], ids=["A4", "C3", "C4"])
+def test_lprime_offset_reads_the_orbits_of_any_subgroup(H):
+    """The L' offset counts the orbits of H, so L' also gives the exact
+    IR for a subgroup that was not built from a partition."""
+    rng = np.random.default_rng(8)
+    for n in (1, 2):
+        assert apply_quadratic_form(make_constant(0, H, n), None, "L1").canonical == 0
+        agg = random_aggregator(4, n, H, rng)
+        oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+        assert apply_quadratic_form(agg, None, "L1").canonical == oracle
 
 
 # Output partitions: full rankings, a single winner, and a winner

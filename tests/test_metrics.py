@@ -37,6 +37,7 @@ from irlap.perms import (
     compose,
     enumerate_group,
     parse_perm,
+    perm_index,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -200,11 +201,14 @@ VOTER_SHAPES = [(3, 2, [[1], [2], [3]]), (3, 2, [[1], [2, 3]]),
 @given(shape=st.sampled_from(VOTER_SHAPES), seed=st.integers(0, 2**32 - 1),
        dictator=st.booleans(), data=st.data())
 def test_statistics_follow_a_voter_permutation(shape, seed, dictator, data):
-    """Relabeling the voters keeps IR, the forms and the kernel distance,
-    and permutes the per-voter values the same way.  The rule is random,
-    or a dictator with up to two corrupted entries."""
+    """Relabeling the voters, and the alternatives by a pi in S_m (every
+    vote x and every output coset x H becomes compose(pi, x) and its
+    coset), keeps IR, the forms and the kernel distance, and permutes
+    the per-voter values as the voters move.  The rule is random, or a
+    dictator with up to two corrupted entries."""
     m, n, partition = shape
     perm = data.draw(st.permutations(range(n)))
+    pi = data.draw(st.sampled_from(enumerate_group(m)))
     H, rng = build_fixing_subgroup(m, partition), np.random.default_rng(seed)
     if dictator:
         sigma = data.draw(st.sampled_from(enumerate_group(m)))
@@ -212,8 +216,11 @@ def test_statistics_follow_a_voter_permutation(shape, seed, dictator, data):
         agg = corrupt_aggregator(base, data.draw(st.integers(0, 2)), rng)
     else:
         agg = random_aggregator(m, n, H, rng)
-    cube = agg.table.reshape((factorial(m),) * n)
-    moved = Aggregator(m, n, agg.H, cube.transpose(perm).reshape(-1))
+    # renamed[v] = index of compose(pi, x_v); coset c goes to the coset of compose(pi, rep_c)
+    renamed = np.array([perm_index(compose(pi, x)) for x in enumerate_group(m)])
+    outputs = np.array([H.coset_index[compose(pi, c.representative)] for c in H.cosets])
+    cube = agg.table.reshape((factorial(m),) * n).transpose(perm)
+    moved = Aggregator(m, n, H, outputs[cube[np.ix_(*[np.argsort(renamed)] * n)]].reshape(-1))
     ir, ir_moved = (ir_combinatorial(a, with_quadratic=False) for a in (agg, moved))
     assert (ir_moved.profile_distance, ir_moved.indicator) == (ir.profile_distance, ir.indicator)
     for variant in ("L1", "L2"):
