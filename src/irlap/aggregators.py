@@ -94,9 +94,9 @@ class ProfileTables:
     One catalog serves every alternative.  The member compose(x, h) of
     the coset of x ranks j at h^-1(x^-1(j)), and as h runs over H that
     rank runs uniformly over the H-orbit of x^-1(j): each point of an
-    orbit O is hit |H|/|O| times (orbit-stabilizer).  So a
-    j-profile is |H|/|O| on one orbit O of H on the rank positions and
-    0 elsewhere, every orbit occurs for every j, and the catalog has
+    orbit O is hit |H|/|O| times (orbit-stabilizer).  So a j-profile
+    is |H|/|O| on one orbit O of H on the rank positions and 0
+    elsewhere, every orbit occurs for every j, and the catalog has
     P = H.orbit_count entries.
     """
 

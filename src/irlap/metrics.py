@@ -49,26 +49,34 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _count_pairs(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
-    """One voter at a time: the voter's label (j, rank of j under the
-    vote, output j-profile id) is counted along the vote axis into the
-    histogram h[s, j, r, p] of switch class (i, j, r, s), which is
-    contracted into the voter's counts and dropped before the next."""
     m, n, tables = agg.m, agg.n, profile_tables(agg.H)
     P = len(tables.catalog)
     label = (np.arange(m) * m + tables.rank.T - 1)[:, None] * P + tables.pid  # [vote, coset, j]
-    votes = np.arange(len(label))
     cnt_all = np.empty((n, m, m, P, P), dtype=np.int64)
     cnt_same = np.empty_like(cnt_all)
-    for i in range(n):
-        labels = label[votes, voter_view(agg.table, i, n).T]  # [slab, vote, j]
-        h = class_histograms(labels.reshape(len(labels), -1), m * m * P).reshape(-1, m, m, P)
-        del labels
-        cnt_same[i] = np.einsum("sjrp,sjrq->jrpq", h, h)
-        cnt_all[i] = np.einsum("sjrp,sjq->jrpq", h, h.sum(axis=2))
-        del h
+    for i in range(n):  # one voter's arrays are dropped before the next voter's are built
+        cnt_same[i], cnt_all[i] = _voter_pair_counts(label, voter_view(agg.table, i, n), P)
     cnt_all.setflags(write=False)
     cnt_same.setflags(write=False)
     return cnt_all, cnt_same
+
+
+def _voter_pair_counts(label: np.ndarray, view: np.ndarray,
+                       P: int) -> tuple[np.ndarray, np.ndarray]:
+    """One voter's (cnt_same, cnt_all), each (m, m, P, P): the label
+    (j, rank of j under the vote, output j-profile id) counted along
+    the vote axis of the voter's view gives the histogram h[j, r, p, s]
+    of switch class (j, r, s), which is contracted with itself over the
+    slabs s.  The contractions are integer matmuls: exact, and faster
+    than einsum."""
+    m = label.shape[-1]
+    labels = label[np.arange(len(label)), view.T]  # [slab, vote, j]
+    counts = class_histograms(labels.reshape(len(labels), -1), m * m * P)  # [slab, (j, r, p)]
+    h = np.ascontiguousarray(counts.T).reshape(m, m, P, -1)  # slabs innermost for the matmuls
+    per_class = h.reshape(m * m, P, -1)  # [(j, r), p, slab]
+    same = per_class @ per_class.transpose(0, 2, 1)
+    every = h.reshape(m, m * P, -1) @ h.sum(axis=1).transpose(0, 2, 1)  # [j, (r, p), q]
+    return same.reshape(m, m, P, P), every.reshape(m, m, P, P)
 
 
 def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True) -> IRValue:
@@ -237,7 +245,7 @@ def default_orders(H: FixingSubgroup, m: int) -> OrderFamily:
 
 def random_orders(H: FixingSubgroup, m: int, rng) -> OrderFamily:
     P = len(profile_tables(H).catalog)
-    position = np.array([[rng.permutation(P) for r in range(m)] for j in range(m)])
+    position = np.array([[rng.permutation(P) for _ in range(m)] for _ in range(m)])
     return OrderFamily(m, position, "random")
 
 
