@@ -8,8 +8,10 @@ Library layout:
 - laplacian: constraint operators, quadratic forms, spectra
 - metrics: exact IR values, zero-locus census, manipulation power
 - rounding: exact kernel projection, nearest-dictator recovery, diagnostics
-- moments: exact moment calculus and hypercontractivity sweeps
-- cli: JSON report front-end (`irlap spectra|census|analyze|moments`)
+- moments: exact moment calculus, hypercontractivity sweeps and the
+  matrix Cauchy-Schwarz check
+- cli: JSON report front-end (`irlap spectra|census|analyze|moments`);
+  each subcommand imports only the modules it runs
 """
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -343,11 +344,48 @@ def to_json(agg: Aggregator) -> dict:
     return doc
 
 
+def _entry_ids(entry, n: int, m: int, lookup: dict[str, int]) -> list[int]:
+    """One entry's vote ids and output id, each literal checked on its
+    own, so a malformed entry raises its own ValueError."""
+    expect_json(entry, dict, "entry")
+    profile = expect_json(expect_key(entry, "profile", "entry"), list, "entry profile")
+    votes = [_perm_id(t, m, lookup) for t in profile]
+    if len(votes) != n:
+        raise ValueError("entry profile has wrong voter count")
+    return votes + [_perm_id(expect_key(entry, "output", "entry"), m, lookup)]
+
+
+def _entries_ids(entries: list, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries' vote ids, (#entries, n), and output ids, (#entries,),
+    as int64.  When every profile is a list of n canonical literals, one
+    pass of dict lookups over all literals gives them; anything else
+    sends the entries through `_entry_ids`, which names the first bad
+    one."""
+    _, lookup = _perm_texts(m)
+
+    def ids(texts) -> np.ndarray:
+        return np.fromiter(map(lookup.__getitem__, texts), dtype=np.int64)
+
+    try:
+        profiles = list(map(operator.itemgetter("profile"), entries))
+        outputs = list(map(operator.itemgetter("output"), entries))
+        if set(map(type, profiles)) <= {list} and set(map(len, profiles)) <= {n}:
+            votes = ids(itertools.chain.from_iterable(profiles))
+            return votes.reshape(len(entries), n), ids(outputs)
+    except (TypeError, KeyError):
+        pass
+    rows = [_entry_ids(e, n, m, lookup) for e in entries]
+    rows = np.array(rows, dtype=np.int64).reshape(len(entries), n + 1)
+    return rows[:, :n], rows[:, n]
+
+
 def from_json(doc: dict) -> Aggregator:
     expect_json(doc, dict, "aggregator document")
     m, n = (expect_key(doc, key, "aggregator document") for key in ("m", "n"))
     if type(m) is not int or type(n) is not int:
         raise ValueError(f"m and n must be integers, got m={m!r:.20}, n={n!r:.20}")
+    if n < 1:
+        raise ValueError(f"a rule needs n >= 1 voters, got n={n}")
     H = build_fixing_subgroup(m, expect_key(doc, "partition", "aggregator document"))
     kind = doc.get("type", "table")
     params = expect_json(doc.get("params", {}), dict, "params")
@@ -357,26 +395,21 @@ def from_json(doc: dict) -> Aggregator:
         return make_named_rule(kind, params, H, n)
     if "entries" not in doc:
         raise ValueError(f"aggregator type {kind!r} needs entries")
+    entries = expect_json(doc["entries"], list, "entries")
+    votes, outputs = _entries_ids(entries, n, m)
     fact = factorial(m)
-    _, lookup = _perm_texts(m)
-    coset_of = coset_ids(H).tolist()
-    table = [-1] * fact**n
-    for entry in expect_json(doc["entries"], list, "entries"):
-        expect_json(entry, dict, "entry")
-        profile = expect_json(expect_key(entry, "profile", "entry"), list, "entry profile")
-        votes = [_perm_id(t, m, lookup) for t in profile]
-        if len(votes) != n:
-            raise ValueError("entry profile has wrong voter count")
-        idx = 0
-        for v in votes:
-            idx = idx * fact + v
-        if table[idx] >= 0:
-            raise ValueError(f"duplicate entry for profile {profile}")
-        table[idx] = coset_of[_perm_id(expect_key(entry, "output", "entry"), m, lookup)]
-    missing = table.count(-1)
+    idx = votes @ fact ** np.arange(n - 1, -1, -1, dtype=np.int64)  # voter 1 leads
+    counts = np.bincount(idx, minlength=fact**n)
+    if counts.max() > 1:
+        repeated = np.ones(len(idx), dtype=bool)
+        repeated[np.unique(idx, return_index=True)[1]] = False
+        raise ValueError(f"duplicate entry for profile {entries[repeated.argmax()]['profile']}")
+    missing = int((counts == 0).sum())
     if missing:
         raise ValueError(f"table not total: {missing} profiles missing")
-    return Aggregator(m, n, H, np.array(table, dtype=np.int64), kind, dict(params))
+    table = np.empty(fact**n, dtype=np.int64)
+    table[idx] = coset_ids(H)[outputs]
+    return Aggregator(m, n, H, table, kind, dict(params))
 
 
 def save_json(agg: Aggregator, path: str) -> None:

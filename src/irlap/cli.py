@@ -1,7 +1,10 @@
 """Batch front-end: subcommands emit deterministic JSON reports.
 
 Exit codes: 0 success, 2 input error, 3 feasibility refusal.
-A fixed seed makes reports byte-identical across runs.
+A fixed seed makes reports byte-identical across runs.  Each
+subcommand imports the irlap modules it runs when it starts, so a job
+compiles and loads only those: `moments` needs none of the aggregator,
+Laplacian or rounding layers.
 """
 
 from __future__ import annotations
@@ -13,28 +16,6 @@ import sys
 import numpy as np
 
 from ._util import FeasibilityError, expect_json, expect_key, jsonable
-from .aggregators import check_params, from_json, make_named_rule, random_aggregator
-from .laplacian import check_ir_budget, gap_bracket, hat_l1, spectral_gap
-from .metrics import (
-    census_ir_functions,
-    default_orders,
-    ir_combinatorial,
-    manipulation_power,
-    orders_from_json,
-)
-from .moments import (
-    audit_blocks,
-    build_appendix,
-    det_formula,
-    empirical_m0,
-    hypercontractivity_check,
-    moments,
-    moments_after_Tt,
-    apply_Tt,
-    random_equal_margin,
-)
-from .perms import build_fixing_subgroup, trivial_subgroup
-from .rounding import matrix_cs_check, robustness_report
 
 
 def _emit(report: dict, args) -> None:
@@ -49,6 +30,8 @@ def _emit(report: dict, args) -> None:
 
 
 def _subgroup(args):
+    from .perms import build_fixing_subgroup, trivial_subgroup
+
     if args.partition:
         blocks = [[int(v) for v in part.split(",")] for part in args.partition.split("|")]
         return build_fixing_subgroup(args.m, blocks)
@@ -56,6 +39,8 @@ def _subgroup(args):
 
 
 def _build_rule(spec: str, m: int, n: int, H, seed: int):
+    from .aggregators import check_params, make_named_rule, random_aggregator
+
     kind, _, rest = spec.partition(":")
     params = {}
     if rest:
@@ -74,6 +59,8 @@ def _build_rule(spec: str, m: int, n: int, H, seed: int):
 
 
 def cmd_spectra(args) -> None:
+    from .laplacian import gap_bracket, hat_l1, spectral_gap
+
     if args.m < 3:
         raise ValueError("spectra requires m >= 3: the m=2 block is degenerate")
     system = hat_l1(args.m)
@@ -99,6 +86,8 @@ def cmd_spectra(args) -> None:
 
 
 def cmd_census(args) -> None:
+    from .metrics import census_ir_functions
+
     H = _subgroup(args)
     result = census_ir_functions(args.m, args.n, H)
     report = result.to_dict()
@@ -113,6 +102,8 @@ def cmd_census(args) -> None:
 def _load_input(args):
     """The --input rule; its m and n are checked against --m and --n
     before from_json builds anything."""
+    from .aggregators import from_json
+
     with open(args.input) as fh:
         doc = expect_json(json.load(fh), dict, "aggregator document")
     m, n = (expect_key(doc, key, "aggregator document") for key in ("m", "n"))
@@ -133,6 +124,10 @@ def _check_partition_matches(agg, args, H) -> None:
 
 
 def cmd_analyze(args) -> None:
+    from .laplacian import check_ir_budget
+    from .metrics import default_orders, ir_combinatorial, manipulation_power, orders_from_json
+    from .rounding import robustness_report
+
     check_ir_budget(args.m, args.n)  # refuse before building the rule
     H = _subgroup(args)
     if args.input:
@@ -172,6 +167,18 @@ def cmd_analyze(args) -> None:
 def cmd_moments(args) -> None:
     from fractions import Fraction
 
+    from .moments import (
+        audit_blocks,
+        build_appendix,
+        check_audit_budget,
+        det_formula,
+        empirical_m0,
+        hypercontractivity_check,
+        matrix_cs_check,
+        random_equal_margin,
+        transfer_dual_path,
+    )
+
     if args.m < 4:
         raise ValueError(f"moments requires m >= 4: the appendix algebra is "
                          f"degenerate below, got m={args.m}")
@@ -179,6 +186,7 @@ def cmd_moments(args) -> None:
         sigma = float(args.sigma_hyper)
         if not 0 <= sigma <= 1:  # also rejects nan
             raise ValueError(f"--sigma-hyper must lie in [0, 1], got {args.sigma_hyper}")
+    check_audit_budget(args.m)  # refuse before anything is built
     rng = np.random.default_rng(args.seed)
     det_rows = []
     for m in range(4, 13):
@@ -189,10 +197,7 @@ def cmd_moments(args) -> None:
     trials = 25
     for _ in range(trials):
         A = random_equal_margin(args.m, rng)
-        s = Fraction(int(rng.integers(0, 5)), 4)
-        if moments(apply_Tt(A, s)).as_tuple() == \
-                moments_after_Tt(moments(A), s, args.m).as_tuple():
-            transfer_ok += 1
+        transfer_ok += transfer_dual_path(A, Fraction(int(rng.integers(0, 5)), 4))
     if args.sigma_hyper == "auto":
         hyper = empirical_m0(samples=args.samples, seed=args.seed,
                              threads=args.threads)

@@ -1,7 +1,8 @@
 """Moment calculus for functions f(x) = tr(A P(x)) whose transform is
 supported on the trivial and standard components.
 
-Everything exact runs in rational arithmetic: the 15x15 Gram matrix of
+Everything exact runs in rational arithmetic, on Python ints wherever
+the denominators can be cleared: the 15x15 Gram matrix of
 trivial-isotypic vectors in the fourth tensor power, its determinant
 and inverse, the fourth-moment contraction, and the noise-operator
 moment transfer.  The fourth moment is
@@ -18,16 +19,22 @@ definition's pattern sum over the integer matrix X = den * A: entry
 the product over the blocks Q of q of G_|Q|(i_Q), where G_1 = row
 sums, G_2 = X X^T, G_3 = P2 X^T and G_4 = P2 P2^T with the pair
 products P2[(a, b), c] = X[a, c] X[b, c].  The factors are gathered
-at cached index tuples and summed with one `np.add.reduceat` per q,
-all on Python-int object arrays (`np.einsum` is avoided: on object
-arrays it silently drops to int64).  `moments()` clears denominators
-the same way.  `build_appendix(m)` is the one place that inverts C15:
-a single fraction-free (Bareiss) Gauss-Jordan pass over Python ints
-gives the exact inverse and the determinant, cached once per m
-together with a read-only float copy of the inverse for the sampled
-checks.  The sampled checks draw and reduce their matrices in stacks
-of CHUNK; the results do not depend on the chunk size or on the
-worker-pool size.
+at cached index tuples and summed with one `np.add.reduceat` per q.
+No entry or partial sum exceeds m^8 max|X|^4 in magnitude, so when
+that is below 2^63 the sums run on int64, and otherwise on Python-int
+object arrays (`np.einsum` is avoided: on object arrays it silently
+drops to int64).  `moments()` clears denominators the same way.  One fraction-free (Bareiss) Gauss-Jordan pass over
+Python ints inverts an integer matrix; `frac_inv_det` runs it on a
+rational matrix with cleared denominators, and `build_appendix(m)`
+runs it on the integer C15 itself, cached once per m: the determinant,
+a read-only float copy of the inverse by correctly rounded int/int
+division (what the sampled checks read), and the exact Fraction
+inverse built on first use.  The noise-operator rules are homogeneous
+in (sigma, tau), so `transfer_dual_path` compares the direct moments
+of T_sigma A with the closed-form rules over one common integer
+denominator, with no Fraction.  The sampled checks draw and reduce
+their matrices in stacks of CHUNK; the results do not depend on the
+chunk size or on the worker-pool size.
 
 Moment operators on A:
     M1 = sum A_ij        M2 = sum A_ij^2     M3, M4 likewise
@@ -46,9 +53,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
 import numpy as np
 
-from .perms import enumerate_group
+from ._util import FeasibilityError, blocked_pmap
 
 # The 15 invariant patterns: partitions of the four tensor positions,
 # in the appendix layout (singletons; pairs; pair-pairs; triples; all).
@@ -64,6 +72,10 @@ PARTITIONS: list[tuple[tuple[int, ...], ...]] = (
 IDX_E3 = (7, 8, 9)
 IDX_E5 = 14
 CHUNK = 128  # matrices per sampled stack; bounds the sweep's memory
+DEGREES = (1, 2, 3, 4, 4, 4, 4)  # of M1, M2, M3, M4, Mr, Mc, Mq
+# index tuples per block-audit trial, m^4 + 6m^3 + 7m^2 + m: m = 25
+# (488,775) runs, m = 26 (567,190) refuses
+AUDIT_TUPLE_LIMIT = 500_000
 
 
 def _block_of(partition) -> tuple[int, int, int, int]:
@@ -96,8 +108,12 @@ def _join_exponents() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_join_block_count(p, q) for q in PARTITIONS) for p in PARTITIONS)
 
 
+def _gram_ints(m: int) -> list[list[int]]:
+    return [[m**e for e in row] for row in _join_exponents()]
+
+
 def gram_c15(m: int) -> list[list[Fraction]]:
-    return [[Fraction(m**e) for e in row] for row in _join_exponents()]
+    return [[Fraction(v) for v in row] for row in _gram_ints(m)]
 
 
 def _to_int_matrix(A) -> tuple[np.ndarray, int]:
@@ -109,20 +125,20 @@ def _to_int_matrix(A) -> tuple[np.ndarray, int]:
     return ints.reshape(A.shape), den
 
 
-def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
-    """Exact inverse and determinant from one fraction-free (Bareiss)
-    Gauss-Jordan pass over Python ints on [den*M | I]; the inverse is
-    None when M is singular (determinant 0).  Every entry stays an
+def _bareiss_inverse(X: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det X, det(X) * X^-1) of a square integer matrix, both integer,
+    from one fraction-free (Bareiss) Gauss-Jordan pass over Python ints
+    on [X | I]; (0, None) when X is singular.  Every entry stays an
     integer minor, so each division is exact; at the end the left half
-    is d*I with d = +-det(den*M), and the right half is d*(den*M)^-1."""
-    ints, den = _to_int_matrix(M)
-    n = len(ints)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
+    is d*I with d = +-det X (the sign counts row swaps), and the right
+    half is d*X^-1."""
+    n = len(X)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(X)]
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            return None, Fraction(0)
+            return 0, None
         if pivot != k:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
@@ -133,8 +149,20 @@ def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
                 f = a[i][k]
                 a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
         prev = piv
-    inv = [[Fraction(den * v, row[i]) for v in row[n:]] for i, row in enumerate(a)]
-    return inv, Fraction(sign * prev, den**n)
+    return sign * prev, [[sign * v for v in row[n:]] for row in a]
+
+
+def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
+    """Exact inverse and determinant of a rational matrix, from
+    `_bareiss_inverse` on X = den*M: M^-1 = den X^-1 and det M =
+    det X / den^n.  The inverse is None when M is singular
+    (determinant 0)."""
+    ints, den = _to_int_matrix(M)
+    det, adj = _bareiss_inverse(ints.tolist())
+    if adj is None:
+        return None, Fraction(0)
+    inv = [[Fraction(den * v, det) for v in row] for row in adj]
+    return inv, Fraction(det, den ** len(adj))
 
 
 def det_formula(m: int) -> int:
@@ -143,25 +171,35 @@ def det_formula(m: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class AppendixTables:
+    """C15's determinant and inverse: C15^-1 = adj / det with integer
+    adj, its float copy, and the Fraction form on first use."""
+
     m: int
-    C15_inv: tuple[tuple[Fraction, ...], ...]
+    adj: tuple[tuple[int, ...], ...]
     C15_inv_float: np.ndarray
     det: Fraction
+
+    @functools.cached_property
+    def C15_inv(self) -> tuple[tuple[Fraction, ...], ...]:
+        det = self.det.numerator
+        return tuple(tuple(Fraction(v, det) for v in row) for row in self.adj)
 
 
 @functools.lru_cache(maxsize=None)
 def build_appendix(m: int) -> AppendixTables:
-    """The exact inverse and determinant of C15, plus a read-only float
-    copy of the inverse; built once per m and shared by every caller."""
+    """C15's exact determinant and inverse and a read-only float copy
+    of the inverse, each entry adj/det by int/int true division, which
+    rounds correctly and so equals float() of the Fraction; built once
+    per m and shared by every caller."""
     if m <= 3:
         raise ValueError(
             f"the 15x15 Gram matrix is singular for m={m}: its determinant "
             f"carries a factor (m-3)"
         )
-    inv, det = frac_inv_det(gram_c15(m))
-    inv_float = np.array([[float(v) for v in row] for row in inv])
+    det, adj = _bareiss_inverse(_gram_ints(m))
+    inv_float = np.array([[v / det for v in row] for row in adj])
     inv_float.flags.writeable = False
-    return AppendixTables(m, tuple(map(tuple, inv)), inv_float, det)
+    return AppendixTables(m, tuple(map(tuple, adj)), inv_float, Fraction(det))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +245,7 @@ def moments(A) -> MomentVector:
         (AA * AA).sum(axis=both),
     )
     if den is not None:
-        values = [v / Fraction(den**d) for v, d in zip(values, (1, 2, 3, 4, 4, 4, 4))]
+        values = [v / Fraction(den**d) for v, d in zip(values, DEGREES)]
     if exact or A.ndim > 2:
         return MomentVector(*values)
     return MomentVector(*map(float, values))
@@ -278,6 +316,8 @@ def blocks_direct(A) -> list[list[Fraction]]:
     table."""
     X, den = _to_int_matrix(A)
     m = len(X)
+    if m**8 * max(map(abs, X.flat)) ** 4 < 2**63:  # no sum can overflow int64
+        X = X.astype(np.int64)
     idx, starts = _pattern_tuples(m)
     P2 = (X[:, None, :] * X[None, :, :]).reshape(m * m, m)
     G = {1: X.sum(axis=1), 2: (X @ X.T).ravel(),
@@ -287,7 +327,7 @@ def blocks_direct(A) -> list[list[Fraction]]:
         term = 1
         for Q in q:
             term = term * G[len(Q)][idx[:, list(Q)] @ m ** np.arange(len(Q))[::-1]]
-        columns.append(np.add.reduceat(term, starts))
+        columns.append(np.add.reduceat(term, starts).tolist())
     scale = den**4
     return [[Fraction(col[p], scale) for col in columns] for p in range(15)]
 
@@ -336,6 +376,17 @@ def blocks_transcribed(mv: MomentVector, m: int) -> list[list[Fraction]]:
     return B
 
 
+def check_audit_budget(m: int) -> None:
+    """Refuse an m whose block audit gathers more index tuples per trial,
+    m^4 + 6m^3 + 7m^2 + m, than AUDIT_TUPLE_LIMIT (read at call time);
+    `irlap moments` runs it before anything is built."""
+    tuples = m**4 + 6 * m**3 + 7 * m**2 + m
+    if tuples > AUDIT_TUPLE_LIMIT:
+        raise FeasibilityError(
+            f"block audit for m={m} gathers {tuples:,} index tuples per trial "
+            f"> {AUDIT_TUPLE_LIMIT:,}", estimate=f"{tuples:,} index tuples")
+
+
 def audit_blocks(m: int, trials: int = 3, seed: int = 0) -> dict:
     """Compare the printed table against the direct contraction on
     random equal-margin rational matrices.  Positions that disagree on
@@ -375,7 +426,10 @@ def norm4_exact(A, m: int) -> Fraction:
 
 def exhaustive_moment(A, m: int, k: int) -> Fraction:
     """E_x f(x)^k by summation over all of S_m (f(x) = tr(A P(x)) =
-    sum_r A[r, x(r)])."""
+    sum_r A[r, x(r)]).  The test oracle; perms is imported here, so the
+    rest of the module runs without it."""
+    from .perms import enumerate_group
+
     rows = [list(r) for r in A]
     total = Fraction(0)
     perms = enumerate_group(m)
@@ -399,31 +453,66 @@ def apply_Tt(A, sigma):
     return [[Fraction(sigma) * v + shift for v in row] for row in rows]
 
 
+def _transfer_scaled(mv: MomentVector, S, T, m: int) -> tuple:
+    """m^2 D^d times the closed-form moments of T_sigma A, for each of
+    the seven of degree d, where sigma = S/D and tau = (1 - sigma)/m^2 =
+    T/D.  Each rule is homogeneous of degree d in (sigma, tau), so S and
+    T stand in for sigma and tau, and the factor m^2 clears the rules'
+    divisions by m and m^2: integer moments and integer S, T give
+    integers.  The M2 rule carries the factor m^2 on its tau^2 term
+    (forced by expanding sum (sigma A_ij + tau M1)^2; the printed rule
+    omits it and fails the dual-path check at sigma = 0).  M1 is
+    (sigma + tau m^2) M1, which is M1.  The Mr, Mc, Mq rules use the
+    equal-margin invariant."""
+    M1, M2, M3, M4, Mr, Mc, Mq = mv.as_tuple()
+    k = m * m
+    # Mr and Mc share every term but the leading one
+    margin_terms = (4 * S**3 * T * M1**2 * M2 * m + 2 * S**2 * T**2 * M1**2 * M2 * m**3
+                    + 4 * S**2 * T**2 * M1**4 * m + 4 * S * T**3 * M1**4 * m**3
+                    + T**4 * M1**4 * m**5)
+    return (
+        k * (S + T * k) * M1,
+        k * (S**2 * M2 + 2 * S * T * M1**2 + T**2 * M1**2 * k),
+        k * (S**3 * M3 + 3 * S**2 * T * M1 * M2 + 3 * S * T**2 * M1**3 + T**3 * M1**3 * k),
+        k * (S**4 * M4 + 4 * S**3 * T * M1 * M3 + 6 * S**2 * T**2 * M1**2 * M2
+             + 4 * S * T**3 * M1**4 + T**4 * M1**4 * k),
+        k * S**4 * Mr + margin_terms,
+        k * S**4 * Mc + margin_terms,
+        k * S**4 * Mq + 4 * S**3 * T * M1**4 + 6 * S**2 * T**2 * M1**4 * k
+        + 4 * S * T**3 * M1**4 * k**2 + T**4 * M1**4 * k**3,
+    )
+
+
+def _sigma_scale(sigma, m: int) -> tuple[int, int, int]:
+    """(S, T, D) with sigma = S/D and (1 - sigma)/m^2 = T/D: for
+    sigma = p/q, D = q m^2, S = p m^2 and T = q - p."""
+    s = Fraction(sigma)
+    p, q = s.numerator, s.denominator
+    return p * m * m, q - p, q * m * m
+
+
 def moments_after_Tt(mv: MomentVector, sigma, m: int) -> MomentVector:
     """Closed-form transfer of all seven moments under the noise
-    operator, with tau = (1 - sigma)/m^2.  The M2 rule carries the
-    factor m^2 on its tau^2 term (forced by expanding sum (sigma A_ij
-    + tau M1)^2; the printed rule omits it and fails the dual-path
-    check at sigma = 0).  The Mr, Mc, Mq rules use the equal-margin
-    invariant."""
-    s = Fraction(sigma)
-    t = (1 - s) / m**2
-    M1, M2, M3, M4, Mr, Mc, Mq = (Fraction(v) for v in mv.as_tuple())
-    # Mr and Mc share every term but the leading one
-    margin_terms = (4 * s**3 * t * M1**2 * M2 / m + 2 * s**2 * t**2 * M1**2 * M2 * m
-                    + 4 * s**2 * t**2 * M1**4 / m + 4 * s * t**3 * M1**4 * m
-                    + t**4 * M1**4 * m**3)
-    return MomentVector(
-        M1,
-        s**2 * M2 + 2 * s * t * M1**2 + t**2 * M1**2 * m**2,
-        s**3 * M3 + 3 * s**2 * t * M1 * M2 + 3 * s * t**2 * M1**3 + t**3 * M1**3 * m**2,
-        s**4 * M4 + 4 * s**3 * t * M1 * M3 + 6 * s**2 * t**2 * M1**2 * M2
-        + 4 * s * t**3 * M1**4 + t**4 * M1**4 * m**2,
-        s**4 * Mr + margin_terms,
-        s**4 * Mc + margin_terms,
-        s**4 * Mq + 4 * s**3 * t * M1**4 / m**2 + 6 * s**2 * t**2 * M1**4
-        + 4 * s * t**3 * M1**4 * m**2 + t**4 * M1**4 * m**4,
-    )
+    operator (`_transfer_scaled`'s rules), as Fractions."""
+    S, T, D = _sigma_scale(sigma, m)
+    mv = MomentVector(*(Fraction(v) for v in mv.as_tuple()))
+    return MomentVector(*(Fraction(v, m * m * D**d)
+                          for v, d in zip(_transfer_scaled(mv, S, T, m), DEGREES)))
+
+
+def transfer_dual_path(A, sigma) -> bool:
+    """Whether the direct moments of T_sigma A (`apply_Tt`) equal the
+    closed-form transfer of A's moments, for an integer matrix A and a
+    rational sigma.  Both sides are compared over the common integer
+    denominator m^2 D^d: the direct side is m^2 times the moments of the
+    integer matrix D T_sigma A = S A + T M1 J, the other side is
+    `_transfer_scaled` of A's integer moments."""
+    X = np.array(A, dtype=object)
+    m = len(X)
+    S, T, _ = _sigma_scale(sigma, m)
+    direct = moments(S * X + T * X.sum())
+    closed = _transfer_scaled(moments(X), S, T, m)
+    return all(m * m * v == w for v, w in zip(direct.as_tuple(), closed))
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +634,6 @@ def empirical_m0(m_values=range(4, 13), samples: int = 1000, seed: int = 0,
     """Sweep m at sigma = m^-1/2 and report the least m from which no
     sampled violation occurs.  Each m draws from its own seed stream,
     so the result is independent of the worker-pool size."""
-    from ._util import blocked_pmap
-
     rows = blocked_pmap(
         lambda m: hypercontractivity_check(m, None, samples, seed + m),
         list(m_values), threads)
@@ -574,3 +661,21 @@ def degree2_product_check(m: int, samples: int = 50, seed: int = 0) -> dict:
         worst = max(worst, float((f4[0::2] * f4[1::2]).max()))
     return {"m": m, "sigma": sigma, "bound": bound, "max_h4": worst,
             "holds": worst <= bound * (1 + 1e-9)}
+
+
+def matrix_cs_check(d: int, trials: int = 100, seed: int = 0) -> dict:
+    """Entrywise-L1 / Frobenius Cauchy-Schwarz: ||AB||_1 <= d ||A||_2
+    ||B||_2, tight at A = B = all-ones; a row of the `irlap moments`
+    report."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        A = rng.standard_normal((d, d))
+        B = rng.standard_normal((d, d))
+        lhs = float(np.abs(A @ B).sum())
+        rhs = d * float(np.linalg.norm(A) * np.linalg.norm(B))
+        worst = max(worst, lhs / rhs)
+    J = np.ones((d, d))
+    tight = float(np.abs(J @ J).sum()) / (d * np.linalg.norm(J) ** 2)
+    return {"d": d, "trials": trials, "max_ratio": worst, "tight_ratio": tight,
+            "holds": worst <= 1 + 1e-12, "tight": abs(tight - 1) < 1e-12}

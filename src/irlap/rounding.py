@@ -284,23 +284,6 @@ def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
                              float(sums.residual().max()))
 
 
-def matrix_cs_check(d: int, trials: int = 100, seed: int = 0) -> dict:
-    """Entrywise-L1 / Frobenius Cauchy-Schwarz: ||AB||_1 <= d ||A||_2
-    ||B||_2, tight at A = B = all-ones."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        A = rng.standard_normal((d, d))
-        B = rng.standard_normal((d, d))
-        lhs = float(np.abs(A @ B).sum())
-        rhs = d * float(np.linalg.norm(A) * np.linalg.norm(B))
-        worst = max(worst, lhs / rhs)
-    J = np.ones((d, d))
-    tight = float(np.abs(J @ J).sum()) / (d * np.linalg.norm(J) ** 2)
-    return {"d": d, "trials": trials, "max_ratio": worst, "tight_ratio": tight,
-            "holds": worst <= 1 + 1e-12, "tight": abs(tight - 1) < 1e-12}
-
-
 @dataclass
 class RobustnessReport:
     m: int

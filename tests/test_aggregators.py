@@ -1,6 +1,7 @@
 """Aggregator rules, encodings, consistency, and serialization."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -191,6 +192,56 @@ def test_json_round_trip(scf):
     back = from_json(doc)
     assert np.array_equal(agg.table, back.table)
     assert back.H.partition == H.partition
+
+
+@st.composite
+def _json_rules(draw):
+    """A rule of every kind JSON stores: by entries (random, corrupted,
+    centered) or by params (dictator, constant, plurality, Borda)."""
+    from irlap.rounding import center_aggregator
+
+    m, partition = draw(_partitions(3, 4))
+    n = draw(st.integers(1, 2))
+    H = build_fixing_subgroup(m, partition)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "corrupted", "centered", "dictator",
+                                 "constant", "plurality", "borda"]))
+    if kind == "random":
+        return random_aggregator(m, n, H, rng)
+    if kind == "centered":
+        return center_aggregator(random_aggregator(m, 1, H, rng))
+    if kind == "constant":
+        return make_constant(draw(st.integers(0, len(H.cosets) - 1)), H, n)
+    if kind == "plurality":
+        return make_plurality(m, n)
+    if kind == "borda":
+        return make_borda(m, n)
+    dictator = make_dictator(draw(st.integers(1, n)),
+                             draw(st.sampled_from(enumerate_group(m))), H, n)
+    if kind == "corrupted" and len(H.cosets) > 1:
+        return corrupt_aggregator(dictator, draw(st.integers(1, 3)), rng)
+    return dictator
+
+
+@settings(max_examples=60, deadline=None)
+@given(_json_rules())
+def test_json_round_trip_is_lossless(agg):
+    doc = to_json(agg)
+    back = from_json(json.loads(json.dumps(doc)))
+    assert (back.m, back.n, back.kind, back.params) == (agg.m, agg.n, agg.kind, agg.params)
+    assert back.H.members == agg.H.members
+    assert back.table.dtype == np.int64 and np.array_equal(back.table, agg.table)
+    assert to_json(back) == doc
+
+
+def test_json_rejects_a_rule_without_voters():
+    for n, kind in ((0, "table"), (-1, "table"), (-1, "plurality")):
+        doc = {"m": 3, "n": n, "partition": [[1], [2], [3]], "type": kind,
+               "entries": [{"profile": [], "output": "123"}]}
+        if kind == "plurality":
+            del doc["entries"]
+        with pytest.raises(ValueError, match=f"n >= 1 voters, got n={n}"):
+            from_json(doc)
 
 
 def test_json_named_rules():

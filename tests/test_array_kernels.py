@@ -287,6 +287,21 @@ def test_blocks_direct_matches_contraction(m, data):
         assert all(type(v) is Fraction for row in got for v in row)
 
 
+def test_blocks_direct_at_the_int64_bound():
+    """The [0, 0] entry of the all-v matrix is m^8 v^4, the bound that
+    picks int64: at the largest v under 2^63 the int64 sums stay exact,
+    and one more takes the object path."""
+    m = 4
+    v = round((2**63 / m**8) ** 0.25)
+    while m**8 * v**4 >= 2**63:
+        v -= 1
+    for w in (v, v + 1):
+        for A in ([[w] * m for _ in range(m)],
+                  [[w * (-1) ** (i * j) for j in range(m)] for i in range(m)]):
+            assert blocks_direct(A) == ref.blocks_by_contraction(A)
+    assert blocks_direct([[v] * m for _ in range(m)])[0][0] == m**8 * v**4
+
+
 def _mixed(m):
     return st.lists(st.lists(st.one_of(st.integers(-50, 50),
                                        st.fractions(-50, 50, max_denominator=30)),

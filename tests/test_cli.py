@@ -16,6 +16,13 @@ def run(*args, check=True):
     return proc
 
 
+def run_python(script):
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
+    return proc
+
+
 def test_spectra_values():
     out = json.loads(run("spectra", "--m", "3", "--n", "2").stdout)
     clusters = out["hat_l1"]["eigenvalues"]
@@ -273,6 +280,52 @@ def test_moments_rejects_small_m(capsys):
         assert "moments requires m >= 4" in capsys.readouterr().err
 
 
+def test_moments_refuses_an_m_past_the_audit_bound(monkeypatch, capsys):
+    import irlap.cli as cli
+    import irlap.moments as moments
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("moments built something before the size check")
+
+    with monkeypatch.context() as patch:
+        for name in ("build_appendix", "audit_blocks", "random_equal_margin",
+                     "empirical_m0", "hypercontractivity_check"):
+            patch.setattr(moments, name, unreachable)
+        assert cli.main(["moments", "--m", "200", "--sigma-hyper", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert "refused" in err and "1,648,280,200 index tuples" in err
+        patch.setattr(moments, "AUDIT_TUPLE_LIMIT", 10**3)  # read at call time
+        assert cli.main(["moments", "--m", "5"]) == 3
+    assert cli.main(["moments", "--m", "12", "--samples", "2", "--sigma-hyper", "0.5"]) == 0
+
+
+# per subcommand: an irlap module it runs, and the ones it may not load
+MODULES = {
+    "moments": ("moments", {"aggregators", "basis", "laplacian", "metrics", "perms",
+                            "rounding"}),
+    "spectra": ("laplacian", {"metrics", "rounding", "moments"}),
+    "analyze": ("rounding", {"moments"}),
+    "census": ("metrics", {"moments"}),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--m", "4", "--samples", "2"],
+    ["spectra", "--m", "4", "--n", "2"],
+    ["analyze", "--m", "3", "--n", "2", "--rule", "plurality"],
+    ["census", "--m", "3", "--n", "1"],
+])
+def test_subcommands_load_only_their_modules(argv):
+    script = ("import json, sys, irlap.cli\n"
+              f"assert irlap.cli.main({argv!r}) == 0\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('irlap.'))))")
+    loaded = {name.split(".")[1] for name in json.loads(
+        run_python(script).stdout.splitlines()[-1])}
+    runs, never = MODULES[argv[0]]
+    assert runs in loaded and "cli" in loaded
+    assert not loaded & never, loaded
+
+
 def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
     """IR, manipulation and robustness share one pair count and one
     encoding of the rule."""
@@ -299,14 +352,15 @@ def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
 
 
 def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
+    import irlap.aggregators as aggregators
     import irlap.cli as cli
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the rule was built before the budget check")
 
-    monkeypatch.setattr(cli, "make_named_rule", unreachable)
-    monkeypatch.setattr(cli, "random_aggregator", unreachable)
-    monkeypatch.setattr(cli, "from_json", unreachable)
+    monkeypatch.setattr(aggregators, "make_named_rule", unreachable)
+    monkeypatch.setattr(aggregators, "random_aggregator", unreachable)
+    monkeypatch.setattr(aggregators, "from_json", unreachable)
     for m, n in ((5, 3), (6, 2)):
         for source in (["--rule", "plurality"], ["--rule", "random"],
                        ["--input", str(tmp_path / "agg.json")]):
@@ -315,12 +369,13 @@ def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
 
 
 def test_analyze_checks_input_size_before_building_the_rule(monkeypatch, tmp_path, capsys):
+    import irlap.aggregators as aggregators
     import irlap.cli as cli
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the rule was built before its m and n were checked")
 
-    monkeypatch.setattr(cli, "from_json", unreachable)
+    monkeypatch.setattr(aggregators, "from_json", unreachable)
     doc = {"m": 5, "n": 3, "partition": [[1], [2, 3, 4, 5]], "type": "plurality",
            "params": {}}
     path = tmp_path / "agg.json"

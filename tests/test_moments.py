@@ -23,6 +23,7 @@ from irlap.moments import (
     gram_c15,
     hypercontractivity_check,
     margin_value,
+    matrix_cs_check,
     mean_value,
     moment_bounds_ok,
     moments,
@@ -31,6 +32,7 @@ from irlap.moments import (
     norm4_exact,
     norm4_zero_margin,
     random_equal_margin,
+    transfer_dual_path,
     zero_margin_sample,
 )
 
@@ -92,13 +94,18 @@ def test_frac_inv_round_trip(m):
 
 
 def test_appendix_is_cached_and_frozen():
-    tables = build_appendix(5)
-    assert build_appendix(5) is tables
-    with pytest.raises(FrozenInstanceError):
-        tables.det = Fraction(0)
-    assert not tables.C15_inv_float.flags.writeable
-    assert tables.C15_inv_float.tolist() == [[float(v) for v in row]
-                                             for row in tables.C15_inv]
+    for m in range(4, 13):
+        tables = build_appendix(m)
+        assert build_appendix(m) is tables
+        with pytest.raises(FrozenInstanceError):
+            tables.det = Fraction(0)
+        assert not tables.C15_inv_float.flags.writeable
+        # int/int division rounds as float(Fraction) does: bit for bit
+        want = np.array([[float(v) for v in row] for row in tables.C15_inv])
+        assert np.array_equal(tables.C15_inv_float.view(np.uint64), want.view(np.uint64)), m
+        assert tables.C15_inv is tables.C15_inv  # built once
+        Cinv, det = frac_inv_det(gram_c15(m))
+        assert tables.det == det and tables.C15_inv == tuple(map(tuple, Cinv)), m
 
 
 def test_cold_appendix_cache_from_worker_threads():
@@ -221,6 +228,24 @@ def test_transfer_dual_path(m):
         assert direct.as_tuple() == formula.as_tuple()
 
 
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_transfer_dual_path_over_ints_matches_fractions(m):
+    """The integer comparison agrees with the Fraction one, also on
+    matrices without equal margins, where the Mr, Mc, Mq rules fail."""
+    rng = np.random.default_rng(10 + m)
+    verdicts = []
+    for trial in range(12):
+        A = random_equal_margin(m, rng)
+        if trial % 2:
+            A[0][0] += 1
+        sigma = Fraction(int(rng.integers(0, 9)), 8)
+        want = moments(apply_Tt(A, sigma)).as_tuple() == \
+            moments_after_Tt(moments(A), sigma, m).as_tuple()
+        assert transfer_dual_path(A, sigma) == want
+        verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_zero_margin_reduced_fourth_moment():
     # With zero margins only the pair-pair and all-equal patterns
     # survive; the reduced float path must match the exact one.
@@ -340,3 +365,13 @@ def test_hypercontractivity_bounds_hold():
 def test_degree2_product_bound():
     rep = degree2_product_check(4, samples=30, seed=2)
     assert rep["holds"]
+
+
+def test_matrix_cauchy_schwarz():
+    rep = matrix_cs_check(3, trials=100, seed=0)
+    assert rep["holds"]
+    assert rep["tight"]
+    # spelled out: ||J J||_1 = 27 = 3 * ||J||_2 * ||J||_2
+    J = np.ones((3, 3))
+    assert np.abs(J @ J).sum() == 27
+    assert 3 * np.linalg.norm(J) * np.linalg.norm(J) == 27

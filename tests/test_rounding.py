@@ -37,7 +37,6 @@ from irlap.rounding import (
     center_aggregator,
     fkn_diagnostics,
     kernel_projection,
-    matrix_cs_check,
     measured_gap,
     robustness_report,
 )
@@ -294,16 +293,6 @@ def test_fkn_diagnostics_holds_no_profile_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < factorial(m) ** n * (m - 1) ** 2 * 8  # one float r: 1.84 MB
-
-
-def test_matrix_cauchy_schwarz():
-    rep = matrix_cs_check(3, trials=100, seed=0)
-    assert rep["holds"]
-    assert rep["tight"]
-    # spelled out: ||J J||_1 = 27 = 3 * ||J||_2 * ||J||_2
-    J = np.ones((3, 3))
-    assert np.abs(J @ J).sum() == 27
-    assert 3 * np.linalg.norm(J) * np.linalg.norm(J) == 27
 
 
 def test_centering_zeroes_mean_and_keeps_consistency():
