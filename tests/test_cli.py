@@ -16,13 +16,6 @@ def run(*args, check=True):
     return proc
 
 
-def run_python(script):
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
-    return proc
-
-
 def test_spectra_values():
     out = json.loads(run("spectra", "--m", "3", "--n", "2").stdout)
     clusters = out["hat_l1"]["eigenvalues"]
@@ -319,8 +312,9 @@ def test_subcommands_load_only_their_modules(argv):
     script = ("import json, sys, irlap.cli\n"
               f"assert irlap.cli.main({argv!r}) == 0\n"
               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('irlap.'))))")
-    loaded = {name.split(".")[1] for name in json.loads(
-        run_python(script).stdout.splitlines()[-1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[1] for name in json.loads(proc.stdout.splitlines()[-1])}
     runs, never = MODULES[argv[0]]
     assert runs in loaded and "cli" in loaded
     assert not loaded & never, loaded
