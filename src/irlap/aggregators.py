@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import operator
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -247,40 +248,45 @@ class GEncoding:
     never built.  g_coset[c] = M_H @ rho1(representative) in the table
     ``rho1`` the encoding was built with, which every consumer reads,
     so no second basis can enter.  g_coset[0] = M_H (H's own coset
-    comes first).  The arrays are read-only; `_derived` keeps the L form."""
+    comes first); m, n, H and table are the rule's.  The arrays are
+    read-only; `_derived` keeps the L form."""
 
-    m: int
-    n: int
-    H: FixingSubgroup
+    rule: Aggregator
     g_coset: np.ndarray  # (#cosets, m-1, m-1)
-    table: np.ndarray  # coset ids, shared with the aggregator
     rho1: Rho1Table
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.g_coset.setflags(write=False)
 
+    m = property(lambda self: self.rule.m)
+    n = property(lambda self: self.rule.n)
+    H = property(lambda self: self.rule.H)
+    table = property(lambda self: self.rule.table)
 
-def coset_means(H: FixingSubgroup, table: Rho1Table) -> np.ndarray:
-    ncos = len(H.cosets)
-    d = H.m - 1
-    out = np.empty((ncos, d, d))
-    for c, coset in enumerate(H.cosets):
+
+def _encode(agg: Aggregator, table: Rho1Table) -> np.ndarray:
+    """g_coset in `table`'s basis: the mean of rho1 over each coset."""
+    out = np.empty((len(agg.H.cosets), agg.m - 1, agg.m - 1))
+    for c, coset in enumerate(agg.H.cosets):
         idx = [table.index[y] for y in coset.members]
         out[c] = table.R[idx].mean(axis=0)
     return out
 
 
-def _encode(agg: Aggregator, table: Rho1Table) -> GEncoding:
-    return GEncoding(agg.m, agg.n, agg.H, coset_means(agg.H, table), agg.table, table)
-
-
 def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
     """agg's encoding in `table`'s basis, built fresh; without a table,
-    the default-basis encoding, built once per aggregator and shared."""
+    the default-basis one, whose arrays and kept values agg builds once
+    and keeps.  agg refers to that encoding, which holds agg, weakly: no
+    cycle outlives the rule, and one encoding serves while it is held."""
     if table is not None:
-        return _encode(agg, table)
-    return memoized(agg, "encoding", lambda a: _encode(a, rho1_table(a.m)))
+        return GEncoding(agg, _encode(agg, table), table)
+    enc = agg._derived.get("encoding", lambda: None)()
+    if enc is None:
+        g_coset, kept = memoized(agg, "coset_means", lambda a: (_encode(a, rho1_table(a.m)), {}))
+        enc = GEncoding(agg, g_coset, rho1_table(agg.m), kept)
+        agg._derived["encoding"] = weakref.ref(enc)
+    return enc
 
 
 @dataclass

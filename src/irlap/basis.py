@@ -94,8 +94,7 @@ def rho1(x: tuple[int, ...], basis: Basis) -> np.ndarray:
 
 
 class Rho1Table:
-    """rho1, and the 0/1 matrices P, over all of S_m, indexed by
-    lexicographic permutation rank.
+    """rho1 over all of S_m, indexed by lexicographic permutation rank.
 
     Immutable shared read-only table; building it is the only
     non-concurrent step.
@@ -107,8 +106,8 @@ class Rho1Table:
         self.perms = enumerate_group(m)
         self.index = {x: i for i, x in enumerate(self.perms)}
         # P[x] = perm_matrix of the x-th permutation
-        self.P = (np.array(self.perms)[:, :, None] == np.arange(1, m + 1)).astype(np.int64)
-        self.R = np.einsum("ki,xkl,lj->xij", self.basis.C, self.P, self.basis.C, optimize=True)
+        P = (np.array(self.perms)[:, :, None] == np.arange(1, m + 1)).astype(np.int64)
+        self.R = np.einsum("ki,xkl,lj->xij", self.basis.C, P, self.basis.C, optimize=True)
 
     def of(self, x: tuple[int, ...]) -> np.ndarray:
         return self.R[self.index[x]]

@@ -42,9 +42,9 @@ that view.  metrics.pair_count_tensors counts, one voter at a time,
 the output j-profiles of every class and keeps only their pair counts;
 every alternative reads one catalog of j-profiles (aggregators.
 ProfileTables), so L', L'' and IR are each one contraction of the
-same-rank part cnt_same with a (P, P) catalog table.  L is the
-per-class identity in _class_sum_form, and the IR detectors, the
-census and the kernel projection read the same view.
+same-rank part cnt_same with a (P, P) catalog table, and the kernel
+projection is the first moment of cnt_all.  L is the per-class identity
+in _class_sum_form; the IR detectors and the census read the same view.
 
 Spectrum.  Y^j = (m-1)! (I - P^j) with P^j the average over the rank
 class of j, so L^n / m! = (1/m) sum_{i,j} (I - P^j)_i (x) D^j.  The
@@ -261,14 +261,15 @@ def _class_sum_form(enc: GEncoding) -> float:
     order are fixed: reports pin their float rounding."""
     m, n = enc.m, enc.n
     k, classes = factorial(m - 1), rank_classes(m)
+    W = [np.einsum("l,xkl->xk", c, enc.g_coset) for c in enc.rho1.basis.C]  # (#cosets, m-1)
+    norms = [np.einsum("xk,xk->x", Wj, Wj) for Wj in W]
     terms = np.empty((n, m, m))
-    for j, c in enumerate(enc.rho1.basis.C):
-        W = np.einsum("l,xkl->xk", c, enc.g_coset)  # (#cosets, m-1)
-        norms = np.einsum("xk,xk->x", W, W)
-        for i in range(n):
-            cls = voter_view(enc.table, i, n)[classes[j]]  # (m, (m-1)!, slabs) coset ids
-            sums = W[cls].sum(axis=1)  # (m, slabs, m-1)
-            norm_sums = norms[cls]
+    for i in range(n):
+        view = voter_view(enc.table, i, n)
+        for j in range(m):
+            cls = view[classes[j]]  # (m, (m-1)!, slabs) coset ids
+            sums = W[j][cls].sum(axis=1)  # (m, slabs, m-1)
+            norm_sums = norms[j][cls]
             for r in range(m):
                 terms[i, j, r] = k * norm_sums[r].sum() - np.einsum("sk,sk->", sums[r], sums[r])
     return float(np.cumsum(terms)[-1])  # cumsum adds one term at a time

@@ -20,7 +20,7 @@ import numpy as np
 from ._util import FeasibilityError, expect_json, expect_key, memoized, parse_fraction
 from .aggregators import Aggregator, ProfileTables, encode_g, make_dictator, profile_tables
 from .laplacian import apply_Ln, check_ir_budget
-from .perms import FixingSubgroup, class_histograms, enumerate_group, rank_classes, voter_view
+from .perms import FixingSubgroup, enumerate_group, rank_classes, voter_view
 
 CENSUS_LIMIT = 2 * 10**6
 
@@ -30,10 +30,6 @@ class IRValue:
     profile_distance: Fraction
     indicator: Fraction
     quadratic: float | None = None
-
-    @property
-    def is_ir(self) -> bool:
-        return self.indicator == 0
 
 
 def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
@@ -70,8 +66,12 @@ def _voter_pair_counts(label: np.ndarray, view: np.ndarray,
     slabs s.  The contractions are integer matmuls: exact, and faster
     than einsum."""
     m = label.shape[-1]
+    size = m * m * P
     labels = label[np.arange(len(label)), view.T]  # [slab, vote, j]
-    counts = class_histograms(labels.reshape(len(labels), -1), m * m * P)  # [slab, (j, r, p)]
+    labels += size * np.arange(len(labels))[:, None, None]  # in place: one label-sized array
+    counts = np.bincount(labels.reshape(-1), minlength=len(labels) * size)
+    counts = counts.reshape(len(labels), size)  # [slab, (j, r, p)]
+    del labels  # before the histogram's copy below
     h = np.ascontiguousarray(counts.T).reshape(m, m, P, -1)  # slabs innermost for the matmuls
     per_class = h.reshape(m * m, P, -1)  # [(j, r), p, slab]
     same = per_class @ per_class.transpose(0, 2, 1)

@@ -219,6 +219,10 @@ class MomentVector:
     def as_tuple(self):
         return (self.M1, self.M2, self.M3, self.M4, self.Mr, self.Mc, self.Mq)
 
+    @functools.cached_property
+    def M2_squared(self):  # squared once for every reader of the vector
+        return _square(self.M2)
+
 
 def moments(A) -> MomentVector:
     """The seven moment operators of the trailing (m, m) axes.  A float
@@ -570,7 +574,7 @@ def norm4_zero_margin(mv: MomentVector, c15_inv: np.ndarray):
     Mq = np.asarray(mv.Mq)
     B = np.empty(Mq.shape + (4, 4), dtype=Mq.dtype)
     B[...] = Mq[..., None, None]
-    B[..., range(3), range(3)] = np.asarray(_square(mv.M2))[..., None]
+    B[..., range(3), range(3)] = np.asarray(mv.M2_squared)[..., None]
     B[..., :3, 3] = np.asarray(mv.Mc)[..., None]
     B[..., 3, :3] = np.asarray(mv.Mr)[..., None]
     B[..., 3, 3] = mv.M4
@@ -586,7 +590,7 @@ def moment_bounds_ok(mv: MomentVector, m: int, tol: float = 1e-9) -> dict:
     return {
         "M1": abs(mv.M1) <= m1_bound * (1 + tol),
         "M2": mv.M2 <= (m - 1) * (1 + tol),
-        "Mq": mv.Mq <= _square(mv.M2) * (1 + tol),
+        "Mq": mv.Mq <= mv.M2_squared * (1 + tol),
     }
 
 

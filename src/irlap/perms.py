@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import numpy as np
 
@@ -184,10 +184,6 @@ class FixingSubgroup:
         orbit_count - 1, so M_H = 0 exactly when H is transitive."""
         return sum(fixed_points(h) for h in self.members) // self.order
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def coset_of(self, x: tuple[int, ...]) -> Coset:
         return self.cosets[self.coset_index[x]]
 
@@ -265,11 +261,8 @@ def j_profile(coset: Coset, j: int, m: int) -> tuple[Fraction, ...]:
     fraction of members ranking j at r.  Entries sum to 1."""
     if not 1 <= j <= m:
         raise ValueError(f"alternative {j} out of range 1..{m}")
-    counts = [0] * m
-    for y in coset.members:
-        counts[rank_of(y, j) - 1] += 1
     h = len(coset.members)
-    return tuple(Fraction(c, h) for c in counts)
+    return tuple(Fraction(c, h) for c in j_profile_counts(coset, j, m))
 
 
 def j_profile_counts(coset: Coset, j: int, m: int) -> tuple[int, ...]:
@@ -310,15 +303,6 @@ def rank_classes(m: int) -> np.ndarray:
     classes = np.argsort(rank_table(m), axis=1, kind="stable").reshape(m, m, -1)
     classes.setflags(write=False)
     return classes
-
-
-def class_histograms(labels: np.ndarray, size: int) -> np.ndarray:
-    """counts[..., v] = how often label v (0 <= v < size) occurs along
-    the last axis of labels."""
-    rows = labels.shape[:-1]
-    keys = labels + size * np.arange(prod(rows)).reshape(rows + (1,))
-    counts = np.bincount(keys.reshape(-1), minlength=prod(rows) * size)
-    return counts.reshape(rows + (size,))
 
 
 def broadcast_voter(per_vote: np.ndarray, i: int, n: int) -> np.ndarray:

@@ -4,16 +4,19 @@ diagnostics behind the dictatorship theorem.
 
 The projection of g onto the kernel span {B + sum_i A^i rho1(x_i)} and
 its rounding to the nearest dictator M_H rho1(y) are exact, read off
-counts[i, v, c]: the number of profiles where voter i casts v and the
-output is coset c.  With N = m!^n, h = |H|, Pc[c] = |H| times coset
-c's mean of P (an integer matrix), mPi = m I - J and the sum-zero
-basis C, g_c = C^T Pc[c] C / h and
+the pair counts: in F[i, j, r, p] = sum_q cnt_all[i, j, r, p, q] / m!
+profiles voter i ranks j at r and the output's j-profile is cat[p].
+With N = m!^n, h = |H|, Pc[c] = |H| times coset c's mean of P (an
+integer matrix), mPi = m I - J and the sum-zero basis C, g_c =
+C^T Pc[c] C / h and
 
-    Q^i = sum_{v,c} counts[i, v, c] Pc[c] mPi P(v)^T,
-    A^i = C^T Q^i C / (N h m),   B = C^T (sum_c #c Pc[c]) C / (N h)
+    Q^i = sum_x Pc[f(x)] mPi P(x_i)^T:  Q^i[a, r] = m sum_{j,p} F[i, j, r, p] cat[p, a] - N h,
+    Xb = sum_x Pc[f(x)]:                Xb[a, j] = sum_{r,p} F[0, j, r, p] cat[p, a],
+    A^i = C^T Q^i C / (N h m),   B = C^T Xb C / (N h)
 
-(`basis.project_to_lin`'s formulas).  C drops out of every inner
-product, <C^T X C, C^T Y C> = tr(X^T Pi Y Pi), so with tr M_H =
+(`basis.project_to_lin`'s formulas; m Pc[f(x)][a, x_i(r)] - h sees x
+only through j = x_i(r) and f(x)'s j-profile).  C drops out of every
+inner product, <C^T X C, C^T Y C> = tr(X^T Pi Y Pi), so with tr M_H =
 #orbits - 1 = ||g_c||^2 for every c, `kernel_projection` gives exactly:
 kernel_distance_sq = tr M_H - ||B||^2 - sum_i ||A^i||^2; the voter, the
 first maximum of ||A^i||^2; the coset c, the first maximum of <g_c, A*>;
@@ -40,18 +43,16 @@ import numpy as np
 from ._util import memoized
 from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
 from .basis import Rho1Table
-from .laplacian import spectral_gap
-from .metrics import ir_combinatorial
+from .laplacian import check_ir_budget, spectral_gap
+from .metrics import ir_combinatorial, pair_count_tensors
 from .perms import (
     broadcast_voter,
-    class_histograms,
     compose_table,
     coset_ids,
     format_perm,
     perm_index,
     perm_indices,
     rank_table,
-    voter_view,
 )
 
 BLOCK = 4096  # profiles per block of fkn_diagnostics (at least one slab); bounds its memory
@@ -80,29 +81,31 @@ def _centered(X: np.ndarray) -> np.ndarray:
 
 
 def kernel_projection(enc: GEncoding) -> KernelProjection:
-    """The exact projection and rounding of enc's rule, kept on enc.
-    Only its table and H enter, so every basis gives the same values."""
+    """The exact projection and rounding of enc's rule from its pair counts
+    and H, kept on the rule for all its encodings; refuses where they do."""
     _require_fixing(enc.H)
-    return memoized(enc, "projection", _project)
+    check_ir_budget(enc.m, enc.n)
+    return memoized(enc.rule, "projection", _project)
 
 
-def _project(enc: GEncoding) -> KernelProjection:
-    m, n, H = enc.m, enc.n, enc.H
+def _project(agg: Aggregator) -> KernelProjection:
+    m, n, H = agg.m, agg.n, agg.H
     N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
-    Pc = profile_tables(H).prof.swapaxes(1, 2)
-    ncos = len(Pc)
-    mPi = m * np.eye(m, dtype=np.int64) - 1
-    # counts[i, v, c]: profiles where voter i+1 casts v and the output is coset c
-    counts = np.stack([class_histograms(voter_view(enc.table, i, n), ncos) for i in range(n)])
-    per_vote = (counts @ (Pc @ mPi).reshape(ncos, -1)).reshape(n, -1, m, m)
-    Q = np.einsum("ivab,vcb->iac", per_vote, enc.rho1.P)
+    tables = profile_tables(H)
+    cat = np.array(tables.catalog, dtype=np.int64)
+    # F[i, j, r, p]: profiles where voter i+1 ranks j at r and the output's
+    # j-profile is p; cnt_all pairs each of them with all m! reports
+    F = pair_count_tensors(agg)[0].sum(axis=-1) // factorial(m)
+    # C order: the float A that fkn_diagnostics builds from Q rounds by its layout
+    Q = m * np.einsum("ijrp,pa->iar", F, cat, order="C") - N * h
     Q.setflags(write=False)
-    Xb = np.einsum("c,cab->ab", counts[0].sum(axis=0), Pc)
+    Xb = np.einsum("jrp,pa->aj", F[0], cat)
     cQ = _centered(Q)
     norms = [Fraction(int((cQ[i] * Q[i]).sum()), (N * h * m * m) ** 2) for i in range(n)]
     best = max(range(n), key=norms.__getitem__)  # max takes the first maximum
-    # N h^2 m^3 <g_c, A*> per coset c; argmax takes the first maximum
-    scores = Pc.reshape(ncos, -1).astype(object) @ cQ[best].reshape(-1)
+    # N h^2 m^3 <g_c, A*> per coset c, <Pc[c], cQ> with Pc[c][r, j] = prof[c, j, r];
+    # argmax takes the first maximum
+    scores = tables.prof.reshape(len(tables.prof), -1).astype(object) @ cQ[best].T.reshape(-1)
     coset = int(np.argmax(scores))
     B_sq = Fraction(int((_centered(Xb) * Xb).sum()), (N * h * m) ** 2)
     return KernelProjection(

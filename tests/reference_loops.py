@@ -10,7 +10,9 @@ tests/test_array_kernels.py checks that both give the same results.
 The coset-histogram L' and L'' forms, over the dense X^j of
 build_one_voter and switch-class coset counts gathered one profile at
 a time, are the oracle tests/test_laplacian.py holds the j-profile
-reduction to.
+reduction to.  The kernel projection from per-voter vote-by-coset
+counts, through the permutation matrices of every vote, is the oracle
+tests/test_rounding.py holds the pair-count projection to.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from math import factorial
 
 import numpy as np
 
-from irlap.aggregators import NAMED_RULE_PARAMS, Aggregator
-from irlap.basis import LinFunction
+from irlap.aggregators import NAMED_RULE_PARAMS, Aggregator, profile_tables
+from irlap.basis import LinFunction, perm_matrix
 from irlap.moments import PARTITIONS, MomentVector
 from irlap.perms import (
     build_fixing_subgroup,
@@ -36,9 +38,10 @@ from irlap.perms import (
     perm_index,
     rank_of,
     trivial_subgroup,
+    voter_view,
     winner_subgroup,
 )
-from irlap.rounding import MomentDiagnostics, kernel_projection
+from irlap.rounding import KernelProjection, MomentDiagnostics, kernel_projection
 
 
 def plurality_winner(profile, m: int) -> int:
@@ -172,6 +175,43 @@ def fkn_diagnostics(enc) -> MomentDiagnostics:
     deg2 = max(degree2_residual(flat[:, k], n, table) for k in range(flat.shape[1]))
     return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail,
                              bound, r_norm2 <= bound + 1e-9, deg2)
+
+
+def kernel_projection_by_votes(enc) -> KernelProjection:
+    """The exact projection from counts[i, v, c], the profiles where
+    voter i+1 casts v and the output is coset c, one bincount per vote:
+    Q^i = sum_{v,c} counts[i, v, c] Pc[c] mPi P(v)^T and the B term
+    sum_c #c Pc[c], with Pc[c] = |H| times coset c's mean of P."""
+    m, n, H = enc.m, enc.n, enc.H
+    N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
+    Pc = profile_tables(H).prof.swapaxes(1, 2)
+    ncos, fact = len(Pc), factorial(m)
+    mPi = m * np.eye(m, dtype=np.int64) - 1
+    counts = np.zeros((n, fact, ncos), dtype=np.int64)
+    for i in range(n):
+        view = voter_view(enc.table, i, n)
+        for v in range(fact):
+            counts[i, v] = np.bincount(view[v], minlength=ncos)
+    per_vote = (counts @ (Pc @ mPi).reshape(ncos, -1)).reshape(n, -1, m, m)
+    P = np.array([perm_matrix(x) for x in enumerate_group(m)])
+    Q = np.einsum("ivab,vcb->iac", per_vote, P)
+    Xb = np.einsum("c,cab->ab", counts[0].sum(axis=0), Pc)
+
+    def centered(X):
+        mPi_exact = mPi.astype(object)
+        return mPi_exact @ X.astype(object) @ mPi_exact
+
+    cQ = centered(Q)
+    norms = [Fraction(int((cQ[i] * Q[i]).sum()), (N * h * m * m) ** 2) for i in range(n)]
+    best = max(range(n), key=norms.__getitem__)
+    scores = Pc.reshape(ncos, -1).astype(object) @ cQ[best].reshape(-1)
+    coset = int(np.argmax(scores))
+    B_sq = Fraction(int((centered(Xb) * Xb).sum()), (N * h * m) ** 2)
+    return KernelProjection(
+        trace=K, Q=Q, B_norm_sq=B_sq, coefficient_norms=tuple(norms),
+        kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
+        dictator_distance_sq=2 * K - Fraction(2 * scores[coset], N * h * h * m**3),
+    )
 
 
 def _block_of(partition) -> tuple[int, int, int, int]:

@@ -2,10 +2,14 @@
 encoding and its L form are built once per aggregator, shared by every
 consumer, read-only, and equal to a fresh build."""
 
+import gc
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ from irlap.metrics import (
     random_orders,
 )
 from irlap.perms import trivial_subgroup, winner_subgroup
-from irlap.rounding import robustness_report
+from irlap.rounding import fkn_diagnostics, kernel_projection, robustness_report
 
 
 def _rule(seed=0):
@@ -80,6 +84,22 @@ def test_shared_values_are_read_only():
     assert pair_count_tensors(agg)[0] is cnt_all
 
 
+def test_a_rule_and_its_kept_values_are_freed_with_its_last_reference():
+    """The encoding holds its rule and the rule its kept encoding only
+    weakly, so no reference cycle waits for the garbage collector."""
+    agg = _rule()
+    _run_everything(agg)
+    enc, gone = encode_g(agg), weakref.ref(agg)
+    gc.disable()
+    try:
+        del agg
+        assert gone() is not None  # the encoding keeps its rule
+        del enc
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
 def test_an_explicit_table_builds_a_fresh_encoding():
     agg = _rule()
     fresh = encode_g(agg, rho1_table(agg.m))
@@ -92,11 +112,36 @@ def test_budgets_refuse_after_a_warm_call(monkeypatch):
     ir_combinatorial(agg)
     enc = encode_g(agg)
     apply_Ln(enc)
+    kernel_projection(enc)
     monkeypatch.setattr(laplacian, "LN_BUDGET", 10)
-    with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
-        ir_combinatorial(agg)
-    with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
-        apply_Ln(enc)
+    for call, arg in ((ir_combinatorial, agg), (apply_Ln, enc), (kernel_projection, enc)):
+        with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
+            call(arg)
+
+
+def test_the_projection_reads_the_kept_pair_counts_not_the_table(monkeypatch):
+    """Once the pair counts are kept, the kernel projection and the FKN
+    diagnostics read them and the encoding's per-coset arrays, and no
+    irlap module looks at the profile table through a voter view."""
+    agg, twin = _rule(seed=5), _rule(seed=5)
+    want_proj, want_diag = kernel_projection(encode_g(twin)), fkn_diagnostics(encode_g(twin))
+    pair_count_tensors(agg)
+
+    def refuse(*args):
+        raise AssertionError("the profile table was read through voter_view")
+
+    for info in pkgutil.iter_modules(irlap.__path__, "irlap."):
+        module = importlib.import_module(info.name)
+        if hasattr(module, "voter_view"):
+            monkeypatch.setattr(module, "voter_view", refuse)
+    enc = encode_g(agg)
+    proj = kernel_projection(enc)
+    assert np.array_equal(proj.Q, want_proj.Q)
+    for name in ("trace", "B_norm_sq", "coefficient_norms", "kernel_distance_sq", "voter",
+                 "coset", "dictator_distance_sq"):
+        assert getattr(proj, name) == getattr(want_proj, name), name
+    assert fkn_diagnostics(enc) == want_diag
+    assert kernel_projection(encode_g(agg, rho1_table(agg.m))) is proj  # kept on the rule
 
 
 def test_a_fresh_aggregator_gives_the_memoized_values():
@@ -165,9 +210,19 @@ print(tracemalloc.get_traced_memory()[1])
 def test_pair_counts_peak_is_below_one_stacked_histogram():
     """The pair counts hold one voter's switch-class histogram at a
     time, never the stack over all voters, n m!^(n-1) m^2 P int64
-    (1367 KB at (3, 5) with trivial H, P = 3)."""
-    peak = _traced_bytes("""
+    (1367 KB at (3, 5) with trivial H, P = 3).
+
+    And they hold two label-sized arrays, not three.  At (5, 2) with
+    trivial H the label table [vote, coset, j] and one voter's gathered
+    labels are each 120 * 120 * 5 int64 = 576,000 bytes; that voter's
+    histogram (120 * 125 int64 = 120,000) and the two count arrays
+    (2 * 2 * 5^4 int64 = 20,000) bring the peak to 1.31 MB.  Slab
+    offsets added out of place, as a second array of keys, took it to
+    1.87 MB.  The bound, three label-sized arrays (1,728,000 bytes),
+    lies between the two."""
+    program = """
 pair_count_tensors(agg)
 print(tracemalloc.get_traced_memory()[1])
-""", m=3, n=5)
-    assert peak < 5 * 6 ** 4 * 3 ** 2 * 3 * 8
+"""
+    assert _traced_bytes(program, m=3, n=5) < 5 * 6 ** 4 * 3 ** 2 * 3 * 8
+    assert _traced_bytes(program, m=5, n=2) < 3 * 120 * 120 * 5 * 8

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from irlap import moments as moments_module
 from irlap.moments import (
     CHUNK,
     IDX_E3,
@@ -347,6 +348,15 @@ def test_stacked_moments_match_single_matrices(m):
         single = moments(A)
         assert tuple(v[k] for v in batched.as_tuple()) == single.as_tuple()
         assert f4[k] == norm4_zero_margin(single, c15)
+
+
+def test_sweep_squares_each_stack_once(monkeypatch):
+    """E f^4 and the Mq bound read one square of M2 per sampled stack."""
+    calls = []
+    square = moments_module._square
+    monkeypatch.setattr(moments_module, "_square", lambda x: calls.append(1) or square(x))
+    hypercontractivity_check(4, samples=2 * CHUNK)
+    assert len(calls) == 2
 
 
 def test_hypercontractivity_sigma_zero():

@@ -41,6 +41,7 @@ from irlap.rounding import (
     robustness_report,
 )
 from make_golden import CASES
+from reference_loops import kernel_projection_by_votes
 
 
 def test_kernel_distance_zero_for_dictator():
@@ -109,6 +110,20 @@ def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed,
     diag_h, diag_o = fkn_diagnostics(helmert), fkn_diagnostics(other)
     assert diag_h.epsilon == diag_o.epsilon
     assert abs(diag_h.r_norm2_mean - diag_o.r_norm2_mean) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([3, 4]), st.sampled_from([1, 2, 3]), st.integers(0, 2), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_pair_count_projection_matches_the_vote_count_oracle(m, n, part, corrupted, center,
+                                                             rule_seed):
+    agg = _drawn_rule(m, n, _subgroups(m)[part], corrupted, rule_seed)
+    enc = encode_g(center_aggregator(agg) if center else agg)
+    proj, oracle = kernel_projection(enc), kernel_projection_by_votes(enc)
+    assert np.array_equal(proj.Q, oracle.Q)
+    for name in ("B_norm_sq", "coefficient_norms", "kernel_distance_sq", "voter", "coset",
+                 "dictator_distance_sq"):
+        assert getattr(proj, name) == getattr(oracle, name), name
 
 
 def _top_two_apart(values, pick) -> bool:
