@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import operator
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -50,8 +49,8 @@ class Aggregator:
     """Total function S_m^n -> S_m/H stored as a coset-index table.
 
     The table is made read-only, so the values derived from it (pair
-    counts, default encoding) are computed on first use and kept in
-    `_derived` for the aggregator's lifetime."""
+    counts, default-basis coset means, kernel projection) are computed
+    on first use and kept in `_derived` for the aggregator's lifetime."""
 
     m: int
     n: int
@@ -100,6 +99,10 @@ class ProfileTables:
     is |H|/|O| on one orbit O of H on the rank positions and 0
     elsewhere, every orbit occurs for every j, and the catalog has
     P = H.orbit_count entries.
+
+    The build checks, in integers, the fact the L form's identity rests
+    on (laplacian docstring, "IR = L"): each coset's rank-count matrix
+    has every row and column summing to |H|.
     """
 
     def __init__(self, H: FixingSubgroup):
@@ -107,6 +110,9 @@ class ProfileTables:
         m = H.m
         self.prof = np.array([[j_profile_counts(coset, j, m) for j in range(1, m + 1)]
                               for coset in H.cosets], dtype=np.int64)
+        mPi = m * np.eye(m, dtype=np.int64) - 1
+        if not (mPi @ self.prof @ mPi == m * (m * self.prof - H.order)).all():
+            raise AssertionError("a coset's rank counts do not sum to |H| by row and column")
         self.catalog = sorted(set(map(tuple, self.prof.reshape(-1, m).tolist())))
         lookup = {p: i for i, p in enumerate(self.catalog)}
         self.pid = np.array([[lookup[tuple(p)] for p in row] for row in self.prof.tolist()],
@@ -248,13 +254,12 @@ class GEncoding:
     never built.  g_coset[c] = M_H @ rho1(representative) in the table
     ``rho1`` the encoding was built with, which every consumer reads,
     so no second basis can enter.  g_coset[0] = M_H (H's own coset
-    comes first); m, n, H and table are the rule's.  The arrays are
-    read-only; `_derived` keeps the L form."""
+    comes first); m, n, H and table are the rule's.  g_coset is
+    read-only."""
 
     rule: Aggregator
     g_coset: np.ndarray  # (#cosets, m-1, m-1)
     rho1: Rho1Table
-    _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.g_coset.setflags(write=False)
@@ -276,17 +281,13 @@ def _encode(agg: Aggregator, table: Rho1Table) -> np.ndarray:
 
 def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
     """agg's encoding in `table`'s basis, built fresh; without a table,
-    the default-basis one, whose arrays and kept values agg builds once
-    and keeps.  agg refers to that encoding, which holds agg, weakly: no
-    cycle outlives the rule, and one encoding serves while it is held."""
+    a fresh encoding of the default-basis coset means, which agg builds
+    once and keeps.  The encoding holds agg and agg keeps only the
+    array, so the two form no reference cycle."""
     if table is not None:
         return GEncoding(agg, _encode(agg, table), table)
-    enc = agg._derived.get("encoding", lambda: None)()
-    if enc is None:
-        g_coset, kept = memoized(agg, "coset_means", lambda a: (_encode(a, rho1_table(a.m)), {}))
-        enc = GEncoding(agg, g_coset, rho1_table(agg.m), kept)
-        agg._derived["encoding"] = weakref.ref(enc)
-    return enc
+    table = rho1_table(agg.m)
+    return GEncoding(agg, memoized(agg, "coset_means", lambda a: _encode(a, table)), table)
 
 
 @dataclass

@@ -27,24 +27,42 @@ Raw form values convert to it by a constant fixed per variant:
 The factor 2 converts the Laplacian's unordered edge sum into the
 ordered-pair expectation.  The L' offset is the rank-disagreement mass
 between members of one coset; it vanishes only when cosets are
-singletons.  These constants are asserted against the exhaustive
-rational oracle on random aggregators (calibrate_kappa), never
-assumed.
+singletons.  The L' and L'' constants are asserted against the
+exhaustive rational oracle (tests/reference_loops.calibrate_kappa);
+the L constant is proved below.
 
 Switch classes.  Every form is a sum over single-voter switches: hold
 all voters but i fixed and group voter i's rankings by the rank r they
 give alternative j.  Each such (i, j, r, others) group of (m-1)!
-profiles is a switch class.  No index of them is stored: a per-profile
-array seen through ``perms.voter_view(values, i, n)`` has voter i+1's
-vote first and the other voters second, and ``perms.rank_classes(m)``
-lists the votes of each (j, r), so a class is one row selection of
-that view.  metrics.pair_count_tensors counts, one voter at a time,
-the output j-profiles of every class and keeps only their pair counts;
-every alternative reads one catalog of j-profiles (aggregators.
-ProfileTables), so L', L'' and IR are each one contraction of the
-same-rank part cnt_same with a (P, P) catalog table, and the kernel
-projection is the first moment of cnt_all.  L is the per-class identity
-in _class_sum_form; the IR detectors and the census read the same view.
+profiles is a switch class.  metrics.pair_count_tensors counts, one
+voter at a time, the output j-profiles of every class and keeps only
+their pair counts; every alternative reads one catalog of j-profiles
+(aggregators.ProfileTables), so L, L', L'' and IR are each one
+contraction of the same-rank part cnt_same with a (P, P) catalog
+table, and the kernel projection is the first moment of cnt_all.
+This module makes no pass over the profiles.
+
+IR = L.  The L form is IR, class by class.  With P(y) the permutation
+matrix of y (basis module), rho1(y) = C^T P(y) C, C^T 1 = 0 and
+C C^T = Pi = I - J/m.  The mean of P(y) over coset c is Pc / |H|,
+where Pc[r, j] = prof[c, j, r] counts the members ranking j at r; its
+rows and columns all sum to |H|, so Pc Pi = Pc - |H| J / m and
+
+    W_j[c] = g_coset[c] C_j = C^T Pc Pi e_j / |H| = C^T prof_j(c) / |H|.
+
+Two j-profiles differ by a sum-zero vector, which C C^T fixes, so
+||W_j[c] - W_j[c']||^2 = dist2[pid(c, j), pid(c', j)] / |H|^2.  On one
+class the Y (x) D form is (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 =
+(1/2) sum_{a,b} ||v_a - v_b||^2 with v_a = W_j[f(a)], hence
+
+    raw(L) = sum cnt_same[i, j, r, p, q] dist2[p, q] / (2 |H|^2),
+
+and the canonical L value is IR exactly, in every basis.  The one fact
+about the catalog this uses is checked in integers once per subgroup,
+when its ProfileTables is built: with mPi = m I - J, every coset has
+mPi Pc mPi = m (m Pc - |H| J), so the columns mPi Pc mPi e_j of two
+cosets are at squared distance m^4 dist2.  tests/reference_loops keeps
+the float class sums (_class_sum_form) as the identity's oracle.
 
 Spectrum.  Y^j = (m-1)! (I - P^j) with P^j the average over the rank
 class of j, so L^n / m! = (1/m) sum_{i,j} (I - P^j)_i (x) D^j.  The
@@ -69,10 +87,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from ._util import FeasibilityError, memoized
-from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
+from ._util import FeasibilityError
+from .aggregators import Aggregator, profile_tables
 from .basis import Basis, Rho1Table, build_basis
-from .perms import broadcast_voter, rank_classes, rank_table, voter_view
+from .perms import broadcast_voter, rank_table
 
 DENSE_LIMIT = 5000  # largest sector block spectral_gap diagonalizes
 LN_BUDGET = 2 * 10**8  # bound on n * m * (m!)^(n+1)
@@ -83,8 +101,7 @@ CLUSTER_TOL = 1e-7
 def check_ir_budget(m: int, n: int) -> None:
     """Refuse an (m, n) whose IR evaluation costs n m (m!)^(n+1) over
     LN_BUDGET (read at call time); callers can run it before building
-    anything.  IR, its quadratic cross-check, the pair counts and the
-    three forms all refuse here."""
+    anything.  IR, the pair counts and the three forms all refuse here."""
     cost = n * m * factorial(m) ** (n + 1)
     if cost > LN_BUDGET:
         raise FeasibilityError(
@@ -211,15 +228,15 @@ def lprime_offset(m: int, n: int, H) -> Fraction:
 @dataclass
 class QuadraticFormValue:
     variant: str
-    raw: Fraction | float
-    canonical: Fraction | float
+    raw: Fraction
+    canonical: Fraction
 
 
 def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
                          variant: str) -> QuadraticFormValue:
     """Evaluate one of the three forms on an aggregator, summed over
-    single-voter switches.  "L1" (X (x) complement X) and "L2"
-    (Y (x) X) are exact: members of cosets c and c' agree on j's rank
+    single-voter switches; all three are exact.  "L1" (X (x) complement
+    X) and "L2" (Y (x) X): members of cosets c and c' agree on j's rank
     prof_j(c) . prof_j(c') times, so with agg's shared same-rank pair
     counts cnt_same (metrics.pair_count_tensors) and the one catalog's
     inner products dot, S = sum cnt_same[i, j, r, p, q] dot[p, q],
@@ -227,18 +244,16 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
         raw(L'') = (n (m-1)! sum_x sum_j ||prof_j(f(x))||^2 - S) / |H|^2
         raw(L')  = (|H|^2 n m m!^n (m-1)! - S) / |H|^2
 
-    "L" (Y (x) D) is apply_Ln on agg's shared matrix encoding, in
-    floats.  ``bundle`` is not read; it stays positional for existing
-    callers.
+    "L" (Y (x) D) is apply_Ln.  ``bundle`` is not read; it stays
+    positional for existing callers.
     """
     from .metrics import pair_count_tensors
 
     m, n, H = agg.m, agg.n, agg.H
     scale = kappa(variant, m, n)
     if variant == "L":
-        check_ir_budget(m, n)  # before the encoding is built
-        canonical = apply_Ln(encode_g(agg))
-        return QuadraticFormValue("L", canonical / float(scale), canonical)
+        canonical = apply_Ln(agg)
+        return QuadraticFormValue("L", canonical / scale, canonical)
     tables = profile_tables(H)
     _, cnt_same = pair_count_tensors(agg)
     S = int((cnt_same.sum(axis=(0, 1, 2)) * tables.dot).sum())
@@ -251,58 +266,13 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
     return QuadraticFormValue("L2", raw, scale * raw)
 
 
-def _class_sum_form(enc: GEncoding) -> float:
-    """tr(G L^n G^T) for the matrix encoding, in the basis it was
-    encoded with, via the per-class identity: the Y (x) D form on one
-    rank class equals (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with
-    v_a = C_j g(a)^T = W_j[f(a)], W_j = g_coset C_j a per-coset table
-    gathered through the classes of the coset table.  The class sums
-    over the (members, slabs) gather and their addition in (i, j, r)
-    order are fixed: reports pin their float rounding."""
-    m, n = enc.m, enc.n
-    k, classes = factorial(m - 1), rank_classes(m)
-    W = [np.einsum("l,xkl->xk", c, enc.g_coset) for c in enc.rho1.basis.C]  # (#cosets, m-1)
-    norms = [np.einsum("xk,xk->x", Wj, Wj) for Wj in W]
-    terms = np.empty((n, m, m))
-    for i in range(n):
-        view = voter_view(enc.table, i, n)
-        for j in range(m):
-            cls = view[classes[j]]  # (m, (m-1)!, slabs) coset ids
-            sums = W[j][cls].sum(axis=1)  # (m, slabs, m-1)
-            norm_sums = norms[j][cls]
-            for r in range(m):
-                terms[i, j, r] = k * norm_sums[r].sum() - np.einsum("sk,sk->", sums[r], sums[r])
-    return float(np.cumsum(terms)[-1])  # cumsum adds one term at a time
-
-
-def apply_Ln(enc: GEncoding) -> float:
-    """Canonical IR value from the matrix encoding, matrix-free: the
-    n-voter operator is never materialized.  The budget is checked
-    first; the value is then computed once per encoding and kept."""
-    check_ir_budget(enc.m, enc.n)
-    return memoized(enc, "L", lambda e: float(2 * _class_sum_form(e)
-                                              / factorial(e.m) ** (e.n + 1)))
-
-
-def calibrate_kappa(variant: str, m: int, n: int, H,
-                    trials: int = 5, seed: int = 0) -> list:
-    """Measure canonical-IR / raw-form ratios on random aggregators.
-    All ratios must equal kappa(variant) (after the L' offset); tests
-    assert exactly that."""
-    from .aggregators import random_aggregator
+def apply_Ln(agg: Aggregator) -> Fraction:
+    """Canonical value of the L form on agg: exactly IR (module
+    docstring, "IR = L"), read off agg's shared same-rank pair counts.
+    The n-voter operator is never built; refuses where the counts do."""
     from .metrics import ir_combinatorial
 
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(trials):
-        agg = random_aggregator(m, n, H, rng)
-        oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
-        qf = apply_quadratic_form(agg, None, variant)
-        raw = qf.raw - lprime_offset(m, n, H) if variant == "L1" else qf.raw
-        if raw == 0:
-            continue
-        ratios.append(oracle / raw if isinstance(raw, Fraction) else float(oracle) / raw)
-    return ratios
+    return ir_combinatorial(agg).profile_distance
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from math import factorial
 import numpy as np
 
 from ._util import FeasibilityError, expect_json, expect_key, memoized, parse_fraction
-from .aggregators import Aggregator, ProfileTables, encode_g, make_dictator, profile_tables
-from .laplacian import apply_Ln, check_ir_budget
+from .aggregators import Aggregator, ProfileTables, make_dictator, profile_tables
+from .laplacian import check_ir_budget
 from .perms import FixingSubgroup, enumerate_group, rank_classes, voter_view
 
 CENSUS_LIMIT = 2 * 10**6
@@ -29,7 +29,12 @@ CENSUS_LIMIT = 2 * 10**6
 class IRValue:
     profile_distance: Fraction
     indicator: Fraction
-    quadratic: float | None = None
+
+    @property
+    def quadratic(self) -> float:
+        """The L form's canonical value, which is profile_distance
+        (laplacian docstring, "IR = L"), as a float."""
+        return float(self.profile_distance)
 
 
 def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
@@ -79,22 +84,17 @@ def _voter_pair_counts(label: np.ndarray, view: np.ndarray,
     return same.reshape(m, m, P, P), every.reshape(m, m, P, P)
 
 
-def ir_combinatorial(agg: Aggregator, with_quadratic: bool = True) -> IRValue:
+def ir_combinatorial(agg: Aggregator) -> IRValue:
     """Direct evaluation of the ordered-pair IR definitions from agg's
-    shared pair counts.  Exact; the optional quadratic field
-    cross-evaluates the spectral form on agg's shared encoding.  The
-    pair counts check the budget before either is read."""
+    shared pair counts, which check the budget first.  Exact."""
     _, cnt_same = pair_count_tensors(agg)
     dist2 = profile_tables(agg.H).dist2
     block = cnt_same.sum(axis=(0, 1, 2))  # (P, P) over voters, alternatives, ranks
     denom = factorial(agg.m) ** (agg.n + 1)
-    value = IRValue(
+    return IRValue(
         profile_distance=Fraction(int((block * dist2).sum()), agg.H.order ** 2 * denom),
         indicator=Fraction(int(block[dist2 > 0].sum()), denom),
     )
-    if with_quadratic:
-        value.quadratic = apply_Ln(encode_g(agg))
-    return value
 
 
 def per_entry_ir_bound(m: int, n: int, H: FixingSubgroup) -> Fraction:
@@ -332,6 +332,6 @@ def manipulation_power(agg: Aggregator, orders: OrderFamily | None = None,
     total = sum(per_voter, Fraction(0))
     c = profile_tables(agg.H).max_pair_dist2
     if ir is None:
-        ir = ir_combinatorial(agg, with_quadratic=False).profile_distance
+        ir = ir_combinatorial(agg).profile_distance
     return ManipulationReport(per_voter, total, c, ir, c * total >= ir,
                               2 * c * total >= ir, orders.label)

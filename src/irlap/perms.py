@@ -288,7 +288,7 @@ def voter_view(values: np.ndarray, i: int, n: int) -> np.ndarray:
     """A per-profile array (m!^n, ...) as (m!, m!^(n-1), ...): entry
     [v, s] is the profile where voter i+1 casts the v-th permutation
     and the other voters, in order, have mixed-radix index s.  A view
-    for i = 0, one copy otherwise."""
+    for the first and the last voter, one copy for the voters between."""
     fact, rest = round(len(values) ** (1 / n)), values.shape[1:]
     split = values.reshape((fact**i, fact, -1) + rest)  # (earlier voters, voter i+1, later)
     return split.swapaxes(0, 1).reshape((fact, -1) + rest)

@@ -335,7 +335,7 @@ def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport
     (ValueError) an H transitive on the rank positions."""
     _require_fixing(agg.H)
     work = center_aggregator(agg) if center else agg
-    ir = ir_combinatorial(work, with_quadratic=False).profile_distance
+    ir = ir_combinatorial(work).profile_distance
     enc = encode_g(work)
     proj = kernel_projection(enc)
     gap, exhaustive = measured_gap(work.m, work.n)

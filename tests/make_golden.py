@@ -6,9 +6,10 @@ changes any reported value, float rounding included, shows up as a
 diff.  Regenerate only when a change deliberately fixes a reported
 value, and say so in the change description.
 
-Usage, from the repository root:
-    PYTHONPATH=src python3 tests/make_golden.py          # rewrite every report
-    PYTHONPATH=src python3 tests/make_golden.py --diff   # show what would move; exit 1 if any
+Usage, from any directory (each report runs `irlap` from this
+checkout's src/, which the script puts on its subprocess's PYTHONPATH):
+    python3 tests/make_golden.py          # rewrite every report
+    python3 tests/make_golden.py --diff   # show what would move; exit 1 if any
 
 `--diff` writes nothing.  It names every report that would differ,
 prints every JSON key whose value would change, with its old and new
@@ -22,11 +23,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 # inputs the cases read; not under GOLDEN_DIR, whose files are exactly the cases
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -47,7 +50,7 @@ CASES = (
         ("analyze_m4n2_plurality", ["analyze", "--m", "4", "--n", "2", "--rule", "plurality"]),
         ("analyze_m4n2_borda", ["analyze", "--m", "4", "--n", "2", "--rule", "borda"]),
         ("analyze_m4n3_plurality", ["analyze", "--m", "4", "--n", "3", "--rule", "plurality"]),
-        # (4, 4) pins the L form's float order at the largest size inside the budget
+        # (4, 4): the largest analyze size inside the IR budget
         ("analyze_m4n4_random_winner", ["analyze", "--m", "4", "--n", "4", "--rule",
                                         "random:seed=2", "--partition", "1|2,3,4"]),
         ("spectra_m4n2", ["spectra", "--m", "4", "--n", "2"]),
@@ -64,10 +67,11 @@ CASES = (
 
 
 def run_irlap(args: list) -> str:
-    """stdout of one fresh `python -m irlap.cli` process; fails on a
-    nonzero exit."""
-    proc = subprocess.run([sys.executable, "-m", "irlap.cli", *args],
-                          capture_output=True, text=True)
+    """stdout of one fresh `python -m irlap.cli` process on this
+    checkout's irlap; fails on a nonzero exit."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "irlap.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
     if proc.returncode != 0:
         raise RuntimeError(f"irlap {' '.join(args)} exited {proc.returncode}: {proc.stderr}")
     return proc.stdout

@@ -12,7 +12,9 @@ build_one_voter and switch-class coset counts gathered one profile at
 a time, are the oracle tests/test_laplacian.py holds the j-profile
 reduction to.  The kernel projection from per-voter vote-by-coset
 counts, through the permutation matrices of every vote, is the oracle
-tests/test_rounding.py holds the pair-count projection to.
+tests/test_rounding.py holds the pair-count projection to.  The L form
+as float sums over every switch class of the matrix encoding is the
+oracle of the exact identity IR = L (irlap.laplacian docstring).
 """
 
 from __future__ import annotations
@@ -25,8 +27,16 @@ from math import factorial
 
 import numpy as np
 
-from irlap.aggregators import NAMED_RULE_PARAMS, Aggregator, profile_tables
+from irlap.aggregators import (
+    NAMED_RULE_PARAMS,
+    Aggregator,
+    GEncoding,
+    profile_tables,
+    random_aggregator,
+)
 from irlap.basis import LinFunction, perm_matrix
+from irlap.laplacian import apply_quadratic_form, lprime_offset
+from irlap.metrics import ir_combinatorial
 from irlap.moments import PARTITIONS, MomentVector
 from irlap.perms import (
     build_fixing_subgroup,
@@ -36,6 +46,7 @@ from irlap.perms import (
     inverse,
     parse_perm,
     perm_index,
+    rank_classes,
     rank_of,
     trivial_subgroup,
     voter_view,
@@ -386,3 +397,46 @@ def coset_form_raw(agg: Aggregator, X: np.ndarray, variant: str) -> Fraction:
         diag = np.einsum("jpp->jp", pair)[:, agg.table]
         total = n * factorial(m - 1) * int(diag.sum()) - total
     return Fraction(total, h * h)
+
+
+def _class_sum_form(enc: GEncoding) -> float:
+    """tr(G L^n G^T) for the matrix encoding, in the basis it was
+    encoded with, via the per-class identity: the Y (x) D form on one
+    rank class equals (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with
+    v_a = C_j g(a)^T = W_j[f(a)], W_j = g_coset C_j a per-coset table
+    gathered through the classes of the coset table, the class terms
+    added in (i, j, r) order."""
+    m, n = enc.m, enc.n
+    k, classes = factorial(m - 1), rank_classes(m)
+    W = [np.einsum("l,xkl->xk", c, enc.g_coset) for c in enc.rho1.basis.C]  # (#cosets, m-1)
+    norms = [np.einsum("xk,xk->x", Wj, Wj) for Wj in W]
+    terms = np.empty((n, m, m))
+    for i in range(n):
+        view = voter_view(enc.table, i, n)
+        for j in range(m):
+            cls = view[classes[j]]  # (m, (m-1)!, slabs) coset ids
+            sums = W[j][cls].sum(axis=1)  # (m, slabs, m-1)
+            norm_sums = norms[j][cls]
+            for r in range(m):
+                terms[i, j, r] = k * norm_sums[r].sum() - np.einsum("sk,sk->", sums[r], sums[r])
+    return float(np.cumsum(terms)[-1])  # cumsum adds one term at a time
+
+
+def l_form_float(enc: GEncoding) -> float:
+    """The canonical L value from the float class sums of enc, in enc's
+    basis: 2 tr(G L^n G^T) / m!^(n+1)."""
+    return float(2 * _class_sum_form(enc) / factorial(enc.m) ** (enc.n + 1))
+
+
+def calibrate_kappa(variant: str, m: int, n: int, H, trials: int = 5, seed: int = 0) -> list:
+    """Canonical-IR / raw-form ratios (after the L' offset) on random
+    aggregators, exact Fractions; all must equal kappa(variant)."""
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(trials):
+        agg = random_aggregator(m, n, H, rng)
+        qf = apply_quadratic_form(agg, None, variant)
+        raw = qf.raw - lprime_offset(m, n, H) if variant == "L1" else qf.raw
+        if raw != 0:
+            ratios.append(ir_combinatorial(agg).profile_distance / raw)
+    return ratios

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import reference_loops as ref
 from irlap.aggregators import (
     Aggregator,
     corrupt_aggregator,
@@ -106,14 +107,16 @@ def test_criterion_3_quadratic_form_equivalence():
                 rng = np.random.default_rng(1000 + 10 * m + n + int(scf))
                 for _ in range(200):
                     agg = random_aggregator(m, n, H, rng)
-                    oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+                    oracle = ir_combinatorial(agg).profile_distance
                     q1 = apply_quadratic_form(agg, bundles[m], "L1")
                     q2 = apply_quadratic_form(agg, bundles[m], "L2")
                     qL = apply_quadratic_form(agg, bundles[m], "L")
                     ok &= q1.canonical == oracle  # exact, stronger than 1e-9
                     ok &= q2.canonical == oracle
                     ok &= abs(qL.canonical - float(oracle)) <= 1e-9
-                    ok &= abs(apply_Ln(encode_g(agg)) - float(oracle)) <= 1e-9
+                    ok &= abs(apply_Ln(agg) - float(oracle)) <= 1e-9
+                    # the float class sums over the profiles, the identity's oracle
+                    ok &= abs(ref.l_form_float(encode_g(agg)) - float(oracle)) <= 1e-9
                     # kappa constancy: oracle / raw is the fixed constant
                     if q2.raw != 0:
                         ok &= oracle / q2.raw == kappa("L2", m, n)
@@ -145,7 +148,7 @@ def test_criterion_4_gap_bracket_and_kernel_bound():
             agg = corrupt_aggregator(
                 make_dictator(1 + seed % n, sigma, H, n),
                 1 + seed % 3, rng)
-            ir = ir_combinatorial(agg, with_quadratic=False).profile_distance
+            ir = ir_combinatorial(agg).profile_distance
             dist = kernel_projection(encode_g(agg)).kernel_distance_sq  # exact
             ok &= dist <= ir / gap + 1e-9
             count += 1
@@ -249,7 +252,7 @@ def test_criterion_8_strategy_proofness_reduction():
     """
     t0 = time.time()
     witness = Aggregator(3, 1, trivial_subgroup(3), np.array([0, 0, 2, 3, 4, 5]))
-    w_ir = ir_combinatorial(witness, with_quadratic=False)
+    w_ir = ir_combinatorial(witness)
     w_rep = manipulation_power(witness, default_orders(witness.H, 3),
                                ir=w_ir.profile_distance)
     assert w_rep.c == 2
@@ -269,7 +272,7 @@ def test_criterion_8_strategy_proofness_reduction():
             rng = np.random.default_rng(500 + n + int(scf))
             for _ in range(500):
                 agg = random_aggregator(3, n, H, rng)
-                irv = ir_combinatorial(agg, with_quadratic=False)
+                irv = ir_combinatorial(agg)
                 ir = irv.profile_distance
                 cnt_all, cnt_same = pair_count_tensors(agg)
                 families = [d6] + [random_orders(H, 3, rng) for _ in range(20)]

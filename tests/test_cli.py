@@ -341,8 +341,10 @@ def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
     assert cli.main(argv) == 0
     assert sorted(calls) == ["encoding", "pairs"]
     calls.clear()
-    assert cli.main(argv + ["--center"]) == 0  # the centered rule's own counts
-    assert sorted(calls) == ["encoding", "encoding", "pairs", "pairs"]
+    # the centered rule is counted and encoded; the rule itself is only
+    # counted, for its IR, which reads no encoding
+    assert cli.main(argv + ["--center"]) == 0
+    assert sorted(calls) == ["encoding", "pairs", "pairs"]
 
 
 def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):

@@ -1,6 +1,6 @@
 """Per-aggregator derived values: the pair counts, the default-basis
-encoding and its L form are built once per aggregator, shared by every
-consumer, read-only, and equal to a fresh build."""
+coset means and the kernel projection are built once per aggregator,
+shared by every consumer, read-only, and equal to a fresh build."""
 
 import gc
 import importlib
@@ -64,13 +64,11 @@ def test_one_run_builds_the_counts_and_the_encoding_once(monkeypatch):
 
     monkeypatch.setattr(metrics, "_count_pairs", spy("pairs", metrics._count_pairs))
     monkeypatch.setattr(aggregators, "_encode", spy("encoding", aggregators._encode))
-    monkeypatch.setattr(laplacian, "_class_sum_form",
-                        spy("L", laplacian._class_sum_form))
     agg = _rule()
     _run_everything(agg)
-    assert sorted(builds) == ["L", "encoding", "pairs"]
+    assert sorted(builds) == ["encoding", "pairs"]  # the L form is read off the pair counts
     _run_everything(agg)
-    assert sorted(builds) == ["L", "encoding", "pairs"]  # a second run builds nothing
+    assert sorted(builds) == ["encoding", "pairs"]  # a second run builds nothing
 
 
 def test_shared_values_are_read_only():
@@ -80,13 +78,13 @@ def test_shared_values_are_read_only():
     for array in (agg.table, cnt_all, cnt_same, enc.g_coset):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert encode_g(agg) is enc
+    assert encode_g(agg).g_coset is enc.g_coset  # each call wraps the kept coset means
     assert pair_count_tensors(agg)[0] is cnt_all
 
 
 def test_a_rule_and_its_kept_values_are_freed_with_its_last_reference():
-    """The encoding holds its rule and the rule its kept encoding only
-    weakly, so no reference cycle waits for the garbage collector."""
+    """An encoding holds its rule, and the rule keeps only the coset
+    means, so no reference cycle waits for the garbage collector."""
     agg = _rule()
     _run_everything(agg)
     enc, gone = encode_g(agg), weakref.ref(agg)
@@ -103,7 +101,7 @@ def test_a_rule_and_its_kept_values_are_freed_with_its_last_reference():
 def test_an_explicit_table_builds_a_fresh_encoding():
     agg = _rule()
     fresh = encode_g(agg, rho1_table(agg.m))
-    assert fresh is not encode_g(agg)
+    assert fresh.g_coset is not encode_g(agg).g_coset
     assert np.array_equal(fresh.g_coset[fresh.table], encode_g(agg).g_coset[agg.table])
 
 
@@ -111,12 +109,35 @@ def test_budgets_refuse_after_a_warm_call(monkeypatch):
     agg = random_aggregator(3, 2, trivial_subgroup(3), np.random.default_rng(2))
     ir_combinatorial(agg)
     enc = encode_g(agg)
-    apply_Ln(enc)
+    apply_Ln(agg)
     kernel_projection(enc)
     monkeypatch.setattr(laplacian, "LN_BUDGET", 10)
-    for call, arg in ((ir_combinatorial, agg), (apply_Ln, enc), (kernel_projection, enc)):
+    for call, arg in ((ir_combinatorial, agg), (apply_Ln, agg), (kernel_projection, enc)):
         with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
             call(arg)
+
+
+def _refuse_voter_view(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the profile table was read through voter_view")
+
+    for info in pkgutil.iter_modules(irlap.__path__, "irlap."):
+        module = importlib.import_module(info.name)
+        if hasattr(module, "voter_view"):
+            monkeypatch.setattr(module, "voter_view", refuse)
+
+
+def test_the_l_form_reads_the_kept_pair_counts_not_the_table(monkeypatch):
+    """irlap.laplacian makes no pass over the profiles: it imports no
+    voter view, and once the pair counts are kept the L form is read
+    off them, exactly IR."""
+    assert not hasattr(laplacian, "voter_view") and not hasattr(laplacian, "rank_classes")
+    agg = _rule(seed=6)
+    want = ir_combinatorial(_rule(seed=6)).profile_distance
+    pair_count_tensors(agg)
+    _refuse_voter_view(monkeypatch)
+    assert apply_Ln(agg) == want
+    assert apply_quadratic_form(agg, None, "L").canonical == want
 
 
 def test_the_projection_reads_the_kept_pair_counts_not_the_table(monkeypatch):
@@ -126,14 +147,7 @@ def test_the_projection_reads_the_kept_pair_counts_not_the_table(monkeypatch):
     agg, twin = _rule(seed=5), _rule(seed=5)
     want_proj, want_diag = kernel_projection(encode_g(twin)), fkn_diagnostics(encode_g(twin))
     pair_count_tensors(agg)
-
-    def refuse(*args):
-        raise AssertionError("the profile table was read through voter_view")
-
-    for info in pkgutil.iter_modules(irlap.__path__, "irlap."):
-        module = importlib.import_module(info.name)
-        if hasattr(module, "voter_view"):
-            monkeypatch.setattr(module, "voter_view", refuse)
+    _refuse_voter_view(monkeypatch)
     enc = encode_g(agg)
     proj = kernel_projection(enc)
     assert np.array_equal(proj.Q, want_proj.Q)
@@ -183,14 +197,14 @@ def _traced_bytes(script: str, m: int = 5, n: int = 2) -> int:
 
 
 def test_ir_stages_retain_only_their_kept_values():
-    """The encoding, the pair counts, the L form and the kernel
-    projection keep their results on the rule and nothing of profile
-    size besides: no index table or per-profile encoding outlives the
-    call."""
+    """The coset means, the pair counts and the kernel projection keep
+    their results on the rule, the L form keeps nothing, and nothing
+    of profile size is kept besides: no index table or per-profile
+    encoding outlives the call."""
     retained = _traced_bytes("""
 enc = encode_g(agg)
 counts = pair_count_tensors(agg)
-apply_Ln(enc)
+apply_Ln(agg)
 Q = kernel_projection(enc).Q
 print(tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in counts) - Q.nbytes)
 """)
@@ -198,10 +212,11 @@ print(tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in counts) - Q.nby
 
 
 def test_l_form_peak_is_below_one_profile_sized_encoding():
-    """Encoding a rule and putting it through the L form never holds
-    g over all profiles, m!^n (m-1)^2 floats (1.84 MB at (5, 2))."""
+    """Putting a rule through the L form never holds g over all
+    profiles, m!^n (m-1)^2 floats (1.84 MB at (5, 2)): it reads the
+    pair counts, whose peak is the bound of the next test."""
     peak = _traced_bytes("""
-apply_Ln(encode_g(agg))
+apply_Ln(agg)
 print(tracemalloc.get_traced_memory()[1])
 """)
     assert peak < 120 ** 2 * 4 ** 2 * 8

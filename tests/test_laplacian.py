@@ -1,14 +1,20 @@
 """Constraint operators, quadratic-form equivalences, and spectra."""
 
+import math
 import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from irlap._util import FeasibilityError
+from irlap import aggregators
 from irlap.aggregators import (
+    ProfileTables,
+    corrupt_aggregator,
     encode_g,
     make_borda,
     make_constant,
@@ -17,13 +23,12 @@ from irlap.aggregators import (
     profile_tables,
     random_aggregator,
 )
-from irlap.basis import Rho1Table, build_basis, project_to_lin, rho1_table
+from irlap.basis import Basis, Rho1Table, build_basis, project_to_lin, rho1_table
 from irlap.laplacian import (
     apply_Ln,
     apply_quadratic_form,
     build_Ln_dense,
     build_one_voter,
-    calibrate_kappa,
     cluster_eigenvalues,
     gap_bracket,
     hat_l1,
@@ -191,20 +196,20 @@ def test_equivalence_chain(m, n, scf, bundle3, bundle4):
     rng = np.random.default_rng(17)
     for _ in range(20):
         agg = random_aggregator(m, n, H, rng)
-        oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+        oracle = ir_combinatorial(agg).profile_distance
         assert apply_quadratic_form(agg, bundle, "L1").canonical == oracle
         assert apply_quadratic_form(agg, bundle, "L2").canonical == oracle
-        assert abs(apply_quadratic_form(agg, bundle, "L").canonical - float(oracle)) <= 1e-9
-        assert abs(apply_Ln(encode_g(agg)) - float(oracle)) <= 1e-9
+        assert apply_quadratic_form(agg, bundle, "L").canonical == oracle
+        assert apply_Ln(agg) == oracle
 
 
 def test_kappa_calibration():
     for H in (trivial_subgroup(3), winner_subgroup(3)):
         for variant in ("L1", "L2"):
-            ratios = calibrate_kappa(variant, 3, 1, H, trials=5)
+            ratios = ref.calibrate_kappa(variant, 3, 1, H, trials=5)
             assert ratios, "degenerate calibration sample"
             assert all(r == kappa(variant, 3, 1) for r in ratios)
-        ratios = calibrate_kappa("L", 3, 1, H, trials=5)
+        ratios = ref.calibrate_kappa("L", 3, 1, H, trials=5)
         assert all(abs(r - float(kappa("L", 3, 1))) <= 1e-9 for r in ratios)
 
 
@@ -238,7 +243,7 @@ def test_lprime_offset_reads_the_orbits_of_any_subgroup(H):
     for n in (1, 2):
         assert apply_quadratic_form(make_constant(0, H, n), None, "L1").canonical == 0
         agg = random_aggregator(4, n, H, rng)
-        oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+        oracle = ir_combinatorial(agg).profile_distance
         assert apply_quadratic_form(agg, None, "L1").canonical == oracle
 
 
@@ -279,30 +284,123 @@ def test_forms_exact_beyond_dense_oracle(m, n):
     rng = np.random.default_rng(m + n)
     for H in (trivial_subgroup(m), winner_subgroup(m)):
         agg = random_aggregator(m, n, H, rng)
-        oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+        oracle = ir_combinatorial(agg).profile_distance
         assert apply_quadratic_form(agg, None, "L1").canonical == oracle
         assert apply_quadratic_form(agg, None, "L2").canonical == oracle
 
 
 def test_forms_do_not_read_the_bundle():
     agg = random_aggregator(3, 2, winner_subgroup(3), np.random.default_rng(2))
-    oracle = ir_combinatorial(agg, with_quadratic=False).profile_distance
+    oracle = ir_combinatorial(agg).profile_distance
     assert apply_quadratic_form(agg, None, "L1").canonical == oracle
     assert apply_quadratic_form(agg, None, "L2").canonical == oracle
-    assert abs(apply_quadratic_form(agg, None, "L").canonical - float(oracle)) <= 1e-9
+    assert apply_quadratic_form(agg, None, "L").canonical == oracle
     with pytest.raises(ValueError):
         apply_quadratic_form(agg, None, "L3")
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 2)])
 def test_l_form_reads_the_encoding_basis(m, n):
-    # g and C come from one basis: a random completion gives the same IR.
+    # the float class sums read g and C from one basis: a random
+    # completion gives the same IR, which the exact form needs no basis for
     alt = build_basis(m, kind="random", seed=1)
     agg = random_aggregator(m, n, trivial_subgroup(m), np.random.default_rng(3))
-    oracle = float(ir_combinatorial(agg, with_quadratic=False).profile_distance)
-    assert abs(apply_Ln(encode_g(agg, Rho1Table(m, alt))) - oracle) <= 1e-9
-    assert abs(apply_quadratic_form(agg, build_one_voter(m, alt), "L").canonical
-               - oracle) <= 1e-9
+    oracle = ir_combinatorial(agg).profile_distance
+    assert abs(ref.l_form_float(encode_g(agg, Rho1Table(m, alt))) - float(oracle)) <= 1e-9
+    assert apply_quadratic_form(agg, build_one_voter(m, alt), "L").canonical == oracle
+
+
+def _set_partitions(items):
+    """Every partition of the list items into blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+
+
+def _assert_catalog_identity(H):
+    """mPi Pc mPi = m (m Pc - |H| J) for every coset's rank counts Pc,
+    the one fact the exact L form rests on (laplacian docstring)."""
+    m, prof = H.m, ProfileTables(H).prof
+    mPi = m * np.eye(m, dtype=np.int64) - 1
+    J = np.ones((m, m), dtype=np.int64)
+    for Pc in prof:
+        assert (mPi @ Pc @ mPi == m * (m * Pc - H.order * J)).all()
+        assert (Pc.sum(axis=0) == H.order).all() and (Pc.sum(axis=1) == H.order).all()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_catalog_identity_holds_for_every_partition(m):
+    partitions = list(_set_partitions(list(range(1, m + 1))))
+    assert len(partitions) == {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}[m]  # Bell numbers
+    for partition in partitions:
+        _assert_catalog_identity(build_fixing_subgroup(m, partition))
+
+
+def test_catalog_identity_holds_for_the_alternating_group():
+    _assert_catalog_identity(
+        subgroup_from_members(4, [x for x in enumerate_group(4) if is_even(x)]))
+
+
+def test_catalog_identity_is_checked_when_the_tables_are_built(monkeypatch):
+    counts = aggregators.j_profile_counts
+
+    def skewed(coset, j, m):  # one member too many at rank 1
+        first, *rest = counts(coset, j, m)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(aggregators, "j_profile_counts", skewed)
+    with pytest.raises(AssertionError, match="sum to"):
+        ProfileTables(winner_subgroup(3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_class_sum_oracle_matches_the_exact_l_form(data):
+    """The float L form over every switch class of the matrix encoding,
+    in the Helmert basis and in a random one, is the exact apply_Ln."""
+    m = data.draw(st.sampled_from([3, 4]), label="m")
+    n = data.draw(st.integers(1, 3 if m == 3 else 2), label="n")
+    H = build_fixing_subgroup(m, data.draw(st.sampled_from(PARTITIONS[m]), label="partition"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["random", "corrupted", "plurality", "borda"]), label="kind")
+    if kind == "random":
+        agg = random_aggregator(m, n, H, rng)
+    elif kind == "corrupted":
+        sigma = data.draw(st.permutations(range(1, m + 1)), label="sigma")
+        base = make_dictator(data.draw(st.integers(1, n), label="voter"), sigma, H, n)
+        agg = corrupt_aggregator(base, data.draw(st.integers(0, 3), label="entries"), rng)
+    else:
+        agg = (make_plurality if kind == "plurality" else make_borda)(m, n)
+    exact = float(apply_Ln(agg))
+    alt = build_basis(m, "random", seed=data.draw(st.integers(0, 10**6), label="basis seed"))
+    for table in (rho1_table(m), Rho1Table(m, alt)):
+        got = ref.l_form_float(encode_g(agg, table))
+        assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-12), (kind, got, exact)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gap_is_invariant_under_relabeling_the_alternatives(data):
+    """Permuting the rows of C (a relabeling of the alternatives) leaves
+    the gap and the cluster multiplicities of spectral_gap unchanged."""
+    m = data.draw(st.integers(3, 6), label="m")
+    n = data.draw(st.integers(1, max(k for k in range(1, 9) if (m - 1) ** (k + 1) <= 500)),
+                  label="n")
+    if data.draw(st.booleans(), label="random basis"):
+        basis = build_basis(m, "random", seed=data.draw(st.integers(0, 10**6), label="seed"))
+    else:
+        basis = build_basis(m)
+    perm = list(data.draw(st.permutations(range(m)), label="relabeling"))
+    moved = Basis(m, basis.U[perm], basis.C[perm])
+    moved.check()
+    want, got = spectral_gap(m, n, basis), spectral_gap(m, n, moved)
+    assert abs(got.gap - want.gap) <= 1e-12
+    assert [k for _, k in got.clusters] == [k for _, k in want.clusters]
 
 
 def test_forms_refuse_where_ir_refuses():
@@ -378,7 +476,7 @@ def test_apply_ln_budget_refusal(monkeypatch):
     agg = random_aggregator(3, 2, H, rng)
     monkeypatch.setattr("irlap.laplacian.LN_BUDGET", 10)
     with pytest.raises(FeasibilityError):
-        apply_Ln(encode_g(agg))
+        apply_Ln(agg)
 
 
 def test_ln_matches_dense_operator():
@@ -395,4 +493,4 @@ def test_ln_matches_dense_operator():
         vec = enc.g_coset[enc.table][:, k, :].reshape(-1)
         dense_raw += float(vec @ Ln @ vec)
     canonical = 2 * dense_raw / factorial(m) ** (n + 1)
-    assert abs(canonical - apply_Ln(enc)) <= 1e-9
+    assert abs(canonical - apply_Ln(agg)) <= 1e-9

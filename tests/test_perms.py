@@ -253,6 +253,13 @@ def test_voter_view_and_rank_classes_match_definition(m, n):
     assert np.shares_memory(voter_view(values, 0, n), values)
 
 
+@pytest.mark.parametrize("n,shared", [(1, [True]), (2, [True, True]),
+                                      (3, [True, False, True])])
+def test_voter_view_copies_only_the_middle_voters(n, shared):
+    values = np.arange(6 ** n)
+    assert [np.shares_memory(voter_view(values, i, n), values) for i in range(n)] == shared
+
+
 def test_broadcast_voter_depends_only_on_that_voter():
     per_vote = np.arange(6) * 10
     table = broadcast_voter(per_vote, 2, 3)

@@ -57,7 +57,7 @@ def test_kernel_distance_bound_one_corruption():
     corr = Aggregator(3, 1, H, table)
     from irlap.metrics import ir_combinatorial
 
-    ir = ir_combinatorial(corr, with_quadratic=False).profile_distance
+    ir = ir_combinatorial(corr).profile_distance
     dist = kernel_projection(encode_g(corr)).kernel_distance_sq
     assert 0 < dist <= ir / Fraction(1, 6)  # one-voter gap is exactly 1/6
 
