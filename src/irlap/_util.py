@@ -63,7 +63,9 @@ def jsonable(value):
 
 def parse_fraction(text) -> Fraction:
     """Exact value of a "p/q" string, an integer or a decimal; anything
-    else (null, a list, 1/0, inf) is a ValueError."""
+    else (null, a boolean, a list, 1/0, inf) is a ValueError."""
+    if isinstance(text, bool):  # Fraction(True) is 1
+        raise ValueError(f"not a number: {text!r}")
     try:
         if isinstance(text, str) and "/" in text:
             num, den = text.split("/")

@@ -128,7 +128,8 @@ def cmd_analyze(args) -> None:
     from .metrics import default_orders, ir_combinatorial, manipulation_power, orders_from_json
     from .rounding import robustness_report
 
-    check_ir_budget(args.m, args.n)  # refuse before building the rule
+    # refuse before building the rule; --center analyses n + 1 voters
+    check_ir_budget(args.m, args.n + 1 if args.center else args.n)
     H = _subgroup(args)
     if args.input:
         agg = _load_input(args)
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
     except FeasibilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # OSError: a path that is no readable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

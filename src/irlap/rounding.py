@@ -24,12 +24,13 @@ dictator_distance_sq = 2 tr M_H - 2 <g_c, A*>, as the dictator's value
 g_c rho1(x_voter) has E <g, g_c rho1(x_voter)> = <g_c, A*>; and the
 unconstrained distance^2 to A* rho1(x_voter), tr M_H - ||A*||^2.
 Moment diagnostics run on g / sqrt(tr M_H), with epsilon =
-(kernel_distance_sq + ||B||^2) / tr M_H; only r = h h^T - M is
-evaluated on every profile, in blocks of BLOCK profiles (at least one
-slab of m!^(n-1)), from the n per-voter tables A^i rho1(v): the pass
-adds up the moments of r and the sufficient statistics of its
-degree-2 residual, so its memory is a few block-sized arrays, not
-m!^n (m-1)^2 floats.  A transitive H (tr M_H = 0) is refused.
+(kernel_distance_sq + ||B||^2) / tr M_H.  E ||r||^2, r = h h^T - M, is
+exact from n integer m x m Gram matrices (`MomentDiagnostics`); only
+its tail and its entrywise fourth moments are evaluated on every
+profile, in blocks of BLOCK profiles (at least one slab of m!^(n-1)),
+from the n per-voter tables A^i rho1(v), so the pass's memory is a few
+block-sized arrays, not m!^n (m-1)^2 floats.  A transitive H
+(tr M_H = 0) is refused.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 
 from ._util import memoized
 from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
-from .basis import Rho1Table
 from .laplacian import check_ir_budget, spectral_gap
 from .metrics import ir_combinatorial, pair_count_tensors
 from .perms import (
@@ -142,18 +142,39 @@ def center_aggregator(agg: Aggregator) -> Aggregator:
 
 @dataclass
 class MomentDiagnostics:
-    """Second/fourth moments of r = h h^T - M on the trace-normalized
-    encoding, the Markov tail at the optimizing threshold, and the
-    explicit 108 (m-1)^4 C^8 upper bound with C = sqrt(m)."""
+    """Moments of r = h h^T - M on the trace-normalized encoding, the
+    Markov tail and the explicit 108 (m-1)^4 C^8 upper bound, C = sqrt(m).
+
+    E ||r||^2 is exact.  With D = m^3 m!^n |H|, K = tr M_H and the integer
+    B_i = mPi Q^i mPi (rows and columns sum to 0), voter i's term of h is
+    C^T Y_i C / (D sqrt K) with Y_i = B_i P(x_i), so h h^T = C^T X X^T C /
+    (D^2 K) with X = sum_i Y_i.  The votes are independent and E Y_i =
+    B_i J / m = 0, so of the voter 4-tuples in E tr((X X^T)^2) only these
+    remain, with G_i = B_i B_i^T: iiii gives tr(G_i^2); iikk tr(G_i G_k);
+    ikki tr G_i tr G_k / (m-1), as E P^T W P = tr W Pi / (m-1) when W's
+    rows and columns sum to 0; ikik, with R = P(x_i) P(x_k)^T uniform and
+    Z = B_k^T B_i, E tr(R Z R Z) = ||Z||^2 / (m-1) = <G_i, G_k> / (m-1).
+    Summed, with S = sum_i G_i, and as M = M_H / K, <M_H, C^T Y C> =
+    <Pc[0], Y> / |H| for such Y and ||M_H||^2 = K (a projection):
+
+        (m-1) D^4 K^2 E tr((h h^T)^2) = m ||S||^2 + (tr S)^2
+                                        - sum_i (||G_i||^2 + (tr G_i)^2),
+        E ||r||^2 = E tr((h h^T)^2) - 2 <Pc[0], S> / (|H| D^2 K^2) + 1/K.
+
+    r has no mass above degree 2: rho1 is orthogonal, so each i = k term
+    of h h^T is the constant A^i A^i^T, and each other one lies in the
+    span of rho1_ab(x_i) rho1_cd(x_k).  bound_ok compares E ||r||^2 with
+    the bound exactly; tail_markov_bound = E ||r||^2 / alpha^2 bounds
+    tail_prob = P(||r|| > alpha) (Markov), both 0 at epsilon = 0, r = 0."""
 
     epsilon: Fraction  # E ||ghat - h||^2 with h the linear (non-constant) part
-    r_norm2_mean: float  # E ||r||_F^2
+    r_norm2_mean: Fraction  # E ||r||_F^2
     r_entry4_max: float  # max_ij E r_ij^4
-    alpha: float
+    alpha: float  # 6 (m-1) C^4 sqrt(epsilon)
     tail_prob: float
+    tail_markov_bound: Fraction
     bound: Fraction  # 108 (m-1)^4 m^4 epsilon
     bound_ok: bool
-    degree2_residual: float
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -161,76 +182,23 @@ class MomentDiagnostics:
         return doc
 
 
-class Degree2Sums:
-    """The sufficient statistics of `degree2_residual` for k scalar
-    functions on S_m^n, added up over blocks of profiles in mixed-radix
-    order: sum f^2, sum f, the per-voter marginal sums and the per-pair
-    ones.  A block covers consecutive leading votes x_1, so it holds
-    every row (x_1, x_j) of the pairs with voter 1; those are contracted
-    with rho1 on both sides block by block, and the other pairs' (m!,
-    m!) sums once, in `residual`.  With sums over all profiles,
-    <f, rho1_ab(x_i)> = Rf^T per_i / m!^n, and likewise for pairs."""
-
-    def __init__(self, n: int, table: Rho1Table, k: int):
-        fact, d = len(table.perms), table.m - 1
-        self.n, self.fact, self.d = n, fact, d
-        self.Rf = table.R.reshape(fact, d * d)
-        self.rows = 0  # leading votes added so far
-        self.sq = np.zeros(k)  # sum f^2
-        self.voter = np.zeros((n, k, fact))  # voters 0-based from here on
-        self.coef = {j: np.zeros((k, d * d, d * d)) for j in range(1, n)}  # pairs (0, j)
-        self.pair = {(i, j): np.zeros((k, fact, fact))
-                     for i in range(1, n) for j in range(i + 1, n)}
-
-    def add(self, f: np.ndarray, sq: np.ndarray) -> None:
-        """Add the block f (k, #profiles) that follows the blocks added so
-        far; sq is f * f."""
-        n, fact, Rf = self.n, self.fact, self.Rf
-        lead = f.shape[1] // fact ** (n - 1)
-        rows = slice(self.rows, self.rows + lead)
-        self.rows += lead
-        f = f.reshape((len(f), lead) + (fact,) * (n - 1))
-
-        def marginal(*voters):  # sum over the other voters' axes
-            axes = tuple(ax for ax in range(1, n + 1) if ax - 1 not in voters)
-            return f.sum(axis=axes) if axes else f
-
-        self.sq += sq.sum(axis=1)
-        self.voter[0][:, rows] += marginal(0)
-        for i in range(1, n):
-            self.voter[i] += marginal(i)
-        for j in self.coef:
-            self.coef[j] += Rf[rows].T @ marginal(0, j) @ Rf
-        for i, j in self.pair:
-            self.pair[i, j] += marginal(i, j)
-
-    def residual(self) -> np.ndarray:
-        N, d, Rf = self.fact**self.n, self.d, self.Rf
-        explained = (self.voter[0].sum(axis=1) / N) ** 2  # (E f)^2
-        explained += ((self.voter @ Rf / N) ** 2).sum(axis=(0, 2)) * d
-        coefs = [*self.coef.values(), *(Rf.T @ p @ Rf for p in self.pair.values())]
-        for coef in coefs:
-            explained += ((coef / N) ** 2).sum(axis=(1, 2)) * d * d
-        return np.maximum(self.sq / N - explained, 0.0)
-
-
-def degree2_residual(values: np.ndarray, n: int, table: Rho1Table) -> np.ndarray:
-    """Squared mass of scalar functions on S_m^n outside the span of
-    {1, rho1_ab(x_i), rho1_ab(x_i) rho1_cd(x_j) for i < j}, one per
-    column of values (shape (m!^n, k)).  The basis functions are
-    orthogonal with norms 1, 1/(m-1), 1/(m-1)^2, so the residual is
-    E f^2 minus the squared coefficients: the one-block case of
-    `Degree2Sums`, which `fkn_diagnostics` feeds block by block.
-
-    On the entries of r = h h^T - M that `fkn_diagnostics` passes in,
-    the residual is exactly 0 in exact arithmetic: h is a sum of
-    A^i rho1(x_i), rho1 is orthogonal, so each i = j term of h h^T is
-    the constant A^i A^i^T and every other term lies in the span.  The
-    reported value is a rounding check."""
-    f = values.T
-    sums = Degree2Sums(n, table, len(f))
-    sums.add(f, f * f)
-    return sums.residual()
+def _r_norm2_mean(proj: KernelProjection, H) -> Fraction:
+    """E ||r||^2 from the Gram matrices of the B_i (MomentDiagnostics)."""
+    Q, K, h = proj.Q, proj.trace, H.order
+    n, m = Q.shape[:2]
+    N = factorial(m) ** n
+    if m * (2 * m - 2) ** 4 * int(np.abs(Q).max()) ** 2 >= 2**63:  # bounds every |G_i|
+        Q = Q.astype(object)
+    mPi = m * np.eye(m, dtype=np.int64) - 1
+    B = mPi @ Q @ mPi
+    G = (B @ B.transpose(0, 2, 1)).reshape(n, m * m).astype(object)
+    S, tr = G.sum(axis=0), G[:, ::m + 1].sum(axis=1)  # sum_i G_i, tr G_i
+    s4 = m * (S @ S) + tr.sum() ** 2 - (G * G).sum() - (tr * tr).sum()
+    # <Pc[0], S>: prof[0] is Pc[0]^T, and S is symmetric
+    cross = profile_tables(H).prof[0].reshape(-1).astype(object) @ S
+    D = m**3 * N * h
+    return Fraction(s4 - 2 * (m - 1) * (D * D // h) * cross + (m - 1) * D**4 * K,
+                    (m - 1) * D**4 * K * K)
 
 
 def _require_fixing(H) -> None:
@@ -242,20 +210,20 @@ def _require_fixing(H) -> None:
 
 
 def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
-    """The moment diagnostics of enc's rule: epsilon and the bound
-    exactly from the kernel projection, the moments of r over every
-    profile with h = sum_i A^i rho1(x_i) / sqrt(tr M_H) built from the
-    exact A in enc's own basis.  One pass over blocks of BLOCK profiles
-    (at least one slab of m!^(n-1)) adds up sum ||r||^2, sum r_ij^4, the
-    tail count and the `Degree2Sums` of the entries of r, so no array
-    of all m!^n profiles is built."""
+    """The moment diagnostics of enc's rule: epsilon, E ||r||^2 and the
+    bounds exactly from the kernel projection; the tail and entrywise
+    fourth moments of r over every profile, with h = sum_i A^i rho1(x_i)
+    / sqrt(tr M_H) built from the exact A in enc's own basis.  One pass
+    over blocks of BLOCK profiles (at least one slab of m!^(n-1)) adds
+    up sum r_ij^4 and the tail count, so no array of all m!^n profiles
+    is built."""
     proj = kernel_projection(enc)
     m, n, table, K = enc.m, enc.n, enc.rho1, proj.trace
     fact, d = len(table.perms), m - 1
+    N = fact**n
     eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
     C = table.basis.C
-    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (
-        fact**n * enc.H.order * m * sqrt(K))
+    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (N * enc.H.order * m * sqrt(K))
     # T[i, :, :, v] = A^i rho1(v); profiles run along the last axis
     T = np.einsum("ikt,vtl->iklv", A, table.R)
     rest = np.zeros((d, d, 1))  # sum over voters 2..n of A^i rho1(x_i)
@@ -263,7 +231,7 @@ def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
         rest = (rest[..., None] + T[i][:, :, None]).reshape(d, d, -1)
     M = enc.g_coset[0][..., None] / K  # g_coset[0] = M_H
     alpha = 6 * (m - 1) * m**2 * sqrt(eps)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
-    sums, fourth, tail = Degree2Sums(n, table, d * d), np.zeros(d * d), 0
+    fourth, tail = np.zeros(d * d), 0
     step = max(1, BLOCK // fact ** (n - 1))  # leading votes per block
     for lead in range(0, fact, step):
         h = (T[0][:, :, lead:lead + step, None] + rest[:, :, None]).reshape(d, d, -1)
@@ -273,18 +241,16 @@ def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
         f = r.reshape(d * d, -1)
         sq = f * f
         tail += int(np.count_nonzero(np.sqrt(sq.sum(axis=0)) > alpha))
-        sums.add(f, sq)
         sq *= sq  # r^4 without pow
         fourth += sq.sum(axis=1)
         del r, f, sq
-    N = fact**n
-    r_norm2 = float(sums.sq.sum() / N)
+    r_norm2 = _r_norm2_mean(proj, enc.H)
     # epsilon = 0 makes g = h sqrt(tr M_H), so r = 0 exactly: no tail
     tail_prob = 0.0 if eps == 0 else tail / N
+    markov = Fraction(0) if eps == 0 else r_norm2 / (36 * (m - 1) ** 2 * m**4 * eps)
     bound = 108 * (m - 1) ** 4 * m**4 * eps
     return MomentDiagnostics(eps, r_norm2, float(fourth.max() / N), alpha, tail_prob,
-                             bound, r_norm2 <= bound + 1e-9,
-                             float(sums.residual().max()))
+                             markov, bound, r_norm2 <= bound)
 
 
 @dataclass
@@ -332,8 +298,11 @@ def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport
     """Full pipeline: IR, kernel distance (checked against IR/gap),
     nearest dictator, rounding, and moment diagnostics, on the shared
     pair counts and encoding of agg or of its centered rule.  Refuses
-    (ValueError) an H transitive on the rank positions."""
+    an H transitive on the rank positions (ValueError), and a centered
+    rule past the IR budget before its n+1 voters are built."""
     _require_fixing(agg.H)
+    if center:
+        check_ir_budget(agg.m, agg.n + 1)
     work = center_aggregator(agg) if center else agg
     ir = ir_combinatorial(work).profile_distance
     enc = encode_g(work)

@@ -1,11 +1,12 @@
 """Python loops kept as reference implementations.
 
-The library builds rule tables, centered tables, JSON documents, the
-degree-2 residual and the exact moment kernels with numpy array
-kernels; these are the loops they replaced, written one profile (or
-one contraction) at a time from the definitions.  The FKN moment
-diagnostics, streamed over profile blocks in the library, are here
-as the whole-array computation over all m!^n profiles at once.
+The library builds rule tables, centered tables, JSON documents and
+the exact moment kernels with numpy array kernels; these are the
+loops they replaced, written one profile (or one contraction) at a
+time from the definitions.  The FKN moment diagnostics, streamed over
+profile blocks and exact in closed form in the library, are here as
+the whole-array float computation over all m!^n profiles at once,
+with the degree-2 residual that holds r to its degree-2 span.
 tests/test_array_kernels.py checks that both give the same results.
 The coset-histogram L' and L'' forms, over the dense X^j of
 build_one_voter and switch-class coset counts gathered one profile at
@@ -165,27 +166,34 @@ def degree2_residual(values: np.ndarray, n: int, table) -> float:
     return max(total - explained, 0.0)
 
 
-def fkn_diagnostics(enc) -> MomentDiagnostics:
-    """h and r = h h^T - M as arrays over every profile, the moments of
-    r as whole-array reductions and the degree-2 residual one entry of
-    r at a time."""
+def fkn_r(enc) -> np.ndarray:
+    """r = h h^T - M of `rounding.fkn_diagnostics` on every profile,
+    shape (m!^n, m-1, m-1), with h evaluated from the float A."""
     proj = kernel_projection(enc)
     m, n, table, K = enc.m, enc.n, enc.rho1, proj.trace
-    eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
     C = table.basis.C
     A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (
         factorial(m) ** n * enc.H.order * m * math.sqrt(K))
     h = LinFunction(n, np.zeros((m - 1, m - 1)), A).evaluate_all(table)
-    r = np.einsum("xkl,xtl->xkt", h, h) - enc.g_coset[0] / K
+    return np.einsum("xkl,xtl->xkt", h, h) - enc.g_coset[0] / K
+
+
+def fkn_diagnostics(enc) -> MomentDiagnostics:
+    """The moments of r as whole-array float reductions over every
+    profile; E ||r||^2, the Markov bound and bound_ok from the float
+    mean, not the closed form."""
+    proj = kernel_projection(enc)
+    m, K = enc.m, proj.trace
+    eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
+    r = fkn_r(enc)
     r_norm2 = float((r**2).sum(axis=(1, 2)).mean())
     r_entry4 = float((r**4).mean(axis=0).max())
     alpha = 6 * (m - 1) * m**2 * math.sqrt(eps)
     tail = 0.0 if eps == 0 else float((np.sqrt((r**2).sum(axis=(1, 2))) > alpha).mean())
+    markov = 0.0 if eps == 0 else r_norm2 / alpha**2
     bound = 108 * (m - 1) ** 4 * m**4 * eps
-    flat = r.reshape(len(r), -1)
-    deg2 = max(degree2_residual(flat[:, k], n, table) for k in range(flat.shape[1]))
-    return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail,
-                             bound, r_norm2 <= bound + 1e-9, deg2)
+    return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail, markov, bound,
+                             r_norm2 <= bound)
 
 
 def kernel_projection_by_votes(enc) -> KernelProjection:

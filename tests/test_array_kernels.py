@@ -1,8 +1,9 @@
-"""The numpy kernels for rule tables, centering, JSON, the degree-2
-residual, the streamed FKN diagnostics and the exact moment kernels
-against the loops in reference_loops.py."""
+"""The numpy kernels for rule tables, centering, JSON, the streamed and
+closed-form FKN diagnostics and the exact moment kernels against the
+loops in reference_loops.py."""
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from irlap.aggregators import (
     random_aggregator,
     to_json,
 )
-from irlap.basis import Rho1Table, build_basis, project_to_lin, rho1_table
+from irlap.basis import Rho1Table, build_basis, rho1_table
 from irlap.moments import blocks_direct, moments
 from irlap.perms import (
     build_fixing_subgroup,
@@ -30,7 +31,7 @@ from irlap.perms import (
     winner_subgroup,
 )
 from irlap import rounding
-from irlap.rounding import Degree2Sums, center_aggregator, degree2_residual, fkn_diagnostics
+from irlap.rounding import center_aggregator, fkn_diagnostics
 
 RULE_SIZES = [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
 FEW = settings(max_examples=12, deadline=None)
@@ -180,32 +181,17 @@ def test_json_errors_match_loop(agg, how, k):
 
 
 @pytest.mark.parametrize("m,n", [(4, 3), (5, 2)])
-def test_degree2_residual_matches_per_entry_einsum(m, n):
+def test_r_lies_in_the_degree2_span(m, n):
+    """Every entry of r = h h^T - M has no mass above degree 2 (the
+    proof is in the rounding.MomentDiagnostics docstring); noise has
+    mass of order 1 there, so the oracle sees such mass."""
     table = rho1_table(m)
     rng = np.random.default_rng(m * 10 + n)
-    # h h^T for the linear part h of a random rule (residual ~ 0, as in
-    # fkn_diagnostics), and noise (residual of order 1)
     enc = encode_g(random_aggregator(m, n, trivial_subgroup(m), rng), table)
-    lin, _ = project_to_lin(enc.g_coset[enc.table], n, table)
-    h = lin.evaluate_all(table) - lin.B[None]
-    r = np.einsum("xkl,xtl->xkt", h, h).reshape(len(h), -1)
-    noise = rng.standard_normal((len(h), 3))
-    for values in (r, noise):
-        want = [ref.degree2_residual(values[:, k], n, table) for k in range(values.shape[1])]
-        for residual in (degree2_residual, _slab_by_slab):
-            got = residual(values, n, table)
-            assert got.shape == (values.shape[1],)
-            assert np.abs(got - np.array(want)).max() <= 1e-12
-    assert degree2_residual(r, n, table).max() <= 1e-12
-
-
-def _slab_by_slab(values, n, table):
-    """The multi-block case: the statistics added one leading vote x_1
-    (one slab of m!^(n-1) profiles) at a time."""
-    sums = Degree2Sums(n, table, values.shape[1])
-    for f in np.split(values.T, len(table.perms), axis=1):
-        sums.add(f, f * f)
-    return sums.residual()
+    r = ref.fkn_r(enc).reshape(math.factorial(m) ** n, -1)
+    assert max(ref.degree2_residual(r[:, k], n, table) for k in range(r.shape[1])) <= 1e-12
+    noise = rng.standard_normal(len(r))
+    assert ref.degree2_residual(noise, n, table) >= 0.5
 
 
 FKN_CASES = {  # the four ensemble-lib shapes first
@@ -236,9 +222,9 @@ def test_streamed_fkn_matches_whole_array_oracle(case, one_slab, monkeypatch):
     if one_slab:  # every block one slab: many blocks even at these sizes
         monkeypatch.setattr(rounding, "BLOCK", 1)
     got = fkn_diagnostics(enc)
-    for name in ("r_norm2_mean", "r_entry4_max"):
-        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9 * getattr(want, name)
-    assert abs(got.degree2_residual - want.degree2_residual) <= 1e-12
+    assert abs(got.r_entry4_max - want.r_entry4_max) <= 1e-9 * want.r_entry4_max
+    assert math.isclose(got.r_norm2_mean, want.r_norm2_mean, rel_tol=1e-12, abs_tol=1e-15)
+    assert math.isclose(got.tail_markov_bound, want.tail_markov_bound, rel_tol=1e-12)
     assert (got.tail_prob, got.bound_ok) == (want.tail_prob, want.bound_ok)
     assert (got.epsilon, got.alpha, got.bound) == (want.epsilon, want.alpha, want.bound)
 

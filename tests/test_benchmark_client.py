@@ -1,10 +1,11 @@
 """The benchmark client in perfbench/ still runs against the library:
-every traced boundary resolves, and the ensemble-lib evaluation passes
-on a random and a corrupted-dictator case of each configuration.  A
-refactor that breaks either fails here rather than in a benchmark
-run."""
+every traced boundary resolves, the ensemble-lib evaluation passes on
+a random and a corrupted-dictator case of each configuration, and the
+harness's own self-tests pass.  A refactor that breaks any of them
+fails here rather than in a benchmark run."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +44,12 @@ def test_ensemble_evaluation_passes_on_each_configuration(perfbench_modules):
     for case, agg in zip(cases, worker.build_inputs(cases)):
         ok, gap_reported, gap_ok, reason = worker.evaluate(agg, bundles[agg.m], case[4] + 1)
         assert ok and gap_reported and gap_ok, (case, reason)
+
+
+def test_perfbench_self_tests_pass():
+    """perfbench/test_perfbench.py, run as its docstring says, from the
+    root of the checkout (it puts perfbench/ and src/ on sys.path)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -175,6 +175,9 @@ def test_analyze_rejects_malformed_orders(tmp_path, capsys):
         "profile not a list": ([{"j": 1, "r": 1, "ranking": [5, ["1", "0", "0"]]}], "1|2,3"),
         "null count": ([{"j": 1, "r": 1, "ranking": [["0", None, "1/2"],
                                                       ["1", "0", "0"]]}], "1|2,3"),
+        # JSON true is no count, though Fraction(True) is 1
+        "boolean count": ([{"j": 1, "r": 1, "ranking": [[True, False, False],
+                                                         [False, 0.5, 0.5]]}], "1|2,3"),
     }
     for label, (doc, partition) in bad.items():
         path = tmp_path / "orders.json"
@@ -350,6 +353,7 @@ def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
 def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
     import irlap.aggregators as aggregators
     import irlap.cli as cli
+    import irlap.rounding as rounding
 
     def unreachable(*args, **kwargs):
         raise AssertionError("the rule was built before the budget check")
@@ -357,11 +361,28 @@ def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
     monkeypatch.setattr(aggregators, "make_named_rule", unreachable)
     monkeypatch.setattr(aggregators, "random_aggregator", unreachable)
     monkeypatch.setattr(aggregators, "from_json", unreachable)
+    monkeypatch.setattr(rounding, "center_aggregator", unreachable)
     for m, n in ((5, 3), (6, 2)):
         for source in (["--rule", "plurality"], ["--rule", "random"],
                        ["--input", str(tmp_path / "agg.json")]):
             argv = ["analyze", "--m", str(m), "--n", str(n), *source]
             assert cli.main(argv) == 3, argv
+    # inside the budget at n, past it at the n + 1 voters that --center analyses
+    for argv in (["--m", "4", "--n", "4", "--rule", "random:seed=1"],
+                 ["--m", "3", "--n", "7", "--rule", "plurality"]):
+        assert cli.main(["analyze", *argv, "--center"]) == 3, argv
+
+
+@pytest.mark.parametrize("flag", ["--out", "--input", "--orders"])
+def test_a_path_that_is_no_file_is_an_input_error(flag, tmp_path, capsys):
+    """A directory raises IsADirectoryError, an OSError, when opened."""
+    import irlap.cli as cli
+
+    argv = ["analyze", "--m", "3", "--n", "1", flag, str(tmp_path)]
+    if flag != "--input":
+        argv += ["--rule", "dictator:i=1,sigma=123"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_analyze_checks_input_size_before_building_the_rule(monkeypatch, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Robustness pipeline: kernel distance, recovery, rounding, moments."""
 
+import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -41,6 +43,7 @@ from irlap.rounding import (
     robustness_report,
 )
 from make_golden import CASES
+import reference_loops as ref
 from reference_loops import kernel_projection_by_votes
 
 
@@ -109,7 +112,7 @@ def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed,
     assert proj_o.dictator_distance_sq == proj_h.dictator_distance_sq
     diag_h, diag_o = fkn_diagnostics(helmert), fkn_diagnostics(other)
     assert diag_h.epsilon == diag_o.epsilon
-    assert abs(diag_h.r_norm2_mean - diag_o.r_norm2_mean) <= 1e-9
+    assert diag_h.r_norm2_mean == diag_o.r_norm2_mean  # exact, from the integer Q
 
 
 @settings(max_examples=30, deadline=None)
@@ -179,8 +182,8 @@ def test_exact_block_matches_the_float_oracle(m, n, part, corrupted, center, rul
 GOLDEN_ANALYZE = [(stem, args) for stem, args in CASES if args[0] == "analyze"]
 
 
-@pytest.mark.parametrize("stem,args", GOLDEN_ANALYZE, ids=[s for s, _ in GOLDEN_ANALYZE])
-def test_exact_block_matches_the_float_oracle_on_the_golden_rules(stem, args):
+def _golden_rule(args):
+    """The rule a golden `analyze` case reports on, centered if asked."""
     import argparse
 
     flags = [a for a in args[1:] if a != "--center"]
@@ -188,8 +191,49 @@ def test_exact_block_matches_the_float_oracle_on_the_golden_rules(stem, args):
     m, n = int(opts["--m"]), int(opts["--n"])
     H = _subgroup(argparse.Namespace(m=m, partition=opts.get("--partition", "")))
     agg = _build_rule(opts["--rule"], m, n, H, 0)
-    work = center_aggregator(agg) if "--center" in args else agg
-    _assert_matches_float_oracle(encode_g(work))
+    return center_aggregator(agg) if "--center" in args else agg
+
+
+@pytest.mark.parametrize("stem,args", GOLDEN_ANALYZE, ids=[s for s, _ in GOLDEN_ANALYZE])
+def test_exact_block_matches_the_float_oracle_on_the_golden_rules(stem, args):
+    _assert_matches_float_oracle(encode_g(_golden_rule(args)))
+
+
+@pytest.mark.parametrize("stem,args", GOLDEN_ANALYZE, ids=[s for s, _ in GOLDEN_ANALYZE])
+def test_markov_bound_holds_the_tail_on_the_golden_rules(stem, args):
+    work = _golden_rule(args)
+    diag = fkn_diagnostics(encode_g(work))
+    N = factorial(work.m) ** work.n
+    tail = round(diag.tail_prob * N)
+    assert diag.tail_prob == tail / N
+    assert Fraction(tail, N) <= diag.tail_markov_bound
+    assert isinstance(diag.r_norm2_mean, Fraction)
+    assert diag.bound_ok is (diag.r_norm2_mean <= diag.bound)
+
+
+# (5, 3) is past the IR budget
+_SIZES = [(m, n) for m in (3, 4, 5) for n in (1, 2, 3) if (m, n) != (5, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_SIZES), st.integers(0, 2),
+       st.sampled_from(["random", "corrupted", "centered"]), st.integers(0, 2**32 - 1),
+       st.none() | st.integers(0, 2**32 - 1))
+def test_exact_r_norm2_mean_matches_the_whole_array_oracle(size, part, kind, rule_seed,
+                                                           basis_seed):
+    """The closed form against the float mean over every profile, in the
+    Helmert basis or a random one (it reads only the integer Q^i)."""
+    m, n = size
+    if kind == "centered" and factorial(m) ** (n + 1) > 20000:
+        n -= 1  # keeps the oracle's whole-array r over m!^(n+1) profiles small
+    H = [trivial_subgroup(m), winner_subgroup(m),
+         build_fixing_subgroup(m, [[1, 2], list(range(3, m + 1))])][part]
+    agg = _drawn_rule(m, n, H, kind == "corrupted", rule_seed)
+    work = center_aggregator(agg) if kind == "centered" else agg
+    basis = build_basis(m) if basis_seed is None else build_basis(m, "random", basis_seed)
+    enc = encode_g(work, Rho1Table(m, basis))
+    got, want = fkn_diagnostics(enc), ref.fkn_diagnostics(enc)
+    assert math.isclose(got.r_norm2_mean, want.r_norm2_mean, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_nearest_dictator_selection():
@@ -282,8 +326,8 @@ def test_monotone_under_corruption():
 def test_fkn_diagnostics_zero_for_dictator():
     enc = encode_g(make_dictator(1, parse_perm("123", 3), winner_subgroup(3), 2))
     diag = fkn_diagnostics(enc)
-    assert diag.epsilon <= 1e-12
-    assert diag.r_norm2_mean <= 1e-12
+    assert diag.epsilon == 0
+    assert diag.r_norm2_mean == diag.tail_markov_bound == Fraction(0)
     assert diag.r_entry4_max <= 1e-12
     assert diag.tail_prob == 0
 
@@ -292,10 +336,22 @@ def test_fkn_diagnostics_bound_and_degree():
     rng = np.random.default_rng(31)
     d = make_dictator(1, parse_perm("213", 3), trivial_subgroup(3), 2)
     corr = corrupt_aggregator(d, 2, rng)
-    diag = fkn_diagnostics(encode_g(corr))
+    enc = encode_g(corr)
+    diag = fkn_diagnostics(enc)
     assert diag.bound_ok
-    assert diag.r_norm2_mean <= 0.01 * diag.bound  # the 108(m-1)^4 m^4 bound is loose
-    assert diag.degree2_residual <= 1e-9
+    assert diag.r_norm2_mean <= diag.bound / 100  # the 108(m-1)^4 m^4 bound is loose
+    r = ref.fkn_r(enc).reshape(factorial(3) ** 2, -1)  # r has no mass above degree 2
+    assert max(ref.degree2_residual(r[:, k], 2, enc.rho1) for k in range(r.shape[1])) <= 1e-12
+
+
+def test_r_norm2_mean_on_python_ints_matches_int64():
+    """Past its int64 bound (reachable only with LN_BUDGET lifted) the
+    closed form runs on Python ints; both give the same Fraction."""
+    enc = encode_g(random_aggregator(4, 2, winner_subgroup(4), np.random.default_rng(5)))
+    proj = kernel_projection(enc)
+    as_ints = dataclasses.replace(proj, Q=proj.Q.astype(object))
+    got = rounding._r_norm2_mean(as_ints, enc.H)
+    assert got == fkn_diagnostics(enc).r_norm2_mean
 
 
 def test_fkn_diagnostics_holds_no_profile_sized_array():
@@ -327,6 +383,18 @@ def test_centering_preserves_dictator_recovery():
     rep = robustness_report(d, center=True)
     assert rep.centered
     assert rep.dictator_distance_sq == 0
+
+
+def test_centering_refuses_before_building_the_centered_rule(monkeypatch):
+    from irlap._util import FeasibilityError
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the centered rule was built before the budget check")
+
+    monkeypatch.setattr(rounding, "center_aggregator", unreachable)
+    agg = make_dictator(1, parse_perm("213", 3), trivial_subgroup(3), 7)
+    with pytest.raises(FeasibilityError, match="budget exceeded"):
+        robustness_report(agg, center=True)
 
 
 def test_report_serializes():
