@@ -187,11 +187,8 @@ def _r_norm2_mean(proj: KernelProjection, H) -> Fraction:
     Q, K, h = proj.Q, proj.trace, H.order
     n, m = Q.shape[:2]
     N = factorial(m) ** n
-    if m * (2 * m - 2) ** 4 * int(np.abs(Q).max()) ** 2 >= 2**63:  # bounds every |G_i|
-        Q = Q.astype(object)
-    mPi = m * np.eye(m, dtype=np.int64) - 1
-    B = mPi @ Q @ mPi
-    G = (B @ B.transpose(0, 2, 1)).reshape(n, m * m).astype(object)
+    B = _centered(Q)
+    G = (B @ B.transpose(0, 2, 1)).reshape(n, m * m)
     S, tr = G.sum(axis=0), G[:, ::m + 1].sum(axis=1)  # sum_i G_i, tr G_i
     s4 = m * (S @ S) + tr.sum() ** 2 - (G * G).sum() - (tr * tr).sum()
     # <Pc[0], S>: prof[0] is Pc[0]^T, and S is symmetric
