@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -128,6 +129,8 @@ def cmd_analyze(args) -> None:
     from .metrics import default_orders, ir_combinatorial, manipulation_power, orders_from_json
     from .rounding import robustness_report
 
+    if args.m < 3:
+        raise ValueError(f"analyze requires m >= 3: L^n is zero at m = 2, got m={args.m}")
     # refuse before building the rule; --center analyses n + 1 voters
     check_ir_budget(args.m, args.n + 1 if args.center else args.n)
     H = _subgroup(args)
@@ -280,7 +283,10 @@ def main(argv=None) -> int:
     sm.set_defaults(func=cmd_moments)
 
     args = parser.parse_args(argv)
-    try:
+    try:  # an --out path that cannot take the report is refused before any work
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(out_dir)):
+            raise ValueError(f"--out {args.out!r} is a directory or its directory does not exist")
         args.func(args)
     except FeasibilityError as exc:
         print(f"refused: {exc}", file=sys.stderr)

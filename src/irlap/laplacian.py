@@ -364,10 +364,15 @@ def spectral_gap(m: int, n: int, basis: Basis | None = None) -> SpectralReport:
     for t in range(n + 1):
         lam = np.linalg.eigvalsh(sector_block(m, t, C))
         for o in range(n - t + 1):
-            values.append(o / m + lam)
-            mults += [comb(n, t) * comb(n - t, o) * d**t * other**o] * lam.size
+            mult = comb(n, t) * comb(n - t, o) * d**t * other**o
+            if mult:  # K = 0 at m = 2 empties every sector with o >= 1
+                values.append(o / m + lam)
+                mults += [mult] * lam.size
     eigvals = np.concatenate(values)
-    gap = float(eigvals[eigvals > PSD_TOL].min())
+    positive = eigvals[eigvals > PSD_TOL]
+    if not positive.size:
+        raise ValueError(f"L^n / m! is zero for m={m}, n={n}: no spectral gap")
+    gap = float(positive.min())
     return SpectralReport(m, n, "L^n / m!", factorial(m) ** n * d, True, gap,
                           float(eigvals.min()), cluster_eigenvalues(eigvals, multiplicity=mults))
 

@@ -23,18 +23,30 @@ at cached index tuples and summed with one `np.add.reduceat` per q.
 No entry or partial sum exceeds m^8 max|X|^4 in magnitude, so when
 that is below 2^63 the sums run on int64, and otherwise on Python-int
 object arrays (`np.einsum` is avoided: on object arrays it silently
-drops to int64).  `moments()` clears denominators the same way.  One fraction-free (Bareiss) Gauss-Jordan pass over
-Python ints inverts an integer matrix; `frac_inv_det` runs it on a
-rational matrix with cleared denominators, and `build_appendix(m)`
-runs it on the integer C15 itself, cached once per m: the determinant,
-a read-only float copy of the inverse by correctly rounded int/int
-division (what the sampled checks read), and the exact Fraction
-inverse built on first use.  The noise-operator rules are homogeneous
-in (sigma, tau), so `transfer_dual_path` compares the direct moments
-of T_sigma A with the closed-form rules over one common integer
-denominator, with no Fraction.  The sampled checks draw and reduce
-their matrices in stacks of CHUNK; the results do not depend on the
-chunk size or on the worker-pool size.
+drops to int64).  `moments()` clears denominators the same way.
+
+C15 needs no elimination.  A tuple in [m]^4 constant on the blocks of
+p is constant on those of exactly one coarser pattern t, its kernel,
+and (m)_|t| = m!/(m-|t|)! tuples have kernel t.  So C15 = Z D Z^T,
+with Z[p, t] = 1 when p refines t (the partition lattice's zeta
+matrix) and D = diag((m)_|t|).  Z is unitriangular, so det C15 is the
+product of D: (m)_4 for the one 4-block pattern, (m)_3 for each of six
+3-block ones, (m)_2 for each of seven 2-block ones and m for the
+1-block one, which is m^15 (m-1)^14 (m-2)^7 (m-3).  And C15^-1 =
+mu^T D^-1 mu, where mu = Z^-1 is the lattice's Mobius function,
+mu(p, t) = prod over the blocks B of t of (-1)^(k-1) (k-1)!, k the
+blocks of p inside B (Rota 1964).  `build_appendix(m)` checks
+Z D Z^T = C15 in Python ints and keeps, once per m, det, adj = det
+C15^-1 = mu^T diag(det/(m)_|t|) mu, its read-only float copy adj/det
+by correctly rounded int/int division (what the sampled checks read)
+and the Fraction inverse built on first use.
+
+The noise-operator rules are homogeneous in (sigma, tau), so
+`transfer_dual_path` compares the direct moments of T_sigma A with
+the closed-form rules over one common integer denominator, with no
+Fraction.  The sampled checks draw and reduce their matrices in
+stacks of CHUNK; the results do not depend on the chunk size or on
+the worker-pool size.
 
 Moment operators on A:
     M1 = sum A_ij        M2 = sum A_ij^2     M3, M4 likewise
@@ -79,27 +91,15 @@ AUDIT_TUPLE_LIMIT = 500_000
 
 
 def _block_of(partition) -> tuple[int, int, int, int]:
-    out = [0] * 4
-    for b, block in enumerate(partition):
-        for t in block:
-            out[t] = b
-    return tuple(out)
+    return tuple(next(b for b, block in enumerate(partition) if t in block) for t in range(4))
 
 
 def _join_block_count(p, q) -> int:
-    parent = list(range(4))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for part in (p, q):
-        for block in part:
-            for t in block[1:]:
-                parent[find(block[0])] = find(t)
-    return len({find(t) for t in range(4)})
+    label = list(_block_of(p))
+    for block in q:  # merge the classes that meet this block of q
+        merged = {label[t] for t in block}
+        label = [min(merged) if v in merged else v for v in label]
+    return len(set(label))
 
 
 @functools.cache
@@ -112,10 +112,6 @@ def _gram_ints(m: int) -> list[list[int]]:
     return [[m**e for e in row] for row in _join_exponents()]
 
 
-def gram_c15(m: int) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in _gram_ints(m)]
-
-
 def _to_int_matrix(A) -> tuple[np.ndarray, int]:
     """Clear denominators: (Python-int object array, common denominator)."""
     A = np.array(A, dtype=object)
@@ -125,44 +121,21 @@ def _to_int_matrix(A) -> tuple[np.ndarray, int]:
     return ints.reshape(A.shape), den
 
 
-def _bareiss_inverse(X: list[list[int]]) -> tuple[int, list[list[int]] | None]:
-    """(det X, det(X) * X^-1) of a square integer matrix, both integer,
-    from one fraction-free (Bareiss) Gauss-Jordan pass over Python ints
-    on [X | I]; (0, None) when X is singular.  Every entry stays an
-    integer minor, so each division is exact; at the end the left half
-    is d*I with d = +-det X (the sign counts row swaps), and the right
-    half is d*X^-1."""
-    n = len(X)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(X)]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        pk = a[k]
-        piv = pk[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
-        prev = piv
-    return sign * prev, [[sign * v for v in row[n:]] for row in a]
-
-
-def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
-    """Exact inverse and determinant of a rational matrix, from
-    `_bareiss_inverse` on X = den*M: M^-1 = den X^-1 and det M =
-    det X / den^n.  The inverse is None when M is singular
-    (determinant 0)."""
-    ints, den = _to_int_matrix(M)
-    det, adj = _bareiss_inverse(ints.tolist())
-    if adj is None:
-        return None, Fraction(0)
-    inv = [[Fraction(den * v, det) for v in row] for row in adj]
-    return inv, Fraction(det, den ** len(adj))
+@functools.cache
+def _zeta_mobius() -> tuple[np.ndarray, np.ndarray]:
+    """Z and mu (module docstring) as read-only Python-int object
+    arrays; p refines t when join(p, t) is t.  Z mu = I is checked."""
+    Z = np.array([[int(e == len(t)) for e, t in zip(row, PARTITIONS)]
+                  for row in _join_exponents()], dtype=object)
+    mu = np.zeros((15, 15), dtype=object)
+    for p, t in zip(*np.nonzero(Z)):
+        inside = [_block_of(PARTITIONS[t])[b[0]] for b in PARTITIONS[p]]
+        mu[p, t] = math.prod((-1) ** (k - 1) * math.factorial(k - 1)
+                             for k in map(inside.count, set(inside)))
+    if (Z @ mu).tolist() != np.eye(15, dtype=int).tolist():
+        raise AssertionError("the Mobius matrix does not invert the zeta matrix")
+    Z.flags.writeable = mu.flags.writeable = False
+    return Z, mu
 
 
 def det_formula(m: int) -> int:
@@ -187,19 +160,20 @@ class AppendixTables:
 
 @functools.lru_cache(maxsize=None)
 def build_appendix(m: int) -> AppendixTables:
-    """C15's exact determinant and inverse and a read-only float copy
-    of the inverse, each entry adj/det by int/int true division, which
-    rounds correctly and so equals float() of the Fraction; built once
-    per m and shared by every caller."""
+    """C15's tables from C15 = Z D Z^T (module docstring); the float
+    inverse equals float() of each Fraction.  Shared by every caller."""
     if m <= 3:
-        raise ValueError(
-            f"the 15x15 Gram matrix is singular for m={m}: its determinant "
-            f"carries a factor (m-3)"
-        )
-    det, adj = _bareiss_inverse(_gram_ints(m))
-    inv_float = np.array([[v / det for v in row] for row in adj])
+        raise ValueError(f"the 15x15 Gram matrix is singular for m={m}: its "
+                         f"determinant carries a factor (m-3)")
+    d = np.array([math.perm(m, len(t)) for t in PARTITIONS], dtype=object)
+    Z, mu = _zeta_mobius()
+    if ((Z * d) @ Z.T).tolist() != _gram_ints(m):  # Python ints: no overflow
+        raise AssertionError(f"C15 is not Z D Z^T at m={m}")
+    det = math.prod(d)
+    adj = (mu.T * (det // d)) @ mu
+    inv_float = (adj / det).astype(float)  # int/int true division, entry by entry
     inv_float.flags.writeable = False
-    return AppendixTables(m, tuple(map(tuple, adj)), inv_float, Fraction(det))
+    return AppendixTables(m, tuple(map(tuple, adj.tolist())), inv_float, Fraction(det))
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +402,6 @@ def norm4_exact(A, m: int) -> Fraction:
     return sum(B[p][q] * Cinv[q][p] for p in range(15) for q in range(15))
 
 
-def exhaustive_moment(A, m: int, k: int) -> Fraction:
-    """E_x f(x)^k by summation over all of S_m (f(x) = tr(A P(x)) =
-    sum_r A[r, x(r)]).  The test oracle; perms is imported here, so the
-    rest of the module runs without it."""
-    from .perms import enumerate_group
-
-    rows = [list(r) for r in A]
-    total = Fraction(0)
-    perms = enumerate_group(m)
-    for x in perms:
-        val = sum(rows[r][x[r] - 1] for r in range(m))
-        total += Fraction(val) ** k
-    return total / len(perms)
-
-
 # ---------------------------------------------------------------------------
 # Noise operator
 
@@ -649,22 +608,6 @@ def empirical_m0(m_values=range(4, 13), samples: int = 1000, seed: int = 0,
         else:
             m0 = None
     return {"rows": rows, "empirical_m0": m0}
-
-
-def degree2_product_check(m: int, samples: int = 50, seed: int = 0) -> dict:
-    """Degree-2 norm growth: a product of two independent normalized
-    band functions h(x1, x2) = f1(x1) f2(x2) must satisfy
-    ||h||_4^4 <= sigma^-8 at a certified (m, sigma = m^-1/2)."""
-    rng = np.random.default_rng(seed)
-    c15_inv = build_appendix(m).C15_inv_float
-    sigma = m**-0.5
-    bound = sigma**-8.0
-    worst = 0.0
-    # CHUNK is even, so every stack holds whole (f1, f2) pairs
-    for _, f4 in _sample_norm4(m, rng, 2 * samples, c15_inv):
-        worst = max(worst, float((f4[0::2] * f4[1::2]).max()))
-    return {"m": m, "sigma": sigma, "bound": bound, "max_h4": worst,
-            "holds": worst <= bound * (1 + 1e-9)}
 
 
 def matrix_cs_check(d: int, trials: int = 100, seed: int = 0) -> dict:

@@ -16,6 +16,10 @@ counts, through the permutation matrices of every vote, is the oracle
 tests/test_rounding.py holds the pair-count projection to.  The L form
 as float sums over every switch class of the matrix encoding is the
 oracle of the exact identity IR = L (irlap.laplacian docstring).
+The appendix algebra's oracles are here too: a fraction-free
+Gauss-Jordan elimination that tests/test_moments.py holds the closed
+form of C15's determinant and inverse to, and E f^k summed over all
+of S_m.
 """
 
 from __future__ import annotations
@@ -38,7 +42,14 @@ from irlap.aggregators import (
 from irlap.basis import LinFunction, perm_matrix
 from irlap.laplacian import apply_quadratic_form, lprime_offset
 from irlap.metrics import ir_combinatorial
-from irlap.moments import PARTITIONS, MomentVector
+from irlap.moments import (
+    PARTITIONS,
+    MomentVector,
+    build_appendix,
+    moments,
+    norm4_zero_margin,
+    zero_margin_sample,
+)
 from irlap.perms import (
     build_fixing_subgroup,
     compose,
@@ -355,6 +366,88 @@ def moments_by_loops(A) -> MomentVector:
         sum(sum(v * v for v in c) ** 2 for c in cols),
         sum(g * g for r in gram for g in r),
     )
+
+
+def exhaustive_moment(A, m: int, k: int) -> Fraction:
+    """E_x f(x)^k by summation over all of S_m (f(x) = tr(A P(x)) =
+    sum_r A[r, x(r)])."""
+    rows = [list(r) for r in A]
+    total = Fraction(0)
+    perms = enumerate_group(m)
+    for x in perms:
+        val = sum(rows[r][x[r] - 1] for r in range(m))
+        total += Fraction(val) ** k
+    return total / len(perms)
+
+
+def gram_c15(m: int) -> list[list[int]]:
+    """C15[p, q] = m^(blocks of join(p, q)), the join found by merging
+    the positions of each block of p and of q."""
+    def join_blocks(p, q) -> int:
+        label = list(range(4))
+        for block in (*p, *q):
+            for t in block[1:]:
+                old, new = label[t], label[block[0]]
+                label = [new if v == old else v for v in label]
+        return len(set(label))
+
+    return [[m ** join_blocks(p, q) for q in PARTITIONS] for p in PARTITIONS]
+
+
+def _bareiss_inverse(X: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det X, det(X) * X^-1) of a square integer matrix, both integer,
+    from one fraction-free (Bareiss) Gauss-Jordan pass over Python ints
+    on [X | I]; (0, None) when X is singular.  Every entry stays an
+    integer minor, so each division is exact; at the end the left half
+    is d*I with d = +-det X (the sign counts row swaps), and the right
+    half is d*X^-1."""
+    n = len(X)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(X)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        pk = a[k]
+        piv = pk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = piv
+    return sign * prev, [[sign * v for v in row[n:]] for row in a]
+
+
+def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
+    """Exact inverse and determinant of a rational matrix, from
+    `_bareiss_inverse` on X = den*M: M^-1 = den X^-1 and det M =
+    det X / den^n.  The inverse is None when M is singular
+    (determinant 0)."""
+    fracs = [[Fraction(v) for v in row] for row in M]
+    den = math.lcm(*(v.denominator for row in fracs for v in row))
+    det, adj = _bareiss_inverse([[int(v * den) for v in row] for row in fracs])
+    if adj is None:
+        return None, Fraction(0)
+    inv = [[Fraction(den * v, det) for v in row] for row in adj]
+    return inv, Fraction(det, den ** len(adj))
+
+
+def degree2_product_check(m: int, samples: int = 50, seed: int = 0) -> dict:
+    """Degree-2 norm growth: a product of two independent normalized
+    band functions h(x1, x2) = f1(x1) f2(x2) must satisfy
+    ||h||_4^4 <= sigma^-8 at a certified (m, sigma = m^-1/2); the
+    (f1, f2) pairs are consecutive draws of one stack."""
+    rng = np.random.default_rng(seed)
+    c15_inv = build_appendix(m).C15_inv_float
+    sigma = m**-0.5
+    bound = sigma**-8.0
+    f4 = norm4_zero_margin(moments(zero_margin_sample(m, rng, 2 * samples)), c15_inv)
+    worst = float((f4[0::2] * f4[1::2]).max())
+    return {"m": m, "sigma": sigma, "bound": bound, "max_h4": worst,
+            "holds": worst <= bound * (1 + 1e-9)}
 
 
 def membership_matrix(H) -> np.ndarray:

@@ -373,9 +373,64 @@ def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
         assert cli.main(["analyze", *argv, "--center"]) == 3, argv
 
 
+def test_out_is_checked_before_any_work(monkeypatch, tmp_path, capsys):
+    import irlap.aggregators as aggregators
+    import irlap.cli as cli
+    import irlap.rounding as rounding
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the rule was built before --out was checked")
+
+    with monkeypatch.context() as patch:
+        for name in ("make_named_rule", "random_aggregator", "from_json"):
+            patch.setattr(aggregators, name, unreachable)
+        patch.setattr(rounding, "center_aggregator", unreachable)
+        for out in (tmp_path, tmp_path / "missing" / "report.json"):
+            for source in (["--rule", "plurality"], ["--rule", "random"],
+                           ["--input", str(tmp_path / "agg.json")]):
+                argv = ["analyze", "--m", "3", "--n", "1", *source, "--out", str(out)]
+                assert cli.main(argv) == 2, argv
+                assert capsys.readouterr().err.startswith("error: --out"), argv
+        for argv in (["spectra", "--m", "3"], ["census", "--m", "3"], ["moments", "--m", "4"]):
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 2, argv
+    # a job that refuses or fails leaves an existing --out file as it was
+    kept = tmp_path / "kept.json"
+    kept.write_text("kept\n")
+    for argv, code in ((["analyze", "--m", "6", "--n", "2", "--rule", "random"], 3),
+                       (["analyze", "--m", "3", "--n", "1", "--rule", "nosuch"], 2),
+                       (["moments", "--m", "4", "--sigma-hyper", "2"], 2)):
+        assert cli.main([*argv, "--out", str(kept)]) == code, argv
+        assert kept.read_text() == "kept\n", argv
+
+
+def _named_rules(m: int) -> list[str]:
+    ident = "".join(map(str, range(1, m + 1))) or "1"
+    return ["random", "plurality", "borda", f"dictator:sigma={ident[::-1]}",
+            f"constant:output={ident}"]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_small_m_exits_without_a_traceback(m, capsys):
+    """Malformed or degenerate input fails loudly with exit 2 (or 3),
+    never with an uncaught exception."""
+    import irlap.cli as cli
+
+    jobs = [["spectra", "--m", str(m), "--n", "1"], ["census", "--m", str(m)],
+            ["moments", "--m", str(m), "--samples", "5"]]
+    jobs += [["analyze", "--m", str(m), "--rule", rule] for rule in _named_rules(m)]
+    for argv in jobs:
+        assert cli.main(argv) in (0, 2, 3), argv
+        assert "Traceback" not in capsys.readouterr().err, argv
+    if m == 2:
+        assert cli.main(["analyze", "--m", "2", "--rule", "random"]) == 2
+        assert "analyze requires m >= 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--out", "--input", "--orders"])
 def test_a_path_that_is_no_file_is_an_input_error(flag, tmp_path, capsys):
-    """A directory raises IsADirectoryError, an OSError, when opened."""
+    """A directory is an input error: --out is refused before any work,
+    --input and --orders by the IsADirectoryError (an OSError) of
+    opening them."""
     import irlap.cli as cli
 
     argv = ["analyze", "--m", "3", "--n", "1", flag, str(tmp_path)]

@@ -448,6 +448,14 @@ def test_sector_spectrum_beyond_dense_oracle(m, n):
     assert max(abs(a - b) for (a, _), (b, _) in zip(alt.clusters, rep.clusters)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_gap_refuses_the_zero_operator_at_m2(n):
+    """At m = 2, K = m! - 1 - (m-1)^2 = 0 and L^n vanishes: no gap."""
+    assert not build_Ln_dense(2, n).any()
+    with pytest.raises(ValueError, match="L\\^n / m! is zero for m=2"):
+        spectral_gap(2, n)
+
+
 def test_sector_block_one_voter_is_hat_l1():
     for m in range(3, 8):
         block = sector_block(m, 1, build_basis(m).C)

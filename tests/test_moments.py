@@ -1,5 +1,6 @@
 """Exact moment calculus: Gram determinant, fourth moments, transfer."""
 
+import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -11,17 +12,14 @@ from irlap.moments import (
     CHUNK,
     IDX_E3,
     IDX_E5,
+    PARTITIONS,
     apply_Tt,
     audit_blocks,
     blocks_direct,
     blocks_transcribed,
     build_appendix,
-    degree2_product_check,
     det_formula,
     empirical_m0,
-    exhaustive_moment,
-    frac_inv_det,
-    gram_c15,
     hypercontractivity_check,
     margin_value,
     matrix_cs_check,
@@ -35,6 +33,13 @@ from irlap.moments import (
     random_equal_margin,
     transfer_dual_path,
     zero_margin_sample,
+)
+from reference_loops import (
+    _bareiss_inverse,
+    degree2_product_check,
+    exhaustive_moment,
+    frac_inv_det,
+    gram_c15,
 )
 
 
@@ -50,6 +55,26 @@ def ones(m):
 def test_determinant_identity(m):
     tables = build_appendix(m)
     assert tables.det == det_formula(m)
+
+
+@pytest.mark.parametrize("m", [*range(4, 13), 200])
+def test_gram_factors_over_the_partition_lattice(m):
+    """C15 = Z D Z^T with D = diag((m)_|t|), Z mu = I, and det C15 is
+    the product of D: the paper's formula."""
+    Z, mu = moments_module._zeta_mobius()
+    assert (Z @ mu).tolist() == np.eye(15, dtype=int).tolist()
+    d = np.array([math.perm(m, len(t)) for t in PARTITIONS], dtype=object)
+    assert ((Z * d) @ Z.T).tolist() == gram_c15(m)
+    assert build_appendix(m).det == math.prod(d) == det_formula(m)
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_appendix_matches_the_elimination_oracle(m):
+    det, adj = _bareiss_inverse(gram_c15(m))
+    tables = build_appendix(m)
+    assert tables.det == det and tables.adj == tuple(map(tuple, adj))
+    want = np.array([[v / det for v in row] for row in adj])
+    assert np.array_equal(tables.C15_inv_float.view(np.uint64), want.view(np.uint64))
 
 
 def test_gram_is_symmetric():
