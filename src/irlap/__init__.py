@@ -4,7 +4,7 @@ Library layout:
 
 - perms: permutations, fixing subgroups, cosets, rank profiles
 - basis: change of basis, the standard representation, projections
-- aggregators: coset-valued rules, encodings, consistency
+- aggregators: coset-valued rules, coset means, consistency
 - laplacian: constraint operators, quadratic forms, spectra
 - metrics: exact IR values, zero-locus census, manipulation power
 - rounding: exact kernel projection, nearest-dictator recovery, diagnostics

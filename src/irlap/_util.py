@@ -3,6 +3,7 @@ per-instance memos, JSON encoding of exact values."""
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -12,6 +13,26 @@ class FeasibilityError(RuntimeError):
     def __init__(self, message: str, estimate: str | None = None):
         super().__init__(message)
         self.estimate = estimate
+
+
+def size_past(limit: int, coef: int, base: int, exp: int, digits: int) -> str | None:
+    """None if the size coef * base**exp (positive ints) is at most limit
+    (< 2^2048); else the size as f"{size:.{digits}e}" prints it, without
+    a float, and past 2^2048 from its logarithm: 10^log past 10^(10^25)."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 40
+        if base < 2 or exp * (base.bit_length() - 1) < 1024:  # base**exp < 2^2048
+            size = coef * base**exp
+            if size <= limit:
+                return None
+            mantissa, scale = Decimal(size), 0
+        else:
+            log = Decimal(coef).log10() + exp * Decimal(base).log10()
+            if log.adjusted() >= 25:  # too few fraction digits are left for a mantissa
+                return f"10^{log:.{digits}e}"
+            mantissa, scale = 10 ** (log % 1), int(log)
+        head, _, shift = f"{mantissa:.{digits}e}".partition("e")
+    return f"{head}e+{scale + int(shift):02d}"
 
 
 def blocked_pmap(fn, items, threads: int = 1) -> list:

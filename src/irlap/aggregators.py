@@ -1,5 +1,5 @@
 """Social aggregators over S_m^n with coset-valued outputs, their
-per-coset matrix encodings, and the invariant g(x) g(x)^T = M_H.
+per-coset matrix means, and the invariant g(x) g(x)^T = M_H.
 
 A profile (x_1, ..., x_n) is addressed by its mixed-radix rank with
 voter 1 most significant:
@@ -22,7 +22,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import expect_json, expect_key, memoized
+from ._util import expect_json, expect_key
 from .basis import Rho1Table, rho1_table
 from .perms import (
     MAX_M,
@@ -49,8 +49,8 @@ class Aggregator:
     """Total function S_m^n -> S_m/H stored as a coset-index table.
 
     The table is made read-only, so the values derived from it (pair
-    counts, default-basis coset means, kernel projection) are computed
-    on first use and kept in `_derived` for the aggregator's lifetime."""
+    counts, kernel projection) are computed on first use and kept in
+    `_derived` for the aggregator's lifetime."""
 
     m: int
     n: int
@@ -247,47 +247,15 @@ def corrupt_aggregator(agg: Aggregator, entries: int, rng) -> Aggregator:
     return Aggregator(agg.m, agg.n, agg.H, table, "table", {"corrupted_from": agg.kind})
 
 
-@dataclass(frozen=True, eq=False)
-class GEncoding:
-    """g(x) = mean of rho1(y) over y in f(x), the matrix payload of all
-    spectral computations, kept per coset: g(x) = g_coset[table[x]] is
-    never built.  g_coset[c] = M_H @ rho1(representative) in the table
-    ``rho1`` the encoding was built with, which every consumer reads,
-    so no second basis can enter.  g_coset[0] = M_H (H's own coset
-    comes first); m, n, H and table are the rule's.  g_coset is
-    read-only."""
-
-    rule: Aggregator
-    g_coset: np.ndarray  # (#cosets, m-1, m-1)
-    rho1: Rho1Table
-
-    def __post_init__(self):
-        self.g_coset.setflags(write=False)
-
-    m = property(lambda self: self.rule.m)
-    n = property(lambda self: self.rule.n)
-    H = property(lambda self: self.rule.H)
-    table = property(lambda self: self.rule.table)
-
-
-def _encode(agg: Aggregator, table: Rho1Table) -> np.ndarray:
-    """g_coset in `table`'s basis: the mean of rho1 over each coset."""
-    out = np.empty((len(agg.H.cosets), agg.m - 1, agg.m - 1))
-    for c, coset in enumerate(agg.H.cosets):
-        idx = [table.index[y] for y in coset.members]
-        out[c] = table.R[idx].mean(axis=0)
+def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> np.ndarray:
+    """The means g_c of rho1 over each coset c in `table`'s basis (the
+    cached Helmert table by default), g_0 = M_H: a fresh read-only
+    (#cosets, m-1, m-1) array g, with g(x) = g[agg.table[x]]."""
+    table = table if table is not None else rho1_table(agg.m)
+    members = np.array([coset.members for coset in agg.H.cosets])
+    out = table.R[perm_indices(members)].mean(axis=1)
+    out.setflags(write=False)
     return out
-
-
-def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> GEncoding:
-    """agg's encoding in `table`'s basis, built fresh; without a table,
-    a fresh encoding of the default-basis coset means, which agg builds
-    once and keeps.  The encoding holds agg and agg keeps only the
-    array, so the two form no reference cycle."""
-    if table is not None:
-        return GEncoding(agg, _encode(agg, table), table)
-    table = rho1_table(agg.m)
-    return GEncoding(agg, memoized(agg, "coset_means", lambda a: _encode(a, table)), table)
 
 
 @dataclass
@@ -303,9 +271,9 @@ def consistency_check(agg: Aggregator) -> ConsistencyReport:
     where M_H is the mean of rho1 over H's members.  M_H = 0 exactly
     when H is transitive on the rank positions (tr M_H = #orbits - 1);
     then g == 0 and the whole spectral pipeline is vacuous."""
-    enc = encode_g(agg)
-    MH = np.mean([enc.rho1.of(h) for h in agg.H.members], axis=0)
-    prods = np.einsum("ckl,ctl->ckt", enc.g_coset, enc.g_coset)
+    g = encode_g(agg)
+    MH = np.mean([rho1_table(agg.m).of(h) for h in agg.H.members], axis=0)
+    prods = np.einsum("ckl,ctl->ckt", g, g)
     max_dev = float(np.abs(prods - MH).max())
     idem = float(np.abs(MH @ MH - MH).max())
     fixing = agg.H.orbit_count > 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import broadcast_voter, enumerate_group, fixed_points
+from .perms import broadcast_voter, enumerate_group, fixed_points, perm_index
 
 BASIS_TOL = 1e-12
 
@@ -104,13 +104,12 @@ class Rho1Table:
         self.m = m
         self.basis = basis if basis is not None else build_basis(m)
         self.perms = enumerate_group(m)
-        self.index = {x: i for i, x in enumerate(self.perms)}
         # P[x] = perm_matrix of the x-th permutation
         P = (np.array(self.perms)[:, :, None] == np.arange(1, m + 1)).astype(np.int64)
         self.R = np.einsum("ki,xkl,lj->xij", self.basis.C, P, self.basis.C, optimize=True)
 
     def of(self, x: tuple[int, ...]) -> np.ndarray:
-        return self.R[self.index[x]]
+        return self.R[perm_index(x)]
 
 
 @functools.lru_cache(maxsize=None)

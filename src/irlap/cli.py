@@ -30,13 +30,11 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _subgroup(args):
-    from .perms import build_fixing_subgroup, trivial_subgroup
-
+def _blocks(args) -> list:
+    """The --partition blocks; all singletons by default."""
     if args.partition:
-        blocks = [[int(v) for v in part.split(",")] for part in args.partition.split("|")]
-        return build_fixing_subgroup(args.m, blocks)
-    return trivial_subgroup(args.m)
+        return [[int(v) for v in part.split(",")] for part in args.partition.split("|")]
+    return [[v] for v in range(1, args.m + 1)]
 
 
 def _build_rule(spec: str, m: int, n: int, H, seed: int):
@@ -63,7 +61,7 @@ def cmd_spectra(args) -> None:
     from .laplacian import gap_bracket, hat_l1, spectral_gap
 
     if args.m < 3:
-        raise ValueError("spectra requires m >= 3: the m=2 block is degenerate")
+        raise ValueError(f"spectra requires m >= 3: hat-L(1) is degenerate below, got m={args.m}")
     system = hat_l1(args.m)
     report = {
         "m": args.m,
@@ -87,9 +85,15 @@ def cmd_spectra(args) -> None:
 
 
 def cmd_census(args) -> None:
-    from .metrics import census_ir_functions
+    from .metrics import census_ir_functions, check_census_budget
+    from .perms import MAX_M, build_fixing_subgroup, coset_count
 
-    H = _subgroup(args)
+    if not 2 <= args.m <= MAX_M:
+        raise ValueError(f"census requires m in 2..{MAX_M}, got m={args.m}")
+    # refuse before building H: the coset count follows from the blocks
+    blocks = _blocks(args)
+    check_census_budget(args.m, args.n, coset_count(args.m, blocks))
+    H = build_fixing_subgroup(args.m, blocks)
     result = census_ir_functions(args.m, args.n, H)
     report = result.to_dict()
     report["summary"] = (
@@ -127,13 +131,14 @@ def _check_partition_matches(agg, args, H) -> None:
 def cmd_analyze(args) -> None:
     from .laplacian import check_ir_budget
     from .metrics import default_orders, ir_combinatorial, manipulation_power, orders_from_json
+    from .perms import build_fixing_subgroup
     from .rounding import robustness_report
 
     if args.m < 3:
         raise ValueError(f"analyze requires m >= 3: L^n is zero at m = 2, got m={args.m}")
     # refuse before building the rule; --center analyses n + 1 voters
     check_ir_budget(args.m, args.n + 1 if args.center else args.n)
-    H = _subgroup(args)
+    H = build_fixing_subgroup(args.m, _blocks(args))
     if args.input:
         agg = _load_input(args)
     elif args.rule:
@@ -147,7 +152,7 @@ def cmd_analyze(args) -> None:
     else:
         orders = default_orders(agg.H, agg.m)
     # robustness first: it refuses a transitive H before any counting.
-    # The three stages share agg's pair counts and encoding.
+    # The three stages share agg's pair counts.
     robust = robustness_report(agg, center=args.center)
     ir = ir_combinatorial(agg)
     manip = manipulation_power(agg, orders)

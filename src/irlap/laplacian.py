@@ -46,9 +46,10 @@ IR = L.  The L form is IR, class by class.  With P(y) the permutation
 matrix of y (basis module), rho1(y) = C^T P(y) C, C^T 1 = 0 and
 C C^T = Pi = I - J/m.  The mean of P(y) over coset c is Pc / |H|,
 where Pc[r, j] = prof[c, j, r] counts the members ranking j at r; its
-rows and columns all sum to |H|, so Pc Pi = Pc - |H| J / m and
+rows and columns all sum to |H|, so Pc Pi = Pc - |H| J / m, and with
+g_c = C^T Pc C / |H| the coset's mean of rho1 (aggregators.encode_g)
 
-    W_j[c] = g_coset[c] C_j = C^T Pc Pi e_j / |H| = C^T prof_j(c) / |H|.
+    W_j[c] = g_c C_j = C^T Pc Pi e_j / |H| = C^T prof_j(c) / |H|.
 
 Two j-profiles differ by a sum-zero vector, which C C^T fixes, so
 ||W_j[c] - W_j[c']||^2 = dist2[pid(c, j), pid(c', j)] / |H|^2.  On one
@@ -87,7 +88,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from ._util import FeasibilityError
+from ._util import FeasibilityError, size_past
 from .aggregators import Aggregator, profile_tables
 from .basis import Basis, Rho1Table, build_basis
 from .perms import broadcast_voter, rank_table
@@ -102,12 +103,10 @@ def check_ir_budget(m: int, n: int) -> None:
     """Refuse an (m, n) whose IR evaluation costs n m (m!)^(n+1) over
     LN_BUDGET (read at call time); callers can run it before building
     anything.  IR, the pair counts and the three forms all refuse here."""
-    cost = n * m * factorial(m) ** (n + 1)
-    if cost > LN_BUDGET:
+    cost = size_past(LN_BUDGET, n * m, factorial(m), n + 1, 2)
+    if cost:
         raise FeasibilityError(
-            f"combinatorial IR budget exceeded: {cost:.2e} > {LN_BUDGET:.0e}",
-            estimate=f"{cost:.2e}",
-        )
+            f"combinatorial IR budget exceeded: {cost} > {LN_BUDGET:.0e}", estimate=cost)
 
 
 @dataclass

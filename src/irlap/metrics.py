@@ -17,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from ._util import FeasibilityError, expect_json, expect_key, memoized, parse_fraction
+from ._util import FeasibilityError, expect_json, expect_key, memoized, parse_fraction, size_past
 from .aggregators import Aggregator, ProfileTables, make_dictator, profile_tables
 from .laplacian import check_ir_budget
 from .perms import FixingSubgroup, enumerate_group, rank_classes, voter_view
@@ -172,20 +172,26 @@ class CensusResult:
         }
 
 
+def check_census_budget(m: int, n: int, ncos: int) -> None:
+    """Refuse ncos^(m!^n) tables past CENSUS_LIMIT (read at call time);
+    the CLI runs it on the partition's coset count, before H is built."""
+    npos = factorial(m) ** n
+    size = size_past(CENSUS_LIMIT, 1, ncos, npos, 3)
+    if size:
+        tables = f"{ncos}^{npos}" if npos < 10**30 else f"{ncos}^({m}!^{n})"
+        raise FeasibilityError(f"census infeasible: {tables} = {size} functions",
+                               estimate=f"{tables} ~ {size}")
+
+
 def census_ir_functions(m: int, n: int, H: FixingSubgroup) -> CensusResult:
     """Enumerate every aggregator S_m^n -> S_m/H, keep the IR ones, and
     classify them as constants, rank-relabeled dictators, or other;
-    refuses over CENSUS_LIMIT (read at call time) tables.  The theorem
-    under test is that "other" is empty for m >= 3."""
-    fact = factorial(m)
+    refuses over CENSUS_LIMIT tables (`check_census_budget`).  The
+    theorem under test is that "other" is empty for m >= 3."""
     ncos = len(H.cosets)
-    npos = fact**n
+    check_census_budget(m, n, ncos)
+    npos = factorial(m) ** n
     total = ncos**npos
-    if total > CENSUS_LIMIT:
-        raise FeasibilityError(
-            f"census infeasible: {ncos}^{npos} = {total:.3e} functions",
-            estimate=f"{ncos}^{npos} ~ {total:.3e}",
-        )
     tables = profile_tables(H)
     # all function tables, mixed-radix decode of 0..total-1
     codes = np.arange(total, dtype=np.int64)

@@ -25,7 +25,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -221,10 +221,7 @@ def build_fixing_subgroup(m: int, partition) -> FixingSubgroup:
                 word[pos - 1] = img
         members.append(tuple(word))
     members.sort()
-    expected = 1
-    for b in blocks:
-        expected *= factorial(len(b))
-    assert len(members) == expected
+    assert len(members) == prod(factorial(len(b)) for b in blocks)
     cosets, index = _cosets_from_members(m, members)
     return FixingSubgroup(m, blocks, tuple(members), cosets, index)
 
@@ -244,6 +241,12 @@ def subgroup_from_members(m: int, members) -> FixingSubgroup:
     ordered = tuple(sorted(mset))
     cosets, index = _cosets_from_members(m, ordered)
     return FixingSubgroup(m, None, ordered, cosets, index)
+
+
+def coset_count(m: int, partition) -> int:
+    """m! / prod |B|!, the cosets of a valid partition's H, without H."""
+    blocks = _validate_partition(m, partition)
+    return factorial(m) // prod(factorial(len(b)) for b in blocks)
 
 
 def trivial_subgroup(m: int) -> FixingSubgroup:

@@ -26,10 +26,11 @@ unconstrained distance^2 to A* rho1(x_voter), tr M_H - ||A*||^2.
 Moment diagnostics run on g / sqrt(tr M_H), with epsilon =
 (kernel_distance_sq + ||B||^2) / tr M_H.  E ||r||^2, r = h h^T - M, is
 exact from n integer m x m Gram matrices (`MomentDiagnostics`); only
-its tail and its entrywise fourth moments are evaluated on every
-profile, in blocks of BLOCK profiles (at least one slab of m!^(n-1)),
-from the n per-voter tables A^i rho1(v), so the pass's memory is a few
-block-sized arrays, not m!^n (m-1)^2 floats.  A transitive H
+its tail and its entrywise fourth moments (whose maximum over entries
+alone depends on the basis) are evaluated on every profile, in the
+Helmert basis, from the n per-voter tables A^i rho1(v) in blocks of
+BLOCK profiles (at least one slab of m!^(n-1)), so the pass's memory is
+a few block-sized arrays, not m!^n (m-1)^2 floats.  A transitive H
 (tr M_H = 0) is refused.
 """
 
@@ -42,7 +43,8 @@ from math import factorial, sqrt
 import numpy as np
 
 from ._util import memoized
-from .aggregators import Aggregator, GEncoding, encode_g, profile_tables
+from .aggregators import Aggregator, profile_tables
+from .basis import rho1_table
 from .laplacian import check_ir_budget, spectral_gap
 from .metrics import ir_combinatorial, pair_count_tensors
 from .perms import (
@@ -80,12 +82,12 @@ def _centered(X: np.ndarray) -> np.ndarray:
     return mPi @ X.astype(object) @ mPi
 
 
-def kernel_projection(enc: GEncoding) -> KernelProjection:
-    """The exact projection and rounding of enc's rule from its pair counts
-    and H, kept on the rule for all its encodings; refuses where they do."""
-    _require_fixing(enc.H)
-    check_ir_budget(enc.m, enc.n)
-    return memoized(enc.rule, "projection", _project)
+def kernel_projection(agg: Aggregator) -> KernelProjection:
+    """The exact projection and rounding of agg from its pair counts and
+    H, kept on the rule; refuses where they do."""
+    _require_fixing(agg.H)
+    check_ir_budget(agg.m, agg.n)
+    return memoized(agg, "projection", _project)
 
 
 def _project(agg: Aggregator) -> KernelProjection:
@@ -206,27 +208,26 @@ def _require_fixing(H) -> None:
                          "(M_H = 0): the rounding diagnostics are undefined")
 
 
-def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
-    """The moment diagnostics of enc's rule: epsilon, E ||r||^2 and the
-    bounds exactly from the kernel projection; the tail and entrywise
-    fourth moments of r over every profile, with h = sum_i A^i rho1(x_i)
-    / sqrt(tr M_H) built from the exact A in enc's own basis.  One pass
-    over blocks of BLOCK profiles (at least one slab of m!^(n-1)) adds
-    up sum r_ij^4 and the tail count, so no array of all m!^n profiles
-    is built."""
-    proj = kernel_projection(enc)
-    m, n, table, K = enc.m, enc.n, enc.rho1, proj.trace
+def fkn_diagnostics(agg: Aggregator) -> MomentDiagnostics:
+    """The moment diagnostics of agg: epsilon, E ||r||^2 and the bounds
+    exactly from the kernel projection; the tail and entrywise fourth
+    moments of r from one blocked pass over the profiles (module
+    docstring) in the Helmert basis, with h = sum_i A^i rho1(x_i) /
+    sqrt(tr M_H) from the exact A^i, and M_H the mean of rho1 over H."""
+    proj = kernel_projection(agg)
+    m, n, table, K = agg.m, agg.n, rho1_table(agg.m), proj.trace
     fact, d = len(table.perms), m - 1
     N = fact**n
     eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
     C = table.basis.C
-    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (N * enc.H.order * m * sqrt(K))
+    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (N * agg.H.order * m * sqrt(K))
     # T[i, :, :, v] = A^i rho1(v); profiles run along the last axis
     T = np.einsum("ikt,vtl->iklv", A, table.R)
     rest = np.zeros((d, d, 1))  # sum over voters 2..n of A^i rho1(x_i)
     for i in range(1, n):
         rest = (rest[..., None] + T[i][:, :, None]).reshape(d, d, -1)
-    M = enc.g_coset[0][..., None] / K  # g_coset[0] = M_H
+    # M_H, the mean of rho1 over H (coset 0's members, in order)
+    M = table.R[perm_indices(np.array(agg.H.members))].mean(axis=0)[..., None] / K
     alpha = 6 * (m - 1) * m**2 * sqrt(eps)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
     fourth, tail = np.zeros(d * d), 0
     step = max(1, BLOCK // fact ** (n - 1))  # leading votes per block
@@ -241,7 +242,7 @@ def fkn_diagnostics(enc: GEncoding) -> MomentDiagnostics:
         sq *= sq  # r^4 without pow
         fourth += sq.sum(axis=1)
         del r, f, sq
-    r_norm2 = _r_norm2_mean(proj, enc.H)
+    r_norm2 = _r_norm2_mean(proj, agg.H)
     # epsilon = 0 makes g = h sqrt(tr M_H), so r = 0 exactly: no tail
     tail_prob = 0.0 if eps == 0 else tail / N
     markov = Fraction(0) if eps == 0 else r_norm2 / (36 * (m - 1) ** 2 * m**4 * eps)
@@ -294,7 +295,7 @@ def measured_gap(m: int, n: int) -> tuple[float, bool]:
 def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport:
     """Full pipeline: IR, kernel distance (checked against IR/gap),
     nearest dictator, rounding, and moment diagnostics, on the shared
-    pair counts and encoding of agg or of its centered rule.  Refuses
+    pair counts of agg or of its centered rule.  Refuses
     an H transitive on the rank positions (ValueError), and a centered
     rule past the IR budget before its n+1 voters are built."""
     _require_fixing(agg.H)
@@ -302,8 +303,7 @@ def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport
         check_ir_budget(agg.m, agg.n + 1)
     work = center_aggregator(agg) if center else agg
     ir = ir_combinatorial(work).profile_distance
-    enc = encode_g(work)
-    proj = kernel_projection(enc)
+    proj = kernel_projection(work)
     gap, exhaustive = measured_gap(work.m, work.n)
     # E ||g - A* rho1(x_voter)||^2, the best without rounding
     unconstrained = proj.trace - proj.coefficient_norms[proj.voter - 1]
@@ -314,5 +314,5 @@ def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport
         voter=proj.voter, coefficient_norms=list(proj.coefficient_norms),
         rounded_sigma=format_perm(work.H.cosets[proj.coset].representative),
         rounded_coset=proj.coset, dictator_distance_sq=proj.dictator_distance_sq,
-        rounding_factor=factor, centered=center, diagnostics=fkn_diagnostics(enc),
+        rounding_factor=factor, centered=center, diagnostics=fkn_diagnostics(work),
     )

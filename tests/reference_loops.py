@@ -35,7 +35,7 @@ import numpy as np
 from irlap.aggregators import (
     NAMED_RULE_PARAMS,
     Aggregator,
-    GEncoding,
+    encode_g,
     profile_tables,
     random_aggregator,
 )
@@ -177,26 +177,27 @@ def degree2_residual(values: np.ndarray, n: int, table) -> float:
     return max(total - explained, 0.0)
 
 
-def fkn_r(enc) -> np.ndarray:
-    """r = h h^T - M of `rounding.fkn_diagnostics` on every profile,
-    shape (m!^n, m-1, m-1), with h evaluated from the float A."""
-    proj = kernel_projection(enc)
-    m, n, table, K = enc.m, enc.n, enc.rho1, proj.trace
+def fkn_r(agg: Aggregator, table) -> np.ndarray:
+    """r = h h^T - M of `rounding.fkn_diagnostics` on every profile in
+    `table`'s basis, shape (m!^n, m-1, m-1), with h evaluated from the
+    float A."""
+    proj = kernel_projection(agg)
+    m, n, K = agg.m, agg.n, proj.trace
     C = table.basis.C
     A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (
-        factorial(m) ** n * enc.H.order * m * math.sqrt(K))
+        factorial(m) ** n * agg.H.order * m * math.sqrt(K))
     h = LinFunction(n, np.zeros((m - 1, m - 1)), A).evaluate_all(table)
-    return np.einsum("xkl,xtl->xkt", h, h) - enc.g_coset[0] / K
+    return np.einsum("xkl,xtl->xkt", h, h) - encode_g(agg, table)[0] / K
 
 
-def fkn_diagnostics(enc) -> MomentDiagnostics:
-    """The moments of r as whole-array float reductions over every
-    profile; E ||r||^2, the Markov bound and bound_ok from the float
-    mean, not the closed form."""
-    proj = kernel_projection(enc)
-    m, K = enc.m, proj.trace
+def fkn_diagnostics(agg: Aggregator, table) -> MomentDiagnostics:
+    """The moments of r in `table`'s basis as whole-array float
+    reductions over every profile; E ||r||^2, the Markov bound and
+    bound_ok from the float mean, not the closed form."""
+    proj = kernel_projection(agg)
+    m, K = agg.m, proj.trace
     eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
-    r = fkn_r(enc)
+    r = fkn_r(agg, table)
     r_norm2 = float((r**2).sum(axis=(1, 2)).mean())
     r_entry4 = float((r**4).mean(axis=0).max())
     alpha = 6 * (m - 1) * m**2 * math.sqrt(eps)
@@ -207,19 +208,19 @@ def fkn_diagnostics(enc) -> MomentDiagnostics:
                              r_norm2 <= bound)
 
 
-def kernel_projection_by_votes(enc) -> KernelProjection:
+def kernel_projection_by_votes(agg: Aggregator) -> KernelProjection:
     """The exact projection from counts[i, v, c], the profiles where
     voter i+1 casts v and the output is coset c, one bincount per vote:
     Q^i = sum_{v,c} counts[i, v, c] Pc[c] mPi P(v)^T and the B term
     sum_c #c Pc[c], with Pc[c] = |H| times coset c's mean of P."""
-    m, n, H = enc.m, enc.n, enc.H
+    m, n, H = agg.m, agg.n, agg.H
     N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
     Pc = profile_tables(H).prof.swapaxes(1, 2)
     ncos, fact = len(Pc), factorial(m)
     mPi = m * np.eye(m, dtype=np.int64) - 1
     counts = np.zeros((n, fact, ncos), dtype=np.int64)
     for i in range(n):
-        view = voter_view(enc.table, i, n)
+        view = voter_view(agg.table, i, n)
         for v in range(fact):
             counts[i, v] = np.bincount(view[v], minlength=ncos)
     per_vote = (counts @ (Pc @ mPi).reshape(ncos, -1)).reshape(n, -1, m, m)
@@ -500,20 +501,21 @@ def coset_form_raw(agg: Aggregator, X: np.ndarray, variant: str) -> Fraction:
     return Fraction(total, h * h)
 
 
-def _class_sum_form(enc: GEncoding) -> float:
-    """tr(G L^n G^T) for the matrix encoding, in the basis it was
-    encoded with, via the per-class identity: the Y (x) D form on one
-    rank class equals (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with
-    v_a = C_j g(a)^T = W_j[f(a)], W_j = g_coset C_j a per-coset table
-    gathered through the classes of the coset table, the class terms
-    added in (i, j, r) order."""
-    m, n = enc.m, enc.n
+def _class_sum_form(agg: Aggregator, table) -> float:
+    """tr(G L^n G^T) for the matrix encoding in `table`'s basis, via the
+    per-class identity: the Y (x) D form on one rank class equals
+    (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 with v_a = C_j g(a)^T =
+    W_j[f(a)], W_j = g_c C_j a per-coset table gathered through the
+    classes of the coset table, the class terms added in (i, j, r)
+    order."""
+    m, n = agg.m, agg.n
     k, classes = factorial(m - 1), rank_classes(m)
-    W = [np.einsum("l,xkl->xk", c, enc.g_coset) for c in enc.rho1.basis.C]  # (#cosets, m-1)
+    g = encode_g(agg, table)
+    W = [np.einsum("l,xkl->xk", c, g) for c in table.basis.C]  # (#cosets, m-1)
     norms = [np.einsum("xk,xk->x", Wj, Wj) for Wj in W]
     terms = np.empty((n, m, m))
     for i in range(n):
-        view = voter_view(enc.table, i, n)
+        view = voter_view(agg.table, i, n)
         for j in range(m):
             cls = view[classes[j]]  # (m, (m-1)!, slabs) coset ids
             sums = W[j][cls].sum(axis=1)  # (m, slabs, m-1)
@@ -523,10 +525,10 @@ def _class_sum_form(enc: GEncoding) -> float:
     return float(np.cumsum(terms)[-1])  # cumsum adds one term at a time
 
 
-def l_form_float(enc: GEncoding) -> float:
-    """The canonical L value from the float class sums of enc, in enc's
-    basis: 2 tr(G L^n G^T) / m!^(n+1)."""
-    return float(2 * _class_sum_form(enc) / factorial(enc.m) ** (enc.n + 1))
+def l_form_float(agg: Aggregator, table) -> float:
+    """The canonical L value from the float class sums of agg in
+    `table`'s basis: 2 tr(G L^n G^T) / m!^(n+1)."""
+    return float(2 * _class_sum_form(agg, table) / factorial(agg.m) ** (agg.n + 1))
 
 
 def calibrate_kappa(variant: str, m: int, n: int, H, trials: int = 5, seed: int = 0) -> list:

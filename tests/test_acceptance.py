@@ -13,11 +13,10 @@ import reference_loops as ref
 from irlap.aggregators import (
     Aggregator,
     corrupt_aggregator,
-    encode_g,
     make_dictator,
     random_aggregator,
 )
-from irlap.basis import trivial_multiplicity
+from irlap.basis import rho1_table, trivial_multiplicity
 from irlap.laplacian import (
     apply_Ln,
     apply_quadratic_form,
@@ -115,7 +114,7 @@ def test_criterion_3_quadratic_form_equivalence():
                     ok &= abs(qL.canonical - float(oracle)) <= 1e-9
                     ok &= abs(apply_Ln(agg) - float(oracle)) <= 1e-9
                     # the float class sums over the profiles, the identity's oracle
-                    ok &= abs(ref.l_form_float(encode_g(agg)) - float(oracle)) <= 1e-9
+                    ok &= abs(ref.l_form_float(agg, rho1_table(m)) - float(oracle)) <= 1e-9
                     # kappa constancy: oracle / raw is the fixed constant
                     if q2.raw != 0:
                         ok &= oracle / q2.raw == kappa("L2", m, n)
@@ -148,7 +147,7 @@ def test_criterion_4_gap_bracket_and_kernel_bound():
                 make_dictator(1 + seed % n, sigma, H, n),
                 1 + seed % 3, rng)
             ir = ir_combinatorial(agg).profile_distance
-            dist = kernel_projection(encode_g(agg)).kernel_distance_sq  # exact
+            dist = kernel_projection(agg).kernel_distance_sq  # exact
             ok &= dist <= ir / gap + 1e-9
             count += 1
     report(4, "gap bracket and robustness bound", ok,

@@ -98,8 +98,8 @@ def test_evaluate_rejects_non_permutation_votes():
 
 def test_swf_dictator_encoding_is_orthogonal():
     H = trivial_subgroup(3)
-    enc = encode_g(make_dictator(1, parse_perm("213", 3), H, 1))
-    for g in enc.g_coset[enc.table]:
+    agg = make_dictator(1, parse_perm("213", 3), H, 1)
+    for g in encode_g(agg)[agg.table]:
         assert np.abs(g @ g.T - np.eye(2)).max() <= 1e-10
 
 
@@ -133,12 +133,12 @@ def _partitions(draw, lo=3, hi=5):
 @given(_partitions(), st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 def test_coset_means_satisfy_the_consistency_identity(drawn, basis_seed):
     """g_c g_c^T = M_H on every coset mean, in the Helmert basis or a
-    random one; g(x) = g_coset[f(x)], so this holds at every profile."""
+    random one; g(x) = g_c[f(x)], so this holds at every profile."""
     m, partition = drawn
     H = build_fixing_subgroup(m, partition)
     basis = build_basis(m) if basis_seed is None else build_basis(m, "random", basis_seed)
     table = Rho1Table(m, basis)
-    gc = encode_g(make_constant(0, H, 1), table).g_coset
+    gc = encode_g(make_constant(0, H, 1), table)
     MH = np.mean([table.of(h) for h in H.members], axis=0)
     assert len(gc) == len(H.cosets)
     assert np.abs(np.einsum("ckl,ctl->ckt", gc, gc) - MH).max() <= 1e-10
@@ -177,9 +177,10 @@ def test_alternating_subgroup_flagged_nonfixing():
 def test_m_h_two_ways_agree():
     table = rho1_table(3)
     H = winner_subgroup(3)
-    enc = encode_g(make_constant(1, H, 1), table)
+    agg = make_constant(1, H, 1)
+    g = encode_g(agg, table)[agg.table]
     MH_from_members = np.mean([table.of(h) for h in H.members], axis=0)
-    MH_from_g = enc.g_coset[enc.table][0] @ enc.g_coset[enc.table][0].T
+    MH_from_g = g[0] @ g[0].T
     assert np.abs(MH_from_members - MH_from_g).max() <= 1e-10
 
 

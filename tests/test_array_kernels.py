@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import reference_loops as ref
 from irlap.aggregators import (
     corrupt_aggregator,
-    encode_g,
     from_json,
     make_dictator,
     make_borda,
@@ -22,7 +21,7 @@ from irlap.aggregators import (
     random_aggregator,
     to_json,
 )
-from irlap.basis import Rho1Table, build_basis, rho1_table
+from irlap.basis import rho1_table
 from irlap.moments import blocks_direct, moments
 from irlap.perms import (
     build_fixing_subgroup,
@@ -187,41 +186,41 @@ def test_r_lies_in_the_degree2_span(m, n):
     mass of order 1 there, so the oracle sees such mass."""
     table = rho1_table(m)
     rng = np.random.default_rng(m * 10 + n)
-    enc = encode_g(random_aggregator(m, n, trivial_subgroup(m), rng), table)
-    r = ref.fkn_r(enc).reshape(math.factorial(m) ** n, -1)
+    agg = random_aggregator(m, n, trivial_subgroup(m), rng)
+    r = ref.fkn_r(agg, table).reshape(math.factorial(m) ** n, -1)
     assert max(ref.degree2_residual(r[:, k], n, table) for k in range(r.shape[1])) <= 1e-12
     noise = rng.standard_normal(len(r))
     assert ref.degree2_residual(noise, n, table) >= 0.5
 
 
 FKN_CASES = {  # the four ensemble-lib shapes first
-    "3,2": lambda rng: encode_g(random_aggregator(3, 2, trivial_subgroup(3), rng)),
-    "3,2 winner": lambda rng: encode_g(random_aggregator(3, 2, winner_subgroup(3), rng)),
-    "4,1": lambda rng: encode_g(random_aggregator(4, 1, trivial_subgroup(4), rng)),
-    "4,2 winner": lambda rng: encode_g(random_aggregator(4, 2, winner_subgroup(4), rng)),
-    "4,3": lambda rng: encode_g(random_aggregator(4, 3, trivial_subgroup(4), rng)),
-    "5,2": lambda rng: encode_g(random_aggregator(5, 2, trivial_subgroup(5), rng)),
-    "3,2 centered": lambda rng: encode_g(center_aggregator(
-        random_aggregator(3, 2, winner_subgroup(3), rng))),
-    "4,2 random basis": lambda rng: encode_g(
-        random_aggregator(4, 2, trivial_subgroup(4), rng),
-        Rho1Table(4, build_basis(4, "random", seed=3))),
+    "3,2": lambda rng: random_aggregator(3, 2, trivial_subgroup(3), rng),
+    "3,2 winner": lambda rng: random_aggregator(3, 2, winner_subgroup(3), rng),
+    "4,1": lambda rng: random_aggregator(4, 1, trivial_subgroup(4), rng),
+    "4,2 winner": lambda rng: random_aggregator(4, 2, winner_subgroup(4), rng),
+    "4,3": lambda rng: random_aggregator(4, 3, trivial_subgroup(4), rng),
+    "5,2": lambda rng: random_aggregator(5, 2, trivial_subgroup(5), rng),
+    "3,2 centered": lambda rng: center_aggregator(
+        random_aggregator(3, 2, winner_subgroup(3), rng)),
+    "4,2": lambda rng: random_aggregator(4, 2, trivial_subgroup(4), rng),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _fkn_oracle(case):
-    enc = FKN_CASES[case](np.random.default_rng(13))
-    return enc, ref.fkn_diagnostics(enc)
+    """The rule and the whole-array oracle in the Helmert basis, the
+    basis of the streamed pass."""
+    agg = FKN_CASES[case](np.random.default_rng(13))
+    return agg, ref.fkn_diagnostics(agg, rho1_table(agg.m))
 
 
 @pytest.mark.parametrize("one_slab", [False, True], ids=["block", "slab"])
 @pytest.mark.parametrize("case", FKN_CASES)
 def test_streamed_fkn_matches_whole_array_oracle(case, one_slab, monkeypatch):
-    enc, want = _fkn_oracle(case)
+    agg, want = _fkn_oracle(case)
     if one_slab:  # every block one slab: many blocks even at these sizes
         monkeypatch.setattr(rounding, "BLOCK", 1)
-    got = fkn_diagnostics(enc)
+    got = fkn_diagnostics(agg)
     assert abs(got.r_entry4_max - want.r_entry4_max) <= 1e-9 * want.r_entry4_max
     assert math.isclose(got.r_norm2_mean, want.r_norm2_mean, rel_tol=1e-12, abs_tol=1e-15)
     assert math.isclose(got.tail_markov_bound, want.tail_markov_bound, rel_tol=1e-12)

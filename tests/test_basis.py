@@ -127,8 +127,8 @@ def test_projection_recovers_constant():
 
 
 def test_projection_plurality_has_residual():
-    enc = encode_g(make_plurality(3, 2))
-    lin, residual = project_to_lin(enc.g_coset[enc.table], 2, rho1_table(3))
+    agg = make_plurality(3, 2)
+    lin, residual = project_to_lin(encode_g(agg)[agg.table], 2, rho1_table(3))
     assert residual > 1e-3
 
 
@@ -153,12 +153,12 @@ def test_basis_independence():
     helmert = build_basis(3)
     alt = build_basis(3, kind="random", seed=11)
     assert not np.allclose(helmert.C, alt.C)
-    enc = encode_g(make_plurality(3, 2), Rho1Table(3, helmert))
-    enc_alt = encode_g(make_plurality(3, 2), Rho1Table(3, alt))
-    _, res = project_to_lin(enc.g_coset[enc.table], 2, Rho1Table(3, helmert))
-    _, res_alt = project_to_lin(enc_alt.g_coset[enc_alt.table], 2, Rho1Table(3, alt))
+    agg = make_plurality(3, 2)
+    table, table_alt = Rho1Table(3, helmert), Rho1Table(3, alt)
+    _, res = project_to_lin(encode_g(agg, table)[agg.table], 2, table)
+    _, res_alt = project_to_lin(encode_g(agg, table_alt)[agg.table], 2, table_alt)
     assert abs(res - res_alt) <= 1e-9
-    assert abs(ref.l_form_float(enc) - ref.l_form_float(enc_alt)) <= 1e-9
+    assert abs(ref.l_form_float(agg, table) - ref.l_form_float(agg, table_alt)) <= 1e-9
     assert abs(spectral_gap(3, 1, basis=helmert).gap
                - spectral_gap(3, 1, basis=alt).gap) <= 1e-9
     e1 = hat_l1(3, helmert).eigenvalues

@@ -324,10 +324,9 @@ def test_subcommands_load_only_their_modules(argv):
 
 
 def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
-    """IR, manipulation and robustness share one pair count and one
-    encoding of the rule."""
+    """IR, manipulation and robustness share one pair count of the rule."""
     import irlap.cli as cli
-    from irlap import aggregators, metrics
+    from irlap import metrics
 
     calls = []
 
@@ -338,16 +337,14 @@ def test_analyze_counts_pairs_once(monkeypatch, tmp_path):
         return wrapper
 
     monkeypatch.setattr(metrics, "_count_pairs", counted("pairs", metrics._count_pairs))
-    monkeypatch.setattr(aggregators, "_encode", counted("encoding", aggregators._encode))
     argv = ["analyze", "--m", "3", "--n", "2", "--rule", "random", "--out",
             str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    assert sorted(calls) == ["encoding", "pairs"]
+    assert calls == ["pairs"]
     calls.clear()
-    # the centered rule is counted and encoded; the rule itself is only
-    # counted, for its IR, which reads no encoding
+    # the centered rule is counted for its report, the rule itself for its IR
     assert cli.main(argv + ["--center"]) == 0
-    assert sorted(calls) == ["encoding", "pairs", "pairs"]
+    assert calls == ["pairs", "pairs"]
 
 
 def test_analyze_refuses_before_building_the_rule(monkeypatch, tmp_path):
@@ -418,12 +415,44 @@ def test_small_m_exits_without_a_traceback(m, capsys):
     jobs = [["spectra", "--m", str(m), "--n", "1"], ["census", "--m", str(m)],
             ["moments", "--m", str(m), "--samples", "5"]]
     jobs += [["analyze", "--m", str(m), "--rule", rule] for rule in _named_rules(m)]
+    names_m = {"spectra": m < 3, "census": m < 2}  # the jobs that refuse this m
     for argv in jobs:
-        assert cli.main(argv) in (0, 2, 3), argv
-        assert "Traceback" not in capsys.readouterr().err, argv
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err, argv
+        if names_m.get(argv[0]):
+            assert code == 2 and f"got m={m}" in err, (argv, err)
     if m == 2:
         assert cli.main(["analyze", "--m", "2", "--rule", "random"]) == 2
         assert "analyze requires m >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--m", "4", "--n", "2"],
+    ["census", "--m", "7", "--n", "1"],
+    ["analyze", "--m", "3", "--n", "500", "--rule", "borda"],
+    ["analyze", "--m", "5", "--n", "200", "--rule", "plurality"],
+    ["census", "--m", "9", "--n", "800"],
+])
+def test_sizes_past_the_float_range_are_refused(argv):
+    """A census or IR size past the float range is compared and printed
+    without converting it to float; m!^n past 10^30 (4448 digits at
+    --m 9 --n 800) is printed as such."""
+    proc = run(*argv, check=False)
+    assert proc.returncode == 3 and "refused" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_census_refuses_before_building_the_subgroup(monkeypatch, capsys):
+    import irlap.cli as cli
+    import irlap.perms as perms
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the subgroup was built before the census budget check")
+
+    monkeypatch.setattr(perms, "build_fixing_subgroup", unreachable)
+    assert cli.main(["census", "--m", "9", "--n", "1"]) == 3
+    assert "362880^362880" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--out", "--input", "--orders"])

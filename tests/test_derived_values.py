@@ -1,21 +1,19 @@
-"""Per-aggregator derived values: the pair counts, the default-basis
-coset means and the kernel projection are built once per aggregator,
-shared by every consumer, read-only, and equal to a fresh build."""
+"""Per-aggregator derived values: the pair counts and the kernel
+projection are built once per aggregator, shared by every consumer,
+read-only, and equal to a fresh build."""
 
-import gc
 import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
 
 import irlap
-from irlap import aggregators, laplacian, metrics
+from irlap import laplacian, metrics
 from irlap._util import FeasibilityError
 from irlap.aggregators import (
     corrupt_aggregator,
@@ -25,7 +23,6 @@ from irlap.aggregators import (
     random_aggregator,
     to_json,
 )
-from irlap.basis import rho1_table
 from irlap.laplacian import apply_Ln, apply_quadratic_form
 from irlap.metrics import (
     ir_combinatorial,
@@ -53,7 +50,7 @@ def _run_everything(agg):
     return ir, forms, manip.to_dict(), robust.to_dict()
 
 
-def test_one_run_builds_the_counts_and_the_encoding_once(monkeypatch):
+def test_one_run_builds_the_pair_counts_once(monkeypatch):
     builds = []
 
     def spy(name, fn):
@@ -63,68 +60,42 @@ def test_one_run_builds_the_counts_and_the_encoding_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(metrics, "_count_pairs", spy("pairs", metrics._count_pairs))
-    monkeypatch.setattr(aggregators, "_encode", spy("encoding", aggregators._encode))
     agg = _rule()
     _run_everything(agg)
-    assert sorted(builds) == ["encoding", "pairs"]  # the L form is read off the pair counts
+    assert builds == ["pairs"]  # the L form and the projection read the pair counts
     _run_everything(agg)
-    assert sorted(builds) == ["encoding", "pairs"]  # a second run builds nothing
+    assert builds == ["pairs"]  # a second run builds nothing
 
 
 def test_shared_values_are_read_only():
     agg = _rule()
     cnt_all, cnt_same = pair_count_tensors(agg)
-    enc = encode_g(agg)
-    for array in (agg.table, cnt_all, cnt_same, enc.g_coset):
+    for array in (agg.table, cnt_all, cnt_same, encode_g(agg)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert encode_g(agg).g_coset is enc.g_coset  # each call wraps the kept coset means
     assert pair_count_tensors(agg)[0] is cnt_all
-
-
-def test_a_rule_and_its_kept_values_are_freed_with_its_last_reference():
-    """An encoding holds its rule, and the rule keeps only the coset
-    means, so no reference cycle waits for the garbage collector."""
-    agg = _rule()
-    _run_everything(agg)
-    enc, gone = encode_g(agg), weakref.ref(agg)
-    gc.disable()
-    try:
-        del agg
-        assert gone() is not None  # the encoding keeps its rule
-        del enc
-        assert gone() is None
-    finally:
-        gc.enable()
-
-
-def test_an_explicit_table_builds_a_fresh_encoding():
-    agg = _rule()
-    fresh = encode_g(agg, rho1_table(agg.m))
-    assert fresh.g_coset is not encode_g(agg).g_coset
-    assert np.array_equal(fresh.g_coset[fresh.table], encode_g(agg).g_coset[agg.table])
 
 
 def test_budgets_refuse_after_a_warm_call(monkeypatch):
     agg = random_aggregator(3, 2, trivial_subgroup(3), np.random.default_rng(2))
     ir_combinatorial(agg)
-    enc = encode_g(agg)
     apply_Ln(agg)
-    kernel_projection(enc)
+    kernel_projection(agg)
     monkeypatch.setattr(laplacian, "LN_BUDGET", 10)
-    for call, arg in ((ir_combinatorial, agg), (apply_Ln, agg), (kernel_projection, enc)):
+    for call in (ir_combinatorial, apply_Ln, kernel_projection):
         with pytest.raises(FeasibilityError, match="combinatorial IR budget"):
-            call(arg)
+            call(agg)
 
 
-def _refuse_voter_view(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the profile table was read through voter_view")
+def _refuse(monkeypatch, name):
+    """Make `name` raise in every irlap module that binds it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"irlap called {name}")
 
     for info in pkgutil.iter_modules(irlap.__path__, "irlap."):
         module = importlib.import_module(info.name)
-        if hasattr(module, "voter_view"):
-            monkeypatch.setattr(module, "voter_view", refuse)
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
 
 
 def test_the_l_form_reads_the_kept_pair_counts_not_the_table(monkeypatch):
@@ -135,27 +106,51 @@ def test_the_l_form_reads_the_kept_pair_counts_not_the_table(monkeypatch):
     agg = _rule(seed=6)
     want = ir_combinatorial(_rule(seed=6)).profile_distance
     pair_count_tensors(agg)
-    _refuse_voter_view(monkeypatch)
+    _refuse(monkeypatch, "voter_view")
     assert apply_Ln(agg) == want
     assert apply_quadratic_form(agg, None, "L").canonical == want
 
 
 def test_the_projection_reads_the_kept_pair_counts_not_the_table(monkeypatch):
     """Once the pair counts are kept, the kernel projection and the FKN
-    diagnostics read them and the encoding's per-coset arrays, and no
-    irlap module looks at the profile table through a voter view."""
+    diagnostics read them and H's tables, and no irlap module looks at
+    the profile table through a voter view."""
     agg, twin = _rule(seed=5), _rule(seed=5)
-    want_proj, want_diag = kernel_projection(encode_g(twin)), fkn_diagnostics(encode_g(twin))
+    want_proj, want_diag = kernel_projection(twin), fkn_diagnostics(twin)
     pair_count_tensors(agg)
-    _refuse_voter_view(monkeypatch)
-    enc = encode_g(agg)
-    proj = kernel_projection(enc)
+    _refuse(monkeypatch, "voter_view")
+    proj = kernel_projection(agg)
     assert np.array_equal(proj.Q, want_proj.Q)
     for name in ("trace", "B_norm_sq", "coefficient_norms", "kernel_distance_sq", "voter",
                  "coset", "dictator_distance_sq"):
         assert getattr(proj, name) == getattr(want_proj, name), name
-    assert fkn_diagnostics(enc) == want_diag
-    assert kernel_projection(encode_g(agg, rho1_table(agg.m))) is proj  # kept on the rule
+    assert fkn_diagnostics(agg) == want_diag
+    assert kernel_projection(agg) is proj  # kept on the rule
+
+
+def test_the_report_path_builds_no_encoding(monkeypatch, tmp_path):
+    """robustness_report and `analyze` read the rule's pair counts and
+    H alone: no coset means are built, and the rule keeps exactly its
+    pair counts and kernel projection."""
+    import irlap.cli as cli
+    from irlap import rounding
+
+    _refuse(monkeypatch, "encode_g")
+    agg = _rule()
+    for center in (False, True):
+        robustness_report(agg, center=center)
+    assert sorted(agg._derived) == ["pair_counts", "projection"]
+    rules, report = [], rounding.robustness_report
+
+    def keep(rule, **kwargs):
+        rules.append(rule)
+        return report(rule, **kwargs)
+
+    monkeypatch.setattr(rounding, "robustness_report", keep)
+    argv = ["analyze", "--m", "3", "--n", "2", "--rule", "random", "--out",
+            str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert sorted(rules[0]._derived) == ["pair_counts", "projection"]
 
 
 def test_a_fresh_aggregator_gives_the_memoized_values():
@@ -166,13 +161,13 @@ def test_a_fresh_aggregator_gives_the_memoized_values():
     assert _run_everything(twin) == warm
     for a, b in zip(pair_count_tensors(twin), pair_count_tensors(agg)):
         assert np.array_equal(a, b)
-    assert np.array_equal(encode_g(twin).g_coset[twin.table], encode_g(agg).g_coset[agg.table])
+    assert np.array_equal(encode_g(twin)[twin.table], encode_g(agg)[agg.table])
 
 
 PRELUDE = """
 import tracemalloc
 import numpy as np
-from irlap.aggregators import encode_g, profile_tables, random_aggregator
+from irlap.aggregators import profile_tables, random_aggregator
 from irlap.basis import rho1_table
 from irlap.laplacian import apply_Ln
 from irlap.metrics import pair_count_tensors
@@ -197,15 +192,14 @@ def _traced_bytes(script: str, m: int = 5, n: int = 2) -> int:
 
 
 def test_ir_stages_retain_only_their_kept_values():
-    """The coset means, the pair counts and the kernel projection keep
-    their results on the rule, the L form keeps nothing, and nothing
-    of profile size is kept besides: no index table or per-profile
-    encoding outlives the call."""
+    """The pair counts and the kernel projection keep their results on
+    the rule, the L form keeps nothing, and nothing of profile size is
+    kept besides: no index table or per-profile encoding outlives the
+    call."""
     retained = _traced_bytes("""
-enc = encode_g(agg)
 counts = pair_count_tensors(agg)
 apply_Ln(agg)
-Q = kernel_projection(enc).Q
+Q = kernel_projection(agg).Q
 print(tracemalloc.get_traced_memory()[0] - sum(a.nbytes for a in counts) - Q.nbytes)
 """)
     assert retained <= 64 * 1024

@@ -306,7 +306,7 @@ def test_l_form_reads_the_encoding_basis(m, n):
     alt = build_basis(m, kind="random", seed=1)
     agg = random_aggregator(m, n, trivial_subgroup(m), np.random.default_rng(3))
     oracle = ir_combinatorial(agg).profile_distance
-    assert abs(ref.l_form_float(encode_g(agg, Rho1Table(m, alt))) - float(oracle)) <= 1e-9
+    assert abs(ref.l_form_float(agg, Rho1Table(m, alt)) - float(oracle)) <= 1e-9
     assert apply_quadratic_form(agg, build_one_voter(m, alt), "L").canonical == oracle
 
 
@@ -379,7 +379,7 @@ def test_class_sum_oracle_matches_the_exact_l_form(data):
     exact = float(apply_Ln(agg))
     alt = build_basis(m, "random", seed=data.draw(st.integers(0, 10**6), label="basis seed"))
     for table in (rho1_table(m), Rho1Table(m, alt)):
-        got = ref.l_form_float(encode_g(agg, table))
+        got = ref.l_form_float(agg, table)
         assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-12), (kind, got, exact)
 
 
@@ -494,11 +494,11 @@ def test_ln_matches_dense_operator():
     rng = np.random.default_rng(5)
     H = trivial_subgroup(m)
     agg = random_aggregator(m, n, H, rng)
-    enc = encode_g(agg)
+    g = encode_g(agg)[agg.table]
     Ln = build_Ln_dense(m, n) * factorial(m)  # un-normalized
     dense_raw = 0.0
     for k in range(m - 1):
-        vec = enc.g_coset[enc.table][:, k, :].reshape(-1)
+        vec = g[:, k, :].reshape(-1)
         dense_raw += float(vec @ Ln @ vec)
     canonical = 2 * dense_raw / factorial(m) ** (n + 1)
     assert abs(canonical - apply_Ln(agg)) <= 1e-9

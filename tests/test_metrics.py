@@ -15,7 +15,6 @@ from irlap.aggregators import (
     corrupt_aggregator,
     make_dictator,
     make_plurality,
-    encode_g,
     profile_tables,
     random_aggregator,
 )
@@ -225,7 +224,7 @@ def test_statistics_follow_a_voter_permutation(shape, seed, dictator, data):
         assert (apply_quadratic_form(moved, None, variant).canonical
                 == apply_quadratic_form(agg, None, variant).canonical)
     assert apply_Ln(moved) == apply_Ln(agg)
-    proj, proj_moved = (kernel_projection(encode_g(a)) for a in (agg, moved))
+    proj, proj_moved = (kernel_projection(a) for a in (agg, moved))
     assert proj_moved.kernel_distance_sq == proj.kernel_distance_sq
     assert list(proj_moved.coefficient_norms) == [proj.coefficient_norms[i] for i in perm]
     per_voter = manipulation_power(agg).per_voter

@@ -20,8 +20,8 @@ from irlap.aggregators import (
     make_plurality,
     random_aggregator,
 )
-from irlap.basis import Rho1Table, build_basis, project_to_lin
-from irlap.cli import _build_rule, _subgroup
+from irlap.basis import Rho1Table, build_basis, project_to_lin, rho1_table
+from irlap.cli import _blocks, _build_rule
 from irlap.laplacian import spectral_gap
 from irlap.perms import (
     broadcast_voter,
@@ -47,8 +47,8 @@ from reference_loops import kernel_projection_by_votes
 
 
 def test_kernel_distance_zero_for_dictator():
-    enc = encode_g(make_dictator(1, parse_perm("312", 3), trivial_subgroup(3), 2))
-    assert kernel_projection(enc).kernel_distance_sq == 0
+    agg = make_dictator(1, parse_perm("312", 3), trivial_subgroup(3), 2)
+    assert kernel_projection(agg).kernel_distance_sq == 0
 
 
 def test_kernel_distance_bound_one_corruption():
@@ -60,15 +60,15 @@ def test_kernel_distance_bound_one_corruption():
     from irlap.metrics import ir_combinatorial
 
     ir = ir_combinatorial(corr).profile_distance
-    dist = kernel_projection(encode_g(corr)).kernel_distance_sq
+    dist = kernel_projection(corr).kernel_distance_sq
     assert 0 < dist <= ir / Fraction(1, 6)  # one-voter gap is exactly 1/6
 
 
 def test_random_basis_encoding_gives_the_helmert_values():
-    enc = encode_g(make_plurality(3, 2), Rho1Table(3, build_basis(3, "random", seed=1)))
-    assert kernel_projection(enc).kernel_distance_sq == Fraction(19, 54)
-    assert abs(project_to_lin(enc.g_coset[enc.table], 2, enc.rho1)[1] - 19 / 54) <= 1e-12
-    assert fkn_diagnostics(enc).epsilon == Fraction(1, 2)
+    agg, table = make_plurality(3, 2), Rho1Table(3, build_basis(3, "random", seed=1))
+    assert kernel_projection(agg).kernel_distance_sq == Fraction(19, 54)
+    assert abs(project_to_lin(encode_g(agg, table)[agg.table], 2, table)[1] - 19 / 54) <= 1e-12
+    assert fkn_diagnostics(agg).epsilon == Fraction(1, 2)
 
 
 def _subgroups(m):
@@ -93,25 +93,15 @@ def _drawn_rule(m, n, H, corrupted, seed):
 def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed, basis_seed):
     H = _subgroups(m)[part]
     agg = _drawn_rule(m, n, H, corrupted, rule_seed)
-    helmert = encode_g(agg)
-    other = encode_g(agg, Rho1Table(m, build_basis(m, "random", basis_seed)))
-    (lin_h, dist_h), (lin_o, dist_o) = (project_to_lin(e.g_coset[e.table], n, e.rho1)
-                                        for e in (helmert, other))
+    tables = rho1_table(m), Rho1Table(m, build_basis(m, "random", basis_seed))
+    (lin_h, dist_h), (lin_o, dist_o) = (project_to_lin(encode_g(agg, t)[agg.table], n, t)
+                                        for t in tables)
     assert abs(dist_h - dist_o) <= 1e-9
     assert np.abs((lin_h.A ** 2).sum(axis=(1, 2)) - (lin_o.A ** 2).sum(axis=(1, 2))).max() <= 1e-9
     if H.partition is None:  # the alternating group is transitive: M_H = 0
-        for call in (kernel_projection, fkn_diagnostics):
+        for call in (kernel_projection, fkn_diagnostics, robustness_report):
             with pytest.raises(ValueError, match="transitive on the rank positions"):
-                call(helmert)
-        with pytest.raises(ValueError, match="transitive on the rank positions"):
-            robustness_report(agg)
-        return
-    proj_h, proj_o = kernel_projection(helmert), kernel_projection(other)
-    assert (proj_o.voter, proj_o.coset) == (proj_h.voter, proj_h.coset)
-    assert proj_o.dictator_distance_sq == proj_h.dictator_distance_sq
-    diag_h, diag_o = fkn_diagnostics(helmert), fkn_diagnostics(other)
-    assert diag_h.epsilon == diag_o.epsilon
-    assert diag_h.r_norm2_mean == diag_o.r_norm2_mean  # exact, from the integer Q
+                call(agg)
 
 
 @settings(max_examples=30, deadline=None)
@@ -120,8 +110,8 @@ def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed,
 def test_pair_count_projection_matches_the_vote_count_oracle(m, n, part, corrupted, center,
                                                              rule_seed):
     agg = _drawn_rule(m, n, _subgroups(m)[part], corrupted, rule_seed)
-    enc = encode_g(center_aggregator(agg) if center else agg)
-    proj, oracle = kernel_projection(enc), kernel_projection_by_votes(enc)
+    work = center_aggregator(agg) if center else agg
+    proj, oracle = kernel_projection(work), kernel_projection_by_votes(work)
     assert np.array_equal(proj.Q, oracle.Q)
     for name in ("B_norm_sq", "coefficient_norms", "kernel_distance_sq", "voter", "coset",
                  "dictator_distance_sq"):
@@ -137,33 +127,34 @@ def _top_two_apart(values, pick) -> bool:
     return (ordered[-1] - ordered[-2] if pick == "max" else ordered[1] - ordered[0]) > 1e-9
 
 
-def _assert_matches_float_oracle(enc):
+def _assert_matches_float_oracle(agg, table):
     """The exact block against project_to_lin and the profile-array
-    distances that the float pipeline computed."""
-    m, n, H = enc.m, enc.n, enc.H
-    proj = kernel_projection(enc)
-    lin, residual = project_to_lin(enc.g_coset[enc.table], n, enc.rho1)
+    distances that the float pipeline computed in `table`'s basis."""
+    m, n, H = agg.m, agg.n, agg.H
+    proj = kernel_projection(agg)
+    gc = encode_g(agg, table)
+    g = gc[agg.table]
+    lin, residual = project_to_lin(g, n, table)
     assert abs(float(proj.kernel_distance_sq) - residual) <= 1e-12
     assert abs(float(proj.B_norm_sq) - float((lin.B ** 2).sum())) <= 1e-12
     norms = (lin.A ** 2).sum(axis=(1, 2))
     assert np.abs(np.array(proj.coefficient_norms, dtype=float) - norms).max() <= 1e-12
-    C = enc.rho1.basis.C
+    C = table.basis.C
     A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (factorial(m) ** n * H.order * m)
     assert np.abs(A - lin.A).max() <= 1e-12
-    assert proj.trace == pytest.approx(float(np.trace(enc.g_coset[0])), abs=1e-12)
+    assert proj.trace == pytest.approx(float(np.trace(gc[0])), abs=1e-12)
     if _top_two_apart(norms, "max"):
         assert proj.voter == int(np.argmax(norms)) + 1
     A_star = lin.A[proj.voter - 1]
-    dists = ((enc.g_coset - A_star[None]) ** 2).sum(axis=(1, 2))
+    dists = ((gc - A_star[None]) ** 2).sum(axis=(1, 2))
     if _top_two_apart(dists, "min"):
         assert proj.coset == int(np.argmin(dists))
     sigma = H.cosets[proj.coset].representative
-    rounded = enc.g_coset[make_dictator(proj.voter, sigma, H, n).table]
-    dict_sq = ((enc.g_coset[enc.table] - rounded) ** 2).sum(axis=(1, 2)).mean()
+    rounded = gc[make_dictator(proj.voter, sigma, H, n).table]
+    dict_sq = ((g - rounded) ** 2).sum(axis=(1, 2)).mean()
     assert abs(float(proj.dictator_distance_sq) - dict_sq) <= 1e-12
-    h = broadcast_voter(np.einsum("kt,xtl->xkl", A_star, enc.rho1.R), proj.voter, n)
+    h = broadcast_voter(np.einsum("kt,xtl->xkl", A_star, table.R), proj.voter, n)
     unconstrained = proj.trace - proj.coefficient_norms[proj.voter - 1]
-    g = enc.g_coset[enc.table]
     assert abs(float(unconstrained) - ((g - h) ** 2).sum(axis=(1, 2)).mean()) <= 1e-12
 
 
@@ -175,7 +166,7 @@ def test_exact_block_matches_the_float_oracle(m, n, part, corrupted, center, rul
     agg = _drawn_rule(m, n, _subgroups(m)[part], corrupted, rule_seed)
     work = center_aggregator(agg) if center else agg
     basis = build_basis(m) if basis_seed is None else build_basis(m, "random", basis_seed)
-    _assert_matches_float_oracle(encode_g(work, Rho1Table(m, basis)))
+    _assert_matches_float_oracle(work, Rho1Table(m, basis))
 
 
 GOLDEN_ANALYZE = [(stem, args) for stem, args in CASES if args[0] == "analyze"]
@@ -188,14 +179,16 @@ def _golden_rule(args):
     flags = [a for a in args[1:] if a != "--center"]
     opts = dict(zip(flags[::2], flags[1::2]))
     m, n = int(opts["--m"]), int(opts["--n"])
-    H = _subgroup(argparse.Namespace(m=m, partition=opts.get("--partition", "")))
+    partition = opts.get("--partition", "")
+    H = build_fixing_subgroup(m, _blocks(argparse.Namespace(m=m, partition=partition)))
     agg = _build_rule(opts["--rule"], m, n, H, 0)
     return center_aggregator(agg) if "--center" in args else agg
 
 
 @pytest.mark.parametrize("stem,args", GOLDEN_ANALYZE, ids=[s for s, _ in GOLDEN_ANALYZE])
 def test_exact_block_matches_the_float_oracle_on_the_golden_rules(stem, args):
-    _assert_matches_float_oracle(encode_g(_golden_rule(args)))
+    agg = _golden_rule(args)
+    _assert_matches_float_oracle(agg, rho1_table(agg.m))
 
 
 @pytest.mark.parametrize("stem,args", GOLDEN_ANALYZE, ids=[s for s, _ in GOLDEN_ANALYZE])
@@ -206,7 +199,7 @@ def test_markov_bound_and_bound_ok_are_exact_on_the_golden_rules(stem, args):
     3% of it on corrupted-dictator, random, plurality and Borda rules
     from (3, 1) to (5, 2), so every tail count is 0."""
     work = _golden_rule(args)
-    diag = fkn_diagnostics(encode_g(work))
+    diag = fkn_diagnostics(work)
     m = work.m
     assert diag.tail_prob == 0
     assert isinstance(diag.r_norm2_mean, Fraction)
@@ -235,8 +228,7 @@ def test_exact_r_norm2_mean_matches_the_whole_array_oracle(size, part, kind, rul
     agg = _drawn_rule(m, n, H, kind == "corrupted", rule_seed)
     work = center_aggregator(agg) if kind == "centered" else agg
     basis = build_basis(m) if basis_seed is None else build_basis(m, "random", basis_seed)
-    enc = encode_g(work, Rho1Table(m, basis))
-    got, want = fkn_diagnostics(enc), ref.fkn_diagnostics(enc)
+    got, want = fkn_diagnostics(work), ref.fkn_diagnostics(work, Rho1Table(m, basis))
     assert math.isclose(got.r_norm2_mean, want.r_norm2_mean, rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -246,17 +238,16 @@ def test_nearest_dictator_selection():
     doc = jsonable(robustness_report(make_plurality(4, 2)).to_dict())
     assert doc["coefficient_norms"] == ["1/4", "1/4"]
     assert doc["voter"] == 1
-    borda = kernel_projection(encode_g(make_borda(4, 3)))
+    borda = kernel_projection(make_borda(4, 3))
     assert len(set(borda.coefficient_norms)) == 1 and borda.voter == 1
-    lone = kernel_projection(encode_g(make_dictator(2, parse_perm("231", 3),
-                                                    trivial_subgroup(3), 2)))
+    lone = kernel_projection(make_dictator(2, parse_perm("231", 3), trivial_subgroup(3), 2))
     assert lone.coefficient_norms == (0, 2) and lone.voter == 2
 
 
 def test_rounding_exact_recovery():
     for H in (trivial_subgroup(3), winner_subgroup(3)):
         for sigma in enumerate_group(3):
-            proj = kernel_projection(encode_g(make_dictator(2, sigma, H, 2)))
+            proj = kernel_projection(make_dictator(2, sigma, H, 2))
             assert (proj.voter, proj.coset) == (2, H.coset_index[sigma])
             assert proj.kernel_distance_sq == proj.dictator_distance_sq == 0
             assert proj.coefficient_norms[1] == proj.trace  # ||A*||^2 = tr M_H
@@ -270,7 +261,7 @@ def test_rounding_with_noise():
         for seed in range(3):
             corr = corrupt_aggregator(make_dictator(1, sigma, H, 1), 1,
                                       np.random.default_rng(seed))
-            proj = kernel_projection(encode_g(corr))
+            proj = kernel_projection(corr)
             assert H.cosets[proj.coset].representative == sigma
             assert 0 < proj.dictator_distance_sq
 
@@ -328,8 +319,7 @@ def test_monotone_under_corruption():
 
 
 def test_fkn_diagnostics_zero_for_dictator():
-    enc = encode_g(make_dictator(1, parse_perm("123", 3), winner_subgroup(3), 2))
-    diag = fkn_diagnostics(enc)
+    diag = fkn_diagnostics(make_dictator(1, parse_perm("123", 3), winner_subgroup(3), 2))
     assert diag.epsilon == 0
     assert diag.r_norm2_mean == diag.tail_markov_bound == Fraction(0)
     assert diag.r_entry4_max <= 1e-12
@@ -340,20 +330,20 @@ def test_fkn_diagnostics_bound_and_degree():
     rng = np.random.default_rng(31)
     d = make_dictator(1, parse_perm("213", 3), trivial_subgroup(3), 2)
     corr = corrupt_aggregator(d, 2, rng)
-    enc = encode_g(corr)
-    diag = fkn_diagnostics(enc)
+    diag = fkn_diagnostics(corr)
     assert diag.bound_ok
     assert diag.r_norm2_mean <= diag.bound / 100  # the 108(m-1)^4 m^4 bound is loose
-    r = ref.fkn_r(enc).reshape(factorial(3) ** 2, -1)  # r has no mass above degree 2
-    assert max(ref.degree2_residual(r[:, k], 2, enc.rho1) for k in range(r.shape[1])) <= 1e-12
+    table = rho1_table(3)
+    r = ref.fkn_r(corr, table).reshape(factorial(3) ** 2, -1)  # no mass above degree 2
+    assert max(ref.degree2_residual(r[:, k], 2, table) for k in range(r.shape[1])) <= 1e-12
 
 
 def test_fkn_diagnostics_holds_no_profile_sized_array():
     m, n = 5, 2
-    enc = encode_g(random_aggregator(m, n, trivial_subgroup(m), np.random.default_rng(3)))
+    agg = random_aggregator(m, n, trivial_subgroup(m), np.random.default_rng(3))
     tracemalloc.start()
     try:
-        fkn_diagnostics(enc)
+        fkn_diagnostics(agg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,8 +355,7 @@ def test_centering_zeroes_mean_and_keeps_consistency():
     agg = random_aggregator(3, 1, winner_subgroup(3), rng)
     centered = center_aggregator(agg)
     assert centered.n == 2
-    enc = encode_g(centered)
-    assert np.abs(enc.g_coset[enc.table].mean(axis=0)).max() <= 1e-12
+    assert np.abs(encode_g(centered)[centered.table].mean(axis=0)).max() <= 1e-12
     from irlap.aggregators import consistency_check
 
     assert consistency_check(centered).max_deviation <= 1e-9
