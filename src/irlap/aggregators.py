@@ -367,7 +367,11 @@ def from_json(doc: dict) -> Aggregator:
     if kind in NAMED_RULE_PARAMS:
         if "entries" in doc:
             raise ValueError(f"named rule {kind!r} is built from params; it takes no entries")
-        return make_named_rule(kind, params, H, n)
+        agg = make_named_rule(kind, params, H, n)
+        if agg.H.partition != H.partition:  # plurality and Borda fix their own
+            raise ValueError(f"the document's partition {doc['partition']} disagrees with "
+                             f"the {kind} rule's {[list(block) for block in agg.H.partition]}")
+        return agg
     if "entries" not in doc:
         raise ValueError(f"aggregator type {kind!r} needs entries")
     entries = expect_json(doc["entries"], list, "entries")

@@ -86,13 +86,16 @@ def cmd_spectra(args) -> None:
 
 def cmd_census(args) -> None:
     from .metrics import census_ir_functions, check_census_budget
-    from .perms import MAX_M, build_fixing_subgroup, coset_count
+    from .perms import MAX_M, TRANSITIVE, build_fixing_subgroup, coset_count
 
     if not 2 <= args.m <= MAX_M:
         raise ValueError(f"census requires m in 2..{MAX_M}, got m={args.m}")
     # refuse before building H: the coset count follows from the blocks
     blocks = _blocks(args)
-    check_census_budget(args.m, args.n, coset_count(args.m, blocks))
+    cosets = coset_count(args.m, blocks)
+    if cosets == 1:  # one block: H = S_m
+        raise ValueError(f"{TRANSITIVE}: every rule is constant, the census vacuous")
+    check_census_budget(args.m, args.n, cosets)
     H = build_fixing_subgroup(args.m, blocks)
     result = census_ir_functions(args.m, args.n, H)
     report = result.to_dict()

@@ -30,6 +30,8 @@ from math import factorial, prod
 import numpy as np
 
 MAX_M = 9  # enumerate_group materializes all m! tuples; 9! = 362880
+# why a one-block partition is refused: H = S_m, and tr M_H = #orbits - 1
+TRANSITIVE = "the output subgroup is transitive on the rank positions (M_H = 0)"
 
 
 def identity(m: int) -> tuple[int, ...]:
@@ -177,11 +179,11 @@ class FixingSubgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
+    @functools.cached_property
     def orbit_count(self) -> int:
         """Orbits of H on the rank positions 1..m, by Burnside the mean
-        fixed-point count (an exact integer division).  tr M_H =
-        orbit_count - 1, so M_H = 0 exactly when H is transitive."""
+        fixed-point count (exact, kept on H).  tr M_H = orbit_count - 1,
+        so M_H = 0 exactly when H is transitive."""
         return sum(fixed_points(h) for h in self.members) // self.order
 
     def coset_of(self, x: tuple[int, ...]) -> Coset:
@@ -210,8 +212,13 @@ def _cosets_from_members(m: int, members) -> tuple[tuple[Coset, ...], dict]:
 
 def build_fixing_subgroup(m: int, partition) -> FixingSubgroup:
     """All permutations mapping each partition block onto itself, with
-    the coset decomposition of S_m and canonical representatives."""
-    blocks = _validate_partition(m, partition)
+    the coset decomposition of S_m and canonical representatives; the
+    partition is checked on every call, the build kept per its blocks."""
+    return _fixing_subgroup(m, _validate_partition(m, partition))
+
+
+@functools.lru_cache(maxsize=8)  # the bound of rank_classes
+def _fixing_subgroup(m: int, blocks: tuple[tuple[int, ...], ...]) -> FixingSubgroup:
     per_block = [list(itertools.permutations(b)) for b in blocks]
     members = []
     for arrangement in itertools.product(*per_block):

@@ -25,13 +25,12 @@ g_c rho1(x_voter) has E <g, g_c rho1(x_voter)> = <g_c, A*>; and the
 unconstrained distance^2 to A* rho1(x_voter), tr M_H - ||A*||^2.
 Moment diagnostics run on g / sqrt(tr M_H), with epsilon =
 (kernel_distance_sq + ||B||^2) / tr M_H.  E ||r||^2, r = h h^T - M, is
-exact from n integer m x m Gram matrices (`MomentDiagnostics`); only
-its tail and its entrywise fourth moments (whose maximum over entries
-alone depends on the basis) are evaluated on every profile, in the
-Helmert basis, from the n per-voter tables A^i rho1(v) in blocks of
-BLOCK profiles (at least one slab of m!^(n-1)), so the pass's memory is
-a few block-sized arrays, not m!^n (m-1)^2 floats.  A transitive H
-(tr M_H = 0) is refused.
+exact from n integer m x m Gram matrices; its tail and fourth moment
+are certified by the exact ||r(x)||^2 <= R = min(2 (nS/K)^2 + 2/K, 2
+(nS/K + 1) n Delta/K), K = tr M_H, S = sum_i ||A^i||^2, Delta = S - K +
+dictator_distance_sq, from rho1 orthogonal, Cauchy-Schwarz over the
+voters and ||M||^2 = 1/K (`MomentDiagnostics`), not from the profiles.
+A transitive H (tr M_H = 0) is refused.
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ import numpy as np
 
 from ._util import memoized
 from .aggregators import Aggregator, profile_tables
-from .basis import rho1_table
 from .laplacian import check_ir_budget, spectral_gap
 from .metrics import ir_combinatorial, pair_count_tensors
 from .perms import (
+    TRANSITIVE,
     broadcast_voter,
     compose_table,
     coset_ids,
@@ -56,8 +55,6 @@ from .perms import (
     perm_indices,
     rank_table,
 )
-
-BLOCK = 4096  # profiles per block of fkn_diagnostics (at least one slab); bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,8 +95,7 @@ def _project(agg: Aggregator) -> KernelProjection:
     # F[i, j, r, p]: profiles where voter i+1 ranks j at r and the output's
     # j-profile is p; cnt_all pairs each of them with all m! reports
     F = pair_count_tensors(agg)[0].sum(axis=-1) // factorial(m)
-    # C order: the float A that fkn_diagnostics builds from Q rounds by its layout
-    Q = m * np.einsum("ijrp,pa->iar", F, cat, order="C") - N * h
+    Q = m * np.einsum("ijrp,pa->iar", F, cat) - N * h
     Q.setflags(write=False)
     Xb = np.einsum("jrp,pa->aj", F[0], cat)
     cQ = _centered(Q)
@@ -166,14 +162,27 @@ class MomentDiagnostics:
     r has no mass above degree 2: rho1 is orthogonal, so each i = k term
     of h h^T is the constant A^i A^i^T, and each other one lies in the
     span of rho1_ab(x_i) rho1_cd(x_k).  bound_ok compares E ||r||^2 with
-    the bound exactly; tail_markov_bound = E ||r||^2 / alpha^2 bounds
-    tail_prob = P(||r|| > alpha) (Markov), both 0 at epsilon = 0, r = 0."""
+    the bound exactly.
+
+    The pointwise bound R.  With S now the scalar sum_i ||A^i||^2 and the
+    rounded dictator h_d = g_c rho1(x_v) / sqrt K, Delta = sum_i ||A^i - A_d^i||^2
+    = S - K + dictator_distance_sq (A_d^v = g_c, else 0; ||g_c||^2 = K).
+    rho1 is orthogonal, so by Cauchy-Schwarz over the voters ||h||^2 <=
+    nS/K and ||h - h_d||^2 <= n Delta/K at every profile.  ||h h^T|| <=
+    ||h||^2 and ||M||^2 = 1/K give ||r||^2 <= 2 (nS/K)^2 + 2/K; h_d h_d^T =
+    g_c g_c^T / K = M and ||h_d|| = 1 give r = h (h - h_d)^T + (h - h_d)
+    h_d^T, ||r||^2 <= (||h|| + 1)^2 ||h - h_d||^2 <= 2 (nS/K + 1) n Delta/K.
+    So P(||r|| > alpha) <= tail_prob_bound, 0 if R < alpha^2 = 36 (m-1)^2
+    m^4 epsilon, else min(1, tail_markov_bound = E ||r||^2 / alpha^2, 0 at
+    epsilon = 0 where r = 0); E r_ab^4 <= E ||r||^4 <= r_norm4_bound = R
+    E ||r||^2 in every basis."""
 
     epsilon: Fraction  # E ||ghat - h||^2 with h the linear (non-constant) part
     r_norm2_mean: Fraction  # E ||r||_F^2
-    r_entry4_max: float  # max_ij E r_ij^4
+    r_sup_bound: Fraction  # R >= max_x ||r(x)||_F^2
+    r_norm4_bound: Fraction  # R E ||r||^2 >= E ||r||_F^4 >= max_ab E r_ab^4
     alpha: float  # 6 (m-1) C^4 sqrt(epsilon)
-    tail_prob: float
+    tail_prob_bound: Fraction  # >= P(||r|| > alpha)
     tail_markov_bound: Fraction
     bound: Fraction  # 108 (m-1)^4 m^4 epsilon
     bound_ok: bool
@@ -204,51 +213,29 @@ def _require_fixing(H) -> None:
     """Refuse an H transitive on the rank positions: there M_H = 0, and
     the diagnostics would divide by tr M_H = #orbits - 1 = 0."""
     if H.orbit_count == 1:
-        raise ValueError("the output subgroup is transitive on the rank positions "
-                         "(M_H = 0): the rounding diagnostics are undefined")
+        raise ValueError(f"{TRANSITIVE}: the rounding diagnostics are undefined")
 
 
 def fkn_diagnostics(agg: Aggregator) -> MomentDiagnostics:
-    """The moment diagnostics of agg: epsilon, E ||r||^2 and the bounds
-    exactly from the kernel projection; the tail and entrywise fourth
-    moments of r from one blocked pass over the profiles (module
-    docstring) in the Helmert basis, with h = sum_i A^i rho1(x_i) /
-    sqrt(tr M_H) from the exact A^i, and M_H the mean of rho1 over H."""
+    """The moment diagnostics of agg, all exact from its kernel
+    projection: epsilon, E ||r||^2, the pointwise bound R on ||r||^2 and
+    the tail and fourth-moment bounds it certifies (MomentDiagnostics)."""
     proj = kernel_projection(agg)
-    m, n, table, K = agg.m, agg.n, rho1_table(agg.m), proj.trace
-    fact, d = len(table.perms), m - 1
-    N = fact**n
+    m, n, K = agg.m, agg.n, proj.trace
     eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
-    C = table.basis.C
-    A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (N * agg.H.order * m * sqrt(K))
-    # T[i, :, :, v] = A^i rho1(v); profiles run along the last axis
-    T = np.einsum("ikt,vtl->iklv", A, table.R)
-    rest = np.zeros((d, d, 1))  # sum over voters 2..n of A^i rho1(x_i)
-    for i in range(1, n):
-        rest = (rest[..., None] + T[i][:, :, None]).reshape(d, d, -1)
-    # M_H, the mean of rho1 over H (coset 0's members, in order)
-    M = table.R[perm_indices(np.array(agg.H.members))].mean(axis=0)[..., None] / K
-    alpha = 6 * (m - 1) * m**2 * sqrt(eps)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
-    fourth, tail = np.zeros(d * d), 0
-    step = max(1, BLOCK // fact ** (n - 1))  # leading votes per block
-    for lead in range(0, fact, step):
-        h = (T[0][:, :, lead:lead + step, None] + rest[:, :, None]).reshape(d, d, -1)
-        r = np.einsum("klx,tlx->ktx", h, h)  # h h^T, profile by profile
-        del h  # at most two block-sized arrays are alive at a time
-        r -= M
-        f = r.reshape(d * d, -1)
-        sq = f * f
-        tail += int(np.count_nonzero(np.sqrt(sq.sum(axis=0)) > alpha))
-        sq *= sq  # r^4 without pow
-        fourth += sq.sum(axis=1)
-        del r, f, sq
+    S = sum(proj.coefficient_norms)
+    h_sq = n * S / K  # >= ||h(x)||^2
+    delta = S - K + proj.dictator_distance_sq  # sum_i ||A^i - A_d^i||^2
+    sup = min(2 * h_sq * h_sq + Fraction(2, K), 2 * (h_sq + 1) * n * delta / K)
     r_norm2 = _r_norm2_mean(proj, agg.H)
+    alpha_sq = 36 * (m - 1) ** 2 * m**4 * eps
     # epsilon = 0 makes g = h sqrt(tr M_H), so r = 0 exactly: no tail
-    tail_prob = 0.0 if eps == 0 else tail / N
-    markov = Fraction(0) if eps == 0 else r_norm2 / (36 * (m - 1) ** 2 * m**4 * eps)
+    markov = Fraction(0) if eps == 0 else r_norm2 / alpha_sq
+    tail = Fraction(0) if sup < alpha_sq else min(Fraction(1), markov)
     bound = 108 * (m - 1) ** 4 * m**4 * eps
-    return MomentDiagnostics(eps, r_norm2, float(fourth.max() / N), alpha, tail_prob,
-                             markov, bound, r_norm2 <= bound)
+    alpha = 6 * (m - 1) * m**2 * sqrt(eps)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
+    return MomentDiagnostics(eps, r_norm2, sup, sup * r_norm2, alpha, tail, markov, bound,
+                             r_norm2 <= bound)
 
 
 @dataclass

@@ -3,11 +3,12 @@
 The library builds rule tables, centered tables, JSON documents and
 the exact moment kernels with numpy array kernels; these are the
 loops they replaced, written one profile (or one contraction) at a
-time from the definitions.  The FKN moment diagnostics, streamed over
-profile blocks and exact in closed form in the library, are here as
-the whole-array float computation over all m!^n profiles at once,
-with the degree-2 residual that holds r to its degree-2 span.
-tests/test_array_kernels.py checks that both give the same results.
+time from the definitions.  The FKN moment diagnostics, exact and
+certified from the kernel projection in the library, are here as the
+whole-array float computation over all m!^n profiles at once, with the
+degree-2 residual that holds r to its degree-2 span.
+tests/test_array_kernels.py checks that the library's bounds hold on
+these floats.
 The coset-histogram L' and L'' forms, over the dense X^j of
 build_one_voter and switch-class coset counts gathered one profile at
 a time, are the oracle tests/test_laplacian.py holds the j-profile
@@ -27,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -64,7 +66,7 @@ from irlap.perms import (
     voter_view,
     winner_subgroup,
 )
-from irlap.rounding import KernelProjection, MomentDiagnostics, kernel_projection
+from irlap.rounding import KernelProjection, kernel_projection
 
 
 def plurality_winner(profile, m: int) -> int:
@@ -190,7 +192,22 @@ def fkn_r(agg: Aggregator, table) -> np.ndarray:
     return np.einsum("xkl,xtl->xkt", h, h) - encode_g(agg, table)[0] / K
 
 
-def fkn_diagnostics(agg: Aggregator, table) -> MomentDiagnostics:
+@dataclass
+class FloatMoments:
+    """The moments of r counted over every profile, in one basis."""
+
+    epsilon: Fraction
+    r_norm2_mean: float  # E ||r||^2
+    r_sup: float  # max_x ||r(x)||^2
+    r_entry4_max: float  # max_ab E r_ab^4
+    alpha: float
+    tail_prob: float  # P(||r|| > alpha)
+    tail_markov_bound: float
+    bound: Fraction
+    bound_ok: bool
+
+
+def fkn_diagnostics(agg: Aggregator, table) -> FloatMoments:
     """The moments of r in `table`'s basis as whole-array float
     reductions over every profile; E ||r||^2, the Markov bound and
     bound_ok from the float mean, not the closed form."""
@@ -198,14 +215,14 @@ def fkn_diagnostics(agg: Aggregator, table) -> MomentDiagnostics:
     m, K = agg.m, proj.trace
     eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
     r = fkn_r(agg, table)
-    r_norm2 = float((r**2).sum(axis=(1, 2)).mean())
-    r_entry4 = float((r**4).mean(axis=0).max())
+    norm2 = (r**2).sum(axis=(1, 2))
+    r_norm2 = float(norm2.mean())
     alpha = 6 * (m - 1) * m**2 * math.sqrt(eps)
-    tail = 0.0 if eps == 0 else float((np.sqrt((r**2).sum(axis=(1, 2))) > alpha).mean())
+    tail = 0.0 if eps == 0 else float((np.sqrt(norm2) > alpha).mean())
     markov = 0.0 if eps == 0 else r_norm2 / alpha**2
     bound = 108 * (m - 1) ** 4 * m**4 * eps
-    return MomentDiagnostics(eps, r_norm2, r_entry4, alpha, tail, markov, bound,
-                             r_norm2 <= bound)
+    return FloatMoments(eps, r_norm2, float(norm2.max()), float((r**4).mean(axis=0).max()),
+                        alpha, tail, markov, bound, r_norm2 <= bound)
 
 
 def kernel_projection_by_votes(agg: Aggregator) -> KernelProjection:

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,21 @@ def test_json_round_trip_keeps_stored_kinds(tmp_path):
         assert (back.kind, back.params, back.n) == (agg.kind, agg.params, agg.n)
         assert np.array_equal(back.table, agg.table)
     assert corrupted.params == {"corrupted_from": "dictator"}
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_json_named_rules_keep_their_own_partition(m):
+    """Plurality and Borda round-trip on their own partitions, and a
+    document that declares another partition is refused, not rebuilt
+    on the rule's own."""
+    for rule, other in ((make_plurality(m, 2), trivial_subgroup(m)),
+                        (make_borda(m, 2), winner_subgroup(m))):
+        doc = to_json(rule)
+        assert from_json(doc).H is rule.H
+        wrong = [list(block) for block in other.partition]
+        message = re.escape(f"partition {wrong} disagrees with the {rule.kind}")
+        with pytest.raises(ValueError, match=message):
+            from_json({**doc, "partition": wrong})
 
 
 def test_json_named_rule_with_entries_is_input_error():

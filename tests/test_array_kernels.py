@@ -1,6 +1,6 @@
-"""The numpy kernels for rule tables, centering, JSON, the streamed and
-closed-form FKN diagnostics and the exact moment kernels against the
-loops in reference_loops.py."""
+"""The numpy kernels for rule tables, centering, JSON, the exact FKN
+diagnostics and the exact moment kernels against the loops in
+reference_loops.py."""
 
 import functools
 import math
@@ -21,7 +21,7 @@ from irlap.aggregators import (
     random_aggregator,
     to_json,
 )
-from irlap.basis import rho1_table
+from irlap.basis import Rho1Table, build_basis, rho1_table
 from irlap.moments import blocks_direct, moments
 from irlap.perms import (
     build_fixing_subgroup,
@@ -29,7 +29,6 @@ from irlap.perms import (
     trivial_subgroup,
     winner_subgroup,
 )
-from irlap import rounding
 from irlap.rounding import center_aggregator, fkn_diagnostics
 
 RULE_SIZES = [(3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
@@ -193,39 +192,49 @@ def test_r_lies_in_the_degree2_span(m, n):
     assert ref.degree2_residual(noise, n, table) >= 0.5
 
 
-FKN_CASES = {  # the four ensemble-lib shapes first
-    "3,2": lambda rng: random_aggregator(3, 2, trivial_subgroup(3), rng),
-    "3,2 winner": lambda rng: random_aggregator(3, 2, winner_subgroup(3), rng),
-    "4,1": lambda rng: random_aggregator(4, 1, trivial_subgroup(4), rng),
-    "4,2 winner": lambda rng: random_aggregator(4, 2, winner_subgroup(4), rng),
-    "4,3": lambda rng: random_aggregator(4, 3, trivial_subgroup(4), rng),
-    "5,2": lambda rng: random_aggregator(5, 2, trivial_subgroup(5), rng),
-    "3,2 centered": lambda rng: center_aggregator(
-        random_aggregator(3, 2, winner_subgroup(3), rng)),
-    "4,2": lambda rng: random_aggregator(4, 2, trivial_subgroup(4), rng),
-}
+_FKN_SIZES = [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2)]
 
 
-@functools.lru_cache(maxsize=None)
-def _fkn_oracle(case):
-    """The rule and the whole-array oracle in the Helmert basis, the
-    basis of the streamed pass."""
-    agg = FKN_CASES[case](np.random.default_rng(13))
-    return agg, ref.fkn_diagnostics(agg, rho1_table(agg.m))
-
-
-@pytest.mark.parametrize("one_slab", [False, True], ids=["block", "slab"])
-@pytest.mark.parametrize("case", FKN_CASES)
-def test_streamed_fkn_matches_whole_array_oracle(case, one_slab, monkeypatch):
-    agg, want = _fkn_oracle(case)
-    if one_slab:  # every block one slab: many blocks even at these sizes
-        monkeypatch.setattr(rounding, "BLOCK", 1)
-    got = fkn_diagnostics(agg)
-    assert abs(got.r_entry4_max - want.r_entry4_max) <= 1e-9 * want.r_entry4_max
-    assert math.isclose(got.r_norm2_mean, want.r_norm2_mean, rel_tol=1e-12, abs_tol=1e-15)
-    assert math.isclose(got.tail_markov_bound, want.tail_markov_bound, rel_tol=1e-12)
-    assert (got.tail_prob, got.bound_ok) == (want.tail_prob, want.bound_ok)
+@pytest.mark.parametrize("basis", ["helmert", "random"])
+@pytest.mark.parametrize("kind", ["random", "corrupted", "centered", "plurality", "borda"])
+@FEW
+@given(st.sampled_from(_FKN_SIZES), st.booleans(), st.integers(0, 3),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_fkn_certificate_bounds_the_whole_array_oracle(kind, basis, size, winner, entries,
+                                                       rule_seed, basis_seed):
+    """The exact R, tail and fourth-moment bounds hold on r counted over
+    every profile, in the Helmert basis and in a random one, and the
+    other diagnostics are the oracle's.  The only slack is the oracle's
+    float rounding: at an exact dictator R = 0 while the oracle reads
+    about 1e-31."""
+    m, n = size
+    rng = np.random.default_rng(rule_seed)
+    H = (winner_subgroup if winner else trivial_subgroup)(m)
+    if kind == "plurality":
+        work = make_plurality(m, n)
+    elif kind == "borda":
+        work = make_borda(m, n)
+    elif kind == "corrupted":  # 0 entries: an exact dictator
+        sigma = enumerate_group(m)[rng.integers(0, math.factorial(m))]
+        work = corrupt_aggregator(make_dictator(int(rng.integers(1, n + 1)), sigma, H, n),
+                                  entries, rng)
+    else:
+        if kind == "centered" and math.factorial(m) ** (n + 1) > 20000:
+            n -= 1  # keeps the oracle's r over m!^(n+1) profiles small
+        work = random_aggregator(m, n, H, rng)
+        work = center_aggregator(work) if kind == "centered" else work
+    table = rho1_table(m) if basis == "helmert" else Rho1Table(
+        m, build_basis(m, "random", basis_seed))
+    got, want = fkn_diagnostics(work), ref.fkn_diagnostics(work, table)
+    assert want.r_sup <= got.r_sup_bound + 1e-12
+    assert want.r_entry4_max <= got.r_norm4_bound + 1e-12
+    assert want.tail_prob <= got.tail_prob_bound
+    assert got.r_norm4_bound == got.r_sup_bound * got.r_norm2_mean
     assert (got.epsilon, got.alpha, got.bound) == (want.epsilon, want.alpha, want.bound)
+    assert math.isclose(got.r_norm2_mean, want.r_norm2_mean, rel_tol=1e-12, abs_tol=1e-15)
+    assert math.isclose(got.tail_markov_bound, want.tail_markov_bound, rel_tol=1e-12,
+                        abs_tol=1e-15)
+    assert got.bound_ok == (want.r_norm2_mean <= got.bound + 1e-12)
 
 
 def _int_matrices(m, lo=-30, hi=30):

@@ -453,6 +453,11 @@ def test_census_refuses_before_building_the_subgroup(monkeypatch, capsys):
     monkeypatch.setattr(perms, "build_fixing_subgroup", unreachable)
     assert cli.main(["census", "--m", "9", "--n", "1"]) == 3
     assert "362880^362880" in capsys.readouterr().err
+    # one block: H = S_m is transitive (M_H = 0), refused from the blocks alone
+    assert cli.main(["census", "--m", "7", "--n", "1", "--partition", "1,2,3,4,5,6,7"]) == 2
+    assert "transitive on the rank positions (M_H = 0)" in capsys.readouterr().err
+    assert cli.main(["census", "--m", "3", "--n", "1", "--partition", "1,2,2"]) == 2
+    assert "partition must cover 1..3 exactly" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--out", "--input", "--orders"])
@@ -500,6 +505,27 @@ def test_analyze_refuses_a_transitive_partition(capsys):
             "--rule", "random:seed=1"]
     assert cli.main(argv) == 2
     assert "transitive on the rank positions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,partition,own", [
+    ("plurality", [[1], [2], [3]], [[1], [2, 3]]),
+    ("borda", [[1], [2, 3]], [[1], [2], [3]]),
+])
+def test_a_named_rule_document_keeps_its_declared_partition(kind, partition, own, tmp_path,
+                                                            capsys):
+    """Plurality and Borda fix their own output partition; a document
+    that declares another one is an input error, not a silent rebuild."""
+    import irlap.cli as cli
+
+    path = tmp_path / "agg.json"
+    doc = {"m": 3, "n": 2, "partition": partition, "type": kind, "params": {}}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--m", "3", "--n", "2", "--input", str(path)]) == 2
+    assert f"partition {partition} disagrees with the {kind} rule's {own}" in (
+        capsys.readouterr().err)
+    path.write_text(json.dumps({**doc, "partition": own}))
+    assert cli.main(["analyze", "--m", "3", "--n", "2", "--input", str(path),
+                     "--out", str(tmp_path / "report.json")]) == 0
 
 
 def test_unknown_rule_params_are_input_errors():

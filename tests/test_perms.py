@@ -148,6 +148,24 @@ def test_fixing_subgroup_m4():
     assert len(H.cosets) == 12
 
 
+def test_fixing_subgroups_are_kept_per_canonical_blocks():
+    """Spellings of one partition share one build; a bad partition is
+    refused on every call, also once a good one is kept; at most eight
+    builds are kept."""
+    from irlap import perms
+
+    H = build_fixing_subgroup(4, [[4], [3, 2], [1]])
+    assert build_fixing_subgroup(4, ([1], (2, 3), [4])) is H
+    assert H.partition == ((1,), (2, 3), (4,))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cover 1..4 exactly"):
+            build_fixing_subgroup(4, [[4], [3, 2], [1, 1]])
+    for m in (5, 6):  # nine more partitions
+        for k in range(1, m):
+            build_fixing_subgroup(m, [list(range(1, k + 1)), list(range(k + 1, m + 1))])
+    assert perms._fixing_subgroup.cache_info().currsize == 8
+
+
 @pytest.mark.parametrize("partition", [[[1], [2]], [[1, 2], [2, 3]], [[]]])
 def test_invalid_partitions(partition):
     with pytest.raises(ValueError):

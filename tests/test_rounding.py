@@ -194,16 +194,18 @@ def test_exact_block_matches_the_float_oracle_on_the_golden_rules(stem, args):
 @pytest.mark.parametrize("stem,args", GOLDEN_ANALYZE, ids=[s for s, _ in GOLDEN_ANALYZE])
 def test_markov_bound_and_bound_ok_are_exact_on_the_golden_rules(stem, args):
     """tail_markov_bound and bound_ok are exact readings of r_norm2_mean.
-    The Markov inequality tail_prob <= tail_markov_bound is vacuous here:
-    alpha = 6 (m-1) m^2 sqrt(epsilon) is so loose that ||r|| stays below
-    3% of it on corrupted-dictator, random, plurality and Borda rules
-    from (3, 1) to (5, 2), so every tail count is 0."""
+    alpha = 6 (m-1) m^2 sqrt(epsilon) is so loose that the pointwise
+    bound R on ||r||^2 stays below alpha^2 on every golden rule, so the
+    tail bound is a certified 0, not the Markov bound."""
     work = _golden_rule(args)
     diag = fkn_diagnostics(work)
     m = work.m
-    assert diag.tail_prob == 0
-    assert isinstance(diag.r_norm2_mean, Fraction)
     alpha_sq = 36 * (m - 1) ** 2 * m**4 * diag.epsilon
+    assert diag.tail_prob_bound == Fraction(0)
+    assert diag.epsilon == 0 or diag.r_sup_bound < alpha_sq
+    assert all(isinstance(getattr(diag, key), Fraction) for key in
+               ("r_norm2_mean", "r_sup_bound", "r_norm4_bound", "tail_prob_bound"))
+    assert diag.r_norm4_bound == diag.r_sup_bound * diag.r_norm2_mean
     assert diag.tail_markov_bound == (0 if diag.epsilon == 0 else diag.r_norm2_mean / alpha_sq)
     assert diag.bound_ok is (diag.r_norm2_mean <= diag.bound)
 
@@ -290,7 +292,7 @@ def test_pipeline_exact_at_zero():
         rep = robustness_report(make_dictator(1, parse_perm("321", 3), H, 2))
         assert rep.ir == rep.dictator_distance_sq == rep.kernel_distance_sq == 0
         assert rep.rounding_factor == 1.0
-        assert rep.diagnostics.tail_prob == 0
+        assert rep.diagnostics.r_sup_bound == rep.diagnostics.tail_prob_bound == 0
 
 
 def test_dictator_distance_dominates_kernel_distance():
@@ -322,8 +324,7 @@ def test_fkn_diagnostics_zero_for_dictator():
     diag = fkn_diagnostics(make_dictator(1, parse_perm("123", 3), winner_subgroup(3), 2))
     assert diag.epsilon == 0
     assert diag.r_norm2_mean == diag.tail_markov_bound == Fraction(0)
-    assert diag.r_entry4_max <= 1e-12
-    assert diag.tail_prob == 0
+    assert diag.r_sup_bound == diag.r_norm4_bound == diag.tail_prob_bound == Fraction(0)
 
 
 def test_fkn_diagnostics_bound_and_degree():
@@ -384,7 +385,28 @@ def test_report_serializes():
     rep = robustness_report(make_plurality(3, 2))
     doc = rep.to_dict()
     assert doc["kernel_bound_ok"] is True
-    assert set(doc["diagnostics"]) >= {"epsilon", "r_norm2_mean", "tail_prob"}
+    exact = {"epsilon", "r_norm2_mean", "r_sup_bound", "r_norm4_bound", "tail_prob_bound",
+             "tail_markov_bound", "bound_108m4C8"}
+    assert set(doc["diagnostics"]) == exact | {"alpha", "bound_ok"}
+    assert all(isinstance(jsonable(doc["diagnostics"][key]), str) for key in exact)
+
+
+def test_report_reads_no_rho1_table(monkeypatch):
+    """robustness_report reads no basis: it runs with every binding of
+    basis.rho1_table patched to raise."""
+    import irlap
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the report read a rho1 table")
+
+    original = irlap.basis.rho1_table
+    for module in list(vars(irlap).values()):
+        if getattr(module, "rho1_table", None) is original:
+            monkeypatch.setattr(module, "rho1_table", unreachable)
+    rng = np.random.default_rng(5)
+    for agg in (make_plurality(4, 2), random_aggregator(4, 2, winner_subgroup(4), rng)):
+        for center in (False, True):
+            assert robustness_report(agg, center=center).diagnostics.tail_prob_bound == 0
 
 
 def test_measured_gap_solves_once_per_size(monkeypatch):
