@@ -19,13 +19,13 @@ def size_past(limit: int, coef: int, base: int, exp: int, digits: int) -> str | 
     """None if the size coef * base**exp (positive ints) is at most limit
     (< 2^2048); else the size as f"{size:.{digits}e}" prints it, without
     a float, and past 2^2048 from its logarithm: 10^log past 10^(10^25)."""
+    exact = base < 2 or exp * (base.bit_length() - 1) < 1024  # base**exp < 2^2048
+    if exact and coef * base**exp <= limit:
+        return None
     with localcontext() as ctx:
         ctx.prec = digits + 40
-        if base < 2 or exp * (base.bit_length() - 1) < 1024:  # base**exp < 2^2048
-            size = coef * base**exp
-            if size <= limit:
-                return None
-            mantissa, scale = Decimal(size), 0
+        if exact:
+            mantissa, scale = Decimal(coef * base**exp), 0
         else:
             log = Decimal(coef).log10() + exp * Decimal(base).log10()
             if log.adjusted() >= 25:  # too few fraction digits are left for a mantissa

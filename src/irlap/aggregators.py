@@ -110,8 +110,8 @@ class ProfileTables:
         m = H.m
         self.prof = np.array([[j_profile_counts(coset, j, m) for j in range(1, m + 1)]
                               for coset in H.cosets], dtype=np.int64)
-        mPi = m * np.eye(m, dtype=np.int64) - 1
-        if not (mPi @ self.prof @ mPi == m * (m * self.prof - H.order)).all():
+        if not ((self.prof.sum(axis=1) == H.order).all()
+                and (self.prof.sum(axis=2) == H.order).all()):
             raise AssertionError("a coset's rank counts do not sum to |H| by row and column")
         self.catalog = sorted(set(map(tuple, self.prof.reshape(-1, m).tolist())))
         lookup = {p: i for i, p in enumerate(self.catalog)}

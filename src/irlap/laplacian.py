@@ -60,8 +60,9 @@ class the Y (x) D form is (m-1)! sum_a ||v_a||^2 - ||sum_a v_a||^2 =
 
 and the canonical L value is IR exactly, in every basis.  The one fact
 about the catalog this uses is checked in integers once per subgroup,
-when its ProfileTables is built: with mPi = m I - J, every coset has
-mPi Pc mPi = m (m Pc - |H| J), so the columns mPi Pc mPi e_j of two
+when its ProfileTables is built: every coset's Pc has rows and
+columns summing to |H|, so with mPi = m I - J it has
+mPi Pc mPi = m (m Pc - |H| J), and the columns mPi Pc mPi e_j of two
 cosets are at squared distance m^4 dist2.  tests/reference_loops keeps
 the float class sums (_class_sum_form) as the identity's oracle.
 
@@ -267,8 +268,9 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
 
 def apply_Ln(agg: Aggregator) -> Fraction:
     """Canonical value of the L form on agg: exactly IR (module
-    docstring, "IR = L"), read off agg's shared same-rank pair counts.
-    The n-voter operator is never built; refuses where the counts do."""
+    docstring, "IR = L"), agg's kept IR value, reduced from its shared
+    same-rank pair counts.  The n-voter operator is never built;
+    refuses where the counts do."""
     from .metrics import ir_combinatorial
 
     return ir_combinatorial(agg).profile_distance

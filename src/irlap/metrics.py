@@ -25,8 +25,11 @@ from .perms import FixingSubgroup, enumerate_group, rank_classes, voter_view
 CENSUS_LIMIT = 2 * 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class IRValue:
+    """Frozen: `ir_combinatorial` keeps one per rule and hands every
+    caller the same object."""
+
     profile_distance: Fraction
     indicator: Fraction
 
@@ -52,28 +55,30 @@ def pair_count_tensors(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
 def _count_pairs(agg: Aggregator) -> tuple[np.ndarray, np.ndarray]:
     m, n, tables = agg.m, agg.n, profile_tables(agg.H)
     P = len(tables.catalog)
-    label = (np.arange(m) * m + tables.rank.T - 1)[:, None] * P + tables.pid  # [vote, coset, j]
+    offset = (np.arange(m) * m + tables.rank.T - 1) * P  # [vote, j]: (j, rank of j) block
     cnt_all = np.empty((n, m, m, P, P), dtype=np.int64)
     cnt_same = np.empty_like(cnt_all)
     for i in range(n):  # one voter's arrays are dropped before the next voter's are built
-        cnt_same[i], cnt_all[i] = _voter_pair_counts(label, voter_view(agg.table, i, n), P)
+        cnt_same[i], cnt_all[i] = _voter_pair_counts(offset, tables.pid,
+                                                     voter_view(agg.table, i, n), P)
     cnt_all.setflags(write=False)
     cnt_same.setflags(write=False)
     return cnt_all, cnt_same
 
 
-def _voter_pair_counts(label: np.ndarray, view: np.ndarray,
+def _voter_pair_counts(offset: np.ndarray, pid: np.ndarray, view: np.ndarray,
                        P: int) -> tuple[np.ndarray, np.ndarray]:
     """One voter's (cnt_same, cnt_all), each (m, m, P, P): the label
-    (j, rank of j under the vote, output j-profile id) counted along
-    the vote axis of the voter's view gives the histogram h[j, r, p, s]
-    of switch class (j, r, s), which is contracted with itself over the
-    slabs s.  The contractions are integer matmuls: exact, and faster
-    than einsum."""
-    m = label.shape[-1]
+    (j, rank of j under the vote, output j-profile id), the offset of
+    (vote, j) plus the output's pid, counted along the vote axis of the
+    voter's view gives the histogram h[j, r, p, s] of switch class
+    (j, r, s), which is contracted with itself over the slabs s.  The
+    contractions are integer matmuls: exact, and faster than einsum."""
+    m = offset.shape[-1]
     size = m * m * P
-    labels = label[np.arange(len(label)), view.T]  # [slab, vote, j]
-    labels += size * np.arange(len(labels))[:, None, None]  # in place: one label-sized array
+    labels = pid[view.T]  # [slab, vote, j]
+    labels += offset  # in place: one label-sized array
+    labels += size * np.arange(len(labels))[:, None, None]
     counts = np.bincount(labels.reshape(-1), minlength=len(labels) * size)
     counts = counts.reshape(len(labels), size)  # [slab, (j, r, p)]
     del labels  # before the histogram's copy below
@@ -86,7 +91,13 @@ def _voter_pair_counts(label: np.ndarray, view: np.ndarray,
 
 def ir_combinatorial(agg: Aggregator) -> IRValue:
     """Direct evaluation of the ordered-pair IR definitions from agg's
-    shared pair counts, which check the budget first.  Exact."""
+    shared pair counts.  Exact; refuses where IR refuses, and otherwise
+    reduced once per aggregator and kept on it."""
+    check_ir_budget(agg.m, agg.n)
+    return memoized(agg, "ir", _reduce_ir)
+
+
+def _reduce_ir(agg: Aggregator) -> IRValue:
     _, cnt_same = pair_count_tensors(agg)
     dist2 = profile_tables(agg.H).dist2
     block = cnt_same.sum(axis=(0, 1, 2))  # (P, P) over voters, alternatives, ranks
@@ -250,8 +261,10 @@ def default_orders(H: FixingSubgroup, m: int) -> OrderFamily:
 
 
 def random_orders(H: FixingSubgroup, m: int, rng) -> OrderFamily:
+    """A uniform order per (j, r), drawn in one call that consumes rng
+    as m^2 calls rng.permutation(P), in (j, r) order, would."""
     P = len(profile_tables(H).catalog)
-    position = np.array([[rng.permutation(P) for _ in range(m)] for _ in range(m)])
+    position = rng.permuted(np.broadcast_to(np.arange(P), (m, m, P)), axis=-1)
     return OrderFamily(m, position, "random")
 
 
@@ -259,16 +272,21 @@ def orders_from_json(doc, H: FixingSubgroup, m: int) -> OrderFamily:
     """Override format: a list of {"j": int, "r": int, "ranking":
     [profile vectors in descending preference]}; unspecified (j, r)
     pairs keep the default order.  j and r run over 1..m, entries are
-    multiples of 1/|H|, and a ranking lists every profile once."""
+    multiples of 1/|H|, a ranking lists every profile once, and no
+    (j, r) pair is listed twice."""
     cat = profile_tables(H).catalog
     lookup = {p: i for i, p in enumerate(cat)}
     family = default_orders(H, m)
     h = H.order
+    listed = set()
     for entry in expect_json(doc, list, "orders document"):
         expect_json(entry, dict, "orders entry")
         j, r, ranking = (expect_key(entry, key, "orders entry") for key in ("j", "r", "ranking"))
         if not all(type(v) is int and 1 <= v <= m for v in (j, r)):
             raise ValueError(f"orders entry needs integer j and r in 1..{m}, got j={j!r}, r={r!r}")
+        if (j, r) in listed:
+            raise ValueError(f"orders document lists j={j}, r={r} twice")
+        listed.add((j, r))
         if len(expect_json(ranking, list, "ranking")) != len(cat):
             raise ValueError(f"ranking for j={j}, r={r} must list all {len(cat)} profiles")
         order = []

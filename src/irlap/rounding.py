@@ -16,13 +16,24 @@ C^T Pc[c] C / h and
 
 (`basis.project_to_lin`'s formulas; m Pc[f(x)][a, x_i(r)] - h sees x
 only through j = x_i(r) and f(x)'s j-profile).  C drops out of every
-inner product, <C^T X C, C^T Y C> = tr(X^T Pi Y Pi), so with tr M_H =
-#orbits - 1 = ||g_c||^2 for every c, `kernel_projection` gives exactly:
-kernel_distance_sq = tr M_H - ||B||^2 - sum_i ||A^i||^2; the voter, the
-first maximum of ||A^i||^2; the coset c, the first maximum of <g_c, A*>;
-dictator_distance_sq = 2 tr M_H - 2 <g_c, A*>, as the dictator's value
-g_c rho1(x_voter) has E <g, g_c rho1(x_voter)> = <g_c, A*>; and the
-unconstrained distance^2 to A* rho1(x_voter), tr M_H - ||A*||^2.
+inner product, <C^T X C, C^T Y C> = tr(X^T Pi Y Pi), Pi = mPi / m.
+
+Every Q^i has zero row and column sums.  Summed over r, F[i, j, r, .]
+counts every profile once for each j, and a coset's j-profiles at
+position a sum, over j, to h (its rank counts sum to h by row and
+column, as `ProfileTables` checks): sum_r Q^i[a, r] = m N h - m N h =
+0.  Summed over a, cat[p] sums to h and F[i, ., r, .] counts every
+profile once (one j sits at rank r): sum_a Q^i[a, r] = m h N - m N h
+= 0.  So Pi Q^i Pi = Q^i; and every row and column of Xb sums to N h,
+so Pi Xb Pi = Xb - (N h / m) J.  With tr M_H = #orbits - 1 = ||g_c||^2
+for every c, `kernel_projection` reads off Q and Xb directly, exactly:
+||A^i||^2 = ||Q^i||^2 / (N h m)^2; ||B||^2 = (||Xb||^2 - (N h)^2) /
+(N h)^2; kernel_distance_sq = tr M_H - ||B||^2 - sum_i ||A^i||^2; the
+voter, the first maximum of ||A^i||^2; the coset c, the first maximum
+of <g_c, A*> = <Pc[c], Q^voter> / (N h^2 m); dictator_distance_sq =
+2 tr M_H - 2 <g_c, A*>, as the dictator's value g_c rho1(x_voter) has
+E <g, g_c rho1(x_voter)> = <g_c, A*>; and the unconstrained distance^2
+to A* rho1(x_voter), tr M_H - ||A*||^2.
 Moment diagnostics run on g / sqrt(tr M_H), with epsilon =
 (kernel_distance_sq + ||B||^2) / tr M_H.  E ||r||^2, r = h h^T - M, is
 exact from n integer m x m Gram matrices; its tail and fourth moment
@@ -63,20 +74,13 @@ class KernelProjection:
     docstring)."""
 
     trace: int  # tr M_H
-    Q: np.ndarray  # (n, m, m) integers: A^i = C^T Q[i] C / (m!^n |H| m)
+    Q: np.ndarray  # (n, m, m) integers, zero margins: A^i = C^T Q[i] C / (m!^n |H| m)
     B_norm_sq: Fraction
     coefficient_norms: tuple  # ||A^i||^2, per voter
     kernel_distance_sq: Fraction
     voter: int  # 1-based
     coset: int
     dictator_distance_sq: Fraction
-
-
-def _centered(X: np.ndarray) -> np.ndarray:
-    """mPi X mPi over Python ints: <C^T X C, C^T Y C> = <_centered(X), Y> / m^2."""
-    m = X.shape[-1]
-    mPi = (m * np.eye(m, dtype=np.int64) - 1).astype(object)
-    return mPi @ X.astype(object) @ mPi
 
 
 def kernel_projection(agg: Aggregator) -> KernelProjection:
@@ -98,18 +102,20 @@ def _project(agg: Aggregator) -> KernelProjection:
     Q = m * np.einsum("ijrp,pa->iar", F, cat) - N * h
     Q.setflags(write=False)
     Xb = np.einsum("jrp,pa->aj", F[0], cat)
-    cQ = _centered(Q)
-    norms = [Fraction(int((cQ[i] * Q[i]).sum()), (N * h * m * m) ** 2) for i in range(n)]
+    # Q and Xb have the margins of the module docstring, so no centering;
+    # the sums of squares run on Python ints, past int64 at scale
+    norms = [Fraction(sum(v * v for v in q), (N * h * m) ** 2) for q in Q.reshape(n, -1).tolist()]
     best = max(range(n), key=norms.__getitem__)  # max takes the first maximum
-    # N h^2 m^3 <g_c, A*> per coset c, <Pc[c], cQ> with Pc[c][r, j] = prof[c, j, r];
+    # N h^2 m <g_c, A*> per coset c, <Pc[c], Q^best> with Pc[c][r, j] = prof[c, j, r];
+    # |score| <= m^2 N h^2, below the bound 2 n m! N h^2 of IR's int64 sum.
     # argmax takes the first maximum
-    scores = tables.prof.reshape(len(tables.prof), -1).astype(object) @ cQ[best].T.reshape(-1)
+    scores = tables.prof.reshape(len(tables.prof), -1) @ Q[best].T.reshape(-1)
     coset = int(np.argmax(scores))
-    B_sq = Fraction(int((_centered(Xb) * Xb).sum()), (N * h * m) ** 2)
+    B_sq = Fraction(sum(v * v for v in Xb.reshape(-1).tolist()) - (N * h) ** 2, (N * h) ** 2)
     return KernelProjection(
         trace=K, Q=Q, B_norm_sq=B_sq, coefficient_norms=tuple(norms),
         kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
-        dictator_distance_sq=2 * K - Fraction(2 * scores[coset], N * h * h * m**3),
+        dictator_distance_sq=2 * K - Fraction(2 * int(scores[coset]), N * h * h * m),
     )
 
 
@@ -144,20 +150,25 @@ class MomentDiagnostics:
     Markov tail and the explicit 108 (m-1)^4 C^8 upper bound, C = sqrt(m).
 
     E ||r||^2 is exact.  With D = m^3 m!^n |H|, K = tr M_H and the integer
-    B_i = mPi Q^i mPi (rows and columns sum to 0), voter i's term of h is
-    C^T Y_i C / (D sqrt K) with Y_i = B_i P(x_i), so h h^T = C^T X X^T C /
-    (D^2 K) with X = sum_i Y_i.  The votes are independent and E Y_i =
-    B_i J / m = 0, so of the voter 4-tuples in E tr((X X^T)^2) only these
-    remain, with G_i = B_i B_i^T: iiii gives tr(G_i^2); iikk tr(G_i G_k);
-    ikki tr G_i tr G_k / (m-1), as E P^T W P = tr W Pi / (m-1) when W's
-    rows and columns sum to 0; ikik, with R = P(x_i) P(x_k)^T uniform and
-    Z = B_k^T B_i, E tr(R Z R Z) = ||Z||^2 / (m-1) = <G_i, G_k> / (m-1).
+    B_i = mPi Q^i mPi = m^2 Q^i (rows and columns sum to 0, module
+    docstring), voter i's term of h is C^T Y_i C / (D sqrt K) with Y_i =
+    B_i P(x_i), so h h^T = C^T X X^T C / (D^2 K) with X = sum_i Y_i.
+    The votes are independent and E Y_i = B_i J / m = 0, so of the voter
+    4-tuples in E tr((X X^T)^2) only these remain, with G_i = B_i B_i^T:
+    iiii gives tr(G_i^2); iikk tr(G_i G_k); ikki tr G_i tr G_k / (m-1),
+    as E P^T W P = tr W Pi / (m-1) when W's rows and columns sum to 0;
+    ikik, with R = P(x_i) P(x_k)^T uniform and Z = B_k^T B_i,
+    E tr(R Z R Z) = ||Z||^2 / (m-1) = <G_i, G_k> / (m-1).
     Summed, with S = sum_i G_i, and as M = M_H / K, <M_H, C^T Y C> =
     <Pc[0], Y> / |H| for such Y and ||M_H||^2 = K (a projection):
 
         (m-1) D^4 K^2 E tr((h h^T)^2) = m ||S||^2 + (tr S)^2
                                         - sum_i (||G_i||^2 + (tr G_i)^2),
         E ||r||^2 = E tr((h h^T)^2) - 2 <Pc[0], S> / (|H| D^2 K^2) + 1/K.
+
+    Both terms are unchanged when the B_i and D are scaled by one factor
+    (degree 4 over D^4, degree 2 over D^2), so they are evaluated on
+    Q^i = B_i / m^2 and D / m^2 = m m!^n |H|.
 
     r has no mass above degree 2: rho1 is orthogonal, so each i = k term
     of h h^T is the constant A^i A^i^T, and each other one lies in the
@@ -194,17 +205,16 @@ class MomentDiagnostics:
 
 
 def _r_norm2_mean(proj: KernelProjection, H) -> Fraction:
-    """E ||r||^2 from the Gram matrices of the B_i (MomentDiagnostics)."""
-    Q, K, h = proj.Q, proj.trace, H.order
+    """E ||r||^2 from the Gram matrices of the Q^i (MomentDiagnostics)."""
+    Q, K, h = proj.Q.astype(object), proj.trace, H.order  # Python ints: degree 4 below
     n, m = Q.shape[:2]
     N = factorial(m) ** n
-    B = _centered(Q)
-    G = (B @ B.transpose(0, 2, 1)).reshape(n, m * m)
+    G = (Q @ Q.transpose(0, 2, 1)).reshape(n, m * m)
     S, tr = G.sum(axis=0), G[:, ::m + 1].sum(axis=1)  # sum_i G_i, tr G_i
     s4 = m * (S @ S) + tr.sum() ** 2 - (G * G).sum() - (tr * tr).sum()
     # <Pc[0], S>: prof[0] is Pc[0]^T, and S is symmetric
     cross = profile_tables(H).prof[0].reshape(-1).astype(object) @ S
-    D = m**3 * N * h
+    D = m * N * h
     return Fraction(s4 - 2 * (m - 1) * (D * D // h) * cross + (m - 1) * D**4 * K,
                     (m - 1) * D**4 * K * K)
 

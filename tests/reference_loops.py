@@ -14,7 +14,9 @@ build_one_voter and switch-class coset counts gathered one profile at
 a time, are the oracle tests/test_laplacian.py holds the j-profile
 reduction to.  The kernel projection from per-voter vote-by-coset
 counts, through the permutation matrices of every vote, is the oracle
-tests/test_rounding.py holds the pair-count projection to.  The L form
+tests/test_rounding.py holds the pair-count projection to, and the
+explicit centering mPi X mPi that the library's zero-margin readout of
+the projection and of E ||r||^2 is held to.  The L form
 as float sums over every switch class of the matrix encoding is the
 oracle of the exact identity IR = L (irlap.laplacian docstring).
 The appendix algebra's oracles are here too: a fraction-free
@@ -225,13 +227,59 @@ def fkn_diagnostics(agg: Aggregator, table) -> FloatMoments:
                         alpha, tail, markov, bound, r_norm2 <= bound)
 
 
+def _centered(X: np.ndarray) -> np.ndarray:
+    """mPi X mPi over Python ints, mPi = m I - J: <C^T X C, C^T Y C> =
+    <_centered(X), Y> / m^2 for the sum-zero basis C."""
+    m = X.shape[-1]
+    mPi = (m * np.eye(m, dtype=np.int64) - 1).astype(object)
+    return mPi @ X.astype(object) @ mPi
+
+
+def centered_readout(agg: Aggregator, Q: np.ndarray) -> KernelProjection:
+    """The projection of agg from its Q^i and its coset counts, every
+    inner product taken through the explicit products mPi X mPi rather
+    than through the zero margins of Q^i (irlap.rounding docstring).
+    The B term is Xb = sum_c #c Pc[c], with Pc[c] = |H| times coset c's
+    mean of P."""
+    m, n, H = agg.m, agg.n, agg.H
+    N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
+    Pc = profile_tables(H).prof.swapaxes(1, 2)
+    Xb = np.einsum("c,cab->ab", np.bincount(agg.table, minlength=len(Pc)), Pc)
+    cQ = _centered(Q)
+    norms = [Fraction(int((cQ[i] * Q[i]).sum()), (N * h * m * m) ** 2) for i in range(n)]
+    best = max(range(n), key=norms.__getitem__)
+    scores = Pc.reshape(len(Pc), -1).astype(object) @ cQ[best].reshape(-1)
+    coset = int(np.argmax(scores))
+    B_sq = Fraction(int((_centered(Xb) * Xb).sum()), (N * h * m) ** 2)
+    return KernelProjection(
+        trace=K, Q=Q, B_norm_sq=B_sq, coefficient_norms=tuple(norms),
+        kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
+        dictator_distance_sq=2 * K - Fraction(2 * scores[coset], N * h * h * m**3),
+    )
+
+
+def r_norm2_mean_by_centering(proj: KernelProjection, H) -> Fraction:
+    """E ||r||^2 from the Gram matrices of B_i = mPi Q^i mPi, with D =
+    m^3 m!^n |H| (irlap.rounding.MomentDiagnostics, before its reduction
+    to Q^i)."""
+    Q, K, h = proj.Q, proj.trace, H.order
+    n, m = Q.shape[:2]
+    D = m**3 * factorial(m) ** n * h
+    B = _centered(Q)
+    G = (B @ B.transpose(0, 2, 1)).reshape(n, m * m)
+    S, tr = G.sum(axis=0), G[:, ::m + 1].sum(axis=1)
+    s4 = m * (S @ S) + tr.sum() ** 2 - (G * G).sum() - (tr * tr).sum()
+    cross = profile_tables(H).prof[0].reshape(-1).astype(object) @ S
+    return Fraction(s4 - 2 * (m - 1) * (D * D // h) * cross + (m - 1) * D**4 * K,
+                    (m - 1) * D**4 * K * K)
+
+
 def kernel_projection_by_votes(agg: Aggregator) -> KernelProjection:
     """The exact projection from counts[i, v, c], the profiles where
     voter i+1 casts v and the output is coset c, one bincount per vote:
-    Q^i = sum_{v,c} counts[i, v, c] Pc[c] mPi P(v)^T and the B term
-    sum_c #c Pc[c], with Pc[c] = |H| times coset c's mean of P."""
+    Q^i = sum_{v,c} counts[i, v, c] Pc[c] mPi P(v)^T, read out through
+    the explicit centering (`centered_readout`)."""
     m, n, H = agg.m, agg.n, agg.H
-    N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
     Pc = profile_tables(H).prof.swapaxes(1, 2)
     ncos, fact = len(Pc), factorial(m)
     mPi = m * np.eye(m, dtype=np.int64) - 1
@@ -242,24 +290,7 @@ def kernel_projection_by_votes(agg: Aggregator) -> KernelProjection:
             counts[i, v] = np.bincount(view[v], minlength=ncos)
     per_vote = (counts @ (Pc @ mPi).reshape(ncos, -1)).reshape(n, -1, m, m)
     P = np.array([perm_matrix(x) for x in enumerate_group(m)])
-    Q = np.einsum("ivab,vcb->iac", per_vote, P)
-    Xb = np.einsum("c,cab->ab", counts[0].sum(axis=0), Pc)
-
-    def centered(X):
-        mPi_exact = mPi.astype(object)
-        return mPi_exact @ X.astype(object) @ mPi_exact
-
-    cQ = centered(Q)
-    norms = [Fraction(int((cQ[i] * Q[i]).sum()), (N * h * m * m) ** 2) for i in range(n)]
-    best = max(range(n), key=norms.__getitem__)
-    scores = Pc.reshape(ncos, -1).astype(object) @ cQ[best].reshape(-1)
-    coset = int(np.argmax(scores))
-    B_sq = Fraction(int((centered(Xb) * Xb).sum()), (N * h * m) ** 2)
-    return KernelProjection(
-        trace=K, Q=Q, B_norm_sq=B_sq, coefficient_norms=tuple(norms),
-        kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
-        dictator_distance_sq=2 * K - Fraction(2 * scores[coset], N * h * h * m**3),
-    )
+    return centered_readout(agg, np.einsum("ivab,vcb->iac", per_vote, P))
 
 
 def _block_of(partition) -> tuple[int, int, int, int]:

@@ -178,6 +178,9 @@ def test_analyze_rejects_malformed_orders(tmp_path, capsys):
         # JSON true is no count, though Fraction(True) is 1
         "boolean count": ([{"j": 1, "r": 1, "ranking": [[True, False, False],
                                                          [False, 0.5, 0.5]]}], "1|2,3"),
+        # the last entry would silently win
+        "repeated (j, r)": ([{"j": 1, "r": 2, "ranking": ranking},
+                             {"j": 1, "r": 2, "ranking": ranking[::-1]}], "1|2,3"),
     }
     for label, (doc, partition) in bad.items():
         path = tmp_path / "orders.json"
@@ -185,7 +188,10 @@ def test_analyze_rejects_malformed_orders(tmp_path, capsys):
         code = cli.main(["analyze", "--m", "3", "--n", "1", "--partition", partition,
                          "--rule", "dictator:i=1,sigma=123", "--orders", str(path)])
         assert code == 2, label
-        assert "error" in capsys.readouterr().err, label
+        err = capsys.readouterr().err
+        assert "error" in err, label
+        if label == "repeated (j, r)":
+            assert "j=1, r=2" in err
 
 
 RANKING = [["0", "1/2", "1/2"], ["1", "0", "0"]]

@@ -1,13 +1,15 @@
-"""Per-aggregator derived values: the pair counts and the kernel
-projection are built once per aggregator, shared by every consumer,
-read-only, and equal to a fresh build."""
+"""Per-aggregator derived values: the pair counts, the IR value and the
+kernel projection are built once per aggregator, shared by every
+consumer, read-only, and equal to a fresh build."""
 
+import dataclasses
 import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +53,8 @@ def _run_everything(agg):
 
 
 def test_one_run_builds_the_pair_counts_once(monkeypatch):
+    """And the IR value once: the L form and the report read the kept
+    one."""
     builds = []
 
     def spy(name, fn):
@@ -60,11 +64,42 @@ def test_one_run_builds_the_pair_counts_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(metrics, "_count_pairs", spy("pairs", metrics._count_pairs))
+    monkeypatch.setattr(metrics, "_reduce_ir", spy("ir", metrics._reduce_ir))
     agg = _rule()
     _run_everything(agg)
-    assert builds == ["pairs"]  # the L form and the projection read the pair counts
+    # the L form and the projection read the pair counts, the report the IR value
+    assert builds == ["ir", "pairs"]
     _run_everything(agg)
-    assert builds == ["pairs"]  # a second run builds nothing
+    assert builds == ["ir", "pairs"]  # a second run builds nothing
+    _run_everything(_rule(seed=1))
+    assert builds == ["ir", "pairs"] * 2  # one of each per rule
+
+
+def test_the_kept_ir_value_cannot_change():
+    agg = _rule()
+    ir = ir_combinatorial(agg)
+    assert ir_combinatorial(agg) is ir and apply_Ln(agg) == ir.profile_distance
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ir.profile_distance = 0
+    assert ir_combinatorial(agg).profile_distance == ir_combinatorial(_rule()).profile_distance
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 5])
+def test_random_orders_draw_as_the_per_pair_loop(monkeypatch, seed):
+    """The one-call draw gives the orders of one rng.permutation(P) per
+    (j, r), in (j, r) order, and leaves the generator where that loop
+    leaves it; a numpy that drew `permuted`'s rows in another order
+    would fail here.  The catalog size P is stubbed, so that P runs
+    past the orbit counts of small m."""
+    for m in (1, 3, 5, 8):
+        for P in (1, 2, 3, 7, 30):
+            monkeypatch.setattr(metrics, "profile_tables",
+                                lambda H, P=P: SimpleNamespace(catalog=range(P)))
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_orders(None, m, rng).position
+            want = np.array([[twin.permutation(P) for _ in range(m)] for _ in range(m)])
+            assert np.array_equal(got, want), (m, P)
+            assert rng.bit_generator.state == twin.bit_generator.state, (m, P)
 
 
 def test_shared_values_are_read_only():
@@ -131,7 +166,7 @@ def test_the_projection_reads_the_kept_pair_counts_not_the_table(monkeypatch):
 def test_the_report_path_builds_no_encoding(monkeypatch, tmp_path):
     """robustness_report and `analyze` read the rule's pair counts and
     H alone: no coset means are built, and the rule keeps exactly its
-    pair counts and kernel projection."""
+    pair counts, IR value and kernel projection."""
     import irlap.cli as cli
     from irlap import rounding
 
@@ -139,7 +174,7 @@ def test_the_report_path_builds_no_encoding(monkeypatch, tmp_path):
     agg = _rule()
     for center in (False, True):
         robustness_report(agg, center=center)
-    assert sorted(agg._derived) == ["pair_counts", "projection"]
+    assert sorted(agg._derived) == ["ir", "pair_counts", "projection"]
     rules, report = [], rounding.robustness_report
 
     def keep(rule, **kwargs):
@@ -150,7 +185,7 @@ def test_the_report_path_builds_no_encoding(monkeypatch, tmp_path):
     argv = ["analyze", "--m", "3", "--n", "2", "--rule", "random", "--out",
             str(tmp_path / "report.json")]
     assert cli.main(argv) == 0
-    assert sorted(rules[0]._derived) == ["pair_counts", "projection"]
+    assert sorted(rules[0]._derived) == ["ir", "pair_counts", "projection"]
 
 
 def test_a_fresh_aggregator_gives_the_memoized_values():
@@ -221,17 +256,23 @@ def test_pair_counts_peak_is_below_one_stacked_histogram():
     time, never the stack over all voters, n m!^(n-1) m^2 P int64
     (1367 KB at (3, 5) with trivial H, P = 3).
 
-    And they hold two label-sized arrays, not three.  At (5, 2) with
-    trivial H the label table [vote, coset, j] and one voter's gathered
-    labels are each 120 * 120 * 5 int64 = 576,000 bytes; that voter's
-    histogram (120 * 125 int64 = 120,000) and the two count arrays
-    (2 * 2 * 5^4 int64 = 20,000) bring the peak to 1.31 MB.  Slab
-    offsets added out of place, as a second array of keys, took it to
-    1.87 MB.  The bound, three label-sized arrays (1,728,000 bytes),
-    lies between the two."""
+    And they hold one label-sized array, not two.  At (5, 2) with
+    trivial H one voter's gathered labels [slab, vote, j] are 120 * 120
+    * 5 int64 = 576,000 bytes; that voter's histogram (120 * 125 int64 =
+    120,000) and the two count arrays (2 * 2 * 5^4 int64 = 20,000) bring
+    the peak to 0.72 MB.  A [vote, coset, j] label table beside them, of
+    the same size here, took it to 1.31 MB.  The bound, two label-sized
+    arrays (1,152,000 bytes), lies between the two.
+
+    The labels are the output's pid plus a [vote, j] offset: at (6, 1)
+    with trivial H they are 720 * 6 int64 (34,560 bytes), and the peak
+    stays under 1 MB, where the [vote, coset, j] table alone was 720 *
+    720 * 6 int64 = 24.9 MB (1.42 GB at (7, 1))."""
     program = """
 pair_count_tensors(agg)
 print(tracemalloc.get_traced_memory()[1])
 """
     assert _traced_bytes(program, m=3, n=5) < 5 * 6 ** 4 * 3 ** 2 * 3 * 8
-    assert _traced_bytes(program, m=5, n=2) < 3 * 120 * 120 * 5 * 8
+    assert _traced_bytes(program, m=5, n=2) < 2 * 120 * 120 * 5 * 8
+    assert _traced_bytes(program, m=6, n=1) < 2**20
+

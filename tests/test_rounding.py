@@ -118,6 +118,39 @@ def test_pair_count_projection_matches_the_vote_count_oracle(m, n, part, corrupt
         assert getattr(proj, name) == getattr(oracle, name), name
 
 
+def _three_cycles(m):
+    """The member-built group generated by the 3-cycle (1 2 3): transitive
+    at m = 3, with orbits {1, 2, 3} and the fixed points above."""
+    rest = tuple(range(4, m + 1))
+    return subgroup_from_members(m, [(1, 2, 3) + rest, (2, 3, 1) + rest, (3, 1, 2) + rest])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([3, 4]), st.sampled_from([1, 2, 3]), st.integers(0, 4),
+       st.sampled_from(["random", "corrupted", "centered"]), st.integers(0, 2**32 - 1))
+def test_zero_margin_projection_matches_the_centered_oracle(m, n, part, kind, rule_seed):
+    """Every Q^i has zero row and column sums, so the projection read
+    off Q directly equals the explicit mPi X mPi readout exactly, field
+    by field, and so does E ||r||^2.  A transitive H (the alternating
+    group, the 3-cycles at m = 3) is refused by the report, so there the
+    projection is built directly and E ||r||^2 (over tr M_H = 0) is not
+    defined."""
+    H = (_subgroups(m) + [_three_cycles(m)])[part]
+    if kind == "centered" and n == 3:
+        n = 2  # the centered rule has n + 1 voters
+    agg = _drawn_rule(m, n, H, kind == "corrupted", rule_seed)
+    work = center_aggregator(agg) if kind == "centered" else agg
+    fixing = H.orbit_count > 1
+    proj = kernel_projection(work) if fixing else rounding._project(work)
+    assert (proj.Q.sum(axis=1) == 0).all() and (proj.Q.sum(axis=2) == 0).all()
+    oracle = ref.centered_readout(work, proj.Q)
+    for name in ("trace", "B_norm_sq", "coefficient_norms", "kernel_distance_sq", "voter",
+                 "coset", "dictator_distance_sq"):
+        assert getattr(proj, name) == getattr(oracle, name), name
+    if fixing:
+        assert fkn_diagnostics(work).r_norm2_mean == ref.r_norm2_mean_by_centering(proj, H)
+
+
 def _top_two_apart(values, pick) -> bool:
     """Whether the float `pick` (max or min) of values is clear of the
     runner-up by more than 1e-9."""
