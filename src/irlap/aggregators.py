@@ -168,29 +168,40 @@ def make_constant(coset_id: int, H: FixingSubgroup, n: int) -> Aggregator:
     return Aggregator(H.m, n, H, table, "constant", {"output": rep})
 
 
-def make_plurality(m: int, n: int) -> Aggregator:
-    """Winner = alternative with the most rank-1 votes, ties broken
-    lexicographically by name.  Output space is the winner partition."""
-    H = winner_subgroup(m)
-    winner_coset = np.array([
-        H.coset_index[tuple([w] + sorted(v for v in range(1, m + 1) if v != w))]
-        for w in range(1, m + 1)
-    ])
-    first = (rank_table(m) == 1).T.astype(np.int64)  # (m!, m): one vote for the top name
-    votes = sum(broadcast_voter(first, i, n) for i in range(1, n + 1))
-    # argmax takes the first maximum, so ties go to the lowest name
-    return Aggregator(m, n, H, winner_coset[votes.argmax(axis=1)], "plurality", {})
+# A vote gives alternative j the points s[rank - 1] of its rule's score vector s.
+SCORE_VECTORS = {
+    "plurality": lambda m: [1] + [0] * (m - 1),
+    "borda": lambda m: list(range(m - 1, -1, -1)),
+}
 
 
-def make_borda(m: int, n: int) -> Aggregator:
-    """Full ranking by total Borda score (rank r contributes m - r),
-    ties broken lexicographically by name."""
-    H = trivial_subgroup(m)
-    points = (m - rank_table(m)).T  # (m!, m): points per vote for each name
+def default_blocks(kind: str, m: int) -> list:
+    """The output partition rule `kind` takes when none is given."""
+    if kind == "plurality":
+        return [[1], list(range(2, m + 1))]
+    return [[v] for v in range(1, m + 1)]
+
+
+def make_scoring(kind: str, H: FixingSubgroup, n: int) -> Aggregator:
+    """The positional scoring rule `kind` of SCORE_VECTORS: the names
+    ranked by total points, ties to the lower name, and the output that
+    ranking's coset under H."""
+    m = H.m
+    points = np.array(SCORE_VECTORS[kind](m))[rank_table(m) - 1].T  # (m!, m): per vote, name
     score = sum(broadcast_voter(points, i, n) for i in range(1, n + 1))
     # a stable sort keeps tied names in ascending order
     ranking = np.argsort(-score, axis=1, kind="stable")
-    return Aggregator(m, n, H, coset_ids(H)[perm_indices(ranking)], "borda", {})
+    return Aggregator(m, n, H, coset_ids(H)[perm_indices(ranking)], kind, {})
+
+
+def make_plurality(m: int, n: int) -> Aggregator:
+    """Plurality on its default output partition, the winner partition."""
+    return make_scoring("plurality", winner_subgroup(m), n)
+
+
+def make_borda(m: int, n: int) -> Aggregator:
+    """Borda on its default output partition, all singletons."""
+    return make_scoring("borda", trivial_subgroup(m), n)
 
 
 # The rules `make_named_rule` rebuilds from params alone, with the
@@ -210,9 +221,9 @@ def check_params(kind: str, params: dict, allowed) -> None:
 
 
 def make_named_rule(kind: str, params: dict, H: FixingSubgroup, n: int) -> Aggregator:
-    """Build a parameterized rule from its JSON type and params:
-    "dictator" (i, sigma), "constant" (output), "plurality" or "borda".
-    Plurality and Borda fix their own output subgroup and ignore H."""
+    """Build a parameterized rule on H from its JSON type and params:
+    "dictator" (i, sigma), "constant" (output), or the scoring rules
+    "plurality" and "borda" (`make_scoring`)."""
     if kind not in NAMED_RULE_PARAMS:
         raise ValueError(f"unknown aggregator type {kind!r}")
     check_params(kind, params, NAMED_RULE_PARAMS[kind])
@@ -225,9 +236,7 @@ def make_named_rule(kind: str, params: dict, H: FixingSubgroup, n: int) -> Aggre
     if kind == "constant":
         rep = parse_perm(params["output"], m)
         return make_constant(H.coset_index[rep], H, n)
-    if kind == "plurality":
-        return make_plurality(m, n)
-    return make_borda(m, n)
+    return make_scoring(kind, H, n)
 
 
 def random_aggregator(m: int, n: int, H: FixingSubgroup, rng) -> Aggregator:
@@ -367,11 +376,7 @@ def from_json(doc: dict) -> Aggregator:
     if kind in NAMED_RULE_PARAMS:
         if "entries" in doc:
             raise ValueError(f"named rule {kind!r} is built from params; it takes no entries")
-        agg = make_named_rule(kind, params, H, n)
-        if agg.H.partition != H.partition:  # plurality and Borda fix their own
-            raise ValueError(f"the document's partition {doc['partition']} disagrees with "
-                             f"the {kind} rule's {[list(block) for block in agg.H.partition]}")
-        return agg
+        return make_named_rule(kind, params, H, n)
     if "entries" not in doc:
         raise ValueError(f"aggregator type {kind!r} needs entries")
     entries = expect_json(doc["entries"], list, "entries")

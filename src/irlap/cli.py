@@ -30,11 +30,16 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _blocks(args) -> list:
-    """The --partition blocks; all singletons by default."""
-    if args.partition:
+def _blocks(args, kind: str = "") -> list:
+    """The --partition blocks; by default rule `kind`'s (`default_blocks`)."""
+    from .aggregators import default_blocks
+
+    if not args.partition:
+        return default_blocks(kind, args.m)
+    try:
         return [[int(v) for v in part.split(",")] for part in args.partition.split("|")]
-    return [[v] for v in range(1, args.m + 1)]
+    except ValueError:
+        raise ValueError(f'--partition "{args.partition}" is not blocks of integers like "1|2,3"')
 
 
 def _build_rule(spec: str, m: int, n: int, H, seed: int):
@@ -107,10 +112,11 @@ def cmd_census(args) -> None:
     _emit(report, args)
 
 
-def _load_input(args):
-    """The --input rule; its m and n are checked against --m and --n
-    before from_json builds anything."""
+def _load_input(args, H):
+    """The --input rule; its m, n and partition are checked against --m,
+    --n and an explicit --partition (H) before from_json builds it."""
     from .aggregators import from_json
+    from .perms import build_fixing_subgroup
 
     with open(args.input) as fh:
         doc = expect_json(json.load(fh), dict, "aggregator document")
@@ -118,17 +124,13 @@ def _load_input(args):
     if (m, n) != (args.m, args.n):
         raise ValueError(f"--m {args.m} --n {args.n} disagree with the rule's "
                          f"m={m!r:.20}, n={n!r:.20}")
+    if args.partition:
+        own = build_fixing_subgroup(m, expect_key(doc, "partition", "aggregator document"))
+        if own.partition != H.partition:
+            text = "|".join(",".join(map(str, block)) for block in own.partition)
+            raise ValueError(f'--partition "{args.partition}" disagrees with the '
+                             f'input rule\'s output partition "{text}"')
     return from_json(doc)
-
-
-def _check_partition_matches(agg, args, H) -> None:
-    """An explicit --partition is the output partition of the rule that
-    is analysed: of the input file, or of plurality or Borda, which fix
-    their own."""
-    if args.partition and agg.H.members != H.members:
-        own = "|".join(",".join(map(str, block)) for block in agg.H.partition)
-        raise ValueError(f'--partition "{args.partition}" disagrees with the '
-                         f'{agg.kind} rule\'s output partition "{own}"')
 
 
 def cmd_analyze(args) -> None:
@@ -141,14 +143,13 @@ def cmd_analyze(args) -> None:
         raise ValueError(f"analyze requires m >= 3: L^n is zero at m = 2, got m={args.m}")
     # refuse before building the rule; --center analyses n + 1 voters
     check_ir_budget(args.m, args.n + 1 if args.center else args.n)
-    H = build_fixing_subgroup(args.m, _blocks(args))
+    H = build_fixing_subgroup(args.m, _blocks(args, args.rule.partition(":")[0]))
     if args.input:
-        agg = _load_input(args)
+        agg = _load_input(args, H)
     elif args.rule:
         agg = _build_rule(args.rule, args.m, args.n, H, args.seed)
     else:
         raise ValueError("analyze needs --input or --rule")
-    _check_partition_matches(agg, args, H)
     if args.orders:
         with open(args.orders) as fh:
             orders = orders_from_json(json.load(fh), agg.H, agg.m)
@@ -246,7 +247,8 @@ def _add_flags(sub, *names, n_min: int = 0):
     specs = {
         "m": dict(type=int, required=True),
         "n": dict(type=_at_least(n_min), default=n_min),
-        "partition": dict(default="", help='blocks like "1|2,3"; default all singletons'),
+        "partition": dict(default="", help='blocks like "1|2,3"; default 1|2,...,m for '
+                          'plurality, all singletons otherwise'),
         "seed": dict(type=int, default=0),
         "samples": dict(type=_at_least(1), default=1000),
         "threads": dict(type=_at_least(1), default=1),
@@ -276,7 +278,7 @@ def main(argv=None) -> int:
     sa.add_argument("--input", type=str, default="", help="aggregator JSON file")
     sa.add_argument("--rule", type=str, default="",
                     help="dictator:i=1,sigma=213 | constant:output=123 | "
-                         "plurality | borda | random:seed=7")
+                         "plurality | borda | random:seed=7; each is built on --partition")
     sa.add_argument("--orders", type=str, default="",
                     help="JSON preference-order override")
     sa.add_argument("--center", action="store_true",

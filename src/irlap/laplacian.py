@@ -153,29 +153,27 @@ def build_one_voter(m: int, basis: Basis | None = None) -> LaplacianBundle:
 
 @dataclass
 class HatL1System:
-    """The rho1-isotypic block of the one-voter operator, with its
-    three exact eigenspaces {0, 1/(m(m-1)), 1/m} of dimensions
-    {1, m-1, (m-1)^2 - m}."""
+    """The rho1-isotypic block of the one-voter operator: its three
+    exact eigenvalues {0, 1/(m(m-1)), 1/m}, of multiplicities
+    {1, m-1, (m-1)^2 - m}, and its kernel vector U0."""
 
     m: int
     matrix: np.ndarray
     eigenvalues: np.ndarray
     clusters: list  # [(value, multiplicity)]
     U0: np.ndarray
-    U1: np.ndarray
-    U2: np.ndarray
     E: np.ndarray
     EEt_residual: float
 
 
-def cluster_eigenvalues(eigvals: np.ndarray, tol: float = CLUSTER_TOL,
-                        multiplicity=None) -> list:
-    """[(value, multiplicity)]: sorted eigenvalues chained within tol;
-    eigvals[k] counts multiplicity[k] times (default once)."""
+def cluster_eigenvalues(eigvals: np.ndarray, multiplicity=None) -> list:
+    """[(value, multiplicity)]: sorted eigenvalues chained within
+    CLUSTER_TOL (read at call time); eigvals[k] counts multiplicity[k]
+    times (default once)."""
     mult = [1] * len(eigvals) if multiplicity is None else multiplicity
     groups: list[list[int]] = []
     for k in np.argsort(eigvals, kind="stable"):
-        if not groups or eigvals[k] - eigvals[groups[-1][-1]] > tol:
+        if not groups or eigvals[k] - eigvals[groups[-1][-1]] > CLUSTER_TOL:
             groups.append([])
         groups[-1].append(k)
     return [(float(np.average(eigvals[g], weights=[float(mult[k]) for k in g])),
@@ -199,13 +197,11 @@ def hat_l1(m: int, basis: Basis | None = None) -> HatL1System:
     clusters = cluster_eigenvalues(eigvals)
     if [mult for _, mult in clusters] != [1, m - 1, d * d - m]:
         raise AssertionError(f"unexpected hat-L(1) multiplicities: {clusters}")
-    U1 = eigvecs[:, 1:m]
-    U2 = eigvecs[:, m:]
     # scale U0 so that, read as a (m-1)x(m-1) matrix, it is the identity
     v0 = eigvecs[:, 0]
     scale = float(np.eye(d).reshape(-1) @ v0)
     U0 = v0 * (d / scale)
-    return HatL1System(m, hat, eigvals, clusters, U0, U1, U2, E, eet_residual)
+    return HatL1System(m, hat, eigvals, clusters, U0, E, eet_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -105,14 +105,14 @@ def perm_index(x: tuple[int, ...]) -> int:
 
 def perm_indices(words: np.ndarray) -> np.ndarray:
     """perm_index over the last axis of an integer array of words: the
-    Lehmer digits (later names that are smaller) weighted by
-    factorials."""
+    Lehmer digits (later names that are smaller), one position at a
+    time, weighted by factorials."""
     words = np.asarray(words)
     m = words.shape[-1]
-    later = np.triu(np.ones((m, m), dtype=bool), 1)  # [r, s]: s comes after r
-    smaller = (words[..., None, :] < words[..., :, None]) & later
-    weights = np.array([factorial(m - 1 - r) for r in range(m)], dtype=np.int64)
-    return smaller.sum(axis=-1) @ weights
+    idx = np.zeros(words.shape[:-1], dtype=np.int64)
+    for r in range(m - 1):
+        idx += sum(words[..., s] < words[..., r] for s in range(r + 1, m)) * factorial(m - 1 - r)
+    return idx
 
 
 def compose_table(m: int) -> np.ndarray:

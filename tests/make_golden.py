@@ -39,10 +39,10 @@ RULES = ["random:seed=5", "plurality", "borda", "dictator:sigma=231"]
 # (file stem, irlap arguments)
 CASES = (
     [(f"analyze_m3n2_{rule.split(':')[0]}", M3N2 + ["--rule", rule]) for rule in RULES]
-    # Borda's own output partition is 1|2|3, so it takes no --partition 1|2,3
     + [(f"analyze_m3n2_{rule.split(':')[0]}_winner",
-        M3N2 + ["--rule", rule, "--partition", "1|2,3"]) for rule in RULES if rule != "borda"]
+        M3N2 + ["--rule", rule, "--partition", "1|2,3"]) for rule in RULES]
     + [
+        ("analyze_m3n2_plurality_full", M3N2 + ["--rule", "plurality", "--partition", "1|2|3"]),
         ("analyze_m3n2_random_center", M3N2 + ["--rule", "random:seed=5", "--center"]),
         ("analyze_m3n2_random_winner_orders",
          M3N2 + ["--rule", "random:seed=4", "--partition", "1|2,3",

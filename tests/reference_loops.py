@@ -108,6 +108,33 @@ def borda_table(m: int, n: int) -> np.ndarray:
     return table
 
 
+def scoring_table(s, H, n: int) -> np.ndarray:
+    """The positional scoring rule with score vector s on H: a vote
+    gives name j the points s[rank - 1], the names are sorted by
+    (-total, name), and each profile maps to that ranking's coset."""
+    m = H.m
+    table = np.empty(factorial(m) ** n, dtype=np.int64)
+    for idx, profile in enumerate(itertools.product(enumerate_group(m), repeat=n)):
+        score = [0] * (m + 1)
+        for x in profile:
+            for r, name in enumerate(x, start=1):
+                score[name] += s[r - 1]
+        table[idx] = H.coset_index[tuple(sorted(range(1, m + 1), key=lambda v: (-score[v], v)))]
+    return table
+
+
+def set_partitions(items):
+    """Every partition of the list items into blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for k in range(len(part)):
+            yield part[:k] + [[first] + part[k]] + part[k + 1:]
+
+
 def centered_table(agg: Aggregator) -> np.ndarray:
     m, n, H = agg.m, agg.n, agg.H
     table = np.empty(factorial(m) ** (n + 1), dtype=np.int64)

@@ -2,7 +2,6 @@
 
 import functools
 import json
-import re
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from irlap.aggregators import (
     make_dictator,
     make_named_rule,
     make_plurality,
+    make_scoring,
     profile_tables,
     random_aggregator,
     save_json,
@@ -214,10 +214,8 @@ def _json_rules(draw):
         return center_aggregator(random_aggregator(m, 1, H, rng))
     if kind == "constant":
         return make_constant(draw(st.integers(0, len(H.cosets) - 1)), H, n)
-    if kind == "plurality":
-        return make_plurality(m, n)
-    if kind == "borda":
-        return make_borda(m, n)
+    if kind in ("plurality", "borda"):
+        return make_scoring(kind, H, n)
     dictator = make_dictator(draw(st.integers(1, n)),
                              draw(st.sampled_from(enumerate_group(m))), H, n)
     if kind == "corrupted" and len(H.cosets) > 1:
@@ -274,17 +272,15 @@ def test_json_round_trip_keeps_stored_kinds(tmp_path):
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_json_named_rules_keep_their_own_partition(m):
-    """Plurality and Borda round-trip on their own partitions, and a
-    document that declares another partition is refused, not rebuilt
-    on the rule's own."""
+    """Plurality and Borda round-trip on their default partitions and on
+    the other one: a document is built on the partition it declares."""
     for rule, other in ((make_plurality(m, 2), trivial_subgroup(m)),
                         (make_borda(m, 2), winner_subgroup(m))):
-        doc = to_json(rule)
-        assert from_json(doc).H is rule.H
-        wrong = [list(block) for block in other.partition]
-        message = re.escape(f"partition {wrong} disagrees with the {rule.kind}")
-        with pytest.raises(ValueError, match=message):
-            from_json({**doc, "partition": wrong})
+        assert from_json(to_json(rule)).H is rule.H
+        moved = from_json({**to_json(rule), "partition": [list(b) for b in other.partition]})
+        assert moved.H is other and moved.kind == rule.kind
+        assert np.array_equal(moved.table, make_scoring(rule.kind, other, 2).table)
+        assert to_json(moved) == to_json(make_scoring(rule.kind, other, 2))
 
 
 def test_json_named_rule_with_entries_is_input_error():

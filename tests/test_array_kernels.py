@@ -18,6 +18,7 @@ from irlap.aggregators import (
     make_dictator,
     make_borda,
     make_plurality,
+    make_scoring,
     random_aggregator,
     to_json,
 )
@@ -42,6 +43,17 @@ def test_rule_tables_match_loops(m, n):
     assert np.array_equal(plurality.table, ref.plurality_table(m, n))
     assert np.array_equal(borda.table, ref.borda_table(m, n))
     assert plurality.table.dtype == borda.table.dtype == np.int64
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_scoring_rules_match_the_loop_on_every_partition(m, n):
+    scores = {"plurality": [1] + [0] * (m - 1), "borda": list(range(m - 1, -1, -1))}
+    for partition in ref.set_partitions(list(range(1, m + 1))):
+        H = build_fixing_subgroup(m, partition)
+        for kind, s in scores.items():
+            agg = make_scoring(kind, H, n)
+            assert agg.H is H and (agg.kind, agg.params) == (kind, {})
+            assert np.array_equal(agg.table, ref.scoring_table(s, H, n)), (kind, partition)
 
 
 @functools.lru_cache(maxsize=None)

@@ -120,14 +120,20 @@ def test_analyze_rejects_aggregator_files_of_the_wrong_shape(tmp_path, capsys):
 
 def test_analyze_rejects_flags_that_disagree_with_the_rule(monkeypatch, tmp_path, capsys):
     import irlap.cli as cli
-    from irlap import metrics
+    from irlap import aggregators, metrics
     from irlap.aggregators import make_dictator, make_plurality, save_json
     from irlap.perms import winner_subgroup
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("pairs were counted before the flags were checked")
+        raise AssertionError("the rule was built before the flags were checked")
 
+    # plurality and Borda are built on the partition they are given
+    for flags in (["--partition", "1|2,3", "--rule", "borda"],
+                  ["--partition", "1|2|3", "--rule", "plurality"]):
+        assert cli.main(["analyze", "--m", "3", "--n", "2", *flags,
+                         "--out", str(tmp_path / "report.json")]) == 0, flags
     monkeypatch.setattr(metrics, "pair_count_tensors", unreachable)
+    monkeypatch.setattr(aggregators, "from_json", unreachable)
     plurality = tmp_path / "plurality.json"
     save_json(make_plurality(4, 2), str(plurality))
     dictator = tmp_path / "dictator.json"
@@ -137,10 +143,6 @@ def test_analyze_rejects_flags_that_disagree_with_the_rule(monkeypatch, tmp_path
         (["--m", "4", "--n", "1", "--input", str(plurality)], "n=2"),
         (["--m", "3", "--n", "2", "--partition", "1,2|3", "--input", str(dictator)],
          'output partition "1|2,3"'),
-        (["--m", "3", "--n", "2", "--partition", "1|2,3", "--rule", "borda"],
-         'borda rule\'s output partition "1|2|3"'),
-        (["--m", "3", "--n", "2", "--partition", "1|2|3", "--rule", "plurality"],
-         'plurality rule\'s output partition "1|2,3"'),
     ]
     for flags, message in cases:
         assert cli.main(["analyze", *flags]) == 2, flags
@@ -513,23 +515,34 @@ def test_analyze_refuses_a_transitive_partition(capsys):
     assert "transitive on the rank positions" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind,partition,own", [
-    ("plurality", [[1], [2], [3]], [[1], [2, 3]]),
-    ("borda", [[1], [2, 3]], [[1], [2], [3]]),
-])
-def test_a_named_rule_document_keeps_its_declared_partition(kind, partition, own, tmp_path,
-                                                            capsys):
-    """Plurality and Borda fix their own output partition; a document
-    that declares another one is an input error, not a silent rebuild."""
+@pytest.mark.parametrize("partition", ["1|2,3,", "1||2,3"])
+def test_a_malformed_partition_names_the_flag(partition, capsys):
     import irlap.cli as cli
+
+    for argv in (["analyze", "--m", "3", "--n", "2", "--rule", "plurality"],
+                 ["census", "--m", "3", "--n", "1"]):
+        assert cli.main([*argv, "--partition", partition]) == 2, argv
+        assert f'--partition "{partition}"' in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("kind,partition", [
+    ("plurality", [[1], [2], [3]]),
+    ("borda", [[1], [2, 3]]),
+])
+def test_a_named_rule_document_keeps_its_declared_partition(kind, partition, tmp_path):
+    """A plurality or Borda document is built on the partition it
+    declares, not on the rule's default one."""
+    import irlap.cli as cli
+    from irlap.aggregators import from_json, make_scoring
+    from irlap.perms import build_fixing_subgroup
 
     path = tmp_path / "agg.json"
     doc = {"m": 3, "n": 2, "partition": partition, "type": kind, "params": {}}
     path.write_text(json.dumps(doc))
-    assert cli.main(["analyze", "--m", "3", "--n", "2", "--input", str(path)]) == 2
-    assert f"partition {partition} disagrees with the {kind} rule's {own}" in (
-        capsys.readouterr().err)
-    path.write_text(json.dumps({**doc, "partition": own}))
+    H = build_fixing_subgroup(3, partition)
+    agg = from_json(doc)
+    assert agg.H.partition == H.partition
+    assert (agg.table == make_scoring(kind, H, 2).table).all()
     assert cli.main(["analyze", "--m", "3", "--n", "2", "--input", str(path),
                      "--out", str(tmp_path / "report.json")]) == 0
 

@@ -138,6 +138,15 @@ def test_one_voter_dense_spectrum_m3():
         (0.0, 4), (round(1 / 6, 9), 4), (round(1 / 3, 9), 4)]
 
 
+def test_clustering_reads_its_tolerance_at_call_time(monkeypatch):
+    import irlap.laplacian as laplacian
+
+    eigvals = np.array([0.0, 1e-3, 1.0])
+    assert [k for _, k in cluster_eigenvalues(eigvals)] == [1, 1, 1]
+    monkeypatch.setattr(laplacian, "CLUSTER_TOL", 1e-2)
+    assert [k for _, k in cluster_eigenvalues(eigvals)] == [2, 1]
+
+
 @pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (4, 1), (4, 2)])
 def test_kernel_is_lin_space(m, n):
     table = rho1_table(m)
@@ -310,18 +319,6 @@ def test_l_form_reads_the_encoding_basis(m, n):
     assert apply_quadratic_form(agg, build_one_voter(m, alt), "L").canonical == oracle
 
 
-def _set_partitions(items):
-    """Every partition of the list items into blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
-
-
 def _assert_catalog_identity(H):
     """mPi Pc mPi = m (m Pc - |H| J) for every coset's rank counts Pc,
     the one fact the exact L form rests on (laplacian docstring)."""
@@ -335,7 +332,7 @@ def _assert_catalog_identity(H):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_catalog_identity_holds_for_every_partition(m):
-    partitions = list(_set_partitions(list(range(1, m + 1))))
+    partitions = list(ref.set_partitions(list(range(1, m + 1))))
     assert len(partitions) == {2: 2, 3: 5, 4: 15, 5: 52, 6: 203}[m]  # Bell numbers
     for partition in partitions:
         _assert_catalog_identity(build_fixing_subgroup(m, partition))

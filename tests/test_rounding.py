@@ -212,8 +212,8 @@ def _golden_rule(args):
     flags = [a for a in args[1:] if a != "--center"]
     opts = dict(zip(flags[::2], flags[1::2]))
     m, n = int(opts["--m"]), int(opts["--n"])
-    partition = opts.get("--partition", "")
-    H = build_fixing_subgroup(m, _blocks(argparse.Namespace(m=m, partition=partition)))
+    partition, kind = opts.get("--partition", ""), opts["--rule"].partition(":")[0]
+    H = build_fixing_subgroup(m, _blocks(argparse.Namespace(m=m, partition=partition), kind))
     agg = _build_rule(opts["--rule"], m, n, H, 0)
     return center_aggregator(agg) if "--center" in args else agg
 
