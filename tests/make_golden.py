@@ -44,11 +44,16 @@ CASES = (
     + [
         ("analyze_m3n2_plurality_full", M3N2 + ["--rule", "plurality", "--partition", "1|2|3"]),
         ("analyze_m3n2_random_center", M3N2 + ["--rule", "random:seed=5", "--center"]),
+        # S = 0, epsilon = 1: the kernel projection's B term carries all of g
+        ("analyze_m3n2_constant", M3N2 + ["--rule", "constant:output=231"]),
         ("analyze_m3n2_random_winner_orders",
          M3N2 + ["--rule", "random:seed=4", "--partition", "1|2,3",
                  "--orders", str(DATA_DIR / "orders_m3_winner.json")]),
         ("analyze_m4n2_plurality", ["analyze", "--m", "4", "--n", "2", "--rule", "plurality"]),
         ("analyze_m4n2_borda", ["analyze", "--m", "4", "--n", "2", "--rule", "borda"]),
+        # centering makes the constant a dictator on the dummy voter: epsilon = 0
+        ("analyze_m4n2_constant_center", ["analyze", "--m", "4", "--n", "2", "--rule",
+                                          "constant:output=1234", "--center"]),
         ("analyze_m4n3_plurality", ["analyze", "--m", "4", "--n", "3", "--rule", "plurality"]),
         # (4, 4): the largest analyze size inside the IR budget
         ("analyze_m4n4_random_winner", ["analyze", "--m", "4", "--n", "4", "--rule",
