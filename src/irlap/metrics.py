@@ -328,10 +328,10 @@ class ManipulationReport:
 
     def to_dict(self) -> dict:
         return {
-            "per_voter": [str(v) for v in self.per_voter],
-            "total": str(self.total),
-            "c": str(self.c),
-            "ir_profile_distance": str(self.ir),
+            "per_voter": list(self.per_voter),
+            "total": self.total,
+            "c": self.c,
+            "ir_profile_distance": self.ir,
             "c_times_M_ge_IR": self.holds,
             "2c_times_M_ge_IR": self.holds_weak,
             "orders": self.orders_label,

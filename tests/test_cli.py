@@ -157,7 +157,7 @@ def test_analyze_orders_override(tmp_path):
         "analyze", "--m", "3", "--n", "1", "--partition", "1|2,3",
         "--rule", "dictator:i=1,sigma=123", "--orders", str(path)).stdout)
     # inverting one order makes the identity dictator manipulable
-    assert out["manipulation"]["total"] != "0"
+    assert out["manipulation"]["total"] != "0/1"
 
 
 def test_analyze_rejects_malformed_orders(tmp_path, capsys):
