@@ -31,7 +31,6 @@ from .perms import (
     broadcast_voter,
     build_fixing_subgroup,
     compose,
-    coset_ids,
     enumerate_group,
     format_perm,
     j_profile_counts,
@@ -191,7 +190,7 @@ def make_scoring(kind: str, H: FixingSubgroup, n: int) -> Aggregator:
     score = sum(broadcast_voter(points, i, n) for i in range(1, n + 1))
     # a stable sort keeps tied names in ascending order
     ranking = np.argsort(-score, axis=1, kind="stable")
-    return Aggregator(m, n, H, coset_ids(H)[perm_indices(ranking)], kind, {})
+    return Aggregator(m, n, H, H.coset_ids[perm_indices(ranking)], kind, {})
 
 
 def make_plurality(m: int, n: int) -> Aggregator:
@@ -392,7 +391,7 @@ def from_json(doc: dict) -> Aggregator:
     if missing:
         raise ValueError(f"table not total: {missing} profiles missing")
     table = np.empty(fact**n, dtype=np.int64)
-    table[idx] = coset_ids(H)[outputs]
+    table[idx] = H.coset_ids[outputs]
     return Aggregator(m, n, H, table, kind, dict(params))
 
 

@@ -233,33 +233,38 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
     """Evaluate one of the three forms on an aggregator, summed over
     single-voter switches; all three are exact.  "L1" (X (x) complement
     X) and "L2" (Y (x) X): members of cosets c and c' agree on j's rank
-    prof_j(c) . prof_j(c') times, so with agg's shared same-rank pair
-    counts cnt_same (metrics.pair_count_tensors) and the one catalog's
-    inner products dot, S = sum cnt_same[i, j, r, p, q] dot[p, q],
+    prof_j(c) . prof_j(c') times, so with the same-rank block kept beside
+    agg's IR value (cnt_same summed over voters, alternatives and ranks,
+    `metrics.IRValue.same_rank`) and the one catalog's inner products
+    dot, S = sum block[p, q] dot[p, q],
 
         raw(L'') = (n (m-1)! sum_x sum_j ||prof_j(f(x))||^2 - S) / |H|^2
         raw(L')  = (|H|^2 n m m!^n (m-1)! - S) / |H|^2
 
-    "L" (Y (x) D) is apply_Ln.  ``bundle`` is not read; it stays
-    positional for existing callers.
+    and each canonical value, kappa (raw - offset), is one Fraction over
+    |H|^2 m!^(n+1).  "L" (Y (x) D) is apply_Ln.  ``bundle`` is not read;
+    it stays positional for existing callers.
     """
-    from .metrics import pair_count_tensors
+    from .metrics import ir_combinatorial
 
     m, n, H = agg.m, agg.n, agg.H
-    scale = kappa(variant, m, n)
-    if variant == "L":
+    if variant not in ("L", "L1", "L2"):
+        raise ValueError(f"unknown variant {variant!r}")
+    hh, N, k = H.order ** 2, factorial(m) ** n, factorial(m - 1)
+    if variant == "L":  # canonical = kappa raw = 2 raw / m!^(n+1)
         canonical = apply_Ln(agg)
-        return QuadraticFormValue("L", canonical / scale, canonical)
+        raw = Fraction(canonical.numerator * N * m * k, 2 * canonical.denominator)
+        return QuadraticFormValue("L", raw, canonical)
     tables = profile_tables(H)
-    _, cnt_same = pair_count_tensors(agg)
-    S = int((cnt_same.sum(axis=(0, 1, 2)) * tables.dot).sum())
-    hh, k = H.order ** 2, factorial(m - 1)
+    S = int((ir_combinatorial(agg).same_rank * tables.dot).sum())
     if variant == "L1":
-        raw = Fraction(hh * n * m * factorial(m) ** n * k - S, hh)
-        return QuadraticFormValue("L1", raw, scale * (raw - lprime_offset(m, n, H)))
-    diag = int((tables.prof ** 2).sum(axis=(1, 2))[agg.table].sum())
-    raw = Fraction(n * k * diag - S, hh)
-    return QuadraticFormValue("L2", raw, scale * raw)
+        raw = hh * n * m * N * k - S
+        offset = hh * n * N * k * (m - H.orbit_count)  # |H|^2 lprime_offset
+    else:
+        diag = int((tables.prof ** 2).sum(axis=(1, 2))[agg.table].sum())
+        raw, offset = n * k * diag - S, 0
+    return QuadraticFormValue(variant, Fraction(raw, hh),
+                              Fraction(2 * (raw - offset), hh * N * m * k))
 
 
 def apply_Ln(agg: Aggregator) -> Fraction:

@@ -11,7 +11,7 @@ indicator variant replaces the squared distance by [profiles differ].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -32,6 +32,9 @@ class IRValue:
 
     profile_distance: Fraction
     indicator: Fraction
+    # (P, P) read-only: cnt_same summed over voters, alternatives and ranks,
+    # reduced once for IR and the L' and L'' forms
+    same_rank: np.ndarray = field(compare=False, repr=False)
 
     @property
     def quadratic(self) -> float:
@@ -100,11 +103,12 @@ def ir_combinatorial(agg: Aggregator) -> IRValue:
 def _reduce_ir(agg: Aggregator) -> IRValue:
     _, cnt_same = pair_count_tensors(agg)
     dist2 = profile_tables(agg.H).dist2
-    block = cnt_same.sum(axis=(0, 1, 2))  # (P, P) over voters, alternatives, ranks
+    block = cnt_same.sum(axis=(0, 1, 2))
+    block.setflags(write=False)
     denom = factorial(agg.m) ** (agg.n + 1)
     return IRValue(
         profile_distance=Fraction(int((block * dist2).sum()), agg.H.order ** 2 * denom),
-        indicator=Fraction(int(block[dist2 > 0].sum()), denom),
+        indicator=Fraction(int(block[dist2 > 0].sum()), denom), same_rank=block,
     )
 
 

@@ -186,13 +186,16 @@ class FixingSubgroup:
         so M_H = 0 exactly when H is transitive."""
         return sum(fixed_points(h) for h in self.members) // self.order
 
+    @functools.cached_property
+    def coset_ids(self) -> np.ndarray:
+        """The coset index of every permutation, in lex order; shape
+        (m!,), read-only and kept on H."""
+        ids = np.array([self.coset_index[x] for x in enumerate_group(self.m)], dtype=np.int64)
+        ids.setflags(write=False)
+        return ids
+
     def coset_of(self, x: tuple[int, ...]) -> Coset:
         return self.cosets[self.coset_index[x]]
-
-
-def coset_ids(H: FixingSubgroup) -> np.ndarray:
-    """The coset index of every permutation, in lex order; shape (m!,)."""
-    return np.array([H.coset_index[x] for x in enumerate_group(H.m)], dtype=np.int64)
 
 
 def _cosets_from_members(m: int, members) -> tuple[tuple[Coset, ...], dict]:

@@ -34,13 +34,20 @@ of <g_c, A*> = <Pc[c], Q^voter> / (N h^2 m); dictator_distance_sq =
 2 tr M_H - 2 <g_c, A*>, as the dictator's value g_c rho1(x_voter) has
 E <g, g_c rho1(x_voter)> = <g_c, A*>; and the unconstrained distance^2
 to A* rho1(x_voter), tr M_H - ||A*||^2.
+Each of these values is one Fraction over a fixed denominator, from
+the integers that `KernelProjection` keeps: a_i = ||Q^i||^2, b =
+||Xb||^2 - (N h)^2 and the winning score sc = <Pc[c], Q^voter>.  With
+K = tr M_H, U = (N h m)^2 and A = sum_i a_i: ||A^i||^2 = a_i / U,
+||B||^2 = b / (N h)^2, kernel_distance_sq = (K U - m^2 b - A) / U and
+dictator_distance_sq = 2 (K N h^2 m - sc) / (N h^2 m).
 Moment diagnostics run on g / sqrt(tr M_H), with epsilon =
-(kernel_distance_sq + ||B||^2) / tr M_H.  E ||r||^2, r = h h^T - M, is
-exact from n integer m x m Gram matrices; its tail and fourth moment
-are certified by the exact ||r(x)||^2 <= R = min(2 (nS/K)^2 + 2/K, 2
-(nS/K + 1) n Delta/K), K = tr M_H, S = sum_i ||A^i||^2, Delta = S - K +
-dictator_distance_sq, from rho1 orthogonal, Cauchy-Schwarz over the
-voters and ||M||^2 = 1/K (`MomentDiagnostics`), not from the profiles.
+(kernel_distance_sq + ||B||^2) / tr M_H = 1 - S/K.  E ||r||^2, r =
+h h^T - M, is exact from n integer m x m Gram matrices; its tail and
+fourth moment are certified by the exact ||r(x)||^2 <= R = min(2
+(nS/K)^2 + 2/K, 2 (nS/K + 1) n Delta/K), S = sum_i ||A^i||^2, Delta =
+S - K + dictator_distance_sq, from rho1 orthogonal, Cauchy-Schwarz
+over the voters and ||M||^2 = 1/K (`MomentDiagnostics`), not from the
+profiles.
 A transitive H (tr M_H = 0) is refused.
 """
 
@@ -60,7 +67,6 @@ from .perms import (
     TRANSITIVE,
     broadcast_voter,
     compose_table,
-    coset_ids,
     format_perm,
     perm_index,
     perm_indices,
@@ -71,16 +77,21 @@ from .perms import (
 @dataclass(frozen=True, eq=False)
 class KernelProjection:
     """Exact projection onto the kernel span and rounding (module
-    docstring)."""
+    docstring).  The reported values are one Fraction each, built from
+    the kept integers over their fixed denominators."""
 
-    trace: int  # tr M_H
+    trace: int  # K = tr M_H
     Q: np.ndarray  # (n, m, m) integers, zero margins: A^i = C^T Q[i] C / (m!^n |H| m)
-    B_norm_sq: Fraction
-    coefficient_norms: tuple  # ||A^i||^2, per voter
-    kernel_distance_sq: Fraction
+    scale: int  # U = (m!^n |H| m)^2
+    sq_norms: tuple  # a_i = ||Q^i||^2 = U ||A^i||^2, per voter
+    b: int  # ||Xb||^2 - (m!^n |H|)^2 = (m!^n |H|)^2 ||B||^2
+    score: int  # sc = <Pc[coset], Q^voter> = m!^n |H|^2 m <g_coset, A*>
+    B_norm_sq: Fraction  # b / (m!^n |H|)^2
+    coefficient_norms: tuple  # ||A^i||^2 = a_i / U, per voter
+    kernel_distance_sq: Fraction  # (K U - m^2 b - sum_i a_i) / U
     voter: int  # 1-based
     coset: int
-    dictator_distance_sq: Fraction
+    dictator_distance_sq: Fraction  # 2 (K m!^n |H|^2 m - sc) / (m!^n |H|^2 m)
 
 
 def kernel_projection(agg: Aggregator) -> KernelProjection:
@@ -99,23 +110,27 @@ def _project(agg: Aggregator) -> KernelProjection:
     # F[i, j, r, p]: profiles where voter i+1 ranks j at r and the output's
     # j-profile is p; cnt_all pairs each of them with all m! reports
     F = pair_count_tensors(agg)[0].sum(axis=-1) // factorial(m)
-    Q = m * np.einsum("ijrp,pa->iar", F, cat) - N * h
+    # cat does not depend on j, so Q sums F over j first; Xb^T is (j, a)
+    Q = m * (F.sum(axis=1) @ cat).transpose(0, 2, 1) - N * h
     Q.setflags(write=False)
-    Xb = np.einsum("jrp,pa->aj", F[0], cat)
+    Xb = F[0].sum(axis=1) @ cat
     # Q and Xb have the margins of the module docstring, so no centering;
     # the sums of squares run on Python ints, past int64 at scale
-    norms = [Fraction(sum(v * v for v in q), (N * h * m) ** 2) for q in Q.reshape(n, -1).tolist()]
-    best = max(range(n), key=norms.__getitem__)  # max takes the first maximum
+    a = [sum(v * v for v in q) for q in Q.reshape(n, -1).tolist()]
+    best = max(range(n), key=a.__getitem__)  # max takes the first maximum
     # N h^2 m <g_c, A*> per coset c, <Pc[c], Q^best> with Pc[c][r, j] = prof[c, j, r];
     # |score| <= m^2 N h^2, below the bound 2 n m! N h^2 of IR's int64 sum.
     # argmax takes the first maximum
     scores = tables.prof.reshape(len(tables.prof), -1) @ Q[best].T.reshape(-1)
     coset = int(np.argmax(scores))
-    B_sq = Fraction(sum(v * v for v in Xb.reshape(-1).tolist()) - (N * h) ** 2, (N * h) ** 2)
+    sc, Nh, V = int(scores[coset]), N * h, N * h * h * m
+    b = sum(v * v for v in Xb.reshape(-1).tolist()) - Nh * Nh
+    U = (Nh * m) ** 2
     return KernelProjection(
-        trace=K, Q=Q, B_norm_sq=B_sq, coefficient_norms=tuple(norms),
-        kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
-        dictator_distance_sq=2 * K - Fraction(2 * int(scores[coset]), N * h * h * m),
+        trace=K, Q=Q, scale=U, sq_norms=tuple(a), b=b, score=sc,
+        B_norm_sq=Fraction(b, Nh * Nh), coefficient_norms=tuple(Fraction(v, U) for v in a),
+        kernel_distance_sq=Fraction(K * U - m * m * b - sum(a), U), voter=best + 1,
+        coset=coset, dictator_distance_sq=Fraction(2 * (K * V - sc), V),
     )
 
 
@@ -140,7 +155,7 @@ def center_aggregator(agg: Aggregator) -> Aggregator:
     w = np.zeros(fact ** (n + 1), dtype=np.int64)  # profile index of (w_1, ..., w_n)
     for i in range(1, n + 1):
         w = w * fact + shift[y, broadcast_voter(votes, i, n + 1)]
-    table = coset_ids(H)[comp[y, reps[agg.table[w]]]]
+    table = H.coset_ids[comp[y, reps[agg.table[w]]]]
     return Aggregator(m, n + 1, H, table, "centered", {"base": agg.kind})
 
 
@@ -186,7 +201,19 @@ class MomentDiagnostics:
     So P(||r|| > alpha) <= tail_prob_bound, 0 if R < alpha^2 = 36 (m-1)^2
     m^4 epsilon, else min(1, tail_markov_bound = E ||r||^2 / alpha^2, 0 at
     epsilon = 0 where r = 0); E r_ab^4 <= E ||r||^4 <= r_norm4_bound = R
-    E ||r||^2 in every basis."""
+    E ||r||^2 in every basis.
+
+    Common denominators.  On the projection's integers (U = (m!^n |H|
+    m)^2, a_i = U ||A^i||^2, A = sum_i a_i, so S = A/U) the B terms
+    cancel: epsilon = (kernel_distance_sq + ||B||^2) / K = 1 - S/K =
+    (K U - A) / (K U).  U Delta = A + K U - 2 m m!^n sc, with sc the
+    projection's score, so both branches of R lie over (K U)^2:
+    (2 n^2 A^2 + 2 K U^2) and 2 n (n A + K U) U Delta, and the min
+    compares the numerators.  alpha^2 and the 108 bound are integer
+    multiples of epsilon, and E ||r||^2 is one Fraction, so every
+    reported value is one Fraction built from its numerator and
+    denominator, and alpha = 6 (m-1) m^2 sqrt((K U - A) / (K U)) is
+    the float of the Fraction's: int true division rounds correctly."""
 
     epsilon: Fraction  # E ||ghat - h||^2 with h the linear (non-constant) part
     r_norm2_mean: Fraction  # E ||r||_F^2
@@ -227,24 +254,27 @@ def _require_fixing(H) -> None:
 
 
 def fkn_diagnostics(agg: Aggregator) -> MomentDiagnostics:
-    """The moment diagnostics of agg, all exact from its kernel
-    projection: epsilon, E ||r||^2, the pointwise bound R on ||r||^2 and
-    the tail and fourth-moment bounds it certifies (MomentDiagnostics)."""
+    """The moment diagnostics of agg, all exact from the integers of its
+    kernel projection: epsilon, E ||r||^2, the pointwise bound R on
+    ||r||^2 and the tail and fourth-moment bounds it certifies
+    (MomentDiagnostics)."""
     proj = kernel_projection(agg)
-    m, n, K = agg.m, agg.n, proj.trace
-    eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
-    S = sum(proj.coefficient_norms)
-    h_sq = n * S / K  # >= ||h(x)||^2
-    delta = S - K + proj.dictator_distance_sq  # sum_i ||A^i - A_d^i||^2
-    sup = min(2 * h_sq * h_sq + Fraction(2, K), 2 * (h_sq + 1) * n * delta / K)
+    m, n, K, U = agg.m, agg.n, proj.trace, proj.scale
+    A, KU = sum(proj.sq_norms), proj.trace * proj.scale
+    # U Delta, Delta = S - K + dictator_distance_sq = sum_i ||A^i - A_d^i||^2
+    u_delta = A + KU - 2 * m * factorial(m) ** n * proj.score
+    # R's two branches over their common denominator (K U)^2
+    sup = min(2 * n * n * A * A + 2 * K * U * U, 2 * n * (n * A + KU) * u_delta)
     r_norm2 = _r_norm2_mean(proj, agg.H)
-    alpha_sq = 36 * (m - 1) ** 2 * m**4 * eps
+    rn, rd = r_norm2.numerator, r_norm2.denominator
+    unit = 36 * (m - 1) ** 2 * m**4  # alpha^2 = unit epsilon, epsilon = (K U - A) / (K U)
     # epsilon = 0 makes g = h sqrt(tr M_H), so r = 0 exactly: no tail
-    markov = Fraction(0) if eps == 0 else r_norm2 / alpha_sq
-    tail = Fraction(0) if sup < alpha_sq else min(Fraction(1), markov)
-    bound = 108 * (m - 1) ** 4 * m**4 * eps
-    alpha = 6 * (m - 1) * m**2 * sqrt(eps)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
-    return MomentDiagnostics(eps, r_norm2, sup, sup * r_norm2, alpha, tail, markov, bound,
+    markov = Fraction(0) if A == KU else Fraction(rn * KU, rd * unit * (KU - A))
+    tail = Fraction(0) if sup < unit * (KU - A) * KU else min(Fraction(1), markov)
+    bound = Fraction(3 * (m - 1) ** 2 * unit * (KU - A), KU)  # 108 (m-1)^4 m^4 epsilon
+    alpha = 6 * (m - 1) * m**2 * sqrt((KU - A) / KU)  # 6 (m-1) C^4 sqrt(epsilon), C = sqrt(m)
+    return MomentDiagnostics(Fraction(KU - A, KU), r_norm2, Fraction(sup, KU * KU),
+                             Fraction(sup * rn, KU * KU * rd), alpha, tail, markov, bound,
                              r_norm2 <= bound)
 
 
@@ -302,9 +332,13 @@ def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport
     ir = ir_combinatorial(work).profile_distance
     proj = kernel_projection(work)
     gap, exhaustive = measured_gap(work.m, work.n)
-    # E ||g - A* rho1(x_voter)||^2, the best without rounding
-    unconstrained = proj.trace - proj.coefficient_norms[proj.voter - 1]
-    factor = 1.0 if unconstrained == 0 else sqrt(proj.dictator_distance_sq / unconstrained)
+    # U E ||g - A* rho1(x_voter)||^2, the best without rounding, and U
+    # dictator_distance_sq: their ratio is one int / int, correctly rounded
+    # as the float of the Fractions' ratio is
+    m, N, K = work.m, factorial(work.m) ** work.n, proj.trace
+    unconstrained = K * proj.scale - proj.sq_norms[proj.voter - 1]
+    dictator = 2 * m * N * (K * N * work.H.order ** 2 * m - proj.score)
+    factor = 1.0 if unconstrained == 0 else sqrt(dictator / unconstrained)
     return RobustnessReport(
         m=work.m, n=work.n, ir=ir,
         kernel_distance_sq=proj.kernel_distance_sq, gap=gap, gap_exhaustive=exhaustive,

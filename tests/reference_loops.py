@@ -19,6 +19,11 @@ explicit centering mPi X mPi that the library's zero-margin readout of
 the projection and of E ||r||^2 is held to.  The L form
 as float sums over every switch class of the matrix encoding is the
 oracle of the exact identity IR = L (irlap.laplacian docstring).
+The Fraction-chain forms of the kernel projection, the FKN moment
+diagnostics, the robustness report and the L, L', L'' values, one
+Fraction operation per step, are the oracles that the library's
+integer numerators over fixed denominators are held to, field by
+field (tests/test_rounding.py).
 The appendix algebra's oracles are here too: a fraction-free
 Gauss-Jordan elimination that tests/test_moments.py holds the closed
 form of C15's determinant and inverse to, and E f^k summed over all
@@ -44,8 +49,14 @@ from irlap.aggregators import (
     random_aggregator,
 )
 from irlap.basis import LinFunction, perm_matrix
-from irlap.laplacian import apply_quadratic_form, lprime_offset
-from irlap.metrics import ir_combinatorial
+from irlap.laplacian import (
+    QuadraticFormValue,
+    apply_Ln,
+    apply_quadratic_form,
+    kappa,
+    lprime_offset,
+)
+from irlap.metrics import ir_combinatorial, pair_count_tensors
 from irlap.moments import (
     PARTITIONS,
     MomentVector,
@@ -68,7 +79,14 @@ from irlap.perms import (
     voter_view,
     winner_subgroup,
 )
-from irlap.rounding import KernelProjection, kernel_projection
+from irlap.rounding import (
+    KernelProjection,
+    MomentDiagnostics,
+    RobustnessReport,
+    center_aggregator,
+    kernel_projection,
+    measured_gap,
+)
 
 
 def plurality_winner(profile, m: int) -> int:
@@ -278,11 +296,101 @@ def centered_readout(agg: Aggregator, Q: np.ndarray) -> KernelProjection:
     scores = Pc.reshape(len(Pc), -1).astype(object) @ cQ[best].reshape(-1)
     coset = int(np.argmax(scores))
     B_sq = Fraction(int((_centered(Xb) * Xb).sum()), (N * h * m) ** 2)
+    # the integers of the readout, on the library's scale U = (N h m)^2
+    U = (N * h * m) ** 2
     return KernelProjection(
-        trace=K, Q=Q, B_norm_sq=B_sq, coefficient_norms=tuple(norms),
+        trace=K, Q=Q, scale=U, sq_norms=tuple(int(v * U) for v in norms),
+        b=int(B_sq * (N * h) ** 2), score=int(Fraction(scores[coset], m * m)),
+        B_norm_sq=B_sq, coefficient_norms=tuple(norms),
         kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
         dictator_distance_sq=2 * K - Fraction(2 * scores[coset], N * h * h * m**3),
     )
+
+
+def project_by_fractions(agg: Aggregator) -> KernelProjection:
+    """The kernel projection read off Q and Xb with one Fraction
+    operation per step: Q and Xb by einsum over F, every norm a Fraction,
+    and the distances by Fraction sums (irlap.rounding docstring)."""
+    m, n, H = agg.m, agg.n, agg.H
+    N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
+    tables = profile_tables(H)
+    cat = np.array(tables.catalog, dtype=np.int64)
+    F = pair_count_tensors(agg)[0].sum(axis=-1) // factorial(m)
+    Q = m * np.einsum("ijrp,pa->iar", F, cat) - N * h
+    Xb = np.einsum("jrp,pa->aj", F[0], cat)
+    a = [sum(v * v for v in q) for q in Q.reshape(n, -1).tolist()]
+    norms = [Fraction(v, (N * h * m) ** 2) for v in a]
+    best = max(range(n), key=norms.__getitem__)
+    scores = tables.prof.reshape(len(tables.prof), -1) @ Q[best].T.reshape(-1)
+    coset = int(np.argmax(scores))
+    b = sum(v * v for v in Xb.reshape(-1).tolist()) - (N * h) ** 2
+    B_sq = Fraction(b, (N * h) ** 2)
+    return KernelProjection(
+        trace=K, Q=Q, scale=(N * h * m) ** 2, sq_norms=tuple(a), b=b, score=int(scores[coset]),
+        B_norm_sq=B_sq, coefficient_norms=tuple(norms),
+        kernel_distance_sq=K - B_sq - sum(norms), voter=best + 1, coset=coset,
+        dictator_distance_sq=2 * K - Fraction(2 * int(scores[coset]), N * h * h * m),
+    )
+
+
+def fkn_by_fractions(agg: Aggregator) -> MomentDiagnostics:
+    """The moment diagnostics as Fraction arithmetic on the Fraction
+    fields of `project_by_fractions`, with E ||r||^2 through the
+    explicit centering (irlap.rounding.MomentDiagnostics)."""
+    proj = project_by_fractions(agg)
+    m, n, K = agg.m, agg.n, proj.trace
+    eps = (proj.kernel_distance_sq + proj.B_norm_sq) / K
+    S = sum(proj.coefficient_norms)
+    h_sq = n * S / K
+    delta = S - K + proj.dictator_distance_sq
+    sup = min(2 * h_sq * h_sq + Fraction(2, K), 2 * (h_sq + 1) * n * delta / K)
+    r_norm2 = r_norm2_mean_by_centering(proj, agg.H)
+    alpha_sq = 36 * (m - 1) ** 2 * m**4 * eps
+    markov = Fraction(0) if eps == 0 else r_norm2 / alpha_sq
+    tail = Fraction(0) if sup < alpha_sq else min(Fraction(1), markov)
+    bound = 108 * (m - 1) ** 4 * m**4 * eps
+    alpha = 6 * (m - 1) * m**2 * math.sqrt(eps)
+    return MomentDiagnostics(eps, r_norm2, sup, sup * r_norm2, alpha, tail, markov, bound,
+                             r_norm2 <= bound)
+
+
+def robustness_report_by_fractions(agg: Aggregator, center: bool = False) -> RobustnessReport:
+    """robustness_report from `project_by_fractions` and
+    `fkn_by_fractions`, the rounding factor the square root of a
+    Fraction ratio."""
+    work = center_aggregator(agg) if center else agg
+    proj = project_by_fractions(work)
+    gap, exhaustive = measured_gap(work.m, work.n)
+    unconstrained = proj.trace - proj.coefficient_norms[proj.voter - 1]
+    factor = 1.0 if unconstrained == 0 else math.sqrt(proj.dictator_distance_sq / unconstrained)
+    return RobustnessReport(
+        m=work.m, n=work.n, ir=ir_combinatorial(work).profile_distance,
+        kernel_distance_sq=proj.kernel_distance_sq, gap=gap, gap_exhaustive=exhaustive,
+        voter=proj.voter, coefficient_norms=list(proj.coefficient_norms),
+        rounded_sigma=format_perm(work.H.cosets[proj.coset].representative),
+        rounded_coset=proj.coset, dictator_distance_sq=proj.dictator_distance_sq,
+        rounding_factor=factor, centered=center, diagnostics=fkn_by_fractions(work),
+    )
+
+
+def quadratic_form_by_fractions(agg: Aggregator, variant: str) -> QuadraticFormValue:
+    """The L, L' and L'' forms as Fraction arithmetic: the raw value over
+    |H|^2, then kappa (raw - offset), with the same-rank block summed
+    from the pair counts (irlap.laplacian.apply_quadratic_form)."""
+    m, n, H = agg.m, agg.n, agg.H
+    scale = kappa(variant, m, n)
+    if variant == "L":
+        canonical = apply_Ln(agg)
+        return QuadraticFormValue("L", canonical / scale, canonical)
+    tables = profile_tables(H)
+    S = int((pair_count_tensors(agg)[1].sum(axis=(0, 1, 2)) * tables.dot).sum())
+    hh, k = H.order ** 2, factorial(m - 1)
+    if variant == "L1":
+        raw = Fraction(hh * n * m * factorial(m) ** n * k - S, hh)
+        return QuadraticFormValue("L1", raw, scale * (raw - lprime_offset(m, n, H)))
+    diag = int((tables.prof ** 2).sum(axis=(1, 2))[agg.table].sum())
+    raw = Fraction(n * k * diag - S, hh)
+    return QuadraticFormValue("L2", raw, scale * raw)
 
 
 def r_norm2_mean_by_centering(proj: KernelProjection, H) -> Fraction:

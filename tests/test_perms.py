@@ -14,7 +14,6 @@ from irlap.perms import (
     build_fixing_subgroup,
     compose,
     compose_table,
-    coset_ids,
     enumerate_group,
     format_perm,
     identity,
@@ -127,7 +126,24 @@ def test_compose_table_and_coset_ids(m):
         for b, y in enumerate(perms):
             assert comp[a, b] == perm_index(compose(x, y))
     for H in (trivial_subgroup(m), winner_subgroup(m)):
-        assert coset_ids(H).tolist() == [H.coset_index[x] for x in perms]
+        assert H.coset_ids.tolist() == [H.coset_index[x] for x in perms]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_coset_ids_are_kept_read_only_on_H(m):
+    """Every permutation's coset, by the definition, over several
+    partitions; the array is built once per H and cannot be written."""
+    rest = list(range(3, m + 1))
+    for partition in ([[v] for v in range(1, m + 1)], [[1], [2] + rest], [[1, 2], rest],
+                      [[1, 3], [2]] + [[v] for v in rest[1:]], [list(range(1, m + 1))]):
+        H = build_fixing_subgroup(m, partition)
+        ids = H.coset_ids
+        assert H.coset_ids is ids
+        assert not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 1
+        assert ids.tolist() == [next(c for c, coset in enumerate(H.cosets) if x in coset.members)
+                                for x in enumerate_group(m)]
 
 
 def test_trivial_subgroup_is_swf():

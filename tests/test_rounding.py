@@ -16,13 +16,14 @@ from irlap.aggregators import (
     corrupt_aggregator,
     encode_g,
     make_borda,
+    make_constant,
     make_dictator,
     make_plurality,
     random_aggregator,
 )
 from irlap.basis import Rho1Table, build_basis, project_to_lin, rho1_table
 from irlap.cli import _blocks, _build_rule
-from irlap.laplacian import spectral_gap
+from irlap.laplacian import apply_quadratic_form, spectral_gap
 from irlap.perms import (
     broadcast_voter,
     build_fixing_subgroup,
@@ -113,8 +114,8 @@ def test_pair_count_projection_matches_the_vote_count_oracle(m, n, part, corrupt
     work = center_aggregator(agg) if center else agg
     proj, oracle = kernel_projection(work), kernel_projection_by_votes(work)
     assert np.array_equal(proj.Q, oracle.Q)
-    for name in ("B_norm_sq", "coefficient_norms", "kernel_distance_sq", "voter", "coset",
-                 "dictator_distance_sq"):
+    for name in ("scale", "sq_norms", "b", "score", "B_norm_sq", "coefficient_norms",
+                 "kernel_distance_sq", "voter", "coset", "dictator_distance_sq"):
         assert getattr(proj, name) == getattr(oracle, name), name
 
 
@@ -144,11 +145,69 @@ def test_zero_margin_projection_matches_the_centered_oracle(m, n, part, kind, ru
     proj = kernel_projection(work) if fixing else rounding._project(work)
     assert (proj.Q.sum(axis=1) == 0).all() and (proj.Q.sum(axis=2) == 0).all()
     oracle = ref.centered_readout(work, proj.Q)
-    for name in ("trace", "B_norm_sq", "coefficient_norms", "kernel_distance_sq", "voter",
-                 "coset", "dictator_distance_sq"):
+    for name in ("trace", "scale", "sq_norms", "b", "score", "B_norm_sq", "coefficient_norms",
+                 "kernel_distance_sq", "voter", "coset", "dictator_distance_sq"):
         assert getattr(proj, name) == getattr(oracle, name), name
     if fixing:
         assert fkn_diagnostics(work).r_norm2_mean == ref.r_norm2_mean_by_centering(proj, H)
+
+
+def _same(got, want, where="") -> None:
+    """Field by field: Fractions equal and of type Fraction, floats
+    bit-equal, arrays equal, dataclasses and sequences recursively."""
+    if hasattr(want, "__dataclass_fields__"):
+        for name in want.__dataclass_fields__:
+            _same(getattr(got, name), getattr(want, name), f"{where}.{name}")
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want), where
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            _same(a, b, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert type(got) is float and got.hex() == want.hex(), (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+_ORACLE_SIZES = [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ORACLE_SIZES), st.integers(0, 2),
+       st.sampled_from(["random", "dictator", "corrupted", "constant", "centered"]),
+       st.integers(0, 2**32 - 1))
+def test_integer_numerators_match_the_fraction_chain_oracles(size, part, kind, rule_seed):
+    """The projection, the moment diagnostics, the report and the three
+    forms, from integer numerators over fixed denominators, equal the
+    Fraction-chain oracles field by field, at epsilon = 0 (dictators),
+    epsilon = 1 (constants) and between."""
+    m, n = size
+    rest = list(range(3, m + 1))
+    H = build_fixing_subgroup(m, [[[v] for v in range(1, m + 1)], [[1], [2] + rest],
+                                  [[1, 2], rest]][part])
+    rng = np.random.default_rng(rule_seed)
+    if kind == "constant":
+        agg = make_constant(int(rng.integers(0, len(H.cosets))), H, n)
+    elif kind in ("dictator", "corrupted"):
+        sigma = enumerate_group(m)[rng.integers(0, factorial(m))]
+        agg = make_dictator(int(rng.integers(1, n + 1)), sigma, H, n)
+        agg = corrupt_aggregator(agg, 2, rng) if kind == "corrupted" else agg
+    else:
+        agg = random_aggregator(m, n, H, rng)
+    center = kind == "centered"
+    work = center_aggregator(agg) if center else agg
+    _same(kernel_projection(work), ref.project_by_fractions(work), "projection")
+    _same(fkn_diagnostics(work), ref.fkn_by_fractions(work), "diagnostics")
+    _same(robustness_report(agg, center=center),
+          ref.robustness_report_by_fractions(agg, center=center), "report")
+    for variant in ("L", "L1", "L2"):
+        _same(apply_quadratic_form(agg, None, variant),
+              ref.quadratic_form_by_fractions(agg, variant), variant)
+    if kind == "dictator":
+        assert fkn_diagnostics(agg).epsilon == 0
+    if kind == "constant":
+        assert fkn_diagnostics(agg).epsilon == 1
 
 
 def _top_two_apart(values, pick) -> bool:
