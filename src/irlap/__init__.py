@@ -2,7 +2,7 @@
 
 Library layout:
 
-- perms: permutations, fixing subgroups, cosets, rank profiles
+- perms: permutations, fixing subgroups and their coset ids
 - basis: change of basis, the standard representation, projections
 - aggregators: coset-valued rules, coset means, consistency
 - laplacian: constraint operators, quadratic forms, spectra

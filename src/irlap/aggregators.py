@@ -6,8 +6,8 @@ voter 1 most significant:
 
     index = sum_i perm_index(x_i) * (m!)^(n-1-i)
 
-Aggregator tables map that index to a coset index of H (cosets ordered
-by their lexicographically least representative).
+Aggregator tables map that index to a coset id of H (`H.coset_ids`:
+cosets numbered by their lexicographically least member).
 """
 
 from __future__ import annotations
@@ -26,14 +26,11 @@ from ._util import expect_json, expect_key
 from .basis import Rho1Table, rho1_table
 from .perms import (
     MAX_M,
-    Coset,
     FixingSubgroup,
     broadcast_voter,
     build_fixing_subgroup,
-    compose,
     enumerate_group,
     format_perm,
-    j_profile_counts,
     parse_perm,
     perm_index,
     perm_indices,
@@ -78,15 +75,17 @@ class Aggregator:
             idx = idx * fact + perm_index(x)
         return idx
 
-    def evaluate(self, profile) -> Coset:
-        return self.H.cosets[int(self.table[self.profile_index(profile)])]
+    def evaluate(self, profile) -> int:
+        """The coset id of the output at `profile`."""
+        return int(self.table[self.profile_index(profile)])
 
 
 class ProfileTables:
-    """Exact per-(m, H) lookup tables used by all rational metrics.
+    """Exact per-H lookup tables used by all rational metrics.
 
     prof[c, j-1, r-1] is the number of members of coset c ranking
-    alternative j at r (entries per (c, j) sum to |H|).  pid[c, j-1]
+    alternative j at r (entries per (c, j) sum to |H|), one bincount of
+    (coset id, j, rank of j) over all m! permutations.  pid[c, j-1]
     is the index of that integer profile in ``catalog``, sorted
     lexicographically; dist2 and dot are its (P, P) pairwise tables of
     squared distance and inner product.
@@ -107,8 +106,10 @@ class ProfileTables:
     def __init__(self, H: FixingSubgroup):
         self.H = H
         m = H.m
-        self.prof = np.array([[j_profile_counts(coset, j, m) for j in range(1, m + 1)]
-                              for coset in H.cosets], dtype=np.int64)
+        self.rank = rank_table(m)  # rank of alternative j under each permutation
+        keys = (H.coset_ids * m + np.arange(m)[:, None]) * m + self.rank - 1  # [j, x]
+        counts = np.bincount(keys.reshape(-1), minlength=len(H.representatives) * m * m)
+        self.prof = counts.reshape(-1, m, m)
         if not ((self.prof.sum(axis=1) == H.order).all()
                 and (self.prof.sum(axis=2) == H.order).all()):
             raise AssertionError("a coset's rank counts do not sum to |H| by row and column")
@@ -120,7 +121,6 @@ class ProfileTables:
         self.dot = cat @ cat.T  # sum_r n1*n2
         norms = np.diag(self.dot)
         self.dist2 = norms[:, None] + norms[None, :] - 2 * self.dot  # sum_r (n1-n2)^2
-        self.rank = rank_table(m)  # rank of alternative j under each permutation
 
     @property
     def max_pair_dist2(self) -> Fraction:
@@ -129,21 +129,11 @@ class ProfileTables:
         return Fraction(int(self.dist2.max()), self.H.order ** 2)
 
 
-_PROFILE_TABLES: dict[tuple, ProfileTables] = {}
-_PROFILE_TABLES_KEPT = 8  # the bound of perms.rank_classes
-
-
+@functools.lru_cache(maxsize=8)  # the bound of perms.rank_classes
 def profile_tables(H: FixingSubgroup) -> ProfileTables:
-    """Tables shared by every subgroup with the same members: the
-    members fix the cosets and their order, so equal subgroups built
-    separately (e.g. by repeated JSON loads) reuse one entry.  Past
-    eight entries the oldest is evicted."""
-    key = (H.m, H.members)
-    if key not in _PROFILE_TABLES:
-        _PROFILE_TABLES[key] = ProfileTables(H)
-        if len(_PROFILE_TABLES) > _PROFILE_TABLES_KEPT:
-            del _PROFILE_TABLES[next(iter(_PROFILE_TABLES))]
-    return _PROFILE_TABLES[key]
+    """Tables shared by every equal subgroup: H's members fix its coset
+    ids, so equal subgroups built separately reuse one entry."""
+    return ProfileTables(H)
 
 
 def make_dictator(i: int, sigma, H: FixingSubgroup, n: int) -> Aggregator:
@@ -154,16 +144,15 @@ def make_dictator(i: int, sigma, H: FixingSubgroup, n: int) -> Aggregator:
         raise ValueError(f"voter {i} out of range 1..{n}")
     m = H.m
     sigma = tuple(sigma)
-    per_vote = np.array(
-        [H.coset_index[compose(v, sigma)] for v in enumerate_group(m)], dtype=np.int64
-    )
-    table = broadcast_voter(per_vote, i, n)
+    words = np.array(enumerate_group(m))
+    # compose(v, sigma) has the word v[sigma - 1]
+    table = broadcast_voter(H.coset_ids[perm_indices(words[:, np.array(sigma) - 1])], i, n)
     return Aggregator(m, n, H, table, "dictator", {"i": i, "sigma": format_perm(sigma)})
 
 
 def make_constant(coset_id: int, H: FixingSubgroup, n: int) -> Aggregator:
     table = np.full(factorial(H.m) ** n, coset_id, dtype=np.int64)
-    rep = format_perm(H.cosets[coset_id].representative)
+    rep = _perm_texts(H.m)[0][H.representatives[coset_id]]
     return Aggregator(H.m, n, H, table, "constant", {"output": rep})
 
 
@@ -234,12 +223,12 @@ def make_named_rule(kind: str, params: dict, H: FixingSubgroup, n: int) -> Aggre
         return make_dictator(int(params["i"]), parse_perm(params["sigma"], m), H, n)
     if kind == "constant":
         rep = parse_perm(params["output"], m)
-        return make_constant(H.coset_index[rep], H, n)
+        return make_constant(int(H.coset_ids[perm_index(rep)]), H, n)
     return make_scoring(kind, H, n)
 
 
 def random_aggregator(m: int, n: int, H: FixingSubgroup, rng) -> Aggregator:
-    table = rng.integers(0, len(H.cosets), size=factorial(m) ** n).astype(np.int64)
+    table = rng.integers(0, len(H.representatives), size=factorial(m) ** n).astype(np.int64)
     return Aggregator(m, n, H, table, "table", {})
 
 
@@ -247,7 +236,7 @@ def corrupt_aggregator(agg: Aggregator, entries: int, rng) -> Aggregator:
     """Copy with `entries` distinct table positions rewritten to a
     uniformly random different coset."""
     table = agg.table.copy()
-    ncos = len(agg.H.cosets)
+    ncos = len(agg.H.representatives)
     positions = rng.choice(table.shape[0], size=entries, replace=False)
     for pos in positions:
         shift = rng.integers(1, ncos)
@@ -260,8 +249,9 @@ def encode_g(agg: Aggregator, table: Rho1Table | None = None) -> np.ndarray:
     cached Helmert table by default), g_0 = M_H: a fresh read-only
     (#cosets, m-1, m-1) array g, with g(x) = g[agg.table[x]]."""
     table = table if table is not None else rho1_table(agg.m)
-    members = np.array([coset.members for coset in agg.H.cosets])
-    out = table.R[perm_indices(members)].mean(axis=1)
+    # a stable argsort lists each coset's members in lex order, coset by coset
+    members = np.argsort(agg.H.coset_ids, kind="stable").reshape(-1, agg.H.order)
+    out = table.R[members].mean(axis=1)
     out.setflags(write=False)
     return out
 
@@ -319,7 +309,7 @@ def to_json(agg: Aggregator) -> dict:
     }
     if agg.kind not in NAMED_RULE_PARAMS:
         texts, _ = _perm_texts(agg.m)
-        outputs = [format_perm(c.representative) for c in agg.H.cosets]
+        outputs = [texts[r] for r in agg.H.representatives]
         doc["entries"] = [
             {"profile": list(profile), "output": outputs[c]}
             for profile, c in zip(itertools.product(texts, repeat=agg.n), agg.table.tolist())
@@ -362,6 +352,15 @@ def _entries_ids(entries: list, n: int, m: int) -> tuple[np.ndarray, np.ndarray]
     return rows[:, :n], rows[:, n]
 
 
+def _refuse_repeats(entries: list, first: np.ndarray) -> None:
+    """Name the first entry whose profile an earlier entry gives;
+    `first` holds the index of each distinct profile's first entry."""
+    if len(first) < len(entries):
+        repeated = np.ones(len(entries), dtype=bool)
+        repeated[first] = False
+        raise ValueError(f"duplicate entry for profile {entries[repeated.argmax()]['profile']}")
+
+
 def from_json(doc: dict) -> Aggregator:
     expect_json(doc, dict, "aggregator document")
     m, n = (expect_key(doc, key, "aggregator document") for key in ("m", "n"))
@@ -381,15 +380,13 @@ def from_json(doc: dict) -> Aggregator:
     entries = expect_json(doc["entries"], list, "entries")
     votes, outputs = _entries_ids(entries, n, m)
     fact = factorial(m)
+    if len(entries) < fact**n:  # refused by count: no array of m!^n entries is built
+        _refuse_repeats(entries, np.unique(votes, axis=0, return_index=True)[1])
+        raise ValueError(f"table not total: {fact**n - len(entries)} profiles missing")
     idx = votes @ fact ** np.arange(n - 1, -1, -1, dtype=np.int64)  # voter 1 leads
-    counts = np.bincount(idx, minlength=fact**n)
-    if counts.max() > 1:
-        repeated = np.ones(len(idx), dtype=bool)
-        repeated[np.unique(idx, return_index=True)[1]] = False
-        raise ValueError(f"duplicate entry for profile {entries[repeated.argmax()]['profile']}")
-    missing = int((counts == 0).sum())
-    if missing:
-        raise ValueError(f"table not total: {missing} profiles missing")
+    # at least m!^n entries: with no profile repeated, every profile is present
+    if np.bincount(idx, minlength=fact**n).max() > 1:
+        _refuse_repeats(entries, np.unique(idx, return_index=True)[1])
     table = np.empty(fact**n, dtype=np.int64)
     table[idx] = H.coset_ids[outputs]
     return Aggregator(m, n, H, table, kind, dict(params))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import broadcast_voter, enumerate_group, fixed_points, perm_index
+from .perms import MAX_M, broadcast_voter, enumerate_group, fixed_points, perm_index
 
 BASIS_TOL = 1e-12
 
@@ -112,7 +112,7 @@ class Rho1Table:
         return self.R[perm_index(x)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MAX_M)  # m runs over 2..MAX_M
 def rho1_table(m: int) -> Rho1Table:
     """Cached table over the default Helmert basis."""
     return Rho1Table(m)

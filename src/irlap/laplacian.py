@@ -259,7 +259,7 @@ def apply_quadratic_form(agg: Aggregator, bundle: LaplacianBundle | None,
     S = int((ir_combinatorial(agg).same_rank * tables.dot).sum())
     if variant == "L1":
         raw = hh * n * m * N * k - S
-        offset = hh * n * N * k * (m - H.orbit_count)  # |H|^2 lprime_offset
+        offset = hh * lprime_offset(m, n, H)
     else:
         diag = int((tables.prof ** 2).sum(axis=(1, 2))[agg.table].sum())
         raw, offset = n * k * diag - S, 0

@@ -203,7 +203,7 @@ def census_ir_functions(m: int, n: int, H: FixingSubgroup) -> CensusResult:
     classify them as constants, rank-relabeled dictators, or other;
     refuses over CENSUS_LIMIT tables (`check_census_budget`).  The
     theorem under test is that "other" is empty for m >= 3."""
-    ncos = len(H.cosets)
+    ncos = len(H.representatives)
     check_census_budget(m, n, ncos)
     npos = factorial(m) ** n
     total = ncos**npos
@@ -356,7 +356,9 @@ def manipulation_power(agg: Aggregator, orders: OrderFamily | None = None,
     pos = orders.position
     better = pos[:, :, None, :] < pos[:, :, :, None]  # [j, r, pa, pb]: pb preferred
     denom = factorial(agg.m) ** (agg.n + 1)
-    per_voter = [Fraction(int((counts * better).sum()), denom) for counts in cnt_all]
+    # exact in int64: a voter's counts sum to m * m!^(n+1)
+    better_counts = cnt_all.reshape(agg.n, -1) @ better.reshape(-1).astype(np.int64)
+    per_voter = [Fraction(v, denom) for v in better_counts.tolist()]
     total = sum(per_voter, Fraction(0))
     c = profile_tables(agg.H).max_pair_dist2
     if ir is None:

@@ -158,7 +158,7 @@ class AppendixTables:
         return tuple(tuple(Fraction(v, det) for v in row) for row in self.adj)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)  # m = 4..12 of the determinant rows, and --m
 def build_appendix(m: int) -> AppendixTables:
     """C15's tables from C15 = Z D Z^T (module docstring); the float
     inverse equals float() of each Fraction.  Shared by every caller."""

@@ -1,4 +1,4 @@
-"""Permutations, fixing subgroups, cosets, and rank profiles.
+"""Permutations, fixing subgroups, and their coset decompositions.
 
 Conventions (fixed once, used everywhere):
 
@@ -14,6 +14,10 @@ Conventions (fixed once, used everywhere):
   exactly "all rankings with a fixed name in rank 1", so a coset is a
   single election winner; with the all-singletons partition cosets
   are singletons and aggregators return full rankings.
+- A coset decomposition is one integer array, ``H.coset_ids``: the
+  coset of every permutation in lex order, cosets numbered by their
+  least member.  Representatives, members and rank profiles are array
+  reads of it (`FixingSubgroup`, `aggregators.ProfileTables`).
 
 All values are immutable after construction and safe to share across
 threads.
@@ -24,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial, prod
 
 import numpy as np
@@ -77,11 +80,6 @@ def inverse(x: tuple[int, ...]) -> tuple[int, ...]:
     for r, name in enumerate(x, start=1):
         inv[name - 1] = r
     return tuple(inv)
-
-
-def rank_of(x: tuple[int, ...], j: int) -> int:
-    """The rank x^-1(j) that x assigns to alternative j."""
-    return x.index(j) + 1
 
 
 def enumerate_group(m: int) -> list[tuple[int, ...]]:
@@ -137,15 +135,6 @@ def is_even(x: tuple[int, ...]) -> bool:
     return parity == 0
 
 
-@dataclass(frozen=True)
-class Coset:
-    """A coset {compose(x, h) : h in H}; representative is the
-    lexicographically least member."""
-
-    representative: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...]
-
-
 def _validate_partition(m: int, partition) -> tuple[tuple[int, ...], ...]:
     if not (isinstance(partition, (list, tuple)) and all(
             isinstance(b, (list, tuple)) and all(type(v) is int for v in b) for b in partition)):
@@ -164,6 +153,14 @@ class FixingSubgroup:
     """Subgroup of all permutations respecting a partition of [m],
     together with the coset decomposition of S_m.
 
+    ``coset_ids[a]`` is the coset {compose(x, h) : h in H} of the a-th
+    permutation x in lex order, cosets numbered by their least member;
+    the (m!,) array is read-only and the only stored form of the
+    decomposition: `representatives`, each coset's members (a stable
+    argsort) and the rank counts of `aggregators.ProfileTables` are read
+    off it.  It follows from m and the members, so it takes no part in
+    equality or hashing.
+
     ``partition`` is None for ad-hoc subgroups built from explicit
     members (test fixtures); only partition-built subgroups are fixing
     subgroups in the guaranteed sense.
@@ -172,8 +169,7 @@ class FixingSubgroup:
     m: int
     partition: tuple[tuple[int, ...], ...] | None
     members: tuple[tuple[int, ...], ...]
-    cosets: tuple[Coset, ...]
-    coset_index: dict[tuple[int, ...], int] = field(repr=False)
+    coset_ids: np.ndarray = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -187,30 +183,27 @@ class FixingSubgroup:
         return sum(fixed_points(h) for h in self.members) // self.order
 
     @functools.cached_property
-    def coset_ids(self) -> np.ndarray:
-        """The coset index of every permutation, in lex order; shape
-        (m!,), read-only and kept on H."""
-        ids = np.array([self.coset_index[x] for x in enumerate_group(self.m)], dtype=np.int64)
-        ids.setflags(write=False)
-        return ids
-
-    def coset_of(self, x: tuple[int, ...]) -> Coset:
-        return self.cosets[self.coset_index[x]]
+    def representatives(self) -> np.ndarray:
+        """The lex index of every coset's least member, by coset id;
+        read-only and kept on H.  Its length is the coset count."""
+        reps = np.unique(self.coset_ids, return_index=True)[1]
+        reps.setflags(write=False)
+        return reps
 
 
-def _cosets_from_members(m: int, members) -> tuple[tuple[Coset, ...], dict]:
+def _coset_ids(m: int, members) -> np.ndarray:
     perms = enumerate_group(m)
-    seen: dict[tuple[int, ...], int] = {}
-    cosets: list[Coset] = []
-    for x in perms:  # lex order makes the first-seen member the representative
-        if x in seen:
-            continue
-        coset_members = tuple(sorted(compose(x, h) for h in members))
-        idx = len(cosets)
-        cosets.append(Coset(representative=coset_members[0], members=coset_members))
-        for y in coset_members:
-            seen[y] = idx
-    return tuple(cosets), seen
+    index = {x: a for a, x in enumerate(perms)}
+    ids = [-1] * len(perms)
+    count = 0
+    for a, x in enumerate(perms):  # lex order meets each coset first at its least member
+        if ids[a] < 0:
+            for h in members:
+                ids[index[compose(x, h)]] = count
+            count += 1
+    out = np.array(ids, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def build_fixing_subgroup(m: int, partition) -> FixingSubgroup:
@@ -232,8 +225,7 @@ def _fixing_subgroup(m: int, blocks: tuple[tuple[int, ...], ...]) -> FixingSubgr
         members.append(tuple(word))
     members.sort()
     assert len(members) == prod(factorial(len(b)) for b in blocks)
-    cosets, index = _cosets_from_members(m, members)
-    return FixingSubgroup(m, blocks, tuple(members), cosets, index)
+    return FixingSubgroup(m, blocks, tuple(members), _coset_ids(m, members))
 
 
 def subgroup_from_members(m: int, members) -> FixingSubgroup:
@@ -249,8 +241,7 @@ def subgroup_from_members(m: int, members) -> FixingSubgroup:
             if compose(a, b) not in mset:
                 raise ValueError("members not closed under composition")
     ordered = tuple(sorted(mset))
-    cosets, index = _cosets_from_members(m, ordered)
-    return FixingSubgroup(m, None, ordered, cosets, index)
+    return FixingSubgroup(m, None, ordered, _coset_ids(m, ordered))
 
 
 def coset_count(m: int, partition) -> int:
@@ -267,24 +258,6 @@ def trivial_subgroup(m: int) -> FixingSubgroup:
 def winner_subgroup(m: int) -> FixingSubgroup:
     """Partition {{1},{2..m}}: aggregators return a single winner."""
     return build_fixing_subgroup(m, [[1], list(range(2, m + 1))])
-
-
-def j_profile(coset: Coset, j: int, m: int) -> tuple[Fraction, ...]:
-    """Rank profile of alternative j over the coset: entry r is the
-    fraction of members ranking j at r.  Entries sum to 1."""
-    if not 1 <= j <= m:
-        raise ValueError(f"alternative {j} out of range 1..{m}")
-    h = len(coset.members)
-    return tuple(Fraction(c, h) for c in j_profile_counts(coset, j, m))
-
-
-def j_profile_counts(coset: Coset, j: int, m: int) -> tuple[int, ...]:
-    """Integer rank-multiplicity vector (sums to |H|); exact arithmetic
-    building block for the rational IR metrics."""
-    counts = [0] * m
-    for y in coset.members:
-        counts[rank_of(y, j) - 1] += 1
-    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------

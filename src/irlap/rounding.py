@@ -53,6 +53,7 @@ A transitive H (tr M_H = 0) is refused.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from math import factorial, sqrt
@@ -67,8 +68,8 @@ from .perms import (
     TRANSITIVE,
     broadcast_voter,
     compose_table,
+    enumerate_group,
     format_perm,
-    perm_index,
     perm_indices,
     rank_table,
 )
@@ -148,7 +149,7 @@ def center_aggregator(agg: Aggregator) -> Aggregator:
     fact = factorial(m)
     comp = compose_table(m)
     inv = perm_indices(rank_table(m).T)  # the rank columns are the inverse words
-    reps = np.array([perm_index(c.representative) for c in H.cosets])
+    reps = H.representatives
     shift = comp[inv]  # shift[y, x] = perm_index(compose(inverse(y), x))
     votes = np.arange(fact)
     y = broadcast_voter(votes, n + 1, n + 1)
@@ -309,14 +310,12 @@ class RobustnessReport:
         return doc
 
 
-_GAP_CACHE: dict[tuple[int, int], tuple[float, bool]] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def measured_gap(m: int, n: int) -> tuple[float, bool]:
-    if (m, n) not in _GAP_CACHE:
-        rep = spectral_gap(m, n)
-        _GAP_CACHE[m, n] = (rep.gap, rep.exhaustive)
-    return _GAP_CACHE[m, n]
+    """The spectral gap of size (m, n) and whether it is exhaustive,
+    solved once per size."""
+    rep = spectral_gap(m, n)
+    return rep.gap, rep.exhaustive
 
 
 def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport:
@@ -343,7 +342,7 @@ def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport
         m=work.m, n=work.n, ir=ir,
         kernel_distance_sq=proj.kernel_distance_sq, gap=gap, gap_exhaustive=exhaustive,
         voter=proj.voter, coefficient_norms=list(proj.coefficient_norms),
-        rounded_sigma=format_perm(work.H.cosets[proj.coset].representative),
+        rounded_sigma=format_perm(enumerate_group(m)[work.H.representatives[proj.coset]]),
         rounded_coset=proj.coset, dictator_distance_sq=proj.dictator_distance_sq,
         rounding_factor=factor, centered=center, diagnostics=fkn_diagnostics(work),
     )

@@ -1,5 +1,9 @@
 """Python loops kept as reference implementations.
 
+A subgroup's coset decomposition, from compose(x, h) member by
+member, is the oracle of the library's coset-id array and the
+representatives and rank counts read off it (tests/test_array_kernels.py).
+
 The library builds rule tables, centered tables, JSON documents and
 the exact moment kernels with numpy array kernels; these are the
 loops they replaced, written one profile (or one contraction) at a
@@ -74,7 +78,6 @@ from irlap.perms import (
     parse_perm,
     perm_index,
     rank_classes,
-    rank_of,
     trivial_subgroup,
     voter_view,
     winner_subgroup,
@@ -111,7 +114,7 @@ def plurality_table(m: int, n: int) -> np.ndarray:
     winner_coset = {}
     for w in range(1, m + 1):
         rep = tuple([w] + sorted(v for v in range(1, m + 1) if v != w))
-        winner_coset[w] = H.coset_index[rep]
+        winner_coset[w] = H.coset_ids[perm_index(rep)]
     table = np.empty(factorial(m) ** n, dtype=np.int64)
     for idx, profile in enumerate(itertools.product(enumerate_group(m), repeat=n)):
         table[idx] = winner_coset[plurality_winner(profile, m)]
@@ -122,7 +125,7 @@ def borda_table(m: int, n: int) -> np.ndarray:
     H = trivial_subgroup(m)
     table = np.empty(factorial(m) ** n, dtype=np.int64)
     for idx, profile in enumerate(itertools.product(enumerate_group(m), repeat=n)):
-        table[idx] = H.coset_index[borda_ranking(profile, m)]
+        table[idx] = H.coset_ids[perm_index(borda_ranking(profile, m))]
     return table
 
 
@@ -137,7 +140,8 @@ def scoring_table(s, H, n: int) -> np.ndarray:
         for x in profile:
             for r, name in enumerate(x, start=1):
                 score[name] += s[r - 1]
-        table[idx] = H.coset_index[tuple(sorted(range(1, m + 1), key=lambda v: (-score[v], v)))]
+        ranking = tuple(sorted(range(1, m + 1), key=lambda v: (-score[v], v)))
+        table[idx] = H.coset_ids[perm_index(ranking)]
     return table
 
 
@@ -153,14 +157,32 @@ def set_partitions(items):
             yield part[:k] + [[first] + part[k]] + part[k + 1:]
 
 
+def coset_arrays(H) -> tuple[list, list, list]:
+    """H's coset ids, representatives and rank counts from the
+    definition, one coset {compose(x, h) : h in H} at a time.  Cosets
+    are numbered by their least member; ids[a] is the coset of the a-th
+    permutation (lex), reps[c] the lex index of coset c's least member
+    and prof[c][j-1][r-1] the members of coset c that rank j at r."""
+    m = H.m
+    perms = enumerate_group(m)
+    # each member tuple is sorted, so the tuples sort by least member
+    cosets = sorted({tuple(sorted(compose(x, h) for h in H.members)) for x in perms})
+    where = {y: c for c, coset in enumerate(cosets) for y in coset}
+    ids = [where[x] for x in perms]
+    reps = [perm_index(coset[0]) for coset in cosets]
+    prof = [[[sum(1 for y in coset if y.index(j) == r) for r in range(m)]
+             for j in range(1, m + 1)] for coset in cosets]
+    return ids, reps, prof
+
+
 def centered_table(agg: Aggregator) -> np.ndarray:
     m, n, H = agg.m, agg.n, agg.H
     table = np.empty(factorial(m) ** (n + 1), dtype=np.int64)
     for idx, profile in enumerate(itertools.product(enumerate_group(m), repeat=n + 1)):
         x, y = profile[:n], profile[n]
         w = tuple(compose(inverse(y), xi) for xi in x)
-        rep = H.cosets[int(agg.table[agg.profile_index(w)])].representative
-        table[idx] = H.coset_index[compose(y, rep)]
+        rep = enumerate_group(m)[H.representatives[agg.table[agg.profile_index(w)]]]
+        table[idx] = H.coset_ids[perm_index(compose(y, rep))]
     return table
 
 
@@ -175,7 +197,7 @@ def json_doc(agg: Aggregator) -> dict:
     if agg.kind not in NAMED_RULE_PARAMS:
         entries = []
         for idx, profile in enumerate(itertools.product(enumerate_group(agg.m), repeat=agg.n)):
-            rep = agg.H.cosets[int(agg.table[idx])].representative
+            rep = enumerate_group(agg.m)[agg.H.representatives[agg.table[idx]]]
             entries.append({"profile": [format_perm(x) for x in profile],
                             "output": format_perm(rep)})
         doc["entries"] = entries
@@ -198,7 +220,7 @@ def json_table(doc: dict) -> np.ndarray:
             idx = idx * fact + perm_index(x)
         if table[idx] >= 0:
             raise ValueError(f"duplicate entry for profile {entry['profile']}")
-        table[idx] = H.coset_index[parse_perm(entry["output"], m)]
+        table[idx] = H.coset_ids[perm_index(parse_perm(entry["output"], m))]
     if (table < 0).any():
         missing = int((table < 0).sum())
         raise ValueError(f"table not total: {missing} profiles missing")
@@ -367,7 +389,7 @@ def robustness_report_by_fractions(agg: Aggregator, center: bool = False) -> Rob
         m=work.m, n=work.n, ir=ir_combinatorial(work).profile_distance,
         kernel_distance_sq=proj.kernel_distance_sq, gap=gap, gap_exhaustive=exhaustive,
         voter=proj.voter, coefficient_norms=list(proj.coefficient_norms),
-        rounded_sigma=format_perm(work.H.cosets[proj.coset].representative),
+        rounded_sigma=format_perm(enumerate_group(work.m)[work.H.representatives[proj.coset]]),
         rounded_coset=proj.coset, dictator_distance_sq=proj.dictator_distance_sq,
         rounding_factor=factor, centered=center, diagnostics=fkn_by_fractions(work),
     )
@@ -636,10 +658,8 @@ def degree2_product_check(m: int, samples: int = 50, seed: int = 0) -> dict:
 
 def membership_matrix(H) -> np.ndarray:
     """Mem[c, x] = 1 iff the x-th permutation (lex order) lies in coset c."""
-    Mem = np.zeros((len(H.cosets), factorial(H.m)), dtype=np.int64)
-    for c, coset in enumerate(H.cosets):
-        for y in coset.members:
-            Mem[c, perm_index(y)] = 1
+    Mem = np.zeros((len(H.representatives), factorial(H.m)), dtype=np.int64)
+    Mem[H.coset_ids, np.arange(factorial(H.m))] = 1
     return Mem
 
 
@@ -657,14 +677,14 @@ def switch_class_cosets(agg: Aggregator) -> np.ndarray:
     m, n = agg.m, agg.n
     perms = enumerate_group(m)
     fact = len(perms)
-    cc = np.zeros((n, m, m, fact ** (n - 1), len(agg.H.cosets)), dtype=np.int64)
+    cc = np.zeros((n, m, m, fact ** (n - 1), len(agg.H.representatives)), dtype=np.int64)
     for p, profile in enumerate(itertools.product(range(fact), repeat=n)):
         for i in range(n):
             s = 0
             for v in profile[:i] + profile[i + 1:]:
                 s = s * fact + v
             for j in range(m):
-                cc[i, j, rank_of(perms[profile[i]], j + 1) - 1, s, agg.table[p]] += 1
+                cc[i, j, perms[profile[i]].index(j + 1), s, agg.table[p]] += 1
     return cc
 
 

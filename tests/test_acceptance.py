@@ -46,7 +46,7 @@ from irlap.moments import (
     norm4_exact,
     random_equal_margin,
 )
-from irlap.perms import enumerate_group, trivial_subgroup, winner_subgroup
+from irlap.perms import enumerate_group, perm_index, trivial_subgroup, winner_subgroup
 from irlap.rounding import kernel_projection, measured_gap, robustness_report
 
 
@@ -173,7 +173,7 @@ def test_criterion_5_fkn_recovery():
                 corr = corrupt_aggregator(d, 1, rng)
                 rep = robustness_report(corr)
                 ok &= rep.voter == voter
-                ok &= rep.rounded_coset == H.coset_index[sigma]
+                ok &= rep.rounded_coset == H.coset_ids[perm_index(sigma)]
                 ok &= rep.rounding_factor <= 2 + 1e-9
                 factors.append(rep.rounding_factor)
     # distance decays to zero with the corruption count

@@ -31,7 +31,7 @@ from irlap.perms import (
     enumerate_group,
     is_even,
     parse_perm,
-    rank_of,
+    perm_index,
     subgroup_from_members,
     trivial_subgroup,
     winner_subgroup,
@@ -42,7 +42,7 @@ def test_dictator_identity_sigma():
     H = trivial_subgroup(3)
     d = make_dictator(1, (1, 2, 3), H, 2)
     x = (parse_perm("231", 3), parse_perm("123", 3))
-    assert d.evaluate(x).representative == parse_perm("231", 3)
+    assert enumerate_group(3)[H.representatives[d.evaluate(x)]] == parse_perm("231", 3)
 
 
 def test_dictator_scf_returns_top_choice():
@@ -50,7 +50,7 @@ def test_dictator_scf_returns_top_choice():
     d = make_dictator(1, (1, 2, 3), H, 2)
     x = (parse_perm("231", 3), parse_perm("123", 3))
     # winner = voter 1's rank-1 name = 2
-    assert d.evaluate(x) == H.coset_of(parse_perm("231", 3))
+    assert d.evaluate(x) == H.coset_ids[perm_index(parse_perm("231", 3))]
 
 
 def test_dictator_voter_out_of_range():
@@ -62,26 +62,26 @@ def test_constant():
     H = winner_subgroup(3)
     c = make_constant(2, H, 2)
     for profile in [(parse_perm("123", 3), parse_perm("321", 3))]:
-        assert c.evaluate(profile) is H.cosets[2]
+        assert c.evaluate(profile) == 2
 
 
 def test_plurality_unanimity():
     p = make_plurality(3, 3)
     profile = tuple(parse_perm("123", 3) for _ in range(3))
-    assert p.evaluate(profile).representative[0] == 1
+    assert enumerate_group(3)[p.H.representatives[p.evaluate(profile)]][0] == 1
 
 
 def test_plurality_tie_break_lexicographic():
     p = make_plurality(3, 2)
     profile = (parse_perm("123", 3), parse_perm("231", 3))  # one vote each for 1, 2
-    assert p.evaluate(profile).representative[0] == 1
+    assert enumerate_group(3)[p.H.representatives[p.evaluate(profile)]][0] == 1
 
 
 def test_borda_example():
     b = make_borda(3, 2)
     profile = (parse_perm("123", 3), parse_perm("231", 3))
     # scores: 1 -> 2, 2 -> 3, 3 -> 1
-    assert b.evaluate(profile).representative == parse_perm("213", 3)
+    assert enumerate_group(3)[b.H.representatives[b.evaluate(profile)]] == parse_perm("213", 3)
 
 
 def test_evaluate_rejects_wrong_size():
@@ -141,7 +141,7 @@ def test_coset_means_satisfy_the_consistency_identity(drawn, basis_seed):
     table = Rho1Table(m, basis)
     gc = encode_g(make_constant(0, H, 1), table)
     MH = np.mean([table.of(h) for h in H.members], axis=0)
-    assert len(gc) == len(H.cosets)
+    assert len(gc) == len(H.representatives)
     assert np.abs(np.einsum("ckl,ctl->ckt", gc, gc) - MH).max() <= 1e-10
 
 
@@ -161,9 +161,9 @@ def test_one_catalog_lists_the_orbits(drawn, alternating):
     H = _alternating(m) if alternating and m >= 3 else build_fixing_subgroup(m, partition)
     tables = profile_tables(H)
     assert len(tables.catalog) == H.orbit_count
-    for c, coset in enumerate(H.cosets):
+    for c, rep in enumerate(H.representatives):
         for j in range(1, m + 1):
-            orbit = {h[rank_of(coset.representative, j) - 1] for h in H.members}
+            orbit = {h[enumerate_group(m)[rep].index(j)] for h in H.members}
             expected = tuple(H.order // len(orbit) if r in orbit else 0 for r in range(1, m + 1))
             assert tables.catalog[tables.pid[c, j - 1]] == expected
 
@@ -213,12 +213,12 @@ def _json_rules(draw):
     if kind == "centered":
         return center_aggregator(random_aggregator(m, 1, H, rng))
     if kind == "constant":
-        return make_constant(draw(st.integers(0, len(H.cosets) - 1)), H, n)
+        return make_constant(draw(st.integers(0, len(H.representatives) - 1)), H, n)
     if kind in ("plurality", "borda"):
         return make_scoring(kind, H, n)
     dictator = make_dictator(draw(st.integers(1, n)),
                              draw(st.sampled_from(enumerate_group(m))), H, n)
-    if kind == "corrupted" and len(H.cosets) > 1:
+    if kind == "corrupted" and len(H.representatives) > 1:
         return corrupt_aggregator(dictator, draw(st.integers(1, 3)), rng)
     return dictator
 
@@ -324,6 +324,24 @@ def test_json_rejects_partial_table():
         from_json(doc)
 
 
+@pytest.mark.parametrize("n", [12, 20, 30])
+def test_json_refuses_a_short_table_by_its_count(n):
+    """Fewer entries than the m!^n profiles are refused from the count,
+    before any array of m!^n entries is built (6^12 int64 take 16 GiB;
+    6^30 does not fit in int64)."""
+    import tracemalloc
+
+    doc = {"m": 3, "n": n, "partition": [[1], [2], [3]], "entries": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"table not total: {6**n} profiles missing"):
+            from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_json_rejects_duplicate_profile():
     H = trivial_subgroup(3)
     doc = to_json(random_aggregator(3, 1, H, np.random.default_rng(0)))
@@ -335,14 +353,12 @@ def test_json_rejects_duplicate_profile():
 
 
 def test_profile_tables_cache_shared_across_json_round_trips():
-    from irlap import aggregators
-
     agg = random_aggregator(3, 1, trivial_subgroup(3), np.random.default_rng(1))
     first = profile_tables(from_json(to_json(agg)).H)
-    size = len(aggregators._PROFILE_TABLES)
+    size = profile_tables.cache_info().currsize
     for _ in range(50):
         assert profile_tables(from_json(to_json(agg)).H) is first
-    assert len(aggregators._PROFILE_TABLES) == size
+    assert profile_tables.cache_info().currsize == size
 
 
 def test_profile_tables_cache_is_bounded():
@@ -350,15 +366,13 @@ def test_profile_tables_cache_is_bounded():
     the newest of them among those kept."""
     import itertools
 
-    from irlap import aggregators
-
     partitions = sorted({tuple(sorted(tuple(v + 1 for v in range(5) if labels[v] == b)
                                       for b in set(labels)))
                          for labels in itertools.product(range(3), repeat=5)})[:20]
     for partition in partitions:
         last = build_fixing_subgroup(5, partition)
         tables = profile_tables(last)
-        assert len(aggregators._PROFILE_TABLES) <= 8
+        assert profile_tables.cache_info().currsize <= 8
     assert profile_tables(last) is tables
 
 

@@ -1,6 +1,6 @@
-"""The numpy kernels for rule tables, centering, JSON, the exact FKN
-diagnostics and the exact moment kernels against the loops in
-reference_loops.py."""
+"""The numpy kernels for coset decompositions, rule tables, centering,
+JSON, the exact FKN diagnostics and the exact moment kernels against
+the loops in reference_loops.py."""
 
 import functools
 import math
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import reference_loops as ref
 from irlap.aggregators import (
     corrupt_aggregator,
+    profile_tables,
     from_json,
     make_dictator,
     make_borda,
@@ -26,7 +27,11 @@ from irlap.basis import Rho1Table, build_basis, rho1_table
 from irlap.moments import blocks_direct, moments
 from irlap.perms import (
     build_fixing_subgroup,
+    compose,
     enumerate_group,
+    identity,
+    is_even,
+    subgroup_from_members,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -56,6 +61,55 @@ def test_scoring_rules_match_the_loop_on_every_partition(m, n):
             assert np.array_equal(agg.table, ref.scoring_table(s, H, n)), (kind, partition)
 
 
+def _assert_coset_arrays_match_the_definition(H):
+    ids, reps, prof = ref.coset_arrays(H)
+    assert H.coset_ids.tolist() == ids
+    assert H.representatives.tolist() == reps
+    assert profile_tables(H).prof.tolist() == prof
+
+
+def _closure(m, generators):
+    """The subgroup of S_m generated by `generators`, as a member list."""
+    members = {identity(m)}
+    frontier = list(members)
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = compose(x, g)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return sorted(members)
+
+
+SUBGROUPS = (
+    [(m, partition) for m in range(2, 6) for partition in ref.set_partitions(list(range(1, m + 1)))]
+    + [(m, "alternating") for m in range(3, 6)] + [(m, "cyclic") for m in range(3, 6)]
+)
+
+
+@pytest.mark.parametrize("m,how", SUBGROUPS)
+def test_coset_arrays_match_the_definition(m, how):
+    """Every set partition at m = 2..5, the alternating group, and the
+    cyclic group of the m-cycle 23..m1."""
+    if how == "alternating":
+        H = subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])
+    elif how == "cyclic":
+        H = subgroup_from_members(m, _closure(m, [tuple(range(2, m + 1)) + (1,)]))
+    else:
+        H = build_fixing_subgroup(m, how)
+    _assert_coset_arrays_match_the_definition(H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda m: st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=2)))
+def test_coset_arrays_match_the_definition_on_generated_subgroups(generators):
+    m = len(generators[0])
+    H = subgroup_from_members(m, _closure(m, [tuple(g) for g in generators]))
+    _assert_coset_arrays_match_the_definition(H)
+
+
 @functools.lru_cache(maxsize=None)
 def _rules(m, n):
     return make_plurality(m, n), make_borda(m, n)
@@ -70,8 +124,10 @@ def test_rules_beyond_the_loop_sizes(case):
     """Single profiles, ties included, where a full loop is too slow."""
     m, profile = case
     plurality, borda = _rules(m, len(profile))
-    assert plurality.evaluate(profile).representative[0] == ref.plurality_winner(profile, m)
-    assert borda.evaluate(profile).representative == ref.borda_ranking(profile, m)
+    words = enumerate_group(m)
+    winner = words[plurality.H.representatives[plurality.evaluate(profile)]][0]
+    assert winner == ref.plurality_winner(profile, m)
+    assert words[borda.H.representatives[borda.evaluate(profile)]] == ref.borda_ranking(profile, m)
 
 
 def _partitions(m):

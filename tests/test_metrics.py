@@ -68,7 +68,7 @@ def test_zero_locus_exact_m4():
 def test_name_relabeling_has_positive_ir():
     H = trivial_subgroup(3)
     sigma = parse_perm("213", 3)
-    table = np.array([H.coset_index[compose(sigma, x)] for x in enumerate_group(3)])
+    table = np.array([H.coset_ids[perm_index(compose(sigma, x))] for x in enumerate_group(3)])
     value = ir_combinatorial(Aggregator(3, 1, H, table))
     assert value.profile_distance > 0
     assert abs(float(value.profile_distance) - value.quadratic) <= 1e-9
@@ -215,7 +215,8 @@ def test_statistics_follow_a_voter_permutation(shape, seed, dictator, data):
         agg = random_aggregator(m, n, H, rng)
     # renamed[v] = index of compose(pi, x_v); coset c goes to the coset of compose(pi, rep_c)
     renamed = np.array([perm_index(compose(pi, x)) for x in enumerate_group(m)])
-    outputs = np.array([H.coset_index[compose(pi, c.representative)] for c in H.cosets])
+    words = enumerate_group(m)
+    outputs = H.coset_ids[[perm_index(compose(pi, words[r])) for r in H.representatives]]
     cube = agg.table.reshape((factorial(m),) * n).transpose(perm)
     moved = Aggregator(m, n, H, outputs[cube[np.ix_(*[np.argsort(renamed)] * n)]].reshape(-1))
     ir, ir_moved = (ir_combinatorial(a) for a in (agg, moved))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irlap.aggregators import profile_tables
 from irlap.perms import (
     broadcast_voter,
     build_fixing_subgroup,
@@ -19,12 +20,10 @@ from irlap.perms import (
     identity,
     inverse,
     is_even,
-    j_profile,
     parse_perm,
     perm_index,
     perm_indices,
     rank_classes,
-    rank_of,
     subgroup_from_members,
     trivial_subgroup,
     voter_view,
@@ -126,7 +125,8 @@ def test_compose_table_and_coset_ids(m):
         for b, y in enumerate(perms):
             assert comp[a, b] == perm_index(compose(x, y))
     for H in (trivial_subgroup(m), winner_subgroup(m)):
-        assert H.coset_ids.tolist() == [H.coset_index[x] for x in perms]
+        least = [min(perm_index(compose(x, h)) for h in H.members) for x in perms]
+        assert H.representatives[H.coset_ids].tolist() == least
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
@@ -142,26 +142,27 @@ def test_coset_ids_are_kept_read_only_on_H(m):
         assert not ids.flags.writeable
         with pytest.raises(ValueError):
             ids[0] = 1
-        assert ids.tolist() == [next(c for c, coset in enumerate(H.cosets) if x in coset.members)
+        reps = H.representatives.tolist()
+        assert ids.tolist() == [reps.index(min(perm_index(compose(x, h)) for h in H.members))
                                 for x in enumerate_group(m)]
 
 
 def test_trivial_subgroup_is_swf():
     H = trivial_subgroup(3)
     assert H.order == 1
-    assert len(H.cosets) == 6
+    assert len(H.representatives) == 6
 
 
 def test_winner_subgroup_is_scf():
     H = winner_subgroup(3)
     assert H.order == 2
-    assert len(H.cosets) == 3
+    assert len(H.representatives) == 3
 
 
 def test_fixing_subgroup_m4():
     H = build_fixing_subgroup(4, [[1], [2, 3], [4]])
     assert H.order == 2
-    assert len(H.cosets) == 12
+    assert len(H.representatives) == 12
 
 
 def test_fixing_subgroups_are_kept_per_canonical_blocks():
@@ -215,33 +216,33 @@ def test_group_laws(m, partition):
 def test_cosets_partition_group(m, partition):
     H = build_fixing_subgroup(m, partition)
     seen = set()
-    for coset in H.cosets:
-        assert coset.representative == min(coset.members)
-        assert len(coset.members) == H.order
-        seen.update(coset.members)
+    for c, rep in enumerate(H.representatives):
+        members = np.flatnonzero(H.coset_ids == c)
+        assert rep == members.min()
+        assert len(members) == H.order
+        seen.update(members.tolist())
     assert len(seen) == factorial(m)
 
 
 def test_j_profile_swf_unit_vector():
     H = trivial_subgroup(3)
     x = parse_perm("231", 3)
-    prof = j_profile(H.coset_of(x), 1, 3)
-    assert prof[rank_of(x, 1) - 1] == 1
+    prof = profile_tables(H).prof[H.coset_ids[perm_index(x)], 0] / H.order
+    assert prof[x.index(1)] == 1
     assert sum(prof) == 1
 
 
 def test_j_profile_scf_example():
     H = winner_subgroup(3)
-    K = H.coset_of(parse_perm("123", 3))  # winner 1
-    assert j_profile(K, 1, 3) == (1, 0, 0)
-    assert j_profile(K, 2, 3) == (0, Fraction(1, 2), Fraction(1, 2))
+    K = H.coset_ids[perm_index(parse_perm("123", 3))]  # winner 1
+    prof = profile_tables(H).prof[K]
+    assert [Fraction(v, H.order) for v in prof[0]] == [1, 0, 0]
+    assert [Fraction(v, H.order) for v in prof[1]] == [0, Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_j_profiles_sum_to_one():
     H = build_fixing_subgroup(4, [[1], [2, 3], [4]])
-    for coset in H.cosets:
-        for j in range(1, 5):
-            assert sum(j_profile(coset, j, 4)) == 1
+    assert (profile_tables(H).prof.sum(axis=2) == H.order).all()
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -273,7 +274,7 @@ def test_voter_view_and_rank_classes_match_definition(m, n):
     for j in range(m):
         for r in range(m):
             assert list(classes[j, r]) == [
-                v for v, x in enumerate(perms) if rank_of(x, j + 1) == r + 1]
+                v for v, x in enumerate(perms) if x.index(j + 1) == r]
     profiles = list(itertools.product(range(fact), repeat=n))
     others = list(itertools.product(range(fact), repeat=n - 1))
     values = np.arange(2 * len(profiles)).reshape(-1, 2)  # a trailing axis rides along

@@ -30,6 +30,7 @@ from irlap.perms import (
     enumerate_group,
     is_even,
     parse_perm,
+    perm_index,
     subgroup_from_members,
     trivial_subgroup,
     winner_subgroup,
@@ -188,7 +189,7 @@ def test_integer_numerators_match_the_fraction_chain_oracles(size, part, kind, r
                                   [[1, 2], rest]][part])
     rng = np.random.default_rng(rule_seed)
     if kind == "constant":
-        agg = make_constant(int(rng.integers(0, len(H.cosets))), H, n)
+        agg = make_constant(int(rng.integers(0, len(H.representatives))), H, n)
     elif kind in ("dictator", "corrupted"):
         sigma = enumerate_group(m)[rng.integers(0, factorial(m))]
         agg = make_dictator(int(rng.integers(1, n + 1)), sigma, H, n)
@@ -241,7 +242,7 @@ def _assert_matches_float_oracle(agg, table):
     dists = ((gc - A_star[None]) ** 2).sum(axis=(1, 2))
     if _top_two_apart(dists, "min"):
         assert proj.coset == int(np.argmin(dists))
-    sigma = H.cosets[proj.coset].representative
+    sigma = enumerate_group(m)[H.representatives[proj.coset]]
     rounded = gc[make_dictator(proj.voter, sigma, H, n).table]
     dict_sq = ((g - rounded) ** 2).sum(axis=(1, 2)).mean()
     assert abs(float(proj.dictator_distance_sq) - dict_sq) <= 1e-12
@@ -342,7 +343,7 @@ def test_rounding_exact_recovery():
     for H in (trivial_subgroup(3), winner_subgroup(3)):
         for sigma in enumerate_group(3):
             proj = kernel_projection(make_dictator(2, sigma, H, 2))
-            assert (proj.voter, proj.coset) == (2, H.coset_index[sigma])
+            assert (proj.voter, proj.coset) == (2, H.coset_ids[perm_index(sigma)])
             assert proj.kernel_distance_sq == proj.dictator_distance_sq == 0
             assert proj.coefficient_norms[1] == proj.trace  # ||A*||^2 = tr M_H
 
@@ -356,13 +357,13 @@ def test_rounding_with_noise():
             corr = corrupt_aggregator(make_dictator(1, sigma, H, 1), 1,
                                       np.random.default_rng(seed))
             proj = kernel_projection(corr)
-            assert H.cosets[proj.coset].representative == sigma
+            assert enumerate_group(3)[H.representatives[proj.coset]] == sigma
             assert 0 < proj.dictator_distance_sq
 
 
 def test_rounding_search_space_scf():
     H = winner_subgroup(3)
-    assert len(H.cosets) == 3  # candidate set size
+    assert len(H.representatives) == 3  # candidate set size
 
 
 def test_corrupted_dictator_recovery_seeded():
@@ -374,7 +375,7 @@ def test_corrupted_dictator_recovery_seeded():
             corr = corrupt_aggregator(d, 1, rng)
             rep = robustness_report(corr)
             assert rep.voter == 2
-            assert rep.rounded_coset == H.coset_index[sigma]
+            assert rep.rounded_coset == H.coset_ids[perm_index(sigma)]
             assert rep.kernel_bound_ok
             assert rep.rounding_factor <= 2 + 1e-9
 
@@ -502,7 +503,7 @@ def test_report_reads_no_rho1_table(monkeypatch):
 
 
 def test_measured_gap_solves_once_per_size(monkeypatch):
-    monkeypatch.setattr(rounding, "_GAP_CACHE", {})
+    measured_gap.cache_clear()
     calls = []
 
     def counting_gap(m, n):
@@ -516,3 +517,31 @@ def test_measured_gap_solves_once_per_size(monkeypatch):
         assert abs(gap - 1 / 12) <= 1e-9
     measured_gap(3, 2)
     assert calls == [(4, 2), (3, 2)]
+
+
+def test_caches_stay_within_their_bounds(monkeypatch):
+    """measured_gap and build_appendix, asked for more sizes than they
+    keep, hold at most their maxsize; build_appendix's bound holds a
+    moments job's m = 4..12 and --m, rho1_table's every valid m."""
+    from types import SimpleNamespace
+
+    from irlap.moments import build_appendix
+    from irlap.perms import MAX_M
+
+    monkeypatch.setattr(rounding, "spectral_gap",
+                        lambda m, n: SimpleNamespace(gap=1 / n, exhaustive=False))
+    measured_gap.cache_clear()
+    try:
+        for cache, key in ((measured_gap, lambda k: (3, k + 1)),
+                           (build_appendix, lambda k: (k + 4,))):
+            bound = cache.cache_info().maxsize
+            for k in range(bound + 4):
+                cache(*key(k))
+                assert cache.cache_info().currsize <= bound
+            assert cache.cache_info().currsize == bound
+    finally:
+        measured_gap.cache_clear()  # drop the stand-in gaps
+    assert build_appendix.cache_info().maxsize >= len(range(4, 13)) + 1  # a moments job
+    assert rho1_table.cache_info().maxsize >= MAX_M - 1  # m runs over 2..MAX_M
+    rho1_table(3)
+    assert rho1_table.cache_info().currsize <= rho1_table.cache_info().maxsize
