@@ -86,7 +86,8 @@ class ProfileTables:
     prof[c, j-1, r-1] is the number of members of coset c ranking
     alternative j at r (entries per (c, j) sum to |H|), one bincount of
     (coset id, j, rank of j) over all m! permutations.  pid[c, j-1]
-    is the index of that integer profile in ``catalog``, sorted
+    is the index of that integer profile in ``catalog``, the read-only
+    (P, m) array of the distinct rows of prof[0], sorted
     lexicographically; dist2 and dot are its (P, P) pairwise tables of
     squared distance and inner product.
 
@@ -96,7 +97,8 @@ class ProfileTables:
     orbit O is hit |H|/|O| times (orbit-stabilizer).  So a j-profile
     is |H|/|O| on one orbit O of H on the rank positions and 0
     elsewhere, every orbit occurs for every j, and the catalog has
-    P = H.orbit_count entries.
+    P = H.orbit_count entries, all in coset 0 = H (j's own orbit for
+    j); the build checks that every row is one of them.
 
     The build checks, in integers, the fact the L form's identity rests
     on (laplacian docstring, "IR = L"): each coset's rank-count matrix
@@ -113,12 +115,15 @@ class ProfileTables:
         if not ((self.prof.sum(axis=1) == H.order).all()
                 and (self.prof.sum(axis=2) == H.order).all()):
             raise AssertionError("a coset's rank counts do not sum to |H| by row and column")
-        self.catalog = sorted(set(map(tuple, self.prof.reshape(-1, m).tolist())))
-        lookup = {p: i for i, p in enumerate(self.catalog)}
-        self.pid = np.array([[lookup[tuple(p)] for p in row] for row in self.prof.tolist()],
-                            dtype=np.int64)
-        cat = np.array(self.catalog, dtype=np.int64)
-        self.dot = cat @ cat.T  # sum_r n1*n2
+        # coset 0 is H, whose j-profiles hold every orbit's vector
+        self.catalog = np.unique(self.prof[0], axis=0)
+        self.catalog.setflags(write=False)
+        self.pid = np.full(self.prof.shape[:2], -1)
+        for p, vec in enumerate(self.catalog):
+            self.pid[(self.prof == vec).all(axis=2)] = p
+        if (self.pid < 0).any():
+            raise AssertionError("a coset's j-profile is not in the catalog of coset 0")
+        self.dot = self.catalog @ self.catalog.T  # sum_r n1*n2
         norms = np.diag(self.dot)
         self.dist2 = norms[:, None] + norms[None, :] - 2 * self.dot  # sum_r (n1-n2)^2
 
@@ -131,8 +136,8 @@ class ProfileTables:
 
 @functools.lru_cache(maxsize=8)  # the bound of perms.rank_classes
 def profile_tables(H: FixingSubgroup) -> ProfileTables:
-    """Tables shared by every equal subgroup: H's members fix its coset
-    ids, so equal subgroups built separately reuse one entry."""
+    """Tables shared by every equal subgroup: H's partition fixes its
+    coset ids, so equal subgroups built separately reuse one entry."""
     return ProfileTables(H)
 
 
@@ -266,11 +271,12 @@ class ConsistencyReport:
 
 def consistency_check(agg: Aggregator) -> ConsistencyReport:
     """Verify g g^T = M_H on every coset mean, hence at every profile,
-    where M_H is the mean of rho1 over H's members.  M_H = 0 exactly
-    when H is transitive on the rank positions (tr M_H = #orbits - 1);
-    then g == 0 and the whole spectral pipeline is vacuous."""
+    where M_H is the mean of rho1 over H, which is coset 0.  M_H = 0
+    exactly when H is transitive on the rank positions (tr M_H =
+    #orbits - 1); then g == 0 and the whole spectral pipeline is
+    vacuous."""
     g = encode_g(agg)
-    MH = np.mean([rho1_table(agg.m).of(h) for h in agg.H.members], axis=0)
+    MH = rho1_table(agg.m).R[agg.H.coset_ids == 0].mean(axis=0)
     prods = np.einsum("ckl,ctl->ckt", g, g)
     max_dev = float(np.abs(prods - MH).max())
     idem = float(np.abs(MH @ MH - MH).max())

@@ -216,8 +216,8 @@ def kappa(variant: str, m: int, n: int) -> Fraction:
 
 def lprime_offset(m: int, n: int, H) -> Fraction:
     """Constant rank-disagreement mass inside single cosets, present in
-    the L' form even for IR functions; #orbits(H) is #blocks for a
-    fixing subgroup and also serves any other H."""
+    the L' form even for IR functions; #orbits(H) is H's number of
+    blocks."""
     return Fraction(n * factorial(m) ** n * factorial(m - 1) * (m - H.orbit_count))
 
 

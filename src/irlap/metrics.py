@@ -256,9 +256,8 @@ def default_orders(H: FixingSubgroup, m: int) -> OrderFamily:
     every order is the profile of a coset ranking j there.  The order
     depends on r only, so it is sorted once per r and shared by every j."""
     tables = profile_tables(H)
-    cat = np.array(tables.catalog)
     # [r, p]: squared distance from profile p to |H| e_r, less the constant |H|^2
-    key = np.diag(tables.dot)[None, :] - 2 * H.order * cat.T
+    key = np.diag(tables.dot)[None, :] - 2 * H.order * tables.catalog.T
     # a stable sort breaks ties by catalog index, which is lexicographic
     pos = np.argsort(np.argsort(key, axis=1, kind="stable"), axis=1)
     return OrderFamily(m, np.tile(pos, (m, 1, 1)), "distance-to-truthful-rank")
@@ -279,7 +278,7 @@ def orders_from_json(doc, H: FixingSubgroup, m: int) -> OrderFamily:
     multiples of 1/|H|, a ranking lists every profile once, and no
     (j, r) pair is listed twice."""
     cat = profile_tables(H).catalog
-    lookup = {p: i for i, p in enumerate(cat)}
+    lookup = {p: i for i, p in enumerate(map(tuple, cat.tolist()))}
     family = default_orders(H, m)
     h = H.order
     listed = set()

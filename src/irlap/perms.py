@@ -8,8 +8,9 @@ Conventions (fixed once, used everywhere):
 - ``compose(x, y)(r) = x(y(r))`` -- y is applied first.  Under this
   rule a rank relabeling of x by sigma is ``compose(x, sigma)``.
 - A fixing subgroup H for a partition of [m] consists of all
-  permutations mapping every block onto itself.  The output space of
-  an aggregator is the set of cosets ``{compose(x, h) : h in H}``.
+  permutations mapping every block onto itself; H is a function of m
+  and the partition alone.  The output space of an aggregator is the
+  set of cosets ``{compose(x, h) : h in H}``.
   With the winner-take-all partition {{1},{2..m}} these cosets are
   exactly "all rankings with a fixed name in rank 1", so a coset is a
   single election winner; with the all-singletons partition cosets
@@ -150,98 +151,55 @@ def _validate_partition(m: int, partition) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class FixingSubgroup:
-    """Subgroup of all permutations respecting a partition of [m],
-    together with the coset decomposition of S_m.
+    """The subgroup H of all permutations mapping every block of a
+    partition of [m] onto itself, with the coset decomposition of S_m;
+    a function of m and the partition alone, which equality and hashing
+    read.
 
-    ``coset_ids[a]`` is the coset {compose(x, h) : h in H} of the a-th
-    permutation x in lex order, cosets numbered by their least member;
-    the (m!,) array is read-only and the only stored form of the
-    decomposition: `representatives`, each coset's members (a stable
-    argsort) and the rank counts of `aggregators.ProfileTables` are read
-    off it.  It follows from m and the members, so it takes no part in
-    equality or hashing.
-
-    ``partition`` is None for ad-hoc subgroups built from explicit
-    members (test fixtures); only partition-built subgroups are fixing
-    subgroups in the guaranteed sense.
+    compose(x, h) permutes x's names within each block's positions, so
+    the least member of x's coset {compose(x, h) : h in H} is x with
+    each block's names sorted ascending.  ``coset_ids[a]`` is the coset
+    of the a-th permutation in lex order and ``representatives[c]`` the
+    lex index of coset c's least member, cosets numbered by it: two
+    read-only arrays from one np.unique of the least members.  Each
+    coset's members (a stable argsort) and the rank counts of
+    `aggregators.ProfileTables` are read off the ids; coset 0 holds the
+    identity, so it is H.
     """
 
     m: int
-    partition: tuple[tuple[int, ...], ...] | None
-    members: tuple[tuple[int, ...], ...]
-    coset_ids: np.ndarray = field(compare=False, repr=False)
+    partition: tuple[tuple[int, ...], ...]
+    coset_ids: np.ndarray = field(compare=False, repr=False)  # (m!,)
+    representatives: np.ndarray = field(compare=False, repr=False)  # (#cosets,)
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return prod(factorial(len(b)) for b in self.partition)
 
-    @functools.cached_property
+    @property
     def orbit_count(self) -> int:
-        """Orbits of H on the rank positions 1..m, by Burnside the mean
-        fixed-point count (exact, kept on H).  tr M_H = orbit_count - 1,
-        so M_H = 0 exactly when H is transitive."""
-        return sum(fixed_points(h) for h in self.members) // self.order
-
-    @functools.cached_property
-    def representatives(self) -> np.ndarray:
-        """The lex index of every coset's least member, by coset id;
-        read-only and kept on H.  Its length is the coset count."""
-        reps = np.unique(self.coset_ids, return_index=True)[1]
-        reps.setflags(write=False)
-        return reps
-
-
-def _coset_ids(m: int, members) -> np.ndarray:
-    perms = enumerate_group(m)
-    index = {x: a for a, x in enumerate(perms)}
-    ids = [-1] * len(perms)
-    count = 0
-    for a, x in enumerate(perms):  # lex order meets each coset first at its least member
-        if ids[a] < 0:
-            for h in members:
-                ids[index[compose(x, h)]] = count
-            count += 1
-    out = np.array(ids, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+        """Orbits of H on the rank positions: its blocks.  tr M_H =
+        orbit_count - 1, so M_H = 0 exactly when H is one block."""
+        return len(self.partition)
 
 
 def build_fixing_subgroup(m: int, partition) -> FixingSubgroup:
-    """All permutations mapping each partition block onto itself, with
-    the coset decomposition of S_m and canonical representatives; the
-    partition is checked on every call, the build kept per its blocks."""
+    """The fixing subgroup of a partition, with the coset decomposition
+    of S_m; the partition is checked on every call, the build kept per
+    its blocks."""
     return _fixing_subgroup(m, _validate_partition(m, partition))
 
 
 @functools.lru_cache(maxsize=8)  # the bound of rank_classes
 def _fixing_subgroup(m: int, blocks: tuple[tuple[int, ...], ...]) -> FixingSubgroup:
-    per_block = [list(itertools.permutations(b)) for b in blocks]
-    members = []
-    for arrangement in itertools.product(*per_block):
-        word = [0] * m
-        for block, images in zip(blocks, arrangement):
-            for pos, img in zip(block, images):
-                word[pos - 1] = img
-        members.append(tuple(word))
-    members.sort()
-    assert len(members) == prod(factorial(len(b)) for b in blocks)
-    return FixingSubgroup(m, blocks, tuple(members), _coset_ids(m, members))
-
-
-def subgroup_from_members(m: int, members) -> FixingSubgroup:
-    """Ad-hoc subgroup from an explicit member list (e.g. the
-    alternating group, which is not fixing).  Closure is checked."""
-    mset = set(tuple(x) for x in members)
-    if identity(m) not in mset:
-        raise ValueError("members must contain the identity")
-    for a in mset:
-        if inverse(a) not in mset:
-            raise ValueError("members not closed under inverse")
-        for b in mset:
-            if compose(a, b) not in mset:
-                raise ValueError("members not closed under composition")
-    ordered = tuple(sorted(mset))
-    return FixingSubgroup(m, None, ordered, _coset_ids(m, ordered))
+    least = np.array(enumerate_group(m))  # sorted per block below: each coset's least member
+    for block in blocks:
+        pos = np.array(block) - 1
+        least[:, pos] = np.sort(least[:, pos], axis=1)
+    reps, ids = np.unique(perm_indices(least), return_inverse=True)
+    for arr in (reps, ids):
+        arr.setflags(write=False)
+    return FixingSubgroup(m, blocks, ids, reps)
 
 
 def coset_count(m: int, partition) -> int:

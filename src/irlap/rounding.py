@@ -29,11 +29,12 @@ so Pi Xb Pi = Xb - (N h / m) J.  With tr M_H = #orbits - 1 = ||g_c||^2
 for every c, `kernel_projection` reads off Q and Xb directly, exactly:
 ||A^i||^2 = ||Q^i||^2 / (N h m)^2; ||B||^2 = (||Xb||^2 - (N h)^2) /
 (N h)^2; kernel_distance_sq = tr M_H - ||B||^2 - sum_i ||A^i||^2; the
-voter, the first maximum of ||A^i||^2; the coset c, the first maximum
-of <g_c, A*> = <Pc[c], Q^voter> / (N h^2 m); dictator_distance_sq =
-2 tr M_H - 2 <g_c, A*>, as the dictator's value g_c rho1(x_voter) has
-E <g, g_c rho1(x_voter)> = <g_c, A*>; and the unconstrained distance^2
-to A* rho1(x_voter), tr M_H - ||A*||^2.
+nearest dictator g_c rho1(x_i), at distance^2 2 tr M_H - 2 <g_c, A^i>
+(E <g, g_c rho1(x_i)> = <g_c, A^i>, ||g_c||^2 = tr M_H), so the voter
+and the coset c are the first maximum, voter-major, of the score
+<g_c, A^i> = <Pc[c], Q^i> / (N h^2 m); dictator_distance_sq = 2 tr M_H
+- 2 <g_c, A*>, A* = A^voter; and the unconstrained distance^2 to A*
+rho1(x_voter), tr M_H - ||A*||^2.
 Each of these values is one Fraction over a fixed denominator, from
 the integers that `KernelProjection` keeps: a_i = ||Q^i||^2, b =
 ||Xb||^2 - (N h)^2 and the winning score sc = <Pc[c], Q^voter>.  With
@@ -77,9 +78,9 @@ from .perms import (
 
 @dataclass(frozen=True, eq=False)
 class KernelProjection:
-    """Exact projection onto the kernel span and rounding (module
-    docstring).  The reported values are one Fraction each, built from
-    the kept integers over their fixed denominators."""
+    """Exact projection onto the kernel span and rounding to the nearest
+    dictator (module docstring).  The reported values are one Fraction
+    each, built from the kept integers over their fixed denominators."""
 
     trace: int  # K = tr M_H
     Q: np.ndarray  # (n, m, m) integers, zero margins: A^i = C^T Q[i] C / (m!^n |H| m)
@@ -107,7 +108,7 @@ def _project(agg: Aggregator) -> KernelProjection:
     m, n, H = agg.m, agg.n, agg.H
     N, h, K = factorial(m) ** n, H.order, H.orbit_count - 1
     tables = profile_tables(H)
-    cat = np.array(tables.catalog, dtype=np.int64)
+    cat = tables.catalog
     # F[i, j, r, p]: profiles where voter i+1 ranks j at r and the output's
     # j-profile is p; cnt_all pairs each of them with all m! reports
     F = pair_count_tensors(agg)[0].sum(axis=-1) // factorial(m)
@@ -118,13 +119,12 @@ def _project(agg: Aggregator) -> KernelProjection:
     # Q and Xb have the margins of the module docstring, so no centering;
     # the sums of squares run on Python ints, past int64 at scale
     a = [sum(v * v for v in q) for q in Q.reshape(n, -1).tolist()]
-    best = max(range(n), key=a.__getitem__)  # max takes the first maximum
-    # N h^2 m <g_c, A*> per coset c, <Pc[c], Q^best> with Pc[c][r, j] = prof[c, j, r];
-    # |score| <= m^2 N h^2, below the bound 2 n m! N h^2 of IR's int64 sum.
-    # argmax takes the first maximum
-    scores = tables.prof.reshape(len(tables.prof), -1) @ Q[best].T.reshape(-1)
-    coset = int(np.argmax(scores))
-    sc, Nh, V = int(scores[coset]), N * h, N * h * h * m
+    # N h^2 m <g_c, A^i> per voter i and coset c, <Pc[c], Q^i> with Pc[c][r, j] =
+    # prof[c, j, r]; |score| <= m^2 N h^2, below the bound 2 n m! N h^2 of IR's
+    # int64 sum.  argmax takes the first maximum, voter-major
+    scores = Q.transpose(0, 2, 1).reshape(n, -1) @ tables.prof.reshape(len(tables.prof), -1).T
+    best, coset = divmod(int(np.argmax(scores)), scores.shape[1])
+    sc, Nh, V = int(scores[best, coset]), N * h, N * h * h * m
     b = sum(v * v for v in Xb.reshape(-1).tolist()) - Nh * Nh
     U = (Nh * m) ** 2
     return KernelProjection(
@@ -248,8 +248,9 @@ def _r_norm2_mean(proj: KernelProjection, H) -> Fraction:
 
 
 def _require_fixing(H) -> None:
-    """Refuse an H transitive on the rank positions: there M_H = 0, and
-    the diagnostics would divide by tr M_H = #orbits - 1 = 0."""
+    """Refuse a one-block partition: its H = S_m is transitive on the
+    rank positions, so M_H = 0, and the diagnostics would divide by
+    tr M_H = #blocks - 1 = 0."""
     if H.orbit_count == 1:
         raise ValueError(f"{TRANSITIVE}: the rounding diagnostics are undefined")
 
@@ -298,7 +299,9 @@ class RobustnessReport:
     kernel_bound_ok: bool = field(init=False)
 
     def __post_init__(self):
-        self.kernel_bound_ok = self.kernel_distance_sq <= self.ir / self.gap + 1e-9
+        # IR = 2 E <g, (L^n / m!) g>, so the Rayleigh quotient bounds the
+        # kernel distance^2 by IR / (2 gap)
+        self.kernel_bound_ok = self.kernel_distance_sq <= self.ir / (2 * self.gap) + 1e-9
 
     def to_dict(self) -> dict:
         """The fields, the diagnostics' own dict and the IR scale (the
@@ -319,7 +322,7 @@ def measured_gap(m: int, n: int) -> tuple[float, bool]:
 
 
 def robustness_report(agg: Aggregator, center: bool = False) -> RobustnessReport:
-    """Full pipeline: IR, kernel distance (checked against IR/gap),
+    """Full pipeline: IR, kernel distance (checked against IR/(2 gap)),
     nearest dictator, rounding, and moment diagnostics, on the shared
     pair counts of agg or of its centered rule.  Refuses
     an H transitive on the rank positions (ValueError), and a centered

@@ -1,8 +1,10 @@
 """Python loops kept as reference implementations.
 
-A subgroup's coset decomposition, from compose(x, h) member by
-member, is the oracle of the library's coset-id array and the
-representatives and rank counts read off it (tests/test_array_kernels.py).
+A fixing subgroup's members, every arrangement of each block's
+positions, and its coset decomposition from compose(x, h) member by
+member, are the oracle of the library's coset-id array, the
+representatives and rank counts read off it, and the order and orbit
+count read off the blocks (tests/test_array_kernels.py).
 
 The library builds rule tables, centered tables, JSON documents and
 the exact moment kernels with numpy array kernels; these are the
@@ -157,16 +159,31 @@ def set_partitions(items):
             yield part[:k] + [[first] + part[k]] + part[k + 1:]
 
 
+def fixing_members(m: int, blocks) -> list[tuple[int, ...]]:
+    """The permutations mapping every block onto itself, in lex order:
+    each block's positions take every arrangement of the block."""
+    members = []
+    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        word = [0] * m
+        for block, images in zip(blocks, arrangement):
+            for pos, img in zip(block, images):
+                word[pos - 1] = img
+        members.append(tuple(word))
+    return sorted(members)
+
+
 def coset_arrays(H) -> tuple[list, list, list]:
     """H's coset ids, representatives and rank counts from the
-    definition, one coset {compose(x, h) : h in H} at a time.  Cosets
-    are numbered by their least member; ids[a] is the coset of the a-th
-    permutation (lex), reps[c] the lex index of coset c's least member
-    and prof[c][j-1][r-1] the members of coset c that rank j at r."""
+    definition, one coset {compose(x, h) : h in H} at a time, over the
+    members of `fixing_members`.  Cosets are numbered by their least
+    member; ids[a] is the coset of the a-th permutation (lex), reps[c]
+    the lex index of coset c's least member and prof[c][j-1][r-1] the
+    members of coset c that rank j at r."""
     m = H.m
     perms = enumerate_group(m)
+    members = fixing_members(m, H.partition)
     # each member tuple is sorted, so the tuples sort by least member
-    cosets = sorted({tuple(sorted(compose(x, h) for h in H.members)) for x in perms})
+    cosets = sorted({tuple(sorted(compose(x, h) for h in members)) for x in perms})
     where = {y: c for c, coset in enumerate(cosets) for y in coset}
     ids = [where[x] for x in perms]
     reps = [perm_index(coset[0]) for coset in cosets]
@@ -314,9 +331,12 @@ def centered_readout(agg: Aggregator, Q: np.ndarray) -> KernelProjection:
     Xb = np.einsum("c,cab->ab", np.bincount(agg.table, minlength=len(Pc)), Pc)
     cQ = _centered(Q)
     norms = [Fraction(int((cQ[i] * Q[i]).sum()), (N * h * m * m) ** 2) for i in range(n)]
-    best = max(range(n), key=norms.__getitem__)
-    scores = Pc.reshape(len(Pc), -1).astype(object) @ cQ[best].reshape(-1)
-    coset = int(np.argmax(scores))
+    # the nearest dictator: the first maximum of every voter's coset scores
+    scores = [(Pc.reshape(len(Pc), -1).astype(object) @ cQ[i].reshape(-1)).tolist()
+              for i in range(n)]
+    best, coset = max(itertools.product(range(n), range(len(Pc))),
+                      key=lambda ic: scores[ic[0]][ic[1]])
+    scores = scores[best]
     B_sq = Fraction(int((_centered(Xb) * Xb).sum()), (N * h * m) ** 2)
     # the integers of the readout, on the library's scale U = (N h m)^2
     U = (N * h * m) ** 2
@@ -342,9 +362,11 @@ def project_by_fractions(agg: Aggregator) -> KernelProjection:
     Xb = np.einsum("jrp,pa->aj", F[0], cat)
     a = [sum(v * v for v in q) for q in Q.reshape(n, -1).tolist()]
     norms = [Fraction(v, (N * h * m) ** 2) for v in a]
-    best = max(range(n), key=norms.__getitem__)
-    scores = tables.prof.reshape(len(tables.prof), -1) @ Q[best].T.reshape(-1)
-    coset = int(np.argmax(scores))
+    # the nearest dictator: the first maximum of every voter's coset scores
+    scores = [tables.prof.reshape(len(tables.prof), -1) @ Q[i].T.reshape(-1) for i in range(n)]
+    best, coset = max(itertools.product(range(n), range(len(tables.prof))),
+                      key=lambda ic: scores[ic[0]][ic[1]])
+    scores = scores[best]
     b = sum(v * v for v in Xb.reshape(-1).tolist()) - (N * h) ** 2
     B_sq = Fraction(b, (N * h) ** 2)
     return KernelProjection(

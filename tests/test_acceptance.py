@@ -148,7 +148,8 @@ def test_criterion_4_gap_bracket_and_kernel_bound():
                 1 + seed % 3, rng)
             ir = ir_combinatorial(agg).profile_distance
             dist = kernel_projection(agg).kernel_distance_sq  # exact
-            ok &= dist <= ir / gap + 1e-9
+            # IR = 2 E <g, (L^n/m!) g>: Rayleigh gives dist <= IR / (2 gap)
+            ok &= dist <= ir / (2 * gap) + 1e-9
             count += 1
     report(4, "gap bracket and robustness bound", ok,
            "; ".join(detail) + f"; {count} corrupted dictators")

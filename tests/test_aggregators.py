@@ -1,6 +1,5 @@
 """Aggregator rules, encodings, consistency, and serialization."""
 
-import functools
 import json
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from irlap.aggregators import (
     consistency_check,
     corrupt_aggregator,
@@ -29,10 +29,8 @@ from irlap.basis import Rho1Table, build_basis, rho1_table
 from irlap.perms import (
     build_fixing_subgroup,
     enumerate_group,
-    is_even,
     parse_perm,
     perm_index,
-    subgroup_from_members,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -140,37 +138,39 @@ def test_coset_means_satisfy_the_consistency_identity(drawn, basis_seed):
     basis = build_basis(m) if basis_seed is None else build_basis(m, "random", basis_seed)
     table = Rho1Table(m, basis)
     gc = encode_g(make_constant(0, H, 1), table)
-    MH = np.mean([table.of(h) for h in H.members], axis=0)
+    MH = np.mean([table.of(h) for h in ref.fixing_members(m, H.partition)], axis=0)
     assert len(gc) == len(H.representatives)
     assert np.abs(np.einsum("ckl,ctl->ckt", gc, gc) - MH).max() <= 1e-10
 
 
-@functools.lru_cache(maxsize=None)
-def _alternating(m):
-    return subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])
-
-
 @settings(max_examples=40, deadline=None)
 @given(_partitions(2, 6), st.booleans())
-def test_one_catalog_lists_the_orbits(drawn, alternating):
+def test_one_catalog_lists_the_orbits(drawn, transitive):
     """The j-profile of coset c is |H|/|O| on the orbit O of H that holds
     the rank c's representative gives j, for every j: one catalog of
-    H.orbit_count entries serves every alternative.  H is a fixing
-    subgroup or the alternating group."""
+    H.orbit_count entries serves every alternative.  H is a drawn
+    fixing subgroup or the transitive one-block one."""
     m, partition = drawn
-    H = _alternating(m) if alternating and m >= 3 else build_fixing_subgroup(m, partition)
+    H = build_fixing_subgroup(m, [list(range(1, m + 1))] if transitive else partition)
     tables = profile_tables(H)
+    members = ref.fixing_members(m, H.partition)
     assert len(tables.catalog) == H.orbit_count
     for c, rep in enumerate(H.representatives):
         for j in range(1, m + 1):
-            orbit = {h[enumerate_group(m)[rep].index(j)] for h in H.members}
+            orbit = {h[enumerate_group(m)[rep].index(j)] for h in members}
             expected = tuple(H.order // len(orbit) if r in orbit else 0 for r in range(1, m + 1))
-            assert tables.catalog[tables.pid[c, j - 1]] == expected
+            assert tuple(tables.catalog[tables.pid[c, j - 1]].tolist()) == expected
 
 
-def test_alternating_subgroup_flagged_nonfixing():
-    alt = subgroup_from_members(3, [x for x in enumerate_group(3) if is_even(x)])
-    rep = consistency_check(make_constant(0, alt, 1))
+def test_catalog_is_one_read_only_array():
+    tables = profile_tables(winner_subgroup(4))
+    assert tables.catalog.dtype == np.int64 and not tables.catalog.flags.writeable
+    assert tables.catalog.tolist() == [[0, 2, 2, 2], [6, 0, 0, 0]]
+
+
+def test_one_block_subgroup_flagged_nonfixing():
+    H = build_fixing_subgroup(3, [[1, 2, 3]])
+    rep = consistency_check(make_constant(0, H, 1))
     assert not rep.fixing
     assert np.abs(rep.M_H).max() <= 1e-12
 
@@ -180,7 +180,7 @@ def test_m_h_two_ways_agree():
     H = winner_subgroup(3)
     agg = make_constant(1, H, 1)
     g = encode_g(agg, table)[agg.table]
-    MH_from_members = np.mean([table.of(h) for h in H.members], axis=0)
+    MH_from_members = np.mean([table.of(h) for h in ref.fixing_members(3, H.partition)], axis=0)
     MH_from_g = g[0] @ g[0].T
     assert np.abs(MH_from_members - MH_from_g).max() <= 1e-10
 
@@ -229,7 +229,7 @@ def test_json_round_trip_is_lossless(agg):
     doc = to_json(agg)
     back = from_json(json.loads(json.dumps(doc)))
     assert (back.m, back.n, back.kind, back.params) == (agg.m, agg.n, agg.kind, agg.params)
-    assert back.H.members == agg.H.members
+    assert back.H == agg.H and np.array_equal(back.H.coset_ids, agg.H.coset_ids)
     assert back.table.dtype == np.int64 and np.array_equal(back.table, agg.table)
     assert to_json(back) == doc
 

@@ -2,6 +2,7 @@
 JSON, the exact FKN diagnostics and the exact moment kernels against
 the loops in reference_loops.py."""
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -29,9 +30,8 @@ from irlap.perms import (
     build_fixing_subgroup,
     compose,
     enumerate_group,
-    identity,
-    is_even,
-    subgroup_from_members,
+    fixed_points,
+    perm_index,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -61,53 +61,48 @@ def test_scoring_rules_match_the_loop_on_every_partition(m, n):
             assert np.array_equal(agg.table, ref.scoring_table(s, H, n)), (kind, partition)
 
 
-def _assert_coset_arrays_match_the_definition(H):
+SUBGROUPS = [(m, partition) for m in range(2, 6)
+             for partition in ref.set_partitions(list(range(1, m + 1)))]
+
+
+@pytest.mark.parametrize("m,how", SUBGROUPS)
+def test_coset_arrays_match_the_definition(m, how):
+    """Every set partition at m = 2..5."""
+    H = build_fixing_subgroup(m, how)
     ids, reps, prof = ref.coset_arrays(H)
     assert H.coset_ids.tolist() == ids
     assert H.representatives.tolist() == reps
     assert profile_tables(H).prof.tolist() == prof
 
 
-def _closure(m, generators):
-    """The subgroup of S_m generated by `generators`, as a member list."""
-    members = {identity(m)}
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = compose(x, g)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return sorted(members)
-
-
-SUBGROUPS = (
-    [(m, partition) for m in range(2, 6) for partition in ref.set_partitions(list(range(1, m + 1)))]
-    + [(m, "alternating") for m in range(3, 6)] + [(m, "cyclic") for m in range(3, 6)]
-)
-
-
-@pytest.mark.parametrize("m,how", SUBGROUPS)
-def test_coset_arrays_match_the_definition(m, how):
-    """Every set partition at m = 2..5, the alternating group, and the
-    cyclic group of the m-cycle 23..m1."""
-    if how == "alternating":
-        H = subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])
-    elif how == "cyclic":
-        H = subgroup_from_members(m, _closure(m, [tuple(range(2, m + 1)) + (1,)]))
-    else:
-        H = build_fixing_subgroup(m, how)
-    _assert_coset_arrays_match_the_definition(H)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 5).flatmap(
-    lambda m: st.lists(st.permutations(range(1, m + 1)), min_size=1, max_size=2)))
-def test_coset_arrays_match_the_definition_on_generated_subgroups(generators):
-    m = len(generators[0])
-    H = subgroup_from_members(m, _closure(m, [tuple(g) for g in generators]))
-    _assert_coset_arrays_match_the_definition(H)
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_a_fixing_subgroup_is_read_off_its_partition(m):
+    """On every set partition: each permutation's coset, numbered by its
+    least member, from the members of the definition; the order; the
+    orbits on the rank positions by Burnside (the mean fixed-point
+    count over the members); and equality and hashing by m and the
+    partition alone: the arrays take no part, and distinct partitions
+    give distinct subgroups."""
+    perms = enumerate_group(m)
+    partitions = list(ref.set_partitions(list(range(1, m + 1))))
+    seen = set()
+    for partition in partitions:
+        H = build_fixing_subgroup(m, partition)
+        members = ref.fixing_members(m, H.partition)
+        ids, reps = [-1] * len(perms), []
+        for a, x in enumerate(perms):  # lex order meets each coset first at its least member
+            if ids[a] < 0:
+                for h in members:
+                    ids[perm_index(compose(x, h))] = len(reps)
+                reps.append(a)
+        assert H.coset_ids.tolist() == ids, partition
+        assert H.representatives.tolist() == reps, partition
+        assert H.order == len(members), partition
+        assert H.orbit_count == sum(map(fixed_points, members)) // len(members), partition
+        twin = dataclasses.replace(H, coset_ids=H.coset_ids[::-1], representatives=H.coset_ids)
+        assert twin == H and hash(twin) == hash(H), partition
+        seen.add(H)
+    assert len(seen) == len(partitions)
 
 
 @functools.lru_cache(maxsize=None)

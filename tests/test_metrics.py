@@ -238,7 +238,7 @@ def test_default_orders_scf():
     orders = default_orders(H, 3)
     tables = profile_tables(H)
     # j = 1, truthful rank 1: winner profile (1,0,0) tops (0, 1/2, 1/2)
-    cat = tables.catalog
+    cat = list(map(tuple, tables.catalog.tolist()))
     winner_pid = cat.index((2, 0, 0))
     other_pid = cat.index((0, 1, 1))
     pos = orders.position[0]
@@ -252,7 +252,7 @@ def test_default_orders_swf_unit_top():
     orders = default_orders(H, 3)
     tables = profile_tables(H)
     for j in range(3):
-        cat = tables.catalog
+        cat = list(map(tuple, tables.catalog.tolist()))
         for r in range(1, 4):
             target = tuple(1 if rr == r else 0 for rr in range(1, 4))
             assert orders.position[j][r - 1, cat.index(target)] == 0

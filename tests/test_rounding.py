@@ -19,6 +19,7 @@ from irlap.aggregators import (
     make_constant,
     make_dictator,
     make_plurality,
+    profile_tables,
     random_aggregator,
 )
 from irlap.basis import Rho1Table, build_basis, project_to_lin, rho1_table
@@ -28,10 +29,8 @@ from irlap.perms import (
     broadcast_voter,
     build_fixing_subgroup,
     enumerate_group,
-    is_even,
     parse_perm,
     perm_index,
-    subgroup_from_members,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -63,7 +62,7 @@ def test_kernel_distance_bound_one_corruption():
 
     ir = ir_combinatorial(corr).profile_distance
     dist = kernel_projection(corr).kernel_distance_sq
-    assert 0 < dist <= ir / Fraction(1, 6)  # one-voter gap is exactly 1/6
+    assert 0 < dist <= ir / (2 * Fraction(1, 6))  # one-voter gap is exactly 1/6
 
 
 def test_random_basis_encoding_gives_the_helmert_values():
@@ -74,16 +73,18 @@ def test_random_basis_encoding_gives_the_helmert_values():
 
 
 def _subgroups(m):
-    """Trivial, winner, {1..m-1}|{m}, and the alternating group (not
-    fixing: M_H = 0, so every rounding candidate ties)."""
+    """Trivial, winner, {1..m-1}|{m}, and the one-block partition
+    (transitive: M_H = 0, so every rounding candidate ties)."""
     return [trivial_subgroup(m), winner_subgroup(m),
             build_fixing_subgroup(m, [list(range(1, m)), [m]]),
-            subgroup_from_members(m, [x for x in enumerate_group(m) if is_even(x)])]
+            build_fixing_subgroup(m, [list(range(1, m + 1))])]
 
 
 def _drawn_rule(m, n, H, corrupted, seed):
+    """A corrupted dictator or a random table; one coset (a one-block H)
+    leaves nothing to corrupt, so there the table is drawn."""
     rng = np.random.default_rng(seed)
-    if corrupted:
+    if corrupted and len(H.representatives) > 1:
         sigma = enumerate_group(m)[rng.integers(0, len(enumerate_group(m)))]
         return corrupt_aggregator(make_dictator(n, sigma, H, n), 2, rng)
     return random_aggregator(m, n, H, rng)
@@ -100,7 +101,7 @@ def test_rounding_does_not_depend_on_the_basis(m, n, part, corrupted, rule_seed,
                                         for t in tables)
     assert abs(dist_h - dist_o) <= 1e-9
     assert np.abs((lin_h.A ** 2).sum(axis=(1, 2)) - (lin_o.A ** 2).sum(axis=(1, 2))).max() <= 1e-9
-    if H.partition is None:  # the alternating group is transitive: M_H = 0
+    if H.orbit_count == 1:  # one block is transitive: M_H = 0
         for call in (kernel_projection, fkn_diagnostics, robustness_report):
             with pytest.raises(ValueError, match="transitive on the rank positions"):
                 call(agg)
@@ -120,11 +121,10 @@ def test_pair_count_projection_matches_the_vote_count_oracle(m, n, part, corrupt
         assert getattr(proj, name) == getattr(oracle, name), name
 
 
-def _three_cycles(m):
-    """The member-built group generated by the 3-cycle (1 2 3): transitive
-    at m = 3, with orbits {1, 2, 3} and the fixed points above."""
-    rest = tuple(range(4, m + 1))
-    return subgroup_from_members(m, [(1, 2, 3) + rest, (2, 3, 1) + rest, (3, 1, 2) + rest])
+def _block_123(m):
+    """The partition 1,2,3 and singletons above: transitive at m = 3,
+    with orbits {1, 2, 3} and the fixed points above."""
+    return build_fixing_subgroup(m, [[1, 2, 3]] + [[v] for v in range(4, m + 1)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,11 +133,10 @@ def _three_cycles(m):
 def test_zero_margin_projection_matches_the_centered_oracle(m, n, part, kind, rule_seed):
     """Every Q^i has zero row and column sums, so the projection read
     off Q directly equals the explicit mPi X mPi readout exactly, field
-    by field, and so does E ||r||^2.  A transitive H (the alternating
-    group, the 3-cycles at m = 3) is refused by the report, so there the
-    projection is built directly and E ||r||^2 (over tr M_H = 0) is not
-    defined."""
-    H = (_subgroups(m) + [_three_cycles(m)])[part]
+    by field, and so does E ||r||^2.  A transitive H (one block) is
+    refused by the report, so there the projection is built directly
+    and E ||r||^2 (over tr M_H = 0) is not defined."""
+    H = (_subgroups(m) + [_block_123(m)])[part]
     if kind == "centered" and n == 3:
         n = 2  # the centered rule has n + 1 voters
     agg = _drawn_rule(m, n, H, kind == "corrupted", rule_seed)
@@ -236,8 +235,10 @@ def _assert_matches_float_oracle(agg, table):
     A = np.einsum("ak,iab,bl->ikl", C, proj.Q, C) / (factorial(m) ** n * H.order * m)
     assert np.abs(A - lin.A).max() <= 1e-12
     assert proj.trace == pytest.approx(float(np.trace(gc[0])), abs=1e-12)
-    if _top_two_apart(norms, "max"):
-        assert proj.voter == int(np.argmax(norms)) + 1
+    # the dictator g_c rho1(x_i) at distance^2 2 tr M_H - 2 <g_c, A^i>
+    scores = np.einsum("ckl,ikl->ic", gc, lin.A)
+    if _top_two_apart(scores.reshape(-1), "max"):
+        assert (proj.voter - 1, proj.coset) == np.unravel_index(np.argmax(scores), scores.shape)
     A_star = lin.A[proj.voter - 1]
     dists = ((gc - A_star[None]) ** 2).sum(axis=(1, 2))
     if _top_two_apart(dists, "min"):
@@ -328,8 +329,8 @@ def test_exact_r_norm2_mean_matches_the_whole_array_oracle(size, part, kind, rul
 
 
 def test_nearest_dictator_selection():
-    """The voter with the largest exact coefficient mass; exact ties go
-    to the lowest index."""
+    """The voter of the nearest dictator; where voters tie exactly, the
+    lowest index."""
     doc = jsonable(robustness_report(make_plurality(4, 2)).to_dict())
     assert doc["coefficient_norms"] == ["1/4", "1/4"]
     assert doc["voter"] == 1
@@ -337,6 +338,40 @@ def test_nearest_dictator_selection():
     assert len(set(borda.coefficient_norms)) == 1 and borda.voter == 1
     lone = kernel_projection(make_dictator(2, parse_perm("231", 3), trivial_subgroup(3), 2))
     assert lone.coefficient_norms == (0, 2) and lone.voter == 2
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_the_reported_dictator_is_the_nearest_one(m, n):
+    """dictator_distance_sq is the least E ||g - g_d||^2 over every
+    make_dictator(i, sigma), exact from the rank counts (||g_c - g_c'||^2
+    = ||Pc[c] - Pc[c']||^2 / |H|^2), and the reported voter and coset are
+    the first dictator at that distance, voter-major."""
+    for H in (trivial_subgroup(m), winner_subgroup(m)):
+        prof = profile_tables(H).prof.reshape(len(H.representatives), -1)
+        D2 = ((prof[:, None] - prof[None]) ** 2).sum(axis=2)
+        denominator = factorial(m) ** n * H.order ** 2
+        for seed in range(8):
+            agg = random_aggregator(m, n, H, np.random.default_rng(seed))
+            proj = kernel_projection(agg)
+            dists = {}
+            for i in range(1, n + 1):
+                for sigma in enumerate_group(m):
+                    dictator = make_dictator(i, sigma, H, n)
+                    dists[i, int(H.coset_ids[perm_index(sigma)])] = Fraction(
+                        int(D2[agg.table, dictator.table].sum()), denominator)
+            nearest = min(dists.values())
+            assert proj.dictator_distance_sq == nearest
+            assert (proj.voter, proj.coset) == min(k for k, d in dists.items() if d == nearest)
+
+
+def test_the_nearest_dictator_need_not_carry_the_most_mass():
+    """The seed-7 random rule at (4, 2): voter 2 has the larger
+    coefficient mass, but the nearest dictator is voter 1's."""
+    agg = _build_rule("random:seed=7", 4, 2, trivial_subgroup(4), 0)
+    doc = jsonable(robustness_report(agg).to_dict())
+    assert (doc["voter"], doc["rounded_sigma"], doc["dictator_distance_sq"]) == (1, "3412", "277/48")
+    norms = kernel_projection(agg).coefficient_norms
+    assert norms[1] > norms[0]
 
 
 def test_rounding_exact_recovery():
