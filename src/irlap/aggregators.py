@@ -115,8 +115,8 @@ class ProfileTables:
         if not ((self.prof.sum(axis=1) == H.order).all()
                 and (self.prof.sum(axis=2) == H.order).all()):
             raise AssertionError("a coset's rank counts do not sum to |H| by row and column")
-        # coset 0 is H, whose j-profiles hold every orbit's vector
-        self.catalog = np.unique(self.prof[0], axis=0)
+        # coset 0 is H, whose m j-profiles hold every orbit's vector
+        self.catalog = np.array(sorted(set(map(tuple, self.prof[0].tolist()))), dtype=np.int64)
         self.catalog.setflags(write=False)
         self.pid = np.full(self.prof.shape[:2], -1)
         for p, vec in enumerate(self.catalog):

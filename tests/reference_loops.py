@@ -182,9 +182,11 @@ def coset_arrays(H) -> tuple[list, list, list]:
     m = H.m
     perms = enumerate_group(m)
     members = fixing_members(m, H.partition)
-    # each member tuple is sorted, so the tuples sort by least member
-    cosets = sorted({tuple(sorted(compose(x, h) for h in members)) for x in perms})
-    where = {y: c for c, coset in enumerate(cosets) for y in coset}
+    cosets, where = [], {}
+    for x in perms:  # lex order meets each coset first at its least member
+        if x not in where:
+            cosets.append(sorted(compose(x, h) for h in members))
+            where.update((y, len(cosets) - 1) for y in cosets[-1])
     ids = [where[x] for x in perms]
     reps = [perm_index(coset[0]) for coset in cosets]
     prof = [[[sum(1 for y in coset if y.index(j) == r) for r in range(m)]

@@ -28,10 +28,8 @@ from irlap.basis import Rho1Table, build_basis, rho1_table
 from irlap.moments import blocks_direct, moments
 from irlap.perms import (
     build_fixing_subgroup,
-    compose,
     enumerate_group,
     fixed_points,
-    perm_index,
     trivial_subgroup,
     winner_subgroup,
 )
@@ -61,48 +59,27 @@ def test_scoring_rules_match_the_loop_on_every_partition(m, n):
             assert np.array_equal(agg.table, ref.scoring_table(s, H, n)), (kind, partition)
 
 
-SUBGROUPS = [(m, partition) for m in range(2, 6)
+SUBGROUPS = [(m, partition) for m in range(2, 7)
              for partition in ref.set_partitions(list(range(1, m + 1)))]
 
 
 @pytest.mark.parametrize("m,how", SUBGROUPS)
 def test_coset_arrays_match_the_definition(m, how):
-    """Every set partition at m = 2..5."""
+    """Every set partition at m = 2..6: the coset ids, representatives
+    and rank counts from the members of the definition; the order; the
+    orbits on the rank positions by Burnside (the mean fixed-point
+    count over the members); and equality and hashing by m and the
+    partition alone, in which the arrays take no part."""
     H = build_fixing_subgroup(m, how)
     ids, reps, prof = ref.coset_arrays(H)
     assert H.coset_ids.tolist() == ids
     assert H.representatives.tolist() == reps
     assert profile_tables(H).prof.tolist() == prof
-
-
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_a_fixing_subgroup_is_read_off_its_partition(m):
-    """On every set partition: each permutation's coset, numbered by its
-    least member, from the members of the definition; the order; the
-    orbits on the rank positions by Burnside (the mean fixed-point
-    count over the members); and equality and hashing by m and the
-    partition alone: the arrays take no part, and distinct partitions
-    give distinct subgroups."""
-    perms = enumerate_group(m)
-    partitions = list(ref.set_partitions(list(range(1, m + 1))))
-    seen = set()
-    for partition in partitions:
-        H = build_fixing_subgroup(m, partition)
-        members = ref.fixing_members(m, H.partition)
-        ids, reps = [-1] * len(perms), []
-        for a, x in enumerate(perms):  # lex order meets each coset first at its least member
-            if ids[a] < 0:
-                for h in members:
-                    ids[perm_index(compose(x, h))] = len(reps)
-                reps.append(a)
-        assert H.coset_ids.tolist() == ids, partition
-        assert H.representatives.tolist() == reps, partition
-        assert H.order == len(members), partition
-        assert H.orbit_count == sum(map(fixed_points, members)) // len(members), partition
-        twin = dataclasses.replace(H, coset_ids=H.coset_ids[::-1], representatives=H.coset_ids)
-        assert twin == H and hash(twin) == hash(H), partition
-        seen.add(H)
-    assert len(seen) == len(partitions)
+    members = ref.fixing_members(m, H.partition)
+    assert H.order == len(members)
+    assert H.orbit_count == sum(map(fixed_points, members)) // len(members)
+    twin = dataclasses.replace(H, coset_ids=H.coset_ids[::-1], representatives=H.coset_ids)
+    assert twin == H and hash(twin) == hash(H)
 
 
 @functools.lru_cache(maxsize=None)
