@@ -1,5 +1,6 @@
 """Aggregator rules, encodings, consistency, and serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from irlap.aggregators import (
+    ProfileTables,
     consistency_check,
     corrupt_aggregator,
     encode_g,
@@ -166,6 +168,18 @@ def test_catalog_is_one_read_only_array():
     tables = profile_tables(winner_subgroup(4))
     assert tables.catalog.dtype == np.int64 and not tables.catalog.flags.writeable
     assert tables.catalog.tolist() == [[0, 2, 2, 2], [6, 0, 0, 0]]
+
+
+def test_a_j_profile_outside_the_catalog_is_refused():
+    """Doctored ids that swap 132 and 213 between winner 1's coset and
+    winner 2's keep every coset's size, so the row and column sums hold,
+    but coset 0 then ranks 1 at 1 and at 2 once each: not an orbit's
+    vector."""
+    H = winner_subgroup(3)
+    ids = H.coset_ids.copy()
+    ids[[1, 2]] = ids[[2, 1]]
+    with pytest.raises(AssertionError, match="not in the catalog"):
+        ProfileTables(dataclasses.replace(H, coset_ids=ids))
 
 
 def test_one_block_subgroup_flagged_nonfixing():
