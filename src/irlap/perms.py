@@ -17,8 +17,9 @@ Conventions (fixed once, used everywhere):
   are singletons and aggregators return full rankings.
 - A coset decomposition is one integer array, ``H.coset_ids``: the
   coset of every permutation in lex order, cosets numbered by their
-  least member.  Representatives, members and rank profiles are array
-  reads of it (`FixingSubgroup`, `aggregators.ProfileTables`).
+  least member, built with the representatives.  Members and rank
+  profiles are array reads of it (`FixingSubgroup`,
+  `aggregators.ProfileTables`).
 
 All values are immutable after construction and safe to share across
 threads.
