@@ -8,8 +8,8 @@ Library layout:
 - laplacian: constraint operators, quadratic forms, spectra
 - metrics: exact IR values, zero-locus census, manipulation power
 - rounding: exact kernel projection, nearest-dictator recovery, diagnostics
-- moments: exact moment calculus, hypercontractivity sweeps and the
-  matrix Cauchy-Schwarz check
+- moments: exact moment calculus, the exact hypercontractivity bound
+  and the matrix Cauchy-Schwarz check
 - cli: JSON report front-end (`irlap spectra|census|analyze|moments`);
   each subcommand imports only the modules it runs
 """

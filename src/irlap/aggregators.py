@@ -242,6 +242,10 @@ def corrupt_aggregator(agg: Aggregator, entries: int, rng) -> Aggregator:
     uniformly random different coset."""
     table = agg.table.copy()
     ncos = len(agg.H.representatives)
+    if not 0 <= entries <= len(table):
+        raise ValueError(f"cannot corrupt {entries} of the {len(table)} table entries")
+    if entries and ncos == 1:
+        raise ValueError("a one-coset subgroup has no different coset to corrupt to")
     positions = rng.choice(table.shape[0], size=entries, replace=False)
     for pos in positions:
         shift = rng.integers(1, ncos)

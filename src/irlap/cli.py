@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._util import FeasibilityError, expect_json, expect_key, jsonable
+from ._util import FeasibilityError, expect_json, expect_key, jsonable, parse_fraction
 
 
 def _emit(report: dict, args) -> None:
@@ -196,8 +196,12 @@ def cmd_moments(args) -> None:
         raise ValueError(f"moments requires m >= 4: the appendix algebra is "
                          f"degenerate below, got m={args.m}")
     if args.sigma_hyper != "auto":
-        sigma = float(args.sigma_hyper)
-        if not 0 <= sigma <= 1:  # also rejects nan
+        try:
+            sigma = parse_fraction(args.sigma_hyper)  # "1/2" and "0.5" are one value
+            in_range = 0 <= sigma <= 1
+        except ValueError:  # nan, inf or no number
+            in_range = False
+        if not in_range:
             raise ValueError(f"--sigma-hyper must lie in [0, 1], got {args.sigma_hyper}")
     check_audit_budget(args.m)  # refuse before anything is built
     rng = np.random.default_rng(args.seed)
@@ -212,12 +216,9 @@ def cmd_moments(args) -> None:
         A = random_equal_margin(args.m, rng)
         transfer_ok += transfer_dual_path(A, Fraction(int(rng.integers(0, 5)), 4))
     if args.sigma_hyper == "auto":
-        hyper = empirical_m0(samples=args.samples, seed=args.seed,
-                             threads=args.threads)
+        hyper = empirical_m0(threads=args.threads)
     else:
-        hyper = {"rows": [hypercontractivity_check(args.m, sigma, args.samples,
-                                                   args.seed)],
-                 "empirical_m0": None}
+        hyper = {"rows": [hypercontractivity_check(args.m, sigma)], "certified_m0": None}
     report = {
         "determinant": det_rows,
         "block_audit": audit,
@@ -227,7 +228,7 @@ def cmd_moments(args) -> None:
         "summary": (
             f"moments: det ok {sum(r['matches_formula'] for r in det_rows)}/9, "
             f"blocks repaired {audit['repair_count']}, "
-            f"empirical m0 {hyper['empirical_m0']}"
+            f"certified m0 {hyper['certified_m0']}"
         ),
     }
     _emit(report, args)
@@ -250,7 +251,6 @@ def _add_flags(sub, *names, n_min: int = 0):
         "partition": dict(default="", help='blocks like "1|2,3"; default 1|2,...,m for '
                           'plurality, all singletons otherwise'),
         "seed": dict(type=int, default=0),
-        "samples": dict(type=_at_least(1), default=1000),
         "threads": dict(type=_at_least(1), default=1),
         "out": dict(default=""),
     }
@@ -285,11 +285,12 @@ def main(argv=None) -> int:
                     help="apply the dummy-voter mean-centering reduction")
     sa.set_defaults(func=cmd_analyze)
 
-    sm = subs.add_parser("moments", help="determinant/block audit and "
-                                         "hypercontractivity sweep")
-    _add_flags(sm, "seed", "samples", "threads")
+    sm = subs.add_parser("moments", help="determinant/block audit and exact "
+                                         "hypercontractivity decision")
+    _add_flags(sm, "seed", "threads")
     sm.add_argument("--sigma-hyper", type=str, default="auto",
-                    help='noise level in [0, 1], or "auto" for the sigma = m^-1/2 sweep')
+                    help='noise level in [0, 1] ("1/2" or "0.5"), or "auto" for '
+                         'sigma = m^-1/2 at m = 4..12')
     sm.set_defaults(func=cmd_moments)
 
     args = parser.parse_args(argv)

@@ -38,15 +38,39 @@ mu(p, t) = prod over the blocks B of t of (-1)^(k-1) (k-1)!, k the
 blocks of p inside B (Rota 1964).  `build_appendix(m)` checks
 Z D Z^T = C15 in Python ints and keeps, once per m, det, adj = det
 C15^-1 = mu^T diag(det/(m)_|t|) mu, its read-only float copy adj/det
-by correctly rounded int/int division (what the sampled checks read)
-and the Fraction inverse built on first use.
+by correctly rounded int/int division (for float callers) and the
+Fraction inverse built on first use.
 
 The noise-operator rules are homogeneous in (sigma, tau), so
 `transfer_dual_path` compares the direct moments of T_sigma A with
 the closed-form rules over one common integer denominator, with no
-Fraction.  The sampled checks draw and reduce their matrices in
-stacks of CHUNK; the results do not depend on the chunk size or on
-the worker-pool size.
+Fraction.
+
+Hypercontractivity is decided exactly, from adj and det.  For A with
+zero margins (E f = 0) every pattern with a singleton position sums a
+margin and vanishes; only the pair-pair patterns E3 (IDX_E3) and the
+all-equal one E5 (IDX_E5) survive, so
+
+    E f^4 = (c2 M2^2 + cq Mq + cr Mr + cc Mc + c4 M4) / det
+
+with integer c's summed over adj's E3 + E5 block: c2 over E3's
+diagonal, cq off it, cr and cc over the E3-E5 column and row, and
+c4 = adj[E5][E5].  E f^2 = M2 / (m-1).  For every A, 0 <= Mq =
+||A A^T||_F^2 <= ||A||_F^4 = M2^2 and 0 <= Mr, Mc <= M2^2 (a sum of
+squares of nonnegative terms is at most the square of their sum), and
+M4 <= min(Mr, Mc) <= (Mr + Mc)/2, as each A_ij^4 is a term of its
+row's and of its column's squared square sum.  So, when c4 >= 0
+(checked; it holds at every m tested, 4..200),
+
+    E f^4 / (E f^2)^2 <= U(m) = (m-1)^2 (c2 + cq+ + (c4/2 + cr)+
+                                         + (c4/2 + cc)+) / det,
+
+with x+ = max(x, 0).  The witness A = (e1 - e2)(e1 - e2)^T has M2 = 4,
+Mq = 16, Mr = Mc = 8 and M4 = 4, so the ratio (m-1)^2 (c2 + cq +
+(cr + cc)/2 + c4/4) / det is attained.  With M1 = 0 the noise operator
+maps A to sigma A, so ||T_sigma f||_4 <= ||f||_2 for every zero-mean f
+when sigma^4 U <= 1, and fails at the witness when sigma^4 times its
+ratio exceeds 1.  U = 87/8 and the witness ratio 15/8 at m = 4.
 
 Moment operators on A:
     M1 = sum A_ij        M2 = sum A_ij^2     M3, M4 likewise
@@ -83,7 +107,6 @@ PARTITIONS: list[tuple[tuple[int, ...], ...]] = (
 )
 IDX_E3 = (7, 8, 9)
 IDX_E5 = 14
-CHUNK = 128  # matrices per sampled stack; bounds the sweep's memory
 DEGREES = (1, 2, 3, 4, 4, 4, 4)  # of M1, M2, M3, M4, Mr, Mc, Mq
 # index tuples per block-audit trial, m^4 + 6m^3 + 7m^2 + m: m = 25
 # (488,775) runs, m = 26 (567,190) refuses
@@ -192,10 +215,6 @@ class MomentVector:
 
     def as_tuple(self):
         return (self.M1, self.M2, self.M3, self.M4, self.Mr, self.Mc, self.Mq)
-
-    @functools.cached_property
-    def M2_squared(self):  # squared once for every reader of the vector
-        return _square(self.M2)
 
 
 def moments(A) -> MomentVector:
@@ -479,7 +498,7 @@ def transfer_dual_path(A, sigma) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and hypercontractivity
+# Random matrices and hypercontractivity
 
 
 def random_equal_margin(m: int, rng, spread: int = 9) -> list[list[int]]:
@@ -498,116 +517,47 @@ def random_equal_margin(m: int, rng, spread: int = 9) -> list[list[int]]:
     return out
 
 
-def zero_margin_sample(m: int, rng, count: int, spread: int = 9) -> np.ndarray:
-    """A (count, m, m) stack of float matrices with exactly zero margins
-    (so E f = 0), each rescaled to E f^2 = 1.  A draw with M2 = 0 (a
-    pattern D[i, j] = r_i + c_j) is skipped and the next draw takes its
-    place, so the stack is the one count single draws would give."""
-    stacks = []
-    while count:
-        D = rng.integers(-spread, spread + 1, size=(count, m, m)).astype(float)
-        A0 = m * m * D - m * D.sum(axis=-1, keepdims=True) \
-            - m * D.sum(axis=-2, keepdims=True) + D.sum(axis=(-2, -1), keepdims=True)
-        m2 = (A0**2).sum(axis=(-2, -1))
-        keep = m2 > 0
-        stacks.append(A0[keep] * np.sqrt((m - 1) / m2[keep])[:, None, None])
-        count -= int(keep.sum())
-    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-
-
-def _square(x):
-    """x**2 computed as Python floats compute it (libm pow), also
-    elementwise over an ndarray: numpy's own square rounds differently
-    in about one case in a thousand, and reports must not move."""
-    if isinstance(x, np.ndarray):
-        return np.array([v**2 for v in x.tolist()])
-    return x**2
-
-
-def norm4_zero_margin(mv: MomentVector, c15_inv: np.ndarray):
-    """E f^4 for zero-margin A: only the pair-pair and all-equal
-    patterns survive (every other pattern has a singleton position
-    whose free sum is a margin).  Broadcasts over the moment arrays of
-    a stack; scalar moments give a float."""
-    idx = list(IDX_E3) + [IDX_E5]
-    Mq = np.asarray(mv.Mq)
-    B = np.empty(Mq.shape + (4, 4), dtype=Mq.dtype)
-    B[...] = Mq[..., None, None]
-    B[..., range(3), range(3)] = np.asarray(mv.M2_squared)[..., None]
-    B[..., :3, 3] = np.asarray(mv.Mc)[..., None]
-    B[..., 3, :3] = np.asarray(mv.Mr)[..., None]
-    B[..., 3, 3] = mv.M4
-    sub = c15_inv[np.ix_(idx, idx)]
-    out = (B * sub.T).sum(axis=(-2, -1))
-    return float(out) if Mq.ndim == 0 else out
-
-
-def moment_bounds_ok(mv: MomentVector, m: int, tol: float = 1e-9) -> dict:
-    """Normalized-function moment bounds: |M1| <= m sqrt((m-1)/(m-2)),
-    M2 <= m-1, Mq <= M2^2 (for E f^2 = 1); elementwise over a stack."""
-    m1_bound = m * np.sqrt((m - 1) / (m - 2))
-    return {
-        "M1": abs(mv.M1) <= m1_bound * (1 + tol),
-        "M2": mv.M2 <= (m - 1) * (1 + tol),
-        "Mq": mv.Mq <= mv.M2_squared * (1 + tol),
-    }
-
-
-def _sample_norm4(m: int, rng, samples: int, c15_inv: np.ndarray):
-    """Yield (moments, E f^4) for the sampler's matrices, CHUNK at a
-    time."""
-    for start in range(0, samples, CHUNK):
-        mv = moments(zero_margin_sample(m, rng, min(CHUNK, samples - start)))
-        yield mv, norm4_zero_margin(mv, c15_inv)
-
-
-def hypercontractivity_check(m: int, sigma: float | None = None,
-                             samples: int = 1000, seed: int = 0) -> dict:
-    """Sample zero-mean unit-variance band functions, apply the noise
-    operator at sigma (default m^-1/2), and record ||T f||_4^4.  The
-    contraction claim ||T f||_4 <= ||f||_2 is recorded, not asserted:
-    it is an asymptotic statement and the report tracks the empirical
-    onset."""
+def hypercontractivity_check(m: int, sigma=None) -> dict:
+    """Decide ||T_sigma f||_4 <= ||f||_2 for every zero-mean band f at
+    m exactly, from U(m) and the witness ratio (module docstring), at a
+    rational sigma or, by default, at sigma = m^-1/2 (sigma^4 = 1/m^2):
+    "holds" when sigma^4 U <= 1, "fails" when sigma^4 times the
+    witness ratio exceeds 1, "open" otherwise."""
     if m < 4:
         raise ValueError("hypercontractivity check needs m >= 4")
-    sigma = float(sigma) if sigma is not None else m**-0.5
-    rng = np.random.default_rng(seed)
-    c15_inv = build_appendix(m).C15_inv_float
-    violations = 0
-    max_t4 = 0.0
-    bounds_failures = 0
-    for mv, f4 in _sample_norm4(m, rng, samples, c15_inv):
-        t4 = sigma**4 * f4  # T_t f has coefficient sigma*A when M1 = 0
-        max_t4 = max(max_t4, float(t4.max()))
-        violations += int((t4 > 1 + 1e-9).sum())
-        ok = moment_bounds_ok(mv, m)
-        bounds_failures += int((~(ok["M1"] & ok["M2"] & ok["Mq"])).sum())
-    return {
-        "m": m,
-        "sigma": sigma,
-        "samples": samples,
-        "violations": violations,
-        "max_T4_norm4": max_t4,
-        "moment_bound_failures": bounds_failures,
-    }
+    tables = build_appendix(m)
+    adj, det = tables.adj, tables.det.numerator
+    c2 = sum(adj[p][p] for p in IDX_E3)
+    cq = sum(adj[p][q] for p in IDX_E3 for q in IDX_E3) - c2
+    cr = sum(adj[p][IDX_E5] for p in IDX_E3)
+    cc = sum(adj[IDX_E5][p] for p in IDX_E3)
+    c4 = adj[IDX_E5][IDX_E5]
+    if c4 < 0:
+        raise AssertionError(f"c4 = {c4} < 0 at m={m}: M4 <= min(Mr, Mc) bounds no c4 M4")
+    scale = (m - 1) ** 2
+    U = Fraction(scale * (2 * c2 + 2 * max(cq, 0) + max(c4 + 2 * cr, 0)
+                          + max(c4 + 2 * cc, 0)), 2 * det)
+    witness = Fraction(scale * (4 * c2 + 4 * cq + 2 * cr + 2 * cc + c4), 4 * det)
+    sigma4 = Fraction(1, m * m) if sigma is None else Fraction(sigma) ** 4
+    decision = ("holds" if sigma4 * U <= 1 else
+                "fails" if sigma4 * witness > 1 else "open")
+    return {"m": m, "sigma": f"{m}^(-1/2)" if sigma is None else Fraction(sigma),
+            "U": U, "witness": witness, "sigma4_U": sigma4 * U, "decision": decision}
 
 
-def empirical_m0(m_values=range(4, 13), samples: int = 1000, seed: int = 0,
-                 threads: int = 1) -> dict:
-    """Sweep m at sigma = m^-1/2 and report the least m from which no
-    sampled violation occurs.  Each m draws from its own seed stream,
-    so the result is independent of the worker-pool size."""
-    rows = blocked_pmap(
-        lambda m: hypercontractivity_check(m, None, samples, seed + m),
-        list(m_values), threads)
+def empirical_m0(m_values=range(4, 13), threads: int = 1) -> dict:
+    """`hypercontractivity_check` at sigma = m^-1/2 for each m, on a
+    pool of `threads`, and the certified onset: the least m from which
+    every check holds (None when the last one does not)."""
+    rows = blocked_pmap(hypercontractivity_check, list(m_values), threads)
     m0 = None
     for row in rows:
-        if row["violations"] == 0:
+        if row["decision"] == "holds":
             if m0 is None:
                 m0 = row["m"]
         else:
             m0 = None
-    return {"rows": rows, "empirical_m0": m0}
+    return {"rows": rows, "certified_m0": m0}
 
 
 def matrix_cs_check(d: int, trials: int = 100, seed: int = 0) -> dict:

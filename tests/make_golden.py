@@ -62,10 +62,10 @@ CASES = (
         ("spectra_m5n2", ["spectra", "--m", "5", "--n", "2"]),
         ("census_m3n1", ["census", "--m", "3", "--n", "1"]),
         ("census_m3n1_winner", ["census", "--m", "3", "--n", "1", "--partition", "1|2,3"]),
-        ("moments_m4", ["moments", "--m", "4", "--samples", "50", "--seed", "3"]),
+        ("moments_m4", ["moments", "--m", "4", "--seed", "3"]),
         ("moments_m6_threads2",
-         ["moments", "--m", "6", "--samples", "50", "--seed", "5", "--threads", "2"]),
-        ("moments_m5_sigma", ["moments", "--m", "5", "--samples", "50", "--seed", "4",
+         ["moments", "--m", "6", "--seed", "5", "--threads", "2"]),
+        ("moments_m5_sigma", ["moments", "--m", "5", "--seed", "4",
                               "--sigma-hyper", "0.5"]),
     ]
 )

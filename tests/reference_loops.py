@@ -32,8 +32,10 @@ integer numerators over fixed denominators are held to, field by
 field (tests/test_rounding.py).
 The appendix algebra's oracles are here too: a fraction-free
 Gauss-Jordan elimination that tests/test_moments.py holds the closed
-form of C15's determinant and inverse to, and E f^k summed over all
-of S_m.
+form of C15's determinant and inverse to, E f^k summed over all of
+S_m, and the sampled hypercontractivity sweep over random zero-margin
+matrices, whose ratios E f^4 / (E f^2)^2 never exceed the library's
+exact bound U(m).
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ from irlap.laplacian import (
 )
 from irlap.metrics import ir_combinatorial, pair_count_tensors
 from irlap.moments import (
+    IDX_E3,
+    IDX_E5,
     PARTITIONS,
     MomentVector,
     build_appendix,
     moments,
-    norm4_zero_margin,
-    zero_margin_sample,
 )
 from irlap.perms import (
     build_fixing_subgroup,
@@ -663,6 +665,68 @@ def frac_inv_det(M) -> tuple[list[list[Fraction]] | None, Fraction]:
         return None, Fraction(0)
     inv = [[Fraction(den * v, det) for v in row] for row in adj]
     return inv, Fraction(det, den ** len(adj))
+
+
+def zero_margin_sample(m: int, rng, count: int, spread: int = 9) -> np.ndarray:
+    """A (count, m, m) stack of float matrices with exactly zero margins
+    (so E f = 0), each rescaled to E f^2 = 1.  A draw with M2 = 0 (a
+    pattern D[i, j] = r_i + c_j) is skipped and the next draw takes its
+    place, so the stack is the one count single draws would give."""
+    stacks = []
+    while count:
+        D = rng.integers(-spread, spread + 1, size=(count, m, m)).astype(float)
+        A0 = m * m * D - m * D.sum(axis=-1, keepdims=True) \
+            - m * D.sum(axis=-2, keepdims=True) + D.sum(axis=(-2, -1), keepdims=True)
+        m2 = (A0**2).sum(axis=(-2, -1))
+        keep = m2 > 0
+        stacks.append(A0[keep] * np.sqrt((m - 1) / m2[keep])[:, None, None])
+        count -= int(keep.sum())
+    return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+
+
+def norm4_zero_margin(mv: MomentVector, c15_inv: np.ndarray):
+    """E f^4 for zero-margin A in floats: only the pair-pair and
+    all-equal patterns survive (irlap.moments docstring).  Broadcasts
+    over the moment arrays of a stack; scalar moments give a float."""
+    idx = list(IDX_E3) + [IDX_E5]
+    Mq = np.asarray(mv.Mq)
+    B = np.empty(Mq.shape + (4, 4), dtype=Mq.dtype)
+    B[...] = Mq[..., None, None]
+    B[..., range(3), range(3)] = np.asarray(mv.M2 * mv.M2)[..., None]
+    B[..., :3, 3] = np.asarray(mv.Mc)[..., None]
+    B[..., 3, :3] = np.asarray(mv.Mr)[..., None]
+    B[..., 3, 3] = mv.M4
+    sub = c15_inv[np.ix_(idx, idx)]
+    out = (B * sub.T).sum(axis=(-2, -1))
+    return float(out) if Mq.ndim == 0 else out
+
+
+def moment_bounds_ok(mv: MomentVector, m: int, tol: float = 1e-9) -> dict:
+    """Normalized-function moment bounds: |M1| <= m sqrt((m-1)/(m-2)),
+    M2 <= m-1, Mq <= M2^2 (for E f^2 = 1); elementwise over a stack."""
+    m1_bound = m * np.sqrt((m - 1) / (m - 2))
+    return {
+        "M1": abs(mv.M1) <= m1_bound * (1 + tol),
+        "M2": mv.M2 <= (m - 1) * (1 + tol),
+        "Mq": mv.Mq <= mv.M2 * mv.M2 * (1 + tol),
+    }
+
+
+def sampled_sweep(m: int, sigma, samples: int, seed: int) -> dict:
+    """The sampled hypercontractivity check that irlap.moments replaced
+    with the exact bound U(m): `samples` zero-mean unit-variance band
+    functions in one stack, their largest E f^4 / (E f^2)^2 ratio (E f^2
+    is 1), the violations of sigma^4 E f^4 <= 1 at sigma (default
+    m^-1/2) and the draws failing a moment bound."""
+    sigma = float(sigma) if sigma is not None else m**-0.5
+    mv = moments(zero_margin_sample(m, np.random.default_rng(seed), samples))
+    f4 = norm4_zero_margin(mv, build_appendix(m).C15_inv_float)
+    t4 = sigma**4 * f4
+    ok = moment_bounds_ok(mv, m)
+    return {"m": m, "sigma": sigma, "samples": samples,
+            "violations": int((t4 > 1 + 1e-9).sum()), "max_ratio": float(f4.max()),
+            "max_T4_norm4": float(t4.max()),
+            "moment_bound_failures": int((~(ok["M1"] & ok["M2"] & ok["Mq"])).sum())}
 
 
 def degree2_product_check(m: int, samples: int = 50, seed: int = 0) -> dict:

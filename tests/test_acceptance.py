@@ -300,14 +300,17 @@ def test_criterion_8_strategy_proofness_reduction():
 
 
 def test_criterion_9_hypercontractivity_record():
-    sweep = empirical_m0(range(4, 13), samples=1000, seed=0)
+    sweep = empirical_m0(range(4, 13))
     rows = sweep["rows"]
-    m0 = sweep["empirical_m0"]
-    violations = [row["violations"] for row in rows]
-    ok = m0 is not None and m0 <= 12
-    ok &= violations[0] >= violations[-1]  # trend toward zero
+    m0 = sweep["certified_m0"]
+    ok = m0 == 4 and all(row["decision"] == "holds" for row in rows)
     for row in rows:
-        print(f"    m={row['m']:2d} sigma={row['sigma']:.4f} "
-              f"violations={row['violations']:4d} max ||Tf||_4^4={row['max_T4_norm4']:.4f}")
+        # the oracle: 1000 sampled matrices at the sweep's old seed (0 + m)
+        sampled = ref.sampled_sweep(row["m"], None, 1000, row["m"])
+        ok &= sampled["max_ratio"] <= row["U"] * (1 + 1e-9)
+        ok &= sampled["violations"] == sampled["moment_bound_failures"] == 0
+        print(f"    m={row['m']:2d} U={str(row['U']):>9} witness={str(row['witness']):>6} "
+              f"sigma^4 U={float(row['sigma4_U']):.4f} {row['decision']}, "
+              f"sampled max ratio {sampled['max_ratio']:.4f}")
     report(9, "hypercontractivity record", ok,
-           f"empirical m0 = {m0}, violations {violations}")
+           f"certified m0 = {m0}, decisions {[row['decision'] for row in rows]}")

@@ -284,6 +284,32 @@ def test_json_round_trip_keeps_stored_kinds(tmp_path):
     assert corrupted.params == {"corrupted_from": "dictator"}
 
 
+def test_corrupt_refuses_a_one_coset_subgroup():
+    """No other coset exists to corrupt to: a named ValueError, raised
+    before the generator is touched; zero entries is still a copy."""
+    one_coset = make_constant(0, build_fixing_subgroup(3, [[1, 2, 3]]), 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="one-coset subgroup"):
+        corrupt_aggregator(one_coset, 1, rng)
+    assert rng.bit_generator.state == state
+    assert np.array_equal(corrupt_aggregator(one_coset, 0, rng).table, one_coset.table)
+
+
+def test_corrupt_refuses_more_entries_than_the_table():
+    """A table has m!^n entries: more (or fewer than 0) is a named
+    ValueError before any draw; all of them is allowed."""
+    dictator = make_dictator(1, parse_perm("213", 3), trivial_subgroup(3), 2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for entries in (37, -1):
+        with pytest.raises(ValueError, match=f"cannot corrupt {entries} of the 36 table entries"):
+            corrupt_aggregator(dictator, entries, rng)
+    assert rng.bit_generator.state == state
+    whole = corrupt_aggregator(dictator, 36, rng)  # every entry moves to another coset
+    assert (whole.table != dictator.table).all()
+
+
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_json_named_rules_keep_their_own_partition(m):
     """Plurality and Borda round-trip on their default partitions and on

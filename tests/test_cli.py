@@ -254,7 +254,8 @@ def test_subcommands_reject_flags_they_ignore():
                 ["census", "--m", "3", "--samples", "5"],
                 ["analyze", "--m", "3", "--rule", "plurality", "--threads", "2"],
                 ["moments", "--m", "4", "--n", "2"],
-                ["moments", "--m", "4", "--partition", "1|2,3,4"]):
+                ["moments", "--m", "4", "--partition", "1|2,3,4"],
+                ["moments", "--m", "4", "--samples", "5"]):
         proc = run(*sub, check=False)
         assert proc.returncode == 2, sub
         assert "unrecognized arguments" in proc.stderr
@@ -264,14 +265,12 @@ def test_out_of_range_counts_are_input_errors():
     for sub in (["spectra", "--m", "3", "--n", "-1"],
                 ["census", "--m", "3", "--n", "0"],
                 ["analyze", "--m", "3", "--n", "-2", "--rule", "plurality"],
-                ["moments", "--m", "4", "--samples", "0"],
                 ["moments", "--m", "4", "--threads", "0"]):
         proc = run(*sub, check=False)
         assert proc.returncode == 2, sub
         assert "must be >=" in proc.stderr
     for sigma in ("-3", "1.5", "nan", "inf"):
-        proc = run("moments", "--m", "4", "--samples", "5",
-                   "--sigma-hyper", sigma, check=False)
+        proc = run("moments", "--m", "4", "--sigma-hyper", sigma, check=False)
         assert proc.returncode == 2, sigma
         assert "must lie in [0, 1]" in proc.stderr
 
@@ -280,7 +279,7 @@ def test_moments_rejects_small_m(capsys):
     import irlap.cli as cli
 
     for m in ("0", "1", "2", "3"):
-        assert cli.main(["moments", "--m", m, "--samples", "5"]) == 2, m
+        assert cli.main(["moments", "--m", m]) == 2, m
         assert "moments requires m >= 4" in capsys.readouterr().err
 
 
@@ -300,7 +299,7 @@ def test_moments_refuses_an_m_past_the_audit_bound(monkeypatch, capsys):
         assert "refused" in err and "1,648,280,200 index tuples" in err
         patch.setattr(moments, "AUDIT_TUPLE_LIMIT", 10**3)  # read at call time
         assert cli.main(["moments", "--m", "5"]) == 3
-    assert cli.main(["moments", "--m", "12", "--samples", "2", "--sigma-hyper", "0.5"]) == 0
+    assert cli.main(["moments", "--m", "12", "--sigma-hyper", "0.5"]) == 0
 
 
 # per subcommand: an irlap module it runs, and the ones it may not load
@@ -314,7 +313,7 @@ MODULES = {
 
 
 @pytest.mark.parametrize("argv", [
-    ["moments", "--m", "4", "--samples", "2"],
+    ["moments", "--m", "4"],
     ["spectra", "--m", "4", "--n", "2"],
     ["analyze", "--m", "3", "--n", "2", "--rule", "plurality"],
     ["census", "--m", "3", "--n", "1"],
@@ -421,7 +420,7 @@ def test_small_m_exits_without_a_traceback(m, capsys):
     import irlap.cli as cli
 
     jobs = [["spectra", "--m", str(m), "--n", "1"], ["census", "--m", str(m)],
-            ["moments", "--m", str(m), "--samples", "5"]]
+            ["moments", "--m", str(m)]]
     jobs += [["analyze", "--m", str(m), "--rule", rule] for rule in _named_rules(m)]
     names_m = {"spectra": m < 3, "census": m < 2}  # the jobs that refuse this m
     for argv in jobs:
@@ -579,22 +578,31 @@ def test_determinism_byte_identical():
     args = ["analyze", "--m", "3", "--n", "2", "--rule", "random:seed=5",
             "--seed", "5"]
     assert run(*args).stdout == run(*args).stdout
-    margs = ["moments", "--m", "4", "--samples", "50", "--seed", "3"]
+    margs = ["moments", "--m", "4", "--seed", "3"]
     assert run(*margs).stdout == run(*margs).stdout
 
 
 def test_thread_pool_size_does_not_change_reports():
-    base = ["moments", "--m", "4", "--samples", "40", "--seed", "9"]
+    base = ["moments", "--m", "4", "--seed", "9"]
     assert run(*base, "--threads", "1").stdout == run(*base, "--threads", "4").stdout
+
+
+def test_sigma_hyper_is_read_exactly():
+    """A fraction and its decimal give one report, whose decision is exact."""
+    base = ["moments", "--m", "5", "--seed", "2", "--sigma-hyper"]
+    out = run(*base, "1/2").stdout
+    assert run(*base, "0.5").stdout == out
+    row, = json.loads(out)["hypercontractivity"]["rows"]
+    assert (row["sigma"], row["sigma4_U"], row["decision"]) == ("1/2", "23/40", "holds")
 
 
 def test_moments_report(tmp_path):
     out_path = tmp_path / "moments.json"
-    proc = run("moments", "--m", "4", "--samples", "50", "--seed", "1",
-               "--out", str(out_path))
+    proc = run("moments", "--m", "4", "--seed", "1", "--out", str(out_path))
     assert "moments" in proc.stdout  # human summary on stdout
     doc = json.loads(out_path.read_text())
     assert all(row["matches_formula"] for row in doc["determinant"])
     assert doc["transfer_dual_path"]["exact_matches"] == 25
     assert doc["block_audit"]["repair_count"] > 0
-    assert doc["hypercontractivity"]["empirical_m0"] is not None
+    assert doc["hypercontractivity"]["certified_m0"] == 4
+    assert "certified m0 4" in proc.stdout

@@ -9,7 +9,6 @@ import pytest
 
 from irlap import moments as moments_module
 from irlap.moments import (
-    CHUNK,
     IDX_E3,
     IDX_E5,
     PARTITIONS,
@@ -24,15 +23,12 @@ from irlap.moments import (
     margin_value,
     matrix_cs_check,
     mean_value,
-    moment_bounds_ok,
     moments,
     moments_after_Tt,
     norm2_value,
     norm4_exact,
-    norm4_zero_margin,
     random_equal_margin,
     transfer_dual_path,
-    zero_margin_sample,
 )
 from reference_loops import (
     _bareiss_inverse,
@@ -40,6 +36,10 @@ from reference_loops import (
     exhaustive_moment,
     frac_inv_det,
     gram_c15,
+    moment_bounds_ok,
+    norm4_zero_margin,
+    sampled_sweep,
+    zero_margin_sample,
 )
 
 
@@ -136,8 +136,8 @@ def test_appendix_is_cached_and_frozen():
 
 def test_cold_appendix_cache_from_worker_threads():
     build_appendix.cache_clear()
-    threaded = empirical_m0(range(4, 8), samples=20, seed=1, threads=2)
-    assert threaded == empirical_m0(range(4, 8), samples=20, seed=1, threads=1)
+    threaded = empirical_m0(range(4, 8), threads=2)
+    assert threaded == empirical_m0(range(4, 8), threads=1)
 
 
 def test_moment_examples():
@@ -327,13 +327,13 @@ def test_zero_margin_sampler_skips_rank_pattern():
 
 
 def reference_hypercontractivity(m, sigma, samples, seed):
-    """The sweep one sample at a time, as it ran before the sampler
-    drew stacks: the oracle for the chunked path."""
+    """The sampled sweep one sample at a time: the oracle of the
+    stacked `sampled_sweep`."""
     sigma = float(sigma) if sigma is not None else m**-0.5
     rng = np.random.default_rng(seed)
     c15_inv = build_appendix(m).C15_inv_float
     violations = failures = 0
-    max_t4 = 0.0
+    max_t4 = max_ratio = 0.0
     for _ in range(samples):
         while True:
             D = rng.integers(-9, 10, size=(m, m)).astype(float)
@@ -343,28 +343,30 @@ def reference_hypercontractivity(m, sigma, samples, seed):
             if m2 > 0:
                 break
         mv = moments(A0 * np.sqrt((m - 1) / m2))
-        t4 = sigma**4 * norm4_zero_margin(mv, c15_inv)
+        f4 = norm4_zero_margin(mv, c15_inv)
+        t4 = sigma**4 * f4
         max_t4 = max(max_t4, t4)
+        max_ratio = max(max_ratio, f4)
         violations += t4 > 1 + 1e-9
         failures += not all(moment_bounds_ok(mv, m).values())
     return {"m": m, "sigma": sigma, "samples": samples, "violations": violations,
-            "max_T4_norm4": max_t4, "moment_bound_failures": failures}
+            "max_ratio": max_ratio, "max_T4_norm4": max_t4,
+            "moment_bound_failures": failures}
 
 
 @pytest.mark.parametrize("m", range(4, 13))
-def test_chunked_sweep_matches_one_at_a_time(m):
+def test_sampled_sweep_matches_one_at_a_time(m):
     for sigma in (None, 0.3):
-        for samples in (1, CHUNK - 1, CHUNK, CHUNK + 1, 1000):
+        for samples in (1, 127, 128, 129, 1000):
             seed = 100 * m + samples
-            assert hypercontractivity_check(m, sigma, samples, seed) == \
+            assert sampled_sweep(m, sigma, samples, seed) == \
                 reference_hypercontractivity(m, sigma, samples, seed)
 
 
 @pytest.mark.parametrize("m", range(4, 13))
 def test_stacked_moments_match_single_matrices(m):
-    # Bit for bit, over enough samples that M2^2 rounded by numpy's
-    # square instead of libm's pow would show (about 1 in 1300 values
-    # of E f^4 moves).
+    # Bit for bit, over enough samples that a stacked moment rounded
+    # differently from the single-matrix one would show.
     stack = zero_margin_sample(m, np.random.default_rng(m), 1500)
     batched = moments(stack)
     c15 = build_appendix(m).C15_inv_float
@@ -375,26 +377,84 @@ def test_stacked_moments_match_single_matrices(m):
         assert f4[k] == norm4_zero_margin(single, c15)
 
 
-def test_sweep_squares_each_stack_once(monkeypatch):
-    """E f^4 and the Mq bound read one square of M2 per sampled stack."""
-    calls = []
-    square = moments_module._square
-    monkeypatch.setattr(moments_module, "_square", lambda x: calls.append(1) or square(x))
-    hypercontractivity_check(4, samples=2 * CHUNK)
-    assert len(calls) == 2
-
-
 def test_hypercontractivity_sigma_zero():
     # sigma = 0 kills a zero-mean function entirely: ||T f||_4 = 0.
-    rep = hypercontractivity_check(4, sigma=0.0, samples=50, seed=0)
-    assert rep["violations"] == 0
-    assert rep["max_T4_norm4"] == 0.0
+    rep = hypercontractivity_check(4, sigma=0)
+    assert rep["sigma4_U"] == 0 and rep["decision"] == "holds"
+    sampled = sampled_sweep(4, 0.0, 50, 0)
+    assert sampled["violations"] == 0
+    assert sampled["max_T4_norm4"] == 0.0
 
 
 def test_hypercontractivity_bounds_hold():
-    rep = hypercontractivity_check(6, samples=200, seed=1)
+    rep = sampled_sweep(6, None, 200, 1)
     assert rep["moment_bound_failures"] == 0
-    assert rep["max_T4_norm4"] > 0
+    assert 0 < rep["max_T4_norm4"] <= hypercontractivity_check(6)["sigma4_U"]
+
+
+U_PINNED = ["87/8", "46/5", "75/8", "699/70", "861/80", "244/21", "7011/560",
+            "1775/132", "1727/120"]
+WITNESS_PINNED = ["15/8", "11/5", "5/2", "39/14", "49/16", "10/3", "18/5", "85/22", "33/8"]
+
+
+def test_contraction_bound_and_witness_are_pinned():
+    rows = [hypercontractivity_check(m) for m in range(4, 13)]
+    assert [row["U"] for row in rows] == list(map(Fraction, U_PINNED))
+    assert [row["witness"] for row in rows] == list(map(Fraction, WITNESS_PINNED))
+    for row in rows:
+        m = row["m"]
+        assert row["sigma"] == f"{m}^(-1/2)" and row["sigma4_U"] == row["U"] / m**2
+        assert row["decision"] == "holds"
+    sweep = empirical_m0()
+    assert sweep == {"rows": rows, "certified_m0": 4}
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_witness_ratio_is_exact(m):
+    """A = (e1 - e2)(e1 - e2)^T attains the witness ratio."""
+    A = [[0] * m for _ in range(m)]
+    A[0][0] = A[1][1] = 1
+    A[0][1] = A[1][0] = -1
+    ratio = norm4_exact(A, m) / norm2_value(A, m) ** 2
+    assert ratio == hypercontractivity_check(m)["witness"] <= hypercontractivity_check(m)["U"]
+
+
+def test_contraction_bound_is_at_most_m_squared():
+    """U(m) <= m^2, so sigma = m^-1/2 always holds, at m = 4..200."""
+    for m in range(4, 201):
+        rep = hypercontractivity_check(m)
+        assert rep["U"] <= m * m and rep["decision"] == "holds", m
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_sampled_ratios_never_exceed_the_bound(m):
+    """1000 draws at the seed the sampled sweep gave each m (seed 0 + m):
+    no ratio E f^4 / (E f^2)^2 passes U(m) and every moment bound holds."""
+    sampled = sampled_sweep(m, None, 1000, m)
+    rep = hypercontractivity_check(m)
+    assert sampled["max_ratio"] <= rep["U"] * (1 + 1e-9)
+    assert sampled["violations"] == sampled["moment_bound_failures"] == 0
+
+
+def test_hypercontractivity_decisions():
+    # m = 4: U = 87/8, witness 15/8
+    assert hypercontractivity_check(4, Fraction(1, 2))["decision"] == "holds"
+    assert hypercontractivity_check(4, Fraction(3, 4))["decision"] == "open"
+    assert hypercontractivity_check(4, 1)["decision"] == "fails"
+    assert hypercontractivity_check(4, 0.5) == hypercontractivity_check(4, "1/2")
+    with pytest.raises(ValueError):
+        hypercontractivity_check(3)
+
+
+def test_contraction_bound_refuses_a_negative_c4(monkeypatch):
+    tables = build_appendix(4)
+    adj = [list(row) for row in tables.adj]
+    adj[IDX_E5][IDX_E5] = -1
+    fake = moments_module.AppendixTables(4, tuple(map(tuple, adj)),
+                                         tables.C15_inv_float, tables.det)
+    monkeypatch.setattr(moments_module, "build_appendix", lambda m: fake)
+    with pytest.raises(AssertionError, match="c4 = -1 < 0"):
+        hypercontractivity_check(4)
 
 
 def test_degree2_product_bound():
