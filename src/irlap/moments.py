@@ -38,8 +38,8 @@ mu(p, t) = prod over the blocks B of t of (-1)^(k-1) (k-1)!, k the
 blocks of p inside B (Rota 1964).  `build_appendix(m)` checks
 Z D Z^T = C15 in Python ints and keeps, once per m, det, adj = det
 C15^-1 = mu^T diag(det/(m)_|t|) mu, its read-only float copy adj/det
-by correctly rounded int/int division (for float callers) and the
-Fraction inverse built on first use.
+by correctly rounded int/int division and the Fraction inverse built
+on first use.
 
 The noise-operator rules are homogeneous in (sigma, tau), so
 `transfer_dual_path` compares the direct moments of T_sigma A with
